@@ -2,7 +2,7 @@
 """Regenerate all 14 preset figures as CSV (+ gnuplot scripts).
 
 Usage:
-    python scripts/make_figures.py [--out figures/] [--n 400] [--parallel auto]
+    python scripts/make_figures.py [--out figures/] [--n 400]
 """
 
 import argparse
@@ -16,7 +16,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="figures", help="output directory")
     ap.add_argument("--n", type=int, default=400)
-    ap.add_argument("--parallel", default="1")
     args = ap.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
@@ -24,7 +23,6 @@ def main() -> int:
         rc = cli_main([
             "--figure", str(fig_id), "--n", str(args.n),
             "--out", args.out, "--plot-script",
-            "--parallel", args.parallel,
         ])
         if rc != 0:
             return rc

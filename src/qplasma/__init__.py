@@ -3,8 +3,6 @@
 __version__ = "0.1.0"
 
 from .special_functions import (  # noqa: F401
-    AccuracyPolicy,
-    DEFAULT_POLICY,
     dawson,
     faddeeva_w,
     lambda0,

@@ -46,15 +46,6 @@ def _parse_models(text: str) -> tuple[ModelKind, ...]:
         raise argparse.ArgumentTypeError(f"unknown model in {text!r}; valid: {valid}")
 
 
-def _parse_parallel(text: str) -> int:
-    if text == "auto":
-        return os.cpu_count() or 1
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("worker count must be >= 1")
-    return n
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qplasma",
@@ -77,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV path for sweeps, output directory for figures")
     p.add_argument("--plot-script", action="store_true",
                    help="also write a gnuplot script next to each CSV")
-    p.add_argument("--parallel", type=_parse_parallel, default=1, metavar="N|auto",
-                   help="evaluate grid points with N worker threads")
     p.add_argument("--compat-mermin-paper-d0", action="store_true",
                    help="use the historical 2 F(q/2) static denominator "
                         "in the Mermin model (comparison studies only)")
@@ -98,7 +87,7 @@ def _run_figure(args) -> int:
                             sweep_var=spec.sweep_var, sweep_range=spec.sweep_range,
                             n=spec.n, scale=spec.scale, label=spec.label,
                             mermin_paper_d0=True)
-        table = run_scan(spec, workers=args.parallel)
+        table = run_scan(spec)
         suffix = f"_curve{i + 1}" if len(specs) > 1 else ""
         path = os.path.join(out_dir, f"fig{fig_id:02d}{suffix}.csv")
         write_output(table, spec, path=path)
@@ -128,7 +117,7 @@ def _run_sweep(args) -> int:
     spec = ScanSpec(models=args.model, fixed=fixed, sweep_var=var,
                     sweep_range=rng, n=n, scale=scale, output_path=args.out,
                     mermin_paper_d0=args.compat_mermin_paper_d0)
-    table = run_scan(spec, workers=args.parallel)
+    table = run_scan(spec)
     written = write_output(table, spec, plot_script=args.plot_script)
     for path in written:
         print(f"wrote {path}")

@@ -25,11 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .special_functions import (
-    DEFAULT_POLICY,
-    AccuracyPolicy,
-    SQRT_PI,
     dawson,
-    faddeeva_w,
+    faddeeva_w,  # noqa: F401  bench/spans.py wraps this name; --trace 1 needs it
     lambda0,
     plasma_t,
     t_diff_over_q,
@@ -136,8 +133,7 @@ def _kernel_B(z2: complex) -> complex:
 # Complex-frequency cores (used by the public surface and the root solver)
 # ---------------------------------------------------------------------------
 
-def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float,
-                      policy: AccuracyPolicy = DEFAULT_POLICY) -> complex:
+def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     """Quantum-model permittivity at (possibly complex) frequency omega."""
     q = _require_positive_q(q)
     if x_p == 0.0:
@@ -149,13 +145,12 @@ def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float,
         kernel = cmath.exp(-0.25 * q * q) * (
             2.0 * _kernel_A(z2) + (q * q / 3.0) * _kernel_B(z2)
         )
-        return 1.0 + x_p * x_p * kernel / (xy * (omega + 1j * y * lambda0(z, policy)))
-    num = t_diff_over_q(z, q, policy)
-    return 1.0 + (x_p * x_p / (q * q)) * xy * num / (omega + 1j * y * lambda0(z, policy))
+        return 1.0 + x_p * x_p * kernel / (xy * (omega + 1j * y * lambda0(z)))
+    num = t_diff_over_q(z, q)
+    return 1.0 + (x_p * x_p / (q * q)) * xy * num / (omega + 1j * y * lambda0(z))
 
 
-def eps_classical_omega(x_p: float, y: float, omega: complex, q: float,
-                        policy: AccuracyPolicy = DEFAULT_POLICY) -> complex:
+def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     """Classical-model permittivity at (possibly complex) frequency omega."""
     q = _require_positive_q(q)
     if x_p == 0.0:
@@ -165,9 +160,9 @@ def eps_classical_omega(x_p: float, y: float, omega: complex, q: float,
     if q < Q_MIN and abs(z) >= _KERNEL_Z_MIN:
         # exact identity: (2 x_p^2/q^2) xy lambda0 = 2 x_p^2 z^2 lambda0 / xy
         return 1.0 + 2.0 * x_p * x_p * _kernel_A(z * z) / (
-            xy * (omega + 1j * y * lambda0(z, policy))
+            xy * (omega + 1j * y * lambda0(z))
         )
-    lam = lambda0(z, policy)
+    lam = lambda0(z)
     return 1.0 + (2.0 * x_p * x_p / (q * q)) * xy * lam / (omega + 1j * y * lam)
 
 
@@ -184,7 +179,6 @@ def mermin_static_denominator(q: float, paper_d0: bool = False) -> float:
 
 
 def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float,
-                     policy: AccuracyPolicy = DEFAULT_POLICY,
                      paper_d0: bool = False) -> complex:
     """Mermin-model permittivity at (possibly complex) frequency omega."""
     q = _require_positive_q(q)
@@ -192,7 +186,7 @@ def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float,
         return 1.0 + 0j
     xy = omega + 1j * y
     z = xy / q
-    D = t_diff_over_q(z, q, policy)
+    D = t_diff_over_q(z, q)
     D0 = mermin_static_denominator(q, paper_d0)
     return 1.0 + (x_p * x_p / (q * q)) * xy * D / (omega + 1j * y * D / D0)
 
@@ -201,49 +195,34 @@ def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float,
 # Public real-frequency surface
 # ---------------------------------------------------------------------------
 
-def epsilon_quantum(params: PlasmaParams, point: QueryPoint,
-                    policy: AccuracyPolicy = DEFAULT_POLICY) -> complex:
+def epsilon_quantum(params: PlasmaParams, point: QueryPoint) -> complex:
     """Quantum longitudinal permittivity (coordinate-space BGK model)."""
-    return eps_quantum_omega(params.x_p, params.y, point.x, point.q, policy)
+    return eps_quantum_omega(params.x_p, params.y, point.x, point.q)
 
 
-def epsilon_classical(params: PlasmaParams, point: QueryPoint,
-                      policy: AccuracyPolicy = DEFAULT_POLICY) -> complex:
+def epsilon_classical(params: PlasmaParams, point: QueryPoint) -> complex:
     """Classical (BGK) longitudinal permittivity; no quantum recoil."""
-    return eps_classical_omega(params.x_p, params.y, point.x, point.q, policy)
+    return eps_classical_omega(params.x_p, params.y, point.x, point.q)
 
 
-def epsilon_lindhard(x_p: float, x: float, q: float,
-                     policy: AccuracyPolicy = DEFAULT_POLICY,
-                     form: str = "kernel") -> complex:
-    """Collisionless (Landau-continued) permittivity.
-
-    ``form="kernel"`` evaluates the symmetric-difference kernel D(x/q, q);
-    ``form="difference"`` evaluates the two t values literally.  Both agree
-    to ~1e-12 away from the cancellation regime and exist to cross-check
-    each other.
-    """
+def epsilon_lindhard(x_p: float, x: float, q: float) -> complex:
+    """Collisionless (Landau-continued) permittivity, evaluated through the
+    cancellation-safe symmetric-difference kernel D(x/q, q)."""
     q = _require_positive_q(q)
     if x_p == 0.0:
         return 1.0 + 0j
-    z = complex(x / q, 0.0)
-    if form == "kernel":
-        num = t_diff_over_q(z, q, policy)
-    elif form == "difference":
-        num = (plasma_t(z - 0.5 * q, policy) - plasma_t(z + 0.5 * q, policy)) / q
-    else:
-        raise ValueError(f"unknown form {form!r}; use 'kernel' or 'difference'")
+    num = t_diff_over_q(complex(x / q, 0.0), q)
     return 1.0 + (x_p * x_p / (q * q)) * num
 
 
-def epsilon_static(x_p: float, y: float, q: float,
-                   policy: AccuracyPolicy = DEFAULT_POLICY) -> complex:
+def epsilon_static(x_p: float, y: float, q: float) -> complex:
     """Zero-frequency (screening) permittivity; exactly real by construction.
 
     At x = 0 the argument is z = iy/q, and the reflection symmetry
     t(-conj z) = -conj t(z) makes both the kernel and lambda0 real:
     D(iv, q) = -2 Re t(q/2 + iv)/q and lambda0(iv) = 1 - sqrt(pi) v w(iv).
-    The evaluation is carried out in real arithmetic on those parts.
+    Only the real parts enter.  lambda0 goes through :func:`lambda0`, whose
+    large-|z| tail avoids the ~2 v^2-fold cancellation of the literal form.
     """
     q = _require_positive_q(q)
     y = float(y)
@@ -252,8 +231,8 @@ def epsilon_static(x_p: float, y: float, q: float,
     if x_p == 0.0:
         return 1.0 + 0j
     v = y / q
-    kernel = -2.0 * plasma_t(complex(0.5 * q, v), policy).real / q
-    lam = 1.0 - SQRT_PI * v * faddeeva_w(1j * v).real
+    kernel = -2.0 * plasma_t(complex(0.5 * q, v)).real / q
+    lam = lambda0(complex(0.0, v)).real
     return complex(1.0 + (x_p * x_p / (q * q)) * kernel / lam, 0.0)
 
 
@@ -273,35 +252,31 @@ def epsilon_drude(x_p: float, x: float, y: float) -> complex:
 
 
 def epsilon_mermin(params: PlasmaParams, point: QueryPoint,
-                   policy: AccuracyPolicy = DEFAULT_POLICY,
                    paper_d0: bool = False) -> complex:
     """Mermin (momentum-space RTA) permittivity in the same variables."""
-    return eps_mermin_omega(params.x_p, params.y, point.x, point.q,
-                            policy, paper_d0)
+    return eps_mermin_omega(params.x_p, params.y, point.x, point.q, paper_d0)
 
 
 def evaluate(model: ModelKind, params: PlasmaParams, point: QueryPoint,
-             policy: AccuracyPolicy = DEFAULT_POLICY,
              mermin_paper_d0: bool = False) -> complex:
     """Dispatch a permittivity model on (params, point)."""
     model = ModelKind(model)
     if model is ModelKind.QUANTUM:
-        return epsilon_quantum(params, point, policy)
+        return epsilon_quantum(params, point)
     if model is ModelKind.CLASSICAL:
-        return epsilon_classical(params, point, policy)
+        return epsilon_classical(params, point)
     if model is ModelKind.MERMIN:
-        return epsilon_mermin(params, point, policy, paper_d0=mermin_paper_d0)
+        return epsilon_mermin(params, point, paper_d0=mermin_paper_d0)
     if model is ModelKind.LINDHARD:
-        return epsilon_lindhard(params.x_p, point.x, point.q, policy)
+        return epsilon_lindhard(params.x_p, point.x, point.q)
     if model is ModelKind.STATIC:
-        return epsilon_static(params.x_p, params.y, point.q, policy)
+        return epsilon_static(params.x_p, params.y, point.q)
     if model is ModelKind.DRUDE:
         return epsilon_drude(params.x_p, point.x, params.y)
     raise ValueError(f"unknown model {model!r}")
 
 
-def conductivity(params: PlasmaParams, point: QueryPoint, model: ModelKind,
-                 policy: AccuracyPolicy = DEFAULT_POLICY) -> complex:
+def conductivity(params: PlasmaParams, point: QueryPoint, model: ModelKind) -> complex:
     """Dimensionless longitudinal conductivity s = 4 pi sigma_l/(k_T v_T),
     defined through eps = 1 + i s / x, i.e. s = -i x (eps - 1).
 
@@ -309,5 +284,5 @@ def conductivity(params: PlasmaParams, point: QueryPoint, model: ModelKind,
     """
     if not point.x > 0.0:
         raise ValueError(f"conductivity requires x > 0, got {point.x!r}")
-    eps = evaluate(model, params, point, policy)
+    eps = evaluate(model, params, point)
     return -1j * point.x * (eps - 1.0)

@@ -9,7 +9,6 @@ both byte-deterministic for identical specs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -68,6 +67,8 @@ class ScanSpec:
         lo, hi = self.sweep_range
         if not lo < hi:
             raise ValueError(f"sweep range must satisfy lo < hi, got [{lo!r}, {hi!r}]")
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise ValueError(f"grid size n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"grid size n must be >= 2, got {self.n!r}")
         if self.scale not in ("linear", "log"):
@@ -120,16 +121,11 @@ def _eval_point(spec: ScanSpec, value: float) -> tuple[float, ...]:
     return tuple(out)
 
 
-def run_scan(spec: ScanSpec, workers: int = 1) -> ScanTable:
+def run_scan(spec: ScanSpec) -> ScanTable:
     """Evaluate the spec over its grid; rows come back in ascending sweep
-    order regardless of evaluation concurrency."""
+    order."""
     spec.validate()
-    grid = spec.grid()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _eval_point(spec, v), grid))
-    else:
-        rows = [_eval_point(spec, v) for v in grid]
+    rows = [_eval_point(spec, v) for v in spec.grid()]
     columns = [spec.sweep_var]
     for model in spec.models:
         columns.append(f"re_eps_{model.value}")
@@ -146,18 +142,6 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> ScanTable:
 
 FIGURE_IDS = range(1, 15)
 _OVERLAY = (ModelKind.QUANTUM, ModelKind.CLASSICAL)
-
-
-@dataclass(frozen=True)
-class FigurePreset:
-    id: int
-    part: str  # "re" or "im"
-    scans: tuple[ScanSpec, ...]
-
-    @classmethod
-    def of(cls, fig_id: int, n: int = 400) -> "FigurePreset":
-        return cls(id=fig_id, part=figure_part(fig_id),
-                   scans=tuple(figure_preset(fig_id, n)))
 
 
 def figure_preset(fig_id: int, n: int = 400) -> list[ScanSpec]:

@@ -12,36 +12,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from math import gamma as _gamma
 
 SQRT_PI = math.sqrt(math.pi)
 _INV_PI = 1.0 / math.pi
 _TWO_I_SQRT_PI = 2j * SQRT_PI
 
-
-@dataclass(frozen=True)
-class AccuracyPolicy:
-    """Evaluation thresholds for the fast special-function paths.
-
-    target_rel_error is the accuracy contract of the public operations;
-    series_switch_q scales the cancellation guard of :func:`t_diff_over_q`;
-    asymptotic_switch_z is the |z| beyond which t and lambda0 go through
-    their large-argument tail series.
-    """
-
-    target_rel_error: float = 1e-12
-    series_switch_q: float = 1e-3
-    asymptotic_switch_z: float = 100.0
-
-    def __post_init__(self):
-        for name in ("target_rel_error", "series_switch_q", "asymptotic_switch_z"):
-            v = getattr(self, name)
-            if not (v > 0):
-                raise ValueError(f"{name} must be strictly positive, got {v!r}")
-
-
-DEFAULT_POLICY = AccuracyPolicy()
+#: t_diff_over_q switches to its Taylor form below q = SERIES_SWITCH_Q * (1 + |z|)
+SERIES_SWITCH_Q = 1e-3
+#: |z| beyond which t and lambda0 go through their large-argument tail series
+ASYMPTOTIC_SWITCH_Z = 100.0
 
 
 def _check_finite(z: complex, name: str = "z") -> complex:
@@ -214,7 +194,7 @@ def _t_asymptotic(z: complex) -> complex:
     return val
 
 
-def plasma_t(z: complex, policy: AccuracyPolicy = DEFAULT_POLICY) -> complex:
+def plasma_t(z: complex) -> complex:
     """Entire (Landau) continuation of the plasma dispersion integral.
 
     For Im z > 0 this equals (1/sqrt(pi)) Int e^{-mu^2}/(mu - z) dmu; on the
@@ -222,21 +202,21 @@ def plasma_t(z: complex, policy: AccuracyPolicy = DEFAULT_POLICY) -> complex:
     ``i sqrt(pi) w(z)``.
     """
     z = _check_finite(z)
-    if abs(z) > policy.asymptotic_switch_z:
+    if abs(z) > ASYMPTOTIC_SWITCH_Z:
         return _t_asymptotic(z)
     return 1j * SQRT_PI * faddeeva_w(z)
 
 
-def lambda0(z: complex, policy: AccuracyPolicy = DEFAULT_POLICY) -> complex:
+def lambda0(z: complex) -> complex:
     """Van Kampen dispersion function, ``1 + z t(z)``.
 
-    Beyond the asymptotic switch the tail series
+    Beyond |z| = ASYMPTOTIC_SWITCH_Z the tail series
     ``-1/(2 z^2) - 3/(4 z^4) - ...`` is used directly: the literal
     ``1 + z t`` cancels ~2|z|^2-fold there and would lose that many digits.
     """
     z = _check_finite(z)
-    if abs(z) <= policy.asymptotic_switch_z:
-        return 1.0 + z * plasma_t(z, policy)
+    if abs(z) <= ASYMPTOTIC_SWITCH_Z:
+        return 1.0 + z * plasma_t(z)
     z2 = z * z
     term = 0.5 + 0j
     acc = 0.5 + 0j
@@ -324,9 +304,7 @@ def dawson(u: float) -> float:
 # Derivatives of t and the cancellation-safe symmetric difference
 # ----------------------------------------------------------------------------
 
-def t_derivatives(
-    z: complex, n: int, policy: AccuracyPolicy = DEFAULT_POLICY
-) -> list[complex]:
+def t_derivatives(z: complex, n: int) -> list[complex]:
     """[t, t', ..., t^(n)] via t' = -2 lambda0 and
     t^(m+1) = -2 (m t^(m-1) + z t^(m)).  Requires 0 <= n <= 6."""
     if not isinstance(n, int) or isinstance(n, bool):
@@ -334,20 +312,18 @@ def t_derivatives(
     if not 0 <= n <= 6:
         raise ValueError(f"derivative order must be in 0..6, got {n}")
     z = _check_finite(z)
-    out = [plasma_t(z, policy)]
+    out = [plasma_t(z)]
     if n >= 1:
-        out.append(-2.0 * lambda0(z, policy))
+        out.append(-2.0 * lambda0(z))
     for m in range(1, n):
         out.append(-2.0 * (m * out[m - 1] + z * out[m]))
     return out
 
 
-def t_diff_over_q(
-    z: complex, q: float, policy: AccuracyPolicy = DEFAULT_POLICY
-) -> complex:
+def t_diff_over_q(z: complex, q: float) -> complex:
     """[t(z - q/2) - t(z + q/2)] / q.
 
-    Below q = series_switch_q * (1 + |z|) the direct difference suffers an
+    Below q = SERIES_SWITCH_Q * (1 + |z|) the direct difference suffers an
     ~|z|/q-fold cancellation amplification, so the odd-order Taylor form
     -(t' + q^2 t'''/24 + q^4 t^(5)/1920) is used instead; the two branches
     agree within the accuracy target at the switch.
@@ -356,9 +332,9 @@ def t_diff_over_q(
     q = float(q)
     if not (q > 0.0):
         raise ValueError(f"q must be strictly positive, got {q!r}")
-    if q < policy.series_switch_q * (1.0 + abs(z)):
-        d = t_derivatives(z, 5, policy)
+    if q < SERIES_SWITCH_Q * (1.0 + abs(z)):
+        d = t_derivatives(z, 5)
         q2 = q * q
         return -(d[1] + q2 * (d[3] / 24.0 + q2 * d[5] / 1920.0))
     half = 0.5 * q
-    return (plasma_t(z - half, policy) - plasma_t(z + half, policy)) / q
+    return (plasma_t(z - half) - plasma_t(z + half)) / q

@@ -23,7 +23,7 @@ from qplasma.dielectric import (
     mermin_static_denominator,
 )
 from qplasma.oracle import quad_epsilon_quantum
-from qplasma.special_functions import dawson
+from qplasma.special_functions import dawson, plasma_t
 
 from conftest import assert_cclose
 
@@ -31,6 +31,11 @@ from conftest import assert_cclose
 # the quantum and Mermin models legitimately differ at this point
 MERMIN_GOLDEN = -0.3785793565894593 + 0.6707245791560104j
 MERMIN_QUANTUM_GAP = 1.615348e-3
+# epsilon_static(1, y, 1e-3) at v = y/q = 142 and 1000, mpmath at 60 digits
+STATIC_LARGE_V = {
+    0.142: 2000000.9999752075525,
+    1.0: 2000000.9999994999185,
+}
 
 
 def _fixed_z_points(z: complex, q: float, x_p: float = 1.0):
@@ -151,14 +156,14 @@ class TestEpsilonLindhard:
         assert abs(got - ref) <= 0.005 * abs(ref)
 
     def test_both_forms_agree(self):
+        # kernel path against the literal difference of the two t values
         for (x, q) in ((1.0, 0.7), (0.5, 0.5), (2.5, 1.3), (0.1, 2.0)):
-            a = epsilon_lindhard(1.0, x, q, form="kernel")
-            b = epsilon_lindhard(1.0, x, q, form="difference")
+            a = epsilon_lindhard(1.0, x, q)
+            z = complex(x / q, 0.0)
+            b = 1.0 + (plasma_t(z - 0.5 * q) - plasma_t(z + 0.5 * q)) / q ** 3
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
     def test_bad_form_and_domain(self):
-        with pytest.raises(ValueError):
-            epsilon_lindhard(1.0, 1.0, 0.5, form="nope")
         with pytest.raises(ValueError):
             epsilon_lindhard(1.0, 1.0, 0.0)
 
@@ -180,6 +185,11 @@ class TestEpsilonStatic:
         for y in (0.01, 0.1, 1.0):
             for q in (0.1, 0.5, 1.0, 2.0):
                 assert epsilon_static(1.0, y, q).real > 1.0
+
+    def test_large_v_frozen_mpmath(self):
+        # the literal lambda0(iv) = 1 - sqrt(pi) v w(iv) loses ~2 v^2 ulps here
+        for y, ref in STATIC_LARGE_V.items():
+            assert_cclose(epsilon_static(1.0, y, 1e-3), ref, rtol=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -200,6 +200,20 @@ class TestTraceBranch:
         assert all(g > 0 for g in gaps)
         assert all(a < b for a, b in zip(gaps, gaps[1:]))
 
+    def test_solve_failure_raises_branch_loss_with_its_q(self, monkeypatch):
+        q_fail = 0.33 * SQRT2  # between the grid points 0.3 and 0.35 (x SQRT2)
+
+        def failing_above(params, q, model, **kwargs):
+            if q > q_fail:
+                raise ConvergenceError("forced failure", 0j, 1.0)
+            return solve_root(params, q, model, **kwargs)
+
+        monkeypatch.setattr("qplasma.dispersion.solve_root", failing_above)
+        params = PlasmaParams(x_p=1.0, y=0.01)
+        with pytest.raises(BranchLossError) as err:
+            trace_branch(params, 0.2 * SQRT2, 0.5 * SQRT2, 7, ModelKind.CLASSICAL)
+        assert q_fail < err.value.q <= 0.35 * SQRT2
+
     def test_invalid_ranges_rejected(self):
         params = PlasmaParams(x_p=1.0, y=0.01)
         with pytest.raises(ValueError):

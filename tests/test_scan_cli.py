@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from qplasma.cli import main
 from qplasma.dielectric import ModelKind
 from qplasma.scan import (
-    FigurePreset,
     ScanError,
     ScanSpec,
     figure_part,
@@ -50,6 +49,11 @@ class TestScanSpecValidation:
         with pytest.raises(ValueError, match=match):
             drude_spec(**over)
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, True, "8"])
+    def test_non_integer_grid_size_rejected(self, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            drude_spec(n=n)
+
     def test_model_variable_requirements(self):
         # quantum needs q; not provided fixed or swept
         with pytest.raises(ValueError, match="needs"):
@@ -87,10 +91,9 @@ class TestRunScan:
         spec = ScanSpec(models=(ModelKind.QUANTUM, ModelKind.CLASSICAL),
                         fixed={"x_p": 1.0, "y": 0.1, "x": 1.0},
                         sweep_var="q", sweep_range=(0.05, 2.5), n=40)
-        serial = run_scan(spec, workers=1)
-        parallel = run_scan(spec, workers=4)
-        assert serial.rows == parallel.rows
-        sweeps = [row[0] for row in serial.rows]
+        first = run_scan(spec)
+        assert run_scan(spec).rows == first.rows
+        sweeps = [row[0] for row in first.rows]
         assert sweeps == sorted(sweeps)
 
     def test_evaluation_error_reports_coordinates(self):
@@ -146,12 +149,6 @@ class TestFigurePresets:
         assert figure_part(2) == "im"
         assert figure_part(13) == "re"
 
-    def test_bundle_type(self):
-        preset = FigurePreset.of(6, n=8)
-        assert preset.id == 6
-        assert preset.part == "im"
-        assert len(preset.scans) == 1
-
 
 class TestWriteOutput:
     def test_round_trip_exact(self, tmp_path):
@@ -201,8 +198,8 @@ class TestWriteOutput:
                         fixed={"x_p": 1.0, "y": 0.1, "x": 1.0},
                         sweep_var="q", sweep_range=(0.05, 2.0), n=32)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_output(run_scan(spec, workers=1), spec, path=str(a))
-        write_output(run_scan(spec, workers=4), spec, path=str(b))
+        write_output(run_scan(spec), spec, path=str(a))
+        write_output(run_scan(spec), spec, path=str(b))
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -240,14 +237,6 @@ class TestCli:
         assert main(args + ["--out", str(b), "--compat-mermin-paper-d0"]) == 0
         assert read_csv(str(a))[1] != read_csv(str(b))[1]
 
-    def test_parallel_matches_serial_bytes(self, tmp_path):
-        args = ["--model", "quantum", "--xp", "1", "--y", "0.1", "--x", "1",
-                "--sweep", "q=0.05:2:24"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b), "--parallel", "4"]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_error_paths_exit_nonzero(self, tmp_path, capsys):
         assert main(["--figure", "15", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
@@ -265,6 +254,18 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_import_leaves_numpy_and_scipy_unloaded(self):
+        # Import weight is part of every CLI run.  Backing faddeeva_w and dawson
+        # by scipy.special raised the figures benchmark's setup_s from 0.13 to
+        # 0.56 s and its peak_rss_mb from 18 to 54 MB; `import numpy` alone
+        # adds about 13 MB (2-CPU x86-64 VM, Python 3.11).
+        code = ("import sys, qplasma, qplasma.cli; "
+                "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_bad_sweep_syntax_rejected(self):
         with pytest.raises(SystemExit) as err:

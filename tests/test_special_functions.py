@@ -15,8 +15,8 @@ from hypothesis import given, strategies as st
 
 from qplasma import oracle
 from qplasma.special_functions import (
-    DEFAULT_POLICY,
-    AccuracyPolicy,
+    ASYMPTOTIC_SWITCH_Z,
+    SERIES_SWITCH_Q,
     SQRT_PI,
     dawson,
     faddeeva_w,
@@ -156,13 +156,10 @@ class TestPlasmaT:
         assert abs(plasma_t(z) + 1 / z + 1 / (2 * z ** 3)) <= 2 / abs(z) ** 5
 
     def test_asymptotic_switch_continuity(self):
-        # same z evaluated through both sides of the |z| switch
-        force_series = AccuracyPolicy(asymptotic_switch_z=90.0)
-        force_faddeeva = AccuracyPolicy(asymptotic_switch_z=110.0)
+        # just past the |z| switch the tail series must match the Faddeeva path
         for th in (0.3, 1.2, 2.8):
-            z = 100.0 * cmath.exp(1j * th)
-            assert_cclose(plasma_t(z, force_series),
-                          plasma_t(z, force_faddeeva), rtol=1e-12)
+            z = ASYMPTOTIC_SWITCH_Z * (1 + 1e-9) * cmath.exp(1j * th)
+            assert_cclose(plasma_t(z), 1j * SQRT_PI * faddeeva_w(z), rtol=1e-12)
 
 
 class TestLambda0:
@@ -281,9 +278,8 @@ class TestTDiffOverQ:
         assert_cclose(got, oracle.quad_J0(1 + 1j, 0.5), rtol=1e-10)
 
     def test_series_switch_continuity(self):
-        pol = DEFAULT_POLICY
         for z in (2j, 1 + 1j, 5 - 0.2j):
-            q_star = pol.series_switch_q * (1 + abs(z))
+            q_star = SERIES_SWITCH_Q * (1 + abs(z))
             lo = t_diff_over_q(z, q_star * (1 - 1e-6))
             hi = t_diff_over_q(z, q_star * (1 + 1e-6))
             assert abs(lo - hi) <= 1e-10 * abs(hi)
@@ -291,7 +287,7 @@ class TestTDiffOverQ:
     @given(complex_box, st.floats(1e-6, 3.0, allow_nan=False))
     def test_matches_literal_difference_when_safe(self, z, q):
         # in the regime where the literal difference is well-conditioned
-        if q < 10 * DEFAULT_POLICY.series_switch_q * (1 + abs(z)):
+        if q < 10 * SERIES_SWITCH_Q * (1 + abs(z)):
             return
         lit = (plasma_t(z - q / 2) - plasma_t(z + q / 2)) / q
         assert abs(t_diff_over_q(z, q) - lit) <= 1e-11 * max(1.0, abs(lit))
@@ -302,19 +298,3 @@ class TestTDiffOverQ:
         with pytest.raises(ValueError):
             t_diff_over_q(1j, -0.5)
 
-
-class TestAccuracyPolicy:
-    def test_defaults(self):
-        pol = AccuracyPolicy()
-        assert pol.target_rel_error == 1e-12
-        assert pol.series_switch_q == 1e-3
-        assert pol.asymptotic_switch_z == 100.0
-
-    @pytest.mark.parametrize("kwargs", [
-        {"target_rel_error": 0.0},
-        {"series_switch_q": -1e-3},
-        {"asymptotic_switch_z": 0.0},
-    ])
-    def test_thresholds_must_be_positive(self, kwargs):
-        with pytest.raises(ValueError):
-            AccuracyPolicy(**kwargs)
