@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .special_functions import (
+    _asymptotic_tail,
     dawson,
     faddeeva_w,  # noqa: F401  bench/spans.py wraps this name; --trace 1 needs it
     lambda0,
@@ -108,25 +109,11 @@ def _require_positive_q(q: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _kernel_A(z2: complex) -> complex:
-    term = 0.5 + 0j
-    acc = 0.5 + 0j
-    for m in range(1, 14):
-        term *= (m + 0.5) / z2
-        acc += term
-        if abs(term) < 1e-17 * abs(acc):
-            break
-    return -acc
+    return -_asymptotic_tail(z2, 1)
 
 
 def _kernel_B(z2: complex) -> complex:
-    term = 0.75 + 0j
-    acc = 0.75 + 0j
-    for m in range(2, 15):
-        term *= (m + 0.5) / z2
-        acc += term
-        if abs(term) < 1e-17 * abs(acc):
-            break
-    return -acc
+    return -_asymptotic_tail(z2, 2)
 
 
 # ---------------------------------------------------------------------------

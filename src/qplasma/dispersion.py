@@ -1,8 +1,8 @@
 """Plasma-oscillation dispersion: eps_l(omega, k) = 0.
 
 Closed-form long-wave asymptotics for the oscillation frequency and damping
-decrement, a damped complex-Newton root solver with a Muller fallback, and
-wave-number continuation along a branch.
+decrement, a derivative-free Muller root solver, and wave-number
+continuation along a branch.
 """
 
 from __future__ import annotations
@@ -27,16 +27,18 @@ _SQRT_PI_OVER_8 = math.sqrt(math.pi / 8.0)
 class SolverConfig:
     residual_tol: float = 1e-12
     max_iter: int = 60
-    fd_step: float = 1e-7
     continuation_step: float = 0.1
 
     def __post_init__(self):
-        for name in ("residual_tol", "max_iter", "fd_step", "continuation_step"):
+        for name in ("residual_tol", "max_iter", "continuation_step"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
 
 
 DEFAULT_CONFIG = SolverConfig()
+
+#: Muller's iteration starts from the seed and seed -/+ this * max(|seed|, 1)
+_SEED_SPREAD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -124,13 +126,13 @@ def _eps_at(model: ModelKind, params: PlasmaParams, omega: complex, q: float) ->
 
 
 def default_guess(params: PlasmaParams, q: float, model: ModelKind) -> complex:
-    """Asymptotic seed: omega_p-scaled long-wave frequency plus i times the
-    damping decrement, quantum factors per model."""
-    quantum = model is not ModelKind.CLASSICAL
-    Q = params.quantum_parameter if quantum else 0.0
+    """Asymptotic seed: omega_p-scaled long-wave frequency, quantum term per
+    model, plus i times the classical damping decrement; its quantum factor
+    1 - q^2/4 would flip the seed into the upper half-plane for q > 2."""
+    Q = params.quantum_parameter if model is not ModelKind.CLASSICAL else 0.0
     kappa = q / params.debye_wavenumber
     re = params.x_p * omega_asymptotic(kappa, Q)
-    im = gamma_asymptotic(params, q, quantum_factors=quantum)
+    im = gamma_asymptotic(params, q, quantum_factors=False)
     return complex(re, im)
 
 
@@ -164,11 +166,11 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
                cfg: SolverConfig = DEFAULT_CONFIG) -> DispersionRoot:
     """Solve eps(omega, q) = 0 for complex omega at fixed q.
 
-    Damped Newton iteration with a central finite-difference derivative
-    (relative step cfg.fd_step); after three stagnant iterations a Muller
-    step over the last three iterates takes over.  Converges when
-    |eps| <= cfg.residual_tol; raises ConvergenceError otherwise and
-    NonPhysicalRootError if the converged root has Re omega <= 0.
+    Muller iteration, one eps evaluation per step and no derivative, started
+    from the seed and seed -/+ _SEED_SPREAD * max(|seed|, 1).  Converges when
+    |eps| <= cfg.residual_tol within cfg.max_iter steps; raises ConvergenceError
+    otherwise or at the first non-finite eps, naming the last finite iterate,
+    and NonPhysicalRootError if the converged root has Re omega <= 0.
     """
     q = float(q)
     if not q > 0.0:
@@ -176,45 +178,30 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
     model = ModelKind(model)
     if model not in _SOLVABLE:
         raise ValueError(f"solve_root supports {[m.value for m in _SOLVABLE]}, got {model.value!r}")
-    omega = complex(guess) if guess is not None else default_guess(params, q, model)
+    seed = complex(guess) if guess is not None else default_guess(params, q, model)
+    spread = _SEED_SPREAD * max(abs(seed), 1.0)
+    points: list[tuple[complex, complex]] = []  # (omega, eps), newest last
 
-    f = _safe_eps(model, params, omega, q)
-    history = [(omega, f)]
-    stagnant = 0
+    def visit(omega: complex) -> float:
+        f = _safe_eps(model, params, omega, q)
+        if not cmath.isfinite(f):
+            last_omega, last_f = points[-1] if points else (seed, f)
+            raise ConvergenceError(
+                f"eps of {model.value} model is not finite at omega={omega!r}",
+                last_omega, abs(last_f),
+            )
+        points.append((omega, f))
+        return abs(f)
+
+    for omega in (seed, seed - spread, seed + spread):
+        residual = visit(omega)
     iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        if abs(f) <= cfg.residual_tol:
-            break
-        if stagnant >= 3 and len(history) >= 3:
-            omega_new = _muller_step(*history[-3:])
-            f_new = _safe_eps(model, params, omega_new, q)
-            stagnant = 0
-        else:
-            d = cfg.fd_step * max(abs(omega), 1.0)
-            fp = (_safe_eps(model, params, omega + d, q)
-                  - _safe_eps(model, params, omega - d, q)) / (2.0 * d)
-            if fp == 0 or not (math.isfinite(fp.real) and math.isfinite(fp.imag)):
-                stagnant = 3
-                continue
-            step = -f / fp
-            lam = 1.0
-            omega_new, f_new = omega, f
-            for _ in range(12):
-                cand = omega + lam * step
-                f_cand = _safe_eps(model, params, cand, q)
-                if abs(f_cand) < abs(f):
-                    omega_new, f_new = cand, f_cand
-                    break
-                lam *= 0.5
-            else:
-                stagnant += 1
-                continue
-            stagnant = stagnant + 1 if abs(f_new) > 0.5 * abs(f) else 0
-        omega, f = omega_new, f_new
-        history.append((omega, f))
+    while not residual <= cfg.residual_tol and iterations < cfg.max_iter:
+        iterations += 1
+        omega = _muller_step(*points[-3:])
+        residual = visit(omega)
 
-    residual = abs(f)
-    if residual > cfg.residual_tol:
+    if not residual <= cfg.residual_tol:
         raise ConvergenceError(
             f"no root of {model.value} model within {cfg.max_iter} iterations",
             omega, residual,

@@ -175,22 +175,23 @@ def faddeeva_w(z: complex) -> complex:
 # Plasma dispersion function t(z) and the Van Kampen function lambda0(z)
 # ----------------------------------------------------------------------------
 
-def _t_asymptotic(z: complex) -> complex:
-    # t(z) ~ -(1/z)(1 + 1/(2 z^2) + 3/(4 z^4) + ...) plus the exponential
-    # continuation term for Im z < 0
-    z2 = z * z
-    term = 1.0 + 0j
-    acc = 1.0 + 0j
-    for m in range(1, 12):
+def _asymptotic_tail(z2: complex, k0: int) -> complex:
+    # sum_{m >= k0} (1/2)_m / z2^(m-k0), (1/2)_m = (1/2)(3/2)...(m - 1/2): the
+    # large-|z| series of t (k0 = 0), lambda0 and the long-wave kernels, z2 = z^2
+    term = acc = (1.0 + 0j, 0.5 + 0j, 0.75 + 0j)[k0]
+    for m in range(k0 + 1, k0 + 14):
         term *= (m - 0.5) / z2
         acc += term
         if abs(term) < 1e-17 * abs(acc):
             break
-    val = -acc / z
-    if z.imag < 0.0:
-        m = (z.imag - z.real) * (z.imag + z.real)
-        if m > -745.0:  # else the term underflows entirely
-            val += _TWO_I_SQRT_PI * _exp_minus_z2(z)
+    return acc
+
+
+def _add_continuation(val: complex, z: complex, factor: complex = 1.0) -> complex:
+    # val + factor * 2i sqrt(pi) exp(-z^2): the Landau continuation term of a
+    # tail series for Im z < 0, skipped where it underflows entirely
+    if z.imag < 0.0 and (z.imag - z.real) * (z.imag + z.real) > -745.0:
+        val += factor * _TWO_I_SQRT_PI * _exp_minus_z2(z)
     return val
 
 
@@ -203,7 +204,8 @@ def plasma_t(z: complex) -> complex:
     """
     z = _check_finite(z)
     if abs(z) > ASYMPTOTIC_SWITCH_Z:
-        return _t_asymptotic(z)
+        # t(z) ~ -(1/z)(1 + 1/(2 z^2) + 3/(4 z^4) + ...)
+        return _add_continuation(-_asymptotic_tail(z * z, 0) / z, z)
     return 1j * SQRT_PI * faddeeva_w(z)
 
 
@@ -218,19 +220,7 @@ def lambda0(z: complex) -> complex:
     if abs(z) <= ASYMPTOTIC_SWITCH_Z:
         return 1.0 + z * plasma_t(z)
     z2 = z * z
-    term = 0.5 + 0j
-    acc = 0.5 + 0j
-    for m in range(1, 12):
-        term *= (m + 0.5) / z2
-        acc += term
-        if abs(term) < 1e-17 * abs(acc):
-            break
-    val = -acc / z2
-    if z.imag < 0.0:
-        m = (z.imag - z.real) * (z.imag + z.real)
-        if m > -745.0:
-            val += z * _TWO_I_SQRT_PI * _exp_minus_z2(z)
-    return val
+    return _add_continuation(-_asymptotic_tail(z2, 1) / z2, z, z)
 
 
 # ----------------------------------------------------------------------------

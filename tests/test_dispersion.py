@@ -1,6 +1,9 @@
 """Tests for the asymptotic dispersion formulas and the root solver."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +22,27 @@ from qplasma.dispersion import (
 )
 
 SQRT2 = math.sqrt(2.0)
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # frozen: -sqrt(pi/8)/0.027 * exp(-3/2 - 1/(2*0.09))  (mpmath, 30 digits)
 GAMMA_LANDAU_K03 = -0.02002061131206702122
 SQRT_2125 = 1.4577379737113251177
+
+
+def count_eps_calls(monkeypatch) -> list[int]:
+    """Count eps evaluations made by the solver; returns a one-item counter."""
+    import qplasma.dispersion as dispersion
+
+    calls = [0]
+    for name in ("eps_quantum_omega", "eps_classical_omega", "eps_mermin_omega"):
+        inner = getattr(dispersion, name)
+
+        def counted(*args, _inner=inner, **kwargs):
+            calls[0] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(dispersion, name, counted)
+    return calls
 
 
 class TestOmegaAsymptotic:
@@ -146,6 +166,43 @@ class TestSolveRoot:
         assert err.value.residual > 1e-14
         assert err.value.last_omega is not None
 
+    def test_failed_solve_reports_finite_last_iterate(self):
+        # from this upper-half-plane guess the iteration runs into the deep
+        # lower half-plane, where eps overflows; the error must still name a
+        # finite iterate and residual, never NaN
+        params = PlasmaParams(6.46, 1.5712040501341884e-06)
+        with pytest.raises(ConvergenceError) as err:
+            solve_root(params, 0.363 * SQRT2 * 6.46, ModelKind.MERMIN,
+                       guess=9.635121718278342 + 12.22661916695434j)
+        last = err.value.last_omega
+        assert math.isfinite(last.real) and math.isfinite(last.imag)
+        assert math.isfinite(err.value.residual)
+
+    def test_overflowing_guess_stops_at_once(self, monkeypatch):
+        # exp(-z^2) overflows at the seed; no iteration can recover from it
+        calls = count_eps_calls(monkeypatch)
+        params = PlasmaParams(x_p=1.0, y=0.01)
+        with pytest.raises(ConvergenceError) as err:
+            solve_root(params, 0.3 * SQRT2, ModelKind.CLASSICAL, guess=1 - 50j)
+        assert calls[0] <= 4
+        assert err.value.last_omega == 1 - 50j
+
+    @pytest.mark.parametrize("model, x_p, kappa", [
+        (ModelKind.QUANTUM, 6.5, 0.36),
+        (ModelKind.QUANTUM, 9.5, 0.45),
+        (ModelKind.MERMIN, 5.0, 0.45),
+        (ModelKind.MERMIN, 8.0, 0.4),
+    ])
+    def test_cold_start_beyond_long_waves_matches_continuation(self, model, x_p, kappa):
+        # q > 2 here, where the quantum factor 1 - q^2/4 of the damping
+        # decrement is negative; the default seed must stay below the axis
+        params = PlasmaParams(x_p=x_p, y=1e-6)
+        kD = params.debye_wavenumber
+        assert kappa * kD > 2.0
+        cold = solve_root(params, kappa * kD, model)
+        continued = trace_branch(params, 0.1 * kD, kappa * kD, 9, model)[-1]
+        assert abs(cold.omega - continued.omega) <= 1e-10 * abs(continued.omega)
+
     def test_unsupported_model_rejected(self):
         with pytest.raises(ValueError):
             solve_root(PlasmaParams(1.0, 0.1), 0.5, ModelKind.DRUDE)
@@ -214,6 +271,14 @@ class TestTraceBranch:
             trace_branch(params, 0.2 * SQRT2, 0.5 * SQRT2, 7, ModelKind.CLASSICAL)
         assert q_fail < err.value.q <= 0.35 * SQRT2
 
+    @pytest.mark.parametrize("model", [ModelKind.QUANTUM, ModelKind.CLASSICAL,
+                                       ModelKind.MERMIN])
+    def test_eps_evaluations_per_root_bounded(self, model, monkeypatch):
+        calls = count_eps_calls(monkeypatch)
+        params = PlasmaParams(x_p=1.0, y=1e-8)
+        roots = trace_branch(params, 0.1 * SQRT2, 0.5 * SQRT2, 9, model)
+        assert calls[0] <= 8 * len(roots)
+
     def test_invalid_ranges_rejected(self):
         params = PlasmaParams(x_p=1.0, y=0.01)
         with pytest.raises(ValueError):
@@ -229,4 +294,26 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(residual_tol=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(fd_step=-1e-7)
+            SolverConfig(max_iter=0)
+
+
+class TestTraceBranchesScript:
+    def test_writes_damped_branches(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "trace_branches", SCRIPTS / "trace_branches.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        out = tmp_path / "b.csv"
+        monkeypatch.setattr(sys, "argv", ["trace_branches.py", "--n", "5",
+                                          "--out", str(out)])
+        assert script.main() == 0
+
+        lines = out.read_text().splitlines()
+        header = lines[2].split(",")
+        rows = [[float(v) for v in line.split(",")] for line in lines[3:]]
+        assert len(header) == 10 and len(rows) == 5
+        assert all(len(row) == 10 for row in rows)
+        for model in ("quantum", "classical", "mermin"):
+            re_col = header.index(f"re_omega_{model}")
+            im_col = header.index(f"im_omega_{model}")
+            assert all(row[re_col] > 0.0 >= row[im_col] for row in rows)
