@@ -28,7 +28,6 @@ from .dispersion import (  # noqa: F401
     ConvergenceError,
     DispersionRoot,
     NonPhysicalRootError,
-    SolverConfig,
     gamma_asymptotic,
     omega_asymptotic,
     solve_root,

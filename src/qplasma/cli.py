@@ -82,11 +82,6 @@ def _run_figure(args) -> int:
     part = figure_part(fig_id)
     csvs = []
     for i, spec in enumerate(specs):
-        if args.compat_mermin_paper_d0:
-            spec = ScanSpec(models=spec.models, fixed=spec.fixed,
-                            sweep_var=spec.sweep_var, sweep_range=spec.sweep_range,
-                            n=spec.n, scale=spec.scale, label=spec.label,
-                            mermin_paper_d0=True)
         table = run_scan(spec)
         suffix = f"_curve{i + 1}" if len(specs) > 1 else ""
         path = os.path.join(out_dir, f"fig{fig_id:02d}{suffix}.csv")

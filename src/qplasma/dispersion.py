@@ -23,20 +23,11 @@ from .dielectric import (
 _SQRT_PI_OVER_8 = math.sqrt(math.pi / 8.0)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    residual_tol: float = 1e-12
-    max_iter: int = 60
-    continuation_step: float = 0.1
-
-    def __post_init__(self):
-        for name in ("residual_tol", "max_iter", "continuation_step"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-DEFAULT_CONFIG = SolverConfig()
-
+#: solve_root converges when |eps| <= _RESIDUAL_TOL within _MAX_ITER steps
+_RESIDUAL_TOL = 1e-12
+_MAX_ITER = 60
+#: trace_branch bisects a q step whose root moves by more than this fraction
+_CONTINUATION_STEP = 0.1
 #: Muller's iteration starts from the seed and seed -/+ this * max(|seed|, 1)
 _SEED_SPREAD = 1e-3
 
@@ -162,13 +153,12 @@ def _muller_step(h0, h1, h2):
 
 
 def solve_root(params: PlasmaParams, q: float, model: ModelKind,
-               guess: Optional[complex] = None,
-               cfg: SolverConfig = DEFAULT_CONFIG) -> DispersionRoot:
+               guess: Optional[complex] = None) -> DispersionRoot:
     """Solve eps(omega, q) = 0 for complex omega at fixed q.
 
     Muller iteration, one eps evaluation per step and no derivative, started
     from the seed and seed -/+ _SEED_SPREAD * max(|seed|, 1).  Converges when
-    |eps| <= cfg.residual_tol within cfg.max_iter steps; raises ConvergenceError
+    |eps| <= _RESIDUAL_TOL within _MAX_ITER steps; raises ConvergenceError
     otherwise or at the first non-finite eps, naming the last finite iterate,
     and NonPhysicalRootError if the converged root has Re omega <= 0.
     """
@@ -196,14 +186,14 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
     for omega in (seed, seed - spread, seed + spread):
         residual = visit(omega)
     iterations = 0
-    while not residual <= cfg.residual_tol and iterations < cfg.max_iter:
+    while not residual <= _RESIDUAL_TOL and iterations < _MAX_ITER:
         iterations += 1
         omega = _muller_step(*points[-3:])
         residual = visit(omega)
 
-    if not residual <= cfg.residual_tol:
+    if not residual <= _RESIDUAL_TOL:
         raise ConvergenceError(
-            f"no root of {model.value} model within {cfg.max_iter} iterations",
+            f"no root of {model.value} model within {_MAX_ITER} iterations",
             omega, residual,
         )
     if omega.real <= 0.0:
@@ -214,12 +204,11 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
 
 
 def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
-                 n_points: int, model: ModelKind,
-                 cfg: SolverConfig = DEFAULT_CONFIG) -> list[DispersionRoot]:
+                 n_points: int, model: ModelKind) -> list[DispersionRoot]:
     """Continue a dispersion branch from q_start to q_end on n_points.
 
     Each grid point is solved with the previous root as the seed; if the
-    root moves by more than cfg.continuation_step (fractionally), the q step
+    root moves by more than _CONTINUATION_STEP (fractionally), the q step
     is bisected internally until the motion is tame.  A persistent jump or
     failed solve raises BranchLossError with the offending q.
     """
@@ -230,11 +219,11 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
     model = ModelKind(model)
 
     qs = [q_start + (q_end - q_start) * i / (n_points - 1) for i in range(n_points)]
-    first = solve_root(params, qs[0], model, cfg=cfg)
+    first = solve_root(params, qs[0], model)
     roots = [first]
     prev = first
     for q_target in qs[1:]:
-        prev = _continue_to(params, model, cfg, prev, q_target, depth=0)
+        prev = _continue_to(params, model, prev, q_target, depth=0)
         roots.append(prev)
     return roots
 
@@ -242,12 +231,12 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
 _MAX_BISECT = 12
 
 
-def _continue_to(params, model, cfg, prev: DispersionRoot, q_target: float,
+def _continue_to(params, model, prev: DispersionRoot, q_target: float,
                  depth: int) -> DispersionRoot:
     try:
-        root = solve_root(params, q_target, model, guess=prev.omega, cfg=cfg)
+        root = solve_root(params, q_target, model, guess=prev.omega)
         jump = abs(root.omega - prev.omega) / max(abs(prev.omega), 1e-300)
-        if jump <= cfg.continuation_step:
+        if jump <= _CONTINUATION_STEP:
             return root
     except (ConvergenceError, NonPhysicalRootError):
         root = None
@@ -257,5 +246,5 @@ def _continue_to(params, model, cfg, prev: DispersionRoot, q_target: float,
             q_target,
         )
     q_mid = 0.5 * (prev.q + q_target)
-    mid = _continue_to(params, model, cfg, prev, q_mid, depth + 1)
-    return _continue_to(params, model, cfg, mid, q_target, depth + 1)
+    mid = _continue_to(params, model, prev, q_mid, depth + 1)
+    return _continue_to(params, model, mid, q_target, depth + 1)

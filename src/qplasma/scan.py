@@ -107,7 +107,7 @@ def _eval_point(spec: ScanSpec, value: float) -> tuple[float, ...]:
     for model in spec.models:
         try:
             eps = evaluate(model, params, point, mermin_paper_d0=spec.mermin_paper_d0)
-        except Exception as exc:
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ScanError(
                 f"evaluation of {model.value} failed at "
                 f"{spec.sweep_var}={value!r} with fixed={spec.fixed!r}: {exc}"

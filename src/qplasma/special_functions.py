@@ -20,7 +20,7 @@ _TWO_I_SQRT_PI = 2j * SQRT_PI
 
 #: t_diff_over_q switches to its Taylor form below q = SERIES_SWITCH_Q * (1 + |z|)
 SERIES_SWITCH_Q = 1e-3
-#: |z| beyond which t and lambda0 go through their large-argument tail series
+#: |z| beyond which lambda0 goes through its large-argument tail series
 ASYMPTOTIC_SWITCH_Z = 100.0
 
 
@@ -36,22 +36,24 @@ def _check_finite(z: complex, name: str = "z") -> complex:
 #   |z| <= 1.8                    Maclaurin series (entire, no cancellation)
 #   1.8 < |z| < 12, Im z >= 0     trapezoidal sampling of the defining
 #                                 integral plus residue correction for the
-#                                 pole inside the summation strip
+#                                 poles inside the summation strip
 #   |z| >= 12, Im z >= 0          Laplace continued fraction
 #   Im z < 0                      reflection w(z) = 2 exp(-z^2) - w(-z)
 # The trapezoid step h = 0.5 puts the quadrature floor at exp(-pi^2/h^2)
-# ~ 7e-18; the node/correction pair is combined analytically near the
-# correction poles z = k*h to avoid the 0/0 cancellation there.
+# ~ 7e-18.  Two node grids, A at t = k*h and B at t = (k + 1/2)*h; each z
+# takes the grid whose nodes lie at least h/4 from Re z, so neither a node
+# term nor the correction, whose poles sit on that grid's nodes, comes near
+# a pole.  The omitted nodes, |t| >= 7.5, weigh below exp(-56).
 # ----------------------------------------------------------------------------
 
 _SERIES_RADIUS = 1.8
 _TRAP_RADIUS = 12.0
 _H = 0.5
-_NMAX = 14  # sampling nodes k*h with |k| <= NMAX; exp(-49) below double noise
 _PI_OVER_H = math.pi / _H
-_TRAP_NODES = [(k * _H, math.exp(-((k * _H) ** 2))) for k in range(-_NMAX, _NMAX + 1)]
 _MACLAURIN = [1.0 / _gamma(0.5 * n + 1.0) for n in range(96)]
-_PAIR_RADIUS = 0.01  # switch to the analytic node/correction pair inside this
+# (t, 2 exp(-t^2)) for t > 0; grid A's t = 0 node is summed alone as 1/z
+_GRID_A = [(k * _H, 2.0 * math.exp(-((k * _H) ** 2))) for k in range(1, 15)]
+_GRID_B = [((k + 0.5) * _H, 2.0 * math.exp(-(((k + 0.5) * _H) ** 2))) for k in range(15)]
 
 
 def _w_series(z: complex) -> complex:
@@ -76,59 +78,23 @@ def _w_cf(z: complex, depth: int) -> complex:
     return (1j / SQRT_PI) / f
 
 
-def _cexpm1_over(w: complex) -> complex:
-    # expm1(w)/w for complex w, stable as w -> 0
-    if abs(w) < 0.5:
-        term = 1.0 + 0j
-        acc = 1.0 + 0j
-        n = 1
-        while abs(term) > 1e-18 * abs(acc) and n < 32:
-            n += 1
-            term *= w / n
-            acc += term
-        return acc
-    return (cmath.exp(w) - 1.0) / w
-
-
-def _corr_pole_regular(a: complex) -> complex:
-    # G(a) = 1/(exp(-ia) - 1) + 1/(ia); removable singularity at a = 0,
-    # expanded with Bernoulli coefficients for small |a|
-    s = -1j * a
-    if abs(a) < 0.25:
-        s2 = s * s
-        return -0.5 + s * (
-            1.0 / 12 + s2 * (-1.0 / 720 + s2 * (1.0 / 30240 + s2 * (-1.0 / 1209600)))
-        )
-    return 1.0 / (cmath.exp(s) - 1.0) + 1.0 / (1j * a)
-
-
 def _w_trapezoid(z: complex) -> complex:
-    x, y = z.real, z.imag
-    # the correction term has poles at every z = k*h on the real axis
-    k0 = round(x / _H)
-    u = z - k0 * _H
-    pair_path = (y < _PI_OVER_H) and abs(u) < _PAIR_RADIUS
-    t0 = k0 * _H
+    on_a = 0.25 <= (z.real / _H) % 1.0 < 0.75
     acc = 0j
-    for node, weight in _TRAP_NODES:
-        if pair_path and node == t0:
-            continue
-        acc += weight / (z - node)
+    for t, weight in _GRID_A if on_a else _GRID_B:
+        acc += weight / ((z - t) * (z + t))
+    acc *= z
+    if on_a:
+        acc += 1.0 / z
     w = (1j * _INV_PI * _H) * acc
-    if y >= _PI_OVER_H:
-        # pole outside the summation strip; plain trapezoid already exact
+    if z.imag >= _PI_OVER_H:
+        # poles outside the summation strip; plain trapezoid already exact
         return w
-    if pair_path:
-        # node term and correction diverge individually; their sum is
-        # analytic: (ih/pi) (e0 - e^{-z^2})/u  -  2 e^{-z^2} G(2 pi u / h)
-        e0 = math.exp(-t0 * t0)
-        ez2 = cmath.exp(-z * z)
-        ratio = e0 * (2.0 * t0 + u) * _cexpm1_over(-(2.0 * t0 + u) * u)
-        return w + (1j * _INV_PI * _H) * ratio - 2.0 * ez2 * _corr_pole_regular(
-            2.0 * math.pi * u / _H
-        )
+    e = cmath.exp(-2j * math.pi * z / _H)
     ez2 = cmath.exp(-z * z)
-    return w - 2.0 * ez2 / (cmath.exp(-2j * math.pi * z / _H) - 1.0)
+    if on_a:
+        return w - 2.0 * ez2 / (e - 1.0)
+    return w + 2.0 * ez2 / (e + 1.0)
 
 
 def _w_upper(z: complex) -> complex:
@@ -177,8 +143,8 @@ def faddeeva_w(z: complex) -> complex:
 
 def _asymptotic_tail(z2: complex, k0: int) -> complex:
     # sum_{m >= k0} (1/2)_m / z2^(m-k0), (1/2)_m = (1/2)(3/2)...(m - 1/2): the
-    # large-|z| series of t (k0 = 0), lambda0 and the long-wave kernels, z2 = z^2
-    term = acc = (1.0 + 0j, 0.5 + 0j, 0.75 + 0j)[k0]
+    # large-|z| series of lambda0 (k0 = 1) and the long-wave kernels, z2 = z^2
+    term = acc = {1: 0.5 + 0j, 2: 0.75 + 0j}[k0]
     for m in range(k0 + 1, k0 + 14):
         term *= (m - 0.5) / z2
         acc += term
@@ -202,10 +168,6 @@ def plasma_t(z: complex) -> complex:
     real axis and below it is the continuation from above, i.e.
     ``i sqrt(pi) w(z)``.
     """
-    z = _check_finite(z)
-    if abs(z) > ASYMPTOTIC_SWITCH_Z:
-        # t(z) ~ -(1/z)(1 + 1/(2 z^2) + 3/(4 z^4) + ...)
-        return _add_continuation(-_asymptotic_tail(z * z, 0) / z, z)
     return 1j * SQRT_PI * faddeeva_w(z)
 
 

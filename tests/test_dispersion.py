@@ -13,7 +13,6 @@ from qplasma.dispersion import (
     ConvergenceError,
     DispersionRoot,
     NonPhysicalRootError,
-    SolverConfig,
     default_guess,
     gamma_asymptotic,
     omega_asymptotic,
@@ -157,12 +156,13 @@ class TestSolveRoot:
         with pytest.raises(NonPhysicalRootError):
             solve_root(params, q, ModelKind.CLASSICAL, guess=mirror)
 
-    def test_nonconvergence_reports_last_iterate(self):
+    def test_nonconvergence_reports_last_iterate(self, monkeypatch):
+        monkeypatch.setattr("qplasma.dispersion._MAX_ITER", 2)
+        monkeypatch.setattr("qplasma.dispersion._RESIDUAL_TOL", 1e-14)
         params = PlasmaParams(x_p=1.0, y=0.01)
-        cfg = SolverConfig(max_iter=2, residual_tol=1e-14)
         with pytest.raises(ConvergenceError) as err:
             solve_root(params, 0.3 * SQRT2, ModelKind.CLASSICAL,
-                       guess=40.0 + 3.0j, cfg=cfg)
+                       guess=40.0 + 3.0j)
         assert err.value.residual > 1e-14
         assert err.value.last_omega is not None
 
@@ -287,14 +287,6 @@ class TestTraceBranch:
             trace_branch(params, 0.0, 0.2, 5, ModelKind.CLASSICAL)
         with pytest.raises(ValueError):
             trace_branch(params, 0.1, 0.2, 1, ModelKind.CLASSICAL)
-
-
-class TestSolverConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(residual_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iter=0)
 
 
 class TestTraceBranchesScript:

@@ -102,6 +102,16 @@ class TestRunScan:
         with pytest.raises(ScanError, match="x=0.0"):
             run_scan(spec)
 
+    def test_unexpected_error_propagates_unwrapped(self, monkeypatch):
+        # only the errors the models raise become ScanError; a programming
+        # error keeps its own type and traceback
+        def broken(*args, **kwargs):
+            raise TypeError("broken model")
+
+        monkeypatch.setattr("qplasma.scan.evaluate", broken)
+        with pytest.raises(TypeError, match="broken model"):
+            run_scan(drude_spec())
+
     def test_mermin_compat_flag_changes_values(self):
         kw = dict(models=(ModelKind.MERMIN,), fixed={"x_p": 1.0, "y": 0.1, "x": 1.0},
                   sweep_var="q", sweep_range=(0.3, 0.8), n=3)
@@ -236,6 +246,17 @@ class TestCli:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b), "--compat-mermin-paper-d0"]) == 0
         assert read_csv(str(a))[1] != read_csv(str(b))[1]
+
+    def test_compat_flag_leaves_figure_presets_unchanged(self, tmp_path):
+        # no figure preset has a Mermin curve, so the flag cannot reach one
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["--figure", "5", "--n", "20", "--out", str(a)]) == 0
+        assert main(["--figure", "5", "--n", "20", "--out", str(b),
+                     "--compat-mermin-paper-d0"]) == 0
+        names = sorted(os.listdir(a))
+        assert names == sorted(os.listdir(b)) and names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_error_paths_exit_nonzero(self, tmp_path, capsys):
         assert main(["--figure", "15", "--out", str(tmp_path)]) == 1

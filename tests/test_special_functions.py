@@ -105,6 +105,30 @@ class TestFaddeeva:
                     z = complex(0.5 * k + dx, dy)
                     assert_cclose(faddeeva_w(z), _mp_w(z), rtol=5e-13)
 
+    @pytest.mark.parametrize("k", [4, 9, 15, 22])
+    def test_trapezoid_grid_switch_points(self, k):
+        # nodes of both trapezoid grids (k*h, (k + 1/2)*h, h = 0.5), the grid
+        # switch at Re z/h = k + 1/4, k + 3/4 approached from below and hit
+        # exactly, and Im z on both sides of pi/h, where the pole correction
+        # stops; mirrored into the shallow lower band
+        h = 0.5
+        for dx in (0.0, h / 4 - 1e-12, h / 4, h / 2, 3 * h / 4 - 1e-12, 3 * h / 4):
+            for y in (0.0, 1e-8, 1e-3, math.pi / h - 1e-9, math.pi / h + 1e-9):
+                for z in (complex(k * h + dx, y), complex(-(k * h + dx), y),
+                          complex(k * h + dx, -y)):
+                    if 1.8 < abs(z) < 12.0:
+                        assert_cclose(faddeeva_w(z), _mp_w(z), rtol=5e-13)
+
+    def test_imaginary_part_near_imaginary_axis(self):
+        # the static model reads Im w here through Re t(q/2 + iv); Im w is
+        # small against Re w, so the Maclaurin disk keeps it accurate where
+        # the trapezoid rule would lose ~1e-10 of it
+        for x in (1e-6, 1e-4, 1e-2, 0.1):
+            for y in (0.01, 0.3, 1.0, 1.7):
+                z = complex(x, y)
+                ref = _mp_w(z).imag
+                assert abs(faddeeva_w(z).imag - ref) <= 1e-12 * abs(ref)
+
     @given(complex_box)
     def test_finite_everywhere_in_physical_band(self, z):
         v = faddeeva_w(z)
