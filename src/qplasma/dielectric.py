@@ -19,28 +19,17 @@ with D(z,q) = [t(z-q/2) - t(z+q/2)]/q.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .special_functions import (
-    _asymptotic_tail,
     dawson,
     faddeeva_w,  # noqa: F401  bench/spans.py wraps this name; --trace 1 needs it
     lambda0,
     plasma_t,
     t_diff_over_q,
 )
-
-#: below this wave number the quantum/classical models switch to the
-#: long-wave kernel expansion (z grows like 1/q; the direct prefactor
-#: x_p^2/q^2 against the ~q^2 kernel would otherwise run as 0*inf)
-Q_MIN = 1e-4
-
-#: |z| above which the long-wave kernel series is trusted; for smaller |z|
-#: at q < Q_MIN the direct formula is already cancellation-free
-_KERNEL_Z_MIN = 50.0
 
 
 class ModelKind(str, Enum):
@@ -103,17 +92,16 @@ def _require_positive_q(q: float) -> float:
     return q
 
 
-# ---------------------------------------------------------------------------
-# Long-wave kernel series: A = z^2 lambda0(z) and B = z^2 (1/2 + z^2 lambda0)
-# as tail series in 1/z^2, both cancellation-free for large |z|
-# ---------------------------------------------------------------------------
-
-def _kernel_A(z2: complex) -> complex:
-    return -_asymptotic_tail(z2, 1)
-
-
-def _kernel_B(z2: complex) -> complex:
-    return -_asymptotic_tail(z2, 2)
+def _prefactor(x_p: float, xy: complex, q: float) -> float:
+    # x_p^2/q^2.  Below q = 1e-154 q^2 is subnormal, and where x_p/q or
+    # |z| = |x + iy|/q passes 1e154, x_p^2/q^2 or z^2 in lambda0's tail
+    # overflows: fail loudly there rather than return nan or lost digits
+    if max(1.0, x_p, abs(xy)) > 1e154 * q:
+        raise OverflowError(
+            f"q={q!r} is too small at x_p={x_p!r}, x + iy={xy!r}: q^2, "
+            "x_p^2/q^2 or z^2 = ((x + iy)/q)^2 leaves double range"
+        )
+    return x_p * x_p / (q * q)
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +114,13 @@ def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float) -> complex
     if x_p == 0.0:
         return 1.0 + 0j
     xy = omega + 1j * y
+    pre = _prefactor(x_p, xy, q)
     z = xy / q
-    if q < Q_MIN and abs(z) >= _KERNEL_Z_MIN:
-        z2 = z * z
-        kernel = cmath.exp(-0.25 * q * q) * (
-            2.0 * _kernel_A(z2) + (q * q / 3.0) * _kernel_B(z2)
-        )
-        return 1.0 + x_p * x_p * kernel / (xy * (omega + 1j * y * lambda0(z)))
-    num = t_diff_over_q(z, q)
-    return 1.0 + (x_p * x_p / (q * q)) * xy * num / (omega + 1j * y * lambda0(z))
+    D = t_diff_over_q(z, q)
+    if y == 0.0:
+        # the BGK factor xy/(omega + iy lambda0) is exactly 1: collisionless
+        return 1.0 + pre * D
+    return 1.0 + pre * xy * D / (omega + 1j * y * lambda0(z))
 
 
 def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
@@ -143,14 +129,11 @@ def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> compl
     if x_p == 0.0:
         return 1.0 + 0j
     xy = omega + 1j * y
-    z = xy / q
-    if q < Q_MIN and abs(z) >= _KERNEL_Z_MIN:
-        # exact identity: (2 x_p^2/q^2) xy lambda0 = 2 x_p^2 z^2 lambda0 / xy
-        return 1.0 + 2.0 * x_p * x_p * _kernel_A(z * z) / (
-            xy * (omega + 1j * y * lambda0(z))
-        )
-    lam = lambda0(z)
-    return 1.0 + (2.0 * x_p * x_p / (q * q)) * xy * lam / (omega + 1j * y * lam)
+    pre = 2.0 * _prefactor(x_p, xy, q)
+    lam = lambda0(xy / q)
+    if y == 0.0:
+        return 1.0 + pre * lam
+    return 1.0 + pre * xy * lam / (omega + 1j * y * lam)
 
 
 def mermin_static_denominator(q: float, paper_d0: bool = False) -> float:
@@ -172,10 +155,12 @@ def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float,
     if x_p == 0.0:
         return 1.0 + 0j
     xy = omega + 1j * y
-    z = xy / q
-    D = t_diff_over_q(z, q)
+    pre = _prefactor(x_p, xy, q)
+    D = t_diff_over_q(xy / q, q)
+    if y == 0.0:
+        return 1.0 + pre * D
     D0 = mermin_static_denominator(q, paper_d0)
-    return 1.0 + (x_p * x_p / (q * q)) * xy * D / (omega + 1j * y * D / D0)
+    return 1.0 + pre * xy * D / (omega + 1j * y * D / D0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +178,9 @@ def epsilon_classical(params: PlasmaParams, point: QueryPoint) -> complex:
 
 
 def epsilon_lindhard(x_p: float, x: float, q: float) -> complex:
-    """Collisionless (Landau-continued) permittivity, evaluated through the
-    cancellation-safe symmetric-difference kernel D(x/q, q)."""
-    q = _require_positive_q(q)
-    if x_p == 0.0:
-        return 1.0 + 0j
-    num = t_diff_over_q(complex(x / q, 0.0), q)
-    return 1.0 + (x_p * x_p / (q * q)) * num
+    """Collisionless (Landau-continued) permittivity: the quantum model at
+    y = 0, 1 + (x_p^2/q^2) D(x/q, q)."""
+    return eps_quantum_omega(x_p, 0.0, x, q)
 
 
 def epsilon_static(x_p: float, y: float, q: float) -> complex:
@@ -217,10 +198,11 @@ def epsilon_static(x_p: float, y: float, q: float) -> complex:
         raise ValueError(f"static limit requires y > 0, got {y!r}")
     if x_p == 0.0:
         return 1.0 + 0j
+    pre = _prefactor(x_p, complex(0.0, y), q)
     v = y / q
     kernel = -2.0 * plasma_t(complex(0.5 * q, v)).real / q
     lam = lambda0(complex(0.0, v)).real
-    return complex(1.0 + (x_p * x_p / (q * q)) * kernel / lam, 0.0)
+    return complex(1.0 + pre * kernel / lam, 0.0)
 
 
 def epsilon_drude(x_p: float, x: float, y: float) -> complex:

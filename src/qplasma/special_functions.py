@@ -20,8 +20,9 @@ _TWO_I_SQRT_PI = 2j * SQRT_PI
 
 #: t_diff_over_q switches to its Taylor form below q = SERIES_SWITCH_Q * (1 + |z|)
 SERIES_SWITCH_Q = 1e-3
-#: |z| beyond which lambda0 goes through its large-argument tail series
-ASYMPTOTIC_SWITCH_Z = 100.0
+#: |z| from which faddeeva_w takes its continued fraction and lambda0 its
+#: large-argument tail series
+ASYMPTOTIC_SWITCH_Z = 12.0
 
 
 def _check_finite(z: complex, name: str = "z") -> complex:
@@ -37,7 +38,9 @@ def _check_finite(z: complex, name: str = "z") -> complex:
 #   1.8 < |z| < 12, Im z >= 0     trapezoidal sampling of the defining
 #                                 integral plus residue correction for the
 #                                 poles inside the summation strip
-#   |z| >= 12, Im z >= 0          Laplace continued fraction
+#   |z| >= 12, Im z >= 0          Laplace continued fraction (12 is
+#                                 ASYMPTOTIC_SWITCH_Z, where lambda0 also
+#                                 takes its tail series)
 #   Im z < 0                      reflection w(z) = 2 exp(-z^2) - w(-z)
 # The trapezoid step h = 0.5 puts the quadrature floor at exp(-pi^2/h^2)
 # ~ 7e-18.  Two node grids, A at t = k*h and B at t = (k + 1/2)*h; each z
@@ -47,7 +50,6 @@ def _check_finite(z: complex, name: str = "z") -> complex:
 # ----------------------------------------------------------------------------
 
 _SERIES_RADIUS = 1.8
-_TRAP_RADIUS = 12.0
 _H = 0.5
 _PI_OVER_H = math.pi / _H
 _MACLAURIN = [1.0 / _gamma(0.5 * n + 1.0) for n in range(96)]
@@ -101,7 +103,7 @@ def _w_upper(z: complex) -> complex:
     az = abs(z)
     if az <= _SERIES_RADIUS:
         return _w_series(z)
-    if az < _TRAP_RADIUS:
+    if az < ASYMPTOTIC_SWITCH_Z:
         return _w_trapezoid(z)
     if az < 20.0:
         return _w_cf(z, 36)
@@ -141,26 +143,6 @@ def faddeeva_w(z: complex) -> complex:
 # Plasma dispersion function t(z) and the Van Kampen function lambda0(z)
 # ----------------------------------------------------------------------------
 
-def _asymptotic_tail(z2: complex, k0: int) -> complex:
-    # sum_{m >= k0} (1/2)_m / z2^(m-k0), (1/2)_m = (1/2)(3/2)...(m - 1/2): the
-    # large-|z| series of lambda0 (k0 = 1) and the long-wave kernels, z2 = z^2
-    term = acc = {1: 0.5 + 0j, 2: 0.75 + 0j}[k0]
-    for m in range(k0 + 1, k0 + 14):
-        term *= (m - 0.5) / z2
-        acc += term
-        if abs(term) < 1e-17 * abs(acc):
-            break
-    return acc
-
-
-def _add_continuation(val: complex, z: complex, factor: complex = 1.0) -> complex:
-    # val + factor * 2i sqrt(pi) exp(-z^2): the Landau continuation term of a
-    # tail series for Im z < 0, skipped where it underflows entirely
-    if z.imag < 0.0 and (z.imag - z.real) * (z.imag + z.real) > -745.0:
-        val += factor * _TWO_I_SQRT_PI * _exp_minus_z2(z)
-    return val
-
-
 def plasma_t(z: complex) -> complex:
     """Entire (Landau) continuation of the plasma dispersion integral.
 
@@ -174,15 +156,29 @@ def plasma_t(z: complex) -> complex:
 def lambda0(z: complex) -> complex:
     """Van Kampen dispersion function, ``1 + z t(z)``.
 
-    Beyond |z| = ASYMPTOTIC_SWITCH_Z the tail series
-    ``-1/(2 z^2) - 3/(4 z^4) - ...`` is used directly: the literal
-    ``1 + z t`` cancels ~2|z|^2-fold there and would lose that many digits.
+    From |z| = ASYMPTOTIC_SWITCH_Z, where faddeeva_w takes its continued
+    fraction, the tail series ``-1/(2 z^2) - 3/(4 z^4) - ...`` is summed
+    directly: the literal ``1 + z t`` cancels ~2|z|^2-fold there, while the
+    series is accurate to ~1e-15 from |z| = 12 on.  For Im z < 0 the
+    series stands for lambda0(-z) and the Landau continuation term
+    ``2i sqrt(pi) z exp(-z^2)`` is added.
     """
     z = _check_finite(z)
-    if abs(z) <= ASYMPTOTIC_SWITCH_Z:
+    if abs(z) < ASYMPTOTIC_SWITCH_Z:
         return 1.0 + z * plasma_t(z)
+    # -sum_{m >= 1} (1/2)_m / z^(2m), (1/2)_m = (1/2)(3/2)...(m - 1/2)
     z2 = z * z
-    return _add_continuation(-_asymptotic_tail(z2, 1) / z2, z, z)
+    term = acc = 0.5 + 0j
+    for m in range(2, 15):
+        term *= (m - 0.5) / z2
+        acc += term
+        if abs(term) < 1e-17 * abs(acc):
+            break
+    val = -acc / z2
+    # the continuation term, skipped where exp(-z^2) underflows entirely
+    if z.imag < 0.0 and (z.imag - z.real) * (z.imag + z.real) > -745.0:
+        val += z * _TWO_I_SQRT_PI * _exp_minus_z2(z)
+    return val
 
 
 # ----------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,6 @@ from qplasma.dielectric import (
     ModelKind,
     PlasmaParams,
     QueryPoint,
-    Q_MIN,
     conductivity,
     epsilon_classical,
     epsilon_drude,
@@ -36,6 +36,10 @@ STATIC_LARGE_V = {
     0.142: 2000000.9999752075525,
     1.0: 2000000.9999994999185,
 }
+
+
+def _mp_t(z):
+    return 1j * mp.sqrt(mp.pi) * mp.exp(-z * z) * mp.erfc(-1j * z)
 
 
 def _fixed_z_points(z: complex, q: float, x_p: float = 1.0):
@@ -109,10 +113,10 @@ class TestEpsilonQuantum:
             epsilon_quantum(PlasmaParams(1.0, 0.1), QueryPoint(1.0, 0.0))
 
     def test_long_wave_series_branch_continuity(self):
-        # the dedicated q < Q_MIN kernel branch must join the direct formula
+        # at long waves the model is continuous in q, here across q = 1e-4
         params = PlasmaParams(1.0, 0.05)
-        above = epsilon_quantum(params, QueryPoint(1.2, Q_MIN * 1.01))
-        below = epsilon_quantum(params, QueryPoint(1.2, Q_MIN * 0.99))
+        above = epsilon_quantum(params, QueryPoint(1.2, 1e-4 * 1.01))
+        below = epsilon_quantum(params, QueryPoint(1.2, 1e-4 * 0.99))
         assert abs(above - below) <= 1e-9 * abs(above - 1.0)
 
     @given(st.floats(0.1, 3.0), st.floats(0.0, 1.0), st.floats(0.05, 3.0),
@@ -259,6 +263,25 @@ class TestEpsilonMermin:
         # D0 -> 2 as q -> 0, matching -t'(0)
         assert mermin_static_denominator(1e-6) == pytest.approx(2.0, rel=1e-10)
 
+    @pytest.mark.parametrize("q", [1e-8, 1e-6, 1e-5, 1e-4])
+    def test_long_wave_against_live_mpmath(self, q):
+        # |z| >= 50: D takes t_diff_over_q's Taylor form, whose t' = -2 lambda0
+        # is lambda0's tail series
+        for r in (50.0, 70.0, 100.0, 1e3):
+            for deg in (0, 10, 45, 80, 135):
+                th = math.radians(deg)
+                x_p, y, x = 1.3, r * q * math.sin(th), r * q * math.cos(th)
+                got = epsilon_mermin(PlasmaParams(x_p, y), QueryPoint(x, q))
+                with mp.workdps(60):
+                    x_p, y, x, q_ = (mp.mpf(v) for v in (x_p, y, x, q))
+                    z = (x + 1j * y) / q_
+                    D = (_mp_t(z - q_ / 2) - _mp_t(z + q_ / 2)) / q_
+                    # D0 = 4 F(q/2)/q, F(u) = (sqrt(pi)/2) exp(-u^2) erfi(u)
+                    D0 = 2 * mp.sqrt(mp.pi) * mp.exp(-q_ * q_ / 4) * mp.erfi(q_ / 2) / q_
+                    ref = complex(1 + (x_p / q_) ** 2 * (x + 1j * y) * D
+                                  / (x + 1j * y * D / D0))
+                assert abs(got - ref) <= 1e-13 * max(abs(ref), abs(ref - 1.0))
+
 
 class TestConductivity:
     def test_zero_plasma_frequency(self):
@@ -322,6 +345,23 @@ class TestComplexFrequencyCore:
         params, point = PlasmaParams(1.0, 0.1), QueryPoint(1.0, 0.5)
         via_core = eps_quantum_omega(1.0, 0.1, 1.0 + 0j, 0.5)
         assert via_core == epsilon_quantum(params, point)
+
+    def test_zero_frequency_without_collisions(self):
+        # at y = 0 the BGK factor (x + iy)/(x + iy R) is exactly 1, also at x = 0
+        params, point = PlasmaParams(1.0, 0.0), QueryPoint(0.0, 0.5)
+        for model in (ModelKind.QUANTUM, ModelKind.MERMIN, ModelKind.LINDHARD):
+            assert_cclose(evaluate(model, params, point), 8.674853234012744, rtol=1e-15)
+        assert evaluate(ModelKind.CLASSICAL, params, point) == 9.0
+
+    @pytest.mark.parametrize("model", [ModelKind.QUANTUM, ModelKind.CLASSICAL,
+                                       ModelKind.MERMIN, ModelKind.LINDHARD])
+    def test_q_below_double_range_raises_overflow(self, model):
+        # x_p^2/q^2 overflows: no silent nan, no bare ZeroDivisionError
+        with pytest.raises(OverflowError, match="q=1e-160"):
+            evaluate(model, PlasmaParams(1.0, 0.1), QueryPoint(1.0, 1e-160))
+        # here x_p^2/q^2 is finite but z^2 = (10/q)^2 is not
+        with pytest.raises(OverflowError, match="q=1e-154"):
+            evaluate(model, PlasmaParams(1.0, 0.1), QueryPoint(10.0, 1e-154))
 
     def test_analytic_off_axis(self):
         # Cauchy-Riemann smoke test: central differences along the two axes

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qplasma.dielectric import ModelKind, PlasmaParams, Q_MIN
+from qplasma.dielectric import ModelKind, PlasmaParams
 from qplasma.dispersion import (
     BranchLossError,
     ConvergenceError,
@@ -225,10 +225,10 @@ class TestSolveRoot:
         assert abs(shift - expected) <= 0.1 * abs(expected)
 
     def test_classical_equals_quantum_in_series_branch(self):
-        # with q inside the long-wave series branch the quantum kernel's
-        # q^2 correction is ~1e-9 and the roots must coincide to 1e-6
+        # at q = 5e-5 the quantum kernel's q^2 correction is ~1e-9 and the
+        # roots must coincide to 1e-6
         params = PlasmaParams(x_p=1.0, y=1e-4)
-        q = 0.5 * Q_MIN
+        q = 0.5 * 1e-4
         rc = solve_root(params, q, ModelKind.CLASSICAL)
         rq = solve_root(params, q, ModelKind.QUANTUM)
         assert abs(rc.omega - rq.omega) <= 1e-6

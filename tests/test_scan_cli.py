@@ -102,6 +102,12 @@ class TestRunScan:
         with pytest.raises(ScanError, match="x=0.0"):
             run_scan(spec)
 
+    def test_collisionless_sweep_through_zero_frequency(self):
+        spec = ScanSpec(models=(ModelKind.QUANTUM,), fixed={"x_p": 1.0, "y": 0.0, "q": 0.5},
+                        sweep_var="x", sweep_range=(-1.0, 1.0), n=3)  # hits x=0
+        table = run_scan(spec)
+        assert table.rows[1][:2] == (0.0, pytest.approx(8.674853234012744, rel=1e-15))
+
     def test_unexpected_error_propagates_unwrapped(self, monkeypatch):
         # only the errors the models raise become ScanError; a programming
         # error keeps its own type and traceback

@@ -212,6 +212,18 @@ class TestLambda0:
         assert_cclose(lambda0(20j), LAM0_20I, rtol=1e-12)
         assert_cclose(lambda0(200j), LAM0_200I, rtol=1e-12)
 
+    @pytest.mark.parametrize("radius", [12.0 * (1 + 1e-12), 13.0, 15.0, 20.0,
+                                        35.0, 50.0, 75.0, 100.0])
+    def test_tail_band_against_live_mpmath(self, radius):
+        # the tail series holds from |z| = 12 on; the literal 1 + z t would
+        # lose ~2|z|^2 ulps here, 7e-12 relative at |z| = 100
+        for deg in range(-30, 181, 15):
+            z = cmath.rect(radius, math.radians(deg))
+            with mp.workdps(40):
+                zz = mp.mpc(z.real, z.imag)
+                ref = 1 + zz * 1j * mp.sqrt(mp.pi) * mp.exp(-zz * zz) * mp.erfc(-1j * zz)
+            assert_cclose(lambda0(z), complex(ref), rtol=1e-14)
+
 
 class TestDawson:
     def test_at_zero(self):
