@@ -68,9 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV path for sweeps, output directory for figures")
     p.add_argument("--plot-script", action="store_true",
                    help="also write a gnuplot script next to each CSV")
-    p.add_argument("--compat-mermin-paper-d0", action="store_true",
-                   help="use the historical 2 F(q/2) static denominator "
-                        "in the Mermin model (comparison studies only)")
     return p
 
 
@@ -110,8 +107,7 @@ def _run_sweep(args) -> int:
         if val is not None:
             fixed[key] = val
     spec = ScanSpec(models=args.model, fixed=fixed, sweep_var=var,
-                    sweep_range=rng, n=n, scale=scale, output_path=args.out,
-                    mermin_paper_d0=args.compat_mermin_paper_d0)
+                    sweep_range=rng, n=n, scale=scale, output_path=args.out)
     table = run_scan(spec)
     written = write_output(table, spec, plot_script=args.plot_script)
     for path in written:

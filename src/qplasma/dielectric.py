@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .special_functions import (
+    SERIES_SWITCH_Q,
     dawson,
     faddeeva_w,  # noqa: F401  bench/spans.py wraps this name; --trace 1 needs it
     lambda0,
@@ -136,20 +137,15 @@ def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> compl
     return 1.0 + pre * xy * lam / (omega + 1j * y * lam)
 
 
-def mermin_static_denominator(q: float, paper_d0: bool = False) -> float:
-    """D0(q) = [t(-q/2) - t(q/2)]/q entering Mermin's number-conserving
-    correction.  The verified value is 4 F(q/2)/q (Dawson F); a historical
-    2 F(q/2) variant is kept behind ``paper_d0`` for comparison studies,
-    never as the default (it misses the q -> 0 limit D0 -> 2)."""
+def mermin_static_denominator(q: float) -> float:
+    """D0(q) = [t(-q/2) - t(q/2)]/q = 4 F(q/2)/q (Dawson F), entering
+    Mermin's number-conserving correction; D0 -> 2 as q -> 0."""
     q = _require_positive_q(q)
     F = dawson(0.5 * q)
-    if paper_d0:
-        return 2.0 * F
     return 4.0 * F / q
 
 
-def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float,
-                     paper_d0: bool = False) -> complex:
+def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     """Mermin-model permittivity at (possibly complex) frequency omega."""
     q = _require_positive_q(q)
     if x_p == 0.0:
@@ -159,7 +155,7 @@ def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float,
     D = t_diff_over_q(xy / q, q)
     if y == 0.0:
         return 1.0 + pre * D
-    D0 = mermin_static_denominator(q, paper_d0)
+    D0 = mermin_static_denominator(q)
     return 1.0 + pre * xy * D / (omega + 1j * y * D / D0)
 
 
@@ -191,6 +187,8 @@ def epsilon_static(x_p: float, y: float, q: float) -> complex:
     D(iv, q) = -2 Re t(q/2 + iv)/q and lambda0(iv) = 1 - sqrt(pi) v w(iv).
     Only the real parts enter.  lambda0 goes through :func:`lambda0`, whose
     large-|z| tail avoids the ~2 v^2-fold cancellation of the literal form.
+    Below q = SERIES_SWITCH_Q (1 + v), where Re t(q/2 + iv) ~ -(q/2)/v^2
+    underflows as q -> 0, the kernel is t_diff_over_q's Taylor form at iv.
     """
     q = _require_positive_q(q)
     y = float(y)
@@ -200,7 +198,10 @@ def epsilon_static(x_p: float, y: float, q: float) -> complex:
         return 1.0 + 0j
     pre = _prefactor(x_p, complex(0.0, y), q)
     v = y / q
-    kernel = -2.0 * plasma_t(complex(0.5 * q, v)).real / q
+    if q < SERIES_SWITCH_Q * (1.0 + v):
+        kernel = t_diff_over_q(complex(0.0, v), q).real
+    else:
+        kernel = -2.0 * plasma_t(complex(0.5 * q, v)).real / q
     lam = lambda0(complex(0.0, v)).real
     return complex(1.0 + pre * kernel / lam, 0.0)
 
@@ -220,14 +221,12 @@ def epsilon_drude(x_p: float, x: float, y: float) -> complex:
     return 1.0 - x_p * x_p / (complex(x, y) * x)
 
 
-def epsilon_mermin(params: PlasmaParams, point: QueryPoint,
-                   paper_d0: bool = False) -> complex:
+def epsilon_mermin(params: PlasmaParams, point: QueryPoint) -> complex:
     """Mermin (momentum-space RTA) permittivity in the same variables."""
-    return eps_mermin_omega(params.x_p, params.y, point.x, point.q, paper_d0)
+    return eps_mermin_omega(params.x_p, params.y, point.x, point.q)
 
 
-def evaluate(model: ModelKind, params: PlasmaParams, point: QueryPoint,
-             mermin_paper_d0: bool = False) -> complex:
+def evaluate(model: ModelKind, params: PlasmaParams, point: QueryPoint) -> complex:
     """Dispatch a permittivity model on (params, point)."""
     model = ModelKind(model)
     if model is ModelKind.QUANTUM:
@@ -235,7 +234,7 @@ def evaluate(model: ModelKind, params: PlasmaParams, point: QueryPoint,
     if model is ModelKind.CLASSICAL:
         return epsilon_classical(params, point)
     if model is ModelKind.MERMIN:
-        return epsilon_mermin(params, point, paper_d0=mermin_paper_d0)
+        return epsilon_mermin(params, point)
     if model is ModelKind.LINDHARD:
         return epsilon_lindhard(params.x_p, point.x, point.q)
     if model is ModelKind.STATIC:

@@ -42,7 +42,6 @@ class ScanSpec:
     scale: str = "linear"
     output_path: str | None = None
     label: str = ""
-    mermin_paper_d0: bool = False
 
     def __post_init__(self):
         models = tuple(ModelKind(m) for m in (
@@ -75,6 +74,12 @@ class ScanSpec:
             raise ValueError(f"scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and not lo > 0:
             raise ValueError("log scale requires lo > 0")
+        g = self.grid()
+        if not all(u < v for u, v in zip(g, g[1:])):
+            raise ValueError(
+                f"sweep range [{lo!r}, {hi!r}] is too narrow for {self.n} "
+                "distinct grid points"
+            )
         available = set(self.fixed) | {self.sweep_var, "x_p"}
         for model in self.models:
             missing = [v for v in _REQUIRED[model] if v not in available]
@@ -106,7 +111,7 @@ def _eval_point(spec: ScanSpec, value: float) -> tuple[float, ...]:
     out = [value]
     for model in spec.models:
         try:
-            eps = evaluate(model, params, point, mermin_paper_d0=spec.mermin_paper_d0)
+            eps = evaluate(model, params, point)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ScanError(
                 f"evaluation of {model.value} failed at "

@@ -5,7 +5,8 @@ plasma dispersion function is its rescaling ``t(z) = i sqrt(pi) w(z)``, which
 for Im z > 0 equals the Hilbert-type integral of the Gaussian and elsewhere is
 the analytic (Landau) continuation from the upper half-plane.  All evaluators
 here are scalar, pure, and target ~1e-13 relative accuracy in double
-precision; the slow quadrature cross-checks live in :mod:`qplasma.oracle`.
+precision; the slow quadrature cross-checks live in the test suite's
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ _TWO_I_SQRT_PI = 2j * SQRT_PI
 
 #: t_diff_over_q switches to its Taylor form below q = SERIES_SWITCH_Q * (1 + |z|)
 SERIES_SWITCH_Q = 1e-3
-#: |z| from which faddeeva_w takes its continued fraction and lambda0 its
-#: large-argument tail series
+#: |z| from which faddeeva_w takes its continued fraction, and lambda0 and
+#: the Taylor form of t_diff_over_q the large-argument tail series
 ASYMPTOTIC_SWITCH_Z = 12.0
 
 
@@ -268,19 +269,57 @@ def t_derivatives(z: complex, n: int) -> list[complex]:
     return out
 
 
+def _t_diff_tail(z: complex, q: float) -> complex:
+    # -(t' + q^2 t'''/24 + q^4 t^(5)/1920) for |z| >= 12, differentiating
+    # the tail series t = -sum_{m >= 0} (1/2)_m z^-(2m+1) of lambda0 term by
+    # term: with k = 2m + 1 and u = (q/z)^2 the m-th term is
+    # (1/2)_m z^-(2m+2) k [1 + u (k+1)(k+2)/24 [1 + u (k+3)(k+4)/80]]
+    z2 = z * z
+    u = q * q / z2
+    c = 1.0 + 0j  # (1/2)_m / z^(2m)
+    acc = 0j
+    for m in range(16):
+        k = 2 * m + 1
+        term = c * k * (1.0 + u * ((k + 1) * (k + 2) / 24.0)
+                        * (1.0 + u * ((k + 3) * (k + 4) / 80.0)))
+        acc += term
+        if abs(term) < 1e-17 * abs(acc):
+            break
+        c *= (m + 0.5) / z2
+    val = -acc / z2
+    if z.imag < 0.0:
+        # the exact difference of the Landau terms 2i sqrt(pi) exp(-s^2) at
+        # s = z -+ q/2: as 2 exp(-z^2 - q^2/4) sinh(qz) where it would
+        # cancel, term by term otherwise; each skipped where exp underflows
+        qz = q * z
+        if abs(qz.real) < 1.0:
+            terms = ((z, 2.0 * math.exp(-0.25 * q * q) * cmath.sinh(qz)),)
+        else:
+            terms = ((z - 0.5 * q, 1.0), (z + 0.5 * q, -1.0))
+        for s, f in terms:
+            if (s.imag - s.real) * (s.imag + s.real) > -745.0:
+                val += f * _TWO_I_SQRT_PI * _exp_minus_z2(s) / q
+    return val
+
+
 def t_diff_over_q(z: complex, q: float) -> complex:
     """[t(z - q/2) - t(z + q/2)] / q.
 
     Below q = SERIES_SWITCH_Q * (1 + |z|) the direct difference suffers an
     ~|z|/q-fold cancellation amplification, so the odd-order Taylor form
     -(t' + q^2 t'''/24 + q^4 t^(5)/1920) is used instead; the two branches
-    agree within the accuracy target at the switch.
+    agree within the accuracy target at the switch.  From |z| =
+    ASYMPTOTIC_SWITCH_Z the derivatives come from the tail series (see
+    :func:`_t_diff_tail`), since the recurrence of :func:`t_derivatives`
+    cancels there.
     """
     z = _check_finite(z)
     q = float(q)
     if not (q > 0.0):
         raise ValueError(f"q must be strictly positive, got {q!r}")
     if q < SERIES_SWITCH_Q * (1.0 + abs(z)):
+        if abs(z) >= ASYMPTOTIC_SWITCH_Z:
+            return _t_diff_tail(z, q)
         d = t_derivatives(z, 5)
         q2 = q * q
         return -(d[1] + q2 * (d[3] / 24.0 + q2 * d[5] / 1920.0))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from scipy.integrate import IntegrationWarning, quad
 
-from .dielectric import PlasmaParams, QueryPoint
+from qplasma.dielectric import PlasmaParams, QueryPoint
 
 SQRT_PI = math.sqrt(math.pi)
 

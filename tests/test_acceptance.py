@@ -27,7 +27,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qplasma import oracle
 from qplasma.cli import main as cli_main
 from qplasma.dielectric import (
     ModelKind,
@@ -43,6 +42,8 @@ from qplasma.dielectric import (
 from qplasma.dispersion import gamma_asymptotic, omega_asymptotic, solve_root, trace_branch
 from qplasma.scan import read_csv
 from qplasma.special_functions import dawson, lambda0, plasma_t, t_derivatives
+
+import oracle
 
 SQRT2 = math.sqrt(2.0)
 

@@ -22,10 +22,10 @@ from qplasma.dielectric import (
     evaluate,
     mermin_static_denominator,
 )
-from qplasma.oracle import quad_epsilon_quantum
 from qplasma.special_functions import dawson, plasma_t
 
 from conftest import assert_cclose
+from oracle import quad_epsilon_quantum
 
 # regression baseline, pinned from the first converged implementation run:
 # the quantum and Mermin models legitimately differ at this point
@@ -195,6 +195,12 @@ class TestEpsilonStatic:
         for y, ref in STATIC_LARGE_V.items():
             assert_cclose(epsilon_static(1.0, y, 1e-3), ref, rtol=1e-12)
 
+    @pytest.mark.parametrize("q", [1e-100, 1e-120, 1e-140, 1e-150])
+    def test_tiny_q_matches_quantum_at_zero_frequency(self, q):
+        # Re t(q/2 + iv) ~ -(q/2)/v^2 underflows below q ~ 1e-120 at y = 0.1
+        assert_cclose(epsilon_static(1.0, 0.1, q), eps_quantum_omega(1.0, 0.1, 0.0, q),
+                      rtol=1e-13)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             epsilon_static(1.0, 0.0, 0.5)
@@ -250,14 +256,8 @@ class TestEpsilonMermin:
         assert gap == pytest.approx(MERMIN_QUANTUM_GAP, rel=1e-5)
 
     def test_static_denominator_variants(self):
-        # corrected: 4 F(q/2)/q; source-literal variant kept for study
         q = 0.5
         assert mermin_static_denominator(q) == pytest.approx(4 * dawson(0.25) / q)
-        assert mermin_static_denominator(q, paper_d0=True) == pytest.approx(2 * dawson(0.25))
-        em_default = epsilon_mermin(PlasmaParams(1.0, 0.1), QueryPoint(1.0, q))
-        em_compat = epsilon_mermin(PlasmaParams(1.0, 0.1), QueryPoint(1.0, q),
-                                   paper_d0=True)
-        assert abs(em_default - em_compat) > 1e-4
 
     def test_small_q_static_denominator_limit(self):
         # D0 -> 2 as q -> 0, matching -t'(0)
@@ -362,6 +362,23 @@ class TestComplexFrequencyCore:
         # here x_p^2/q^2 is finite but z^2 = (10/q)^2 is not
         with pytest.raises(OverflowError, match="q=1e-154"):
             evaluate(model, PlasmaParams(1.0, 0.1), QueryPoint(10.0, 1e-154))
+
+    @pytest.mark.parametrize("y, q", [(100.0, 0.1), (925.47, 1.8937e-6)])
+    def test_large_z_taylor_against_live_mpmath(self, y, q):
+        # x = 0, |z| = y/q >= 12 below the series switch: D takes the Taylor
+        # form from the tail series; the t_derivatives recurrence was off by
+        # 7.6e-11 and 1.3e-6 here
+        with mp.workdps(60):
+            y_, q_ = mp.mpf(y), mp.mpf(q)
+            z = 1j * y_ / q_
+            D = (_mp_t(z - q_ / 2) - _mp_t(z + q_ / 2)) / q_
+            D0 = 2 * mp.sqrt(mp.pi) * mp.exp(-q_ * q_ / 4) * mp.erfi(q_ / 2) / q_
+            quantum = complex(1 + D / (q_ * q_ * (1 + z * _mp_t(z))))
+            mermin = complex(1 + D0 / (q_ * q_))
+        for got, ref in ((eps_quantum_omega(1.0, y, 0.0, q), quantum),
+                         (epsilon_static(1.0, y, q), quantum),
+                         (epsilon_mermin(PlasmaParams(1.0, y), QueryPoint(0.0, q)), mermin)):
+            assert abs(got - ref) <= 1e-13 * max(abs(ref), abs(ref - 1.0))
 
     def test_analytic_off_axis(self):
         # Cauchy-Riemann smoke test: central differences along the two axes

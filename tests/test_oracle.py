@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from qplasma.dielectric import PlasmaParams, QueryPoint, epsilon_quantum
-from qplasma.oracle import (
+from qplasma.special_functions import dawson, lambda0, plasma_t, t_diff_over_q
+
+from conftest import assert_cclose
+from oracle import (
     DEFAULT_SPEC,
     QuadratureSpec,
     quad_J0,
@@ -15,9 +18,6 @@ from qplasma.oracle import (
     quad_lambda0,
     quad_t,
 )
-from qplasma.special_functions import dawson, lambda0, plasma_t, t_diff_over_q
-
-from conftest import assert_cclose
 
 
 class TestQuadratureSpec:

@@ -1,11 +1,12 @@
 """Tests for sweeps, figure presets, CSV/gnuplot output, and the CLI."""
 
+import math
 import os
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qplasma.cli import main
 from qplasma.dielectric import ModelKind
@@ -44,6 +45,7 @@ class TestScanSpecValidation:
         ({"fixed": {"x_p": 1.0, "nope": 2.0}}, "unknown fixed"),
         ({"fixed": {"y": 0.0}}, "x_p"),
         ({"models": ()}, "at least one model"),
+        ({"sweep_range": (9.999999999999998, 10.0), "n": 3}, "too narrow"),
     ])
     def test_rejections(self, over, match):
         with pytest.raises(ValueError, match=match):
@@ -62,12 +64,25 @@ class TestScanSpecValidation:
 
     @given(st.floats(1e-3, 10), st.floats(1e-3, 10), st.integers(2, 50),
            st.sampled_from(["linear", "log"]))
+    @example(9.999999999999998, 10.0, 3, "linear")
     def test_grid_shape_property(self, a, b, n, scale):
         if not a < b:
             a, b = min(a, b), max(a, b)
             if a == b:
                 return
-        spec = drude_spec(sweep_range=(a, b), n=n, scale=scale)
+        try:
+            spec = drude_spec(sweep_range=(a, b), n=n, scale=scale)
+        except ValueError:
+            # no strictly increasing grid may exist only where a grid step
+            # spans fewer than 4 rounding units; the log grid rounds in
+            # log space, before exp
+            if scale == "linear":
+                steps = (b - a) / math.ulp(b)
+            else:
+                la, lb = math.log(a), math.log(b)
+                steps = (lb - la) / max(math.ulp(la), math.ulp(lb), math.ulp(1.0))
+            assert steps < 4 * (n - 1)
+            return
         g = spec.grid()
         assert len(g) == n
         assert g[0] == pytest.approx(a, rel=1e-12)
@@ -117,13 +132,6 @@ class TestRunScan:
         monkeypatch.setattr("qplasma.scan.evaluate", broken)
         with pytest.raises(TypeError, match="broken model"):
             run_scan(drude_spec())
-
-    def test_mermin_compat_flag_changes_values(self):
-        kw = dict(models=(ModelKind.MERMIN,), fixed={"x_p": 1.0, "y": 0.1, "x": 1.0},
-                  sweep_var="q", sweep_range=(0.3, 0.8), n=3)
-        default = run_scan(ScanSpec(**kw))
-        compat = run_scan(ScanSpec(**kw, mermin_paper_d0=True))
-        assert default.rows != compat.rows
 
 
 class TestFigurePresets:
@@ -245,24 +253,13 @@ class TestCli:
         assert cols == ("q", "re_eps_quantum", "im_eps_quantum",
                         "re_eps_classical", "im_eps_classical")
 
-    def test_compat_flag_changes_mermin_output(self, tmp_path):
-        args = ["--model", "mermin", "--xp", "1", "--y", "0.1", "--x", "1",
-                "--sweep", "q=0.3:0.8:3"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b), "--compat-mermin-paper-d0"]) == 0
-        assert read_csv(str(a))[1] != read_csv(str(b))[1]
-
-    def test_compat_flag_leaves_figure_presets_unchanged(self, tmp_path):
-        # no figure preset has a Mermin curve, so the flag cannot reach one
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["--figure", "5", "--n", "20", "--out", str(a)]) == 0
-        assert main(["--figure", "5", "--n", "20", "--out", str(b),
-                     "--compat-mermin-paper-d0"]) == 0
-        names = sorted(os.listdir(a))
-        assert names == sorted(os.listdir(b)) and names
-        for name in names:
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+    def test_removed_mermin_variant_flag_rejected(self, tmp_path):
+        # the Mermin model has one static denominator, 4 F(q/2)/q
+        with pytest.raises(SystemExit) as err:
+            main(["--model", "mermin", "--xp", "1", "--y", "0.1", "--x", "1",
+                  "--sweep", "q=0.3:0.8:3", "--out", str(tmp_path / "m.csv"),
+                  "--compat-mermin-paper-d0"])
+        assert err.value.code != 0
 
     def test_error_paths_exit_nonzero(self, tmp_path, capsys):
         assert main(["--figure", "15", "--out", str(tmp_path)]) == 1
@@ -282,7 +279,7 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
-    def test_import_leaves_numpy_and_scipy_unloaded(self):
+    def test_import_leaves_numpy_and_scipy_unloaded(self, tmp_path):
         # Import weight is part of every CLI run.  Backing faddeeva_w and dawson
         # by scipy.special raised the figures benchmark's setup_s from 0.13 to
         # 0.56 s and its peak_rss_mb from 18 to 54 MB; `import numpy` alone
@@ -293,6 +290,14 @@ class TestCli:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+        # an install without the test extra: importing either package fails
+        code = ("import sys; sys.modules['scipy'] = sys.modules['numpy'] = None; "
+                "from qplasma.cli import main; "
+                f"sys.exit(main(['--figure', '1', '--n', '5', '--out', {str(tmp_path)!r}]))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert len(os.listdir(tmp_path)) == 3
 
     def test_bad_sweep_syntax_rejected(self):
         with pytest.raises(SystemExit) as err:

@@ -2,7 +2,7 @@
 
 Frozen reference values were computed once with mpmath at 30 digits
 (w = exp(-z^2) erfc(-iz), t = i sqrt(pi) w, Dawson F via its defining
-integral); the quadrature routes in qplasma.oracle provide the live
+integral); the quadrature routes in tests/oracle.py provide the live
 independent cross-checks.
 """
 
@@ -13,7 +13,6 @@ import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
-from qplasma import oracle
 from qplasma.special_functions import (
     ASYMPTOTIC_SWITCH_Z,
     SERIES_SWITCH_Q,
@@ -26,6 +25,7 @@ from qplasma.special_functions import (
     t_diff_over_q,
 )
 
+import oracle
 from conftest import assert_cclose
 
 # frozen mpmath references (30 digits at derivation time)
@@ -327,6 +327,46 @@ class TestTDiffOverQ:
             return
         lit = (plasma_t(z - q / 2) - plasma_t(z + q / 2)) / q
         assert abs(t_diff_over_q(z, q) - lit) <= 1e-11 * max(1.0, abs(lit))
+
+    @staticmethod
+    def _mp_diff(z: complex, q: float) -> complex:
+        # enough digits for the |z|/q-fold cancellation and the |z|^2-sized
+        # phase of exp(-z^2)
+        with mp.workdps(30 + int(math.log10(abs(z) ** 3 / q))):
+            zz, qq = mp.mpc(z.real, z.imag), mp.mpf(q)
+            t = [1j * mp.sqrt(mp.pi) * mp.exp(-s * s) * mp.erfc(-1j * s)
+                 for s in (zz - qq / 2, zz + qq / 2)]
+            return complex((t[0] - t[1]) / qq)
+
+    @pytest.mark.parametrize("radius", [12.0 * (1 + 1e-12), 20.0, 100.0, 1e3,
+                                        1e4, 1e5, 1e6])
+    def test_tail_band_against_live_mpmath(self, radius):
+        # the Taylor form from |z| = 12 on; the recurrence of t_derivatives
+        # lost ~eps |z|^4/120 there, the leading digit near |z| ~ 7e4
+        q_star = SERIES_SWITCH_Q * (1 + radius)
+        for deg in range(-30, 181, 15):
+            z = cmath.rect(radius, math.radians(deg))
+            for q in (1e-6 * q_star, 1e-2 * q_star, (1 - 1e-9) * q_star):
+                assert_cclose(t_diff_over_q(z, q), self._mp_diff(z, q), rtol=1e-14)
+
+    @pytest.mark.parametrize("x", [13.0, -13.0, 60.0, -150.0])
+    def test_tail_landau_term_against_live_mpmath(self, x):
+        # lower half-plane near |Re z| = |Im z|, where the continuation
+        # 2i sqrt(pi) exp(-z^2) is O(1) and dominates; q z spans both the
+        # sinh form (|Re qz| < 1) and the plain difference.  t's condition
+        # number 2|z|^2 sets the tolerance
+        q_star = SERIES_SWITCH_Q * (1 + abs(x) * math.sqrt(2))
+        for dy in (-2.0, 0.0, 3.0):
+            z = complex(x, -abs(x) + dy / abs(x))
+            for q in (1e-7, 1e-3 * q_star, 0.999 * q_star):
+                rtol = 1e-15 * (1 + 2 * abs(z) ** 2)
+                assert_cclose(t_diff_over_q(z, q), self._mp_diff(z, q), rtol=rtol)
+
+    def test_tail_landau_term_beyond_sinh_form(self):
+        # Re qz = 5e4: exp(-z^2 - q^2/4) underflows, yet exp(-(z - q/2)^2)
+        # is O(1) and carries the whole value
+        z, q = complex(1e4, -(1e4 - 2.5)), 5.0
+        assert_cclose(t_diff_over_q(z, q), self._mp_diff(z, q), rtol=1e-14)
 
     def test_nonpositive_q_rejected(self):
         with pytest.raises(ValueError):
