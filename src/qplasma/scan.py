@@ -89,11 +89,16 @@ class ScanSpec:
             raise ValueError("x_p must be given in fixed")
 
     def grid(self) -> list[float]:
+        # the endpoints are the requested values exactly; the rounding of
+        # lo + (hi - lo) and of exp(log hi) would move them by an ulp
         lo, hi = self.sweep_range
+        m = self.n - 1
         if self.scale == "log":
             llo, lhi = math.log(lo), math.log(hi)
-            return [math.exp(llo + (lhi - llo) * i / (self.n - 1)) for i in range(self.n)]
-        return [lo + (hi - lo) * i / (self.n - 1) for i in range(self.n)]
+            inner = [math.exp(llo + (lhi - llo) * i / m) for i in range(1, m)]
+        else:
+            inner = [lo + (hi - lo) * i / m for i in range(1, m)]
+        return [lo, *inner, hi]
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,9 @@ def _check_finite(z: complex, name: str = "z") -> complex:
 
 # ----------------------------------------------------------------------------
 # Faddeeva function.  Region split:
-#   |z| <= 1.8                    Maclaurin series (entire, no cancellation)
-#   1.8 < |z| < 12, Im z >= 0     trapezoidal sampling of the defining
+#   |z| <= 1.8, |Re z| < 0.1      Maclaurin series (the strip along the
+#                                 imaginary axis)
+#   elsewhere |z| < 12, Im z >= 0 trapezoidal sampling of the defining
 #                                 integral plus residue correction for the
 #                                 poles inside the summation strip
 #   |z| >= 12, Im z >= 0          Laplace continued fraction (12 is
@@ -48,28 +49,38 @@ def _check_finite(z: complex, name: str = "z") -> complex:
 # takes the grid whose nodes lie at least h/4 from Re z, so neither a node
 # term nor the correction, whose poles sit on that grid's nodes, comes near
 # a pole.  The omitted nodes, |t| >= 7.5, weigh below exp(-56).
+# The trapezoid's error is ~6e-17 |w| absolute, under 1e-15 relative, but
+# near the imaginary axis Im w shrinks like Re z * |w|, so there its relative
+# error in Im w grows like 6e-17 / |Re z|.  The series' error in Im w
+# shrinks with Re z as well, so it keeps Im w accurate in the strip
+# |Re z| < 0.1; elsewhere its terms cancel up to ~100-fold towards |z| = 1.8
+# and it is the less accurate of the two.
 # ----------------------------------------------------------------------------
 
 _SERIES_RADIUS = 1.8
+_SERIES_STRIP = 0.1
 _H = 0.5
 _PI_OVER_H = math.pi / _H
-_MACLAURIN = [1.0 / _gamma(0.5 * n + 1.0) for n in range(96)]
-# (t, 2 exp(-t^2)) for t > 0; grid A's t = 0 node is summed alone as 1/z
-_GRID_A = [(k * _H, 2.0 * math.exp(-((k * _H) ** 2))) for k in range(1, 15)]
-_GRID_B = [((k + 0.5) * _H, 2.0 * math.exp(-(((k + 0.5) * _H) ** 2))) for k in range(15)]
+_MACLAURIN = [1.0 / _gamma(0.5 * n + 1.0) for n in range(66)]
+# (|z| bound, coefficients from degree N down to 0); each N is one past the
+# smallest n with r^n / Gamma(n/2 + 1) < 2e-19, so the omitted terms start
+# below 1e-20
+_SERIES_BANDS = [(r, _MACLAURIN[n::-1]) for r, n in
+                 ((0.25, 22), (0.5, 29), (1.0, 42), (1.4, 53), (1.8, 65))]
+# (t^2, 2 exp(-t^2)) for t > 0; grid A's t = 0 node is summed alone as 1/z
+_GRID_A = [(t * t, 2.0 * math.exp(-t * t)) for t in (k * _H for k in range(1, 15))]
+_GRID_B = [(t * t, 2.0 * math.exp(-t * t)) for t in ((k + 0.5) * _H for k in range(15))]
 
 
-def _w_series(z: complex) -> complex:
-    # w(z) = sum_n (iz)^n / Gamma(n/2 + 1); benign for |z| <= 1.8
-    iz = 1j * z
-    term = 1.0 + 0j
-    acc = complex(_MACLAURIN[0])
-    for n in range(1, len(_MACLAURIN)):
-        term *= iz
-        contrib = term * _MACLAURIN[n]
-        acc += contrib
-        if abs(contrib) < 1e-18 * abs(acc):
+def _w_series(z: complex, az: float) -> complex:
+    # w(z) = sum_n (iz)^n / Gamma(n/2 + 1), by Horner to the band's degree
+    for r, coeffs in _SERIES_BANDS:
+        if az <= r:
             break
+    iz = 1j * z
+    acc = 0j
+    for c in coeffs:
+        acc = acc * iz + c
     return acc
 
 
@@ -83,9 +94,10 @@ def _w_cf(z: complex, depth: int) -> complex:
 
 def _w_trapezoid(z: complex) -> complex:
     on_a = 0.25 <= (z.real / _H) % 1.0 < 0.75
+    z2 = z * z
     acc = 0j
-    for t, weight in _GRID_A if on_a else _GRID_B:
-        acc += weight / ((z - t) * (z + t))
+    for t2, weight in _GRID_A if on_a else _GRID_B:
+        acc += weight / (z2 - t2)
     acc *= z
     if on_a:
         acc += 1.0 / z
@@ -94,7 +106,7 @@ def _w_trapezoid(z: complex) -> complex:
         # poles outside the summation strip; plain trapezoid already exact
         return w
     e = cmath.exp(-2j * math.pi * z / _H)
-    ez2 = cmath.exp(-z * z)
+    ez2 = cmath.exp(-z2)
     if on_a:
         return w - 2.0 * ez2 / (e - 1.0)
     return w + 2.0 * ez2 / (e + 1.0)
@@ -102,8 +114,8 @@ def _w_trapezoid(z: complex) -> complex:
 
 def _w_upper(z: complex) -> complex:
     az = abs(z)
-    if az <= _SERIES_RADIUS:
-        return _w_series(z)
+    if az <= _SERIES_RADIUS and abs(z.real) < _SERIES_STRIP:
+        return _w_series(z, az)
     if az < ASYMPTOTIC_SWITCH_Z:
         return _w_trapezoid(z)
     if az < 20.0:
@@ -190,21 +202,18 @@ def lambda0(z: complex) -> complex:
 # ----------------------------------------------------------------------------
 
 _DAWSON_H = 0.27  # sampling step; rule floor exp(-pi^2/(4 h^2)) ~ 2e-15
+# 1/(2n+1)!! for n = 19 down to 0; for |u| <= 1 the omitted terms start
+# below 2^20/41!! ~ 8e-20
+_DAWSON_SERIES = [1.0 / math.prod(range(1, 2 * n + 2, 2)) for n in range(19, -1, -1)]
 
 
 def _dawson_series(u: float) -> float:
-    # F(u) = sum_n (-2)^n u^{2n+1} / (2n+1)!!
-    term = u
-    acc = u
+    # F(u) = u sum_n (-2u^2)^n / (2n+1)!!, by Horner in -2u^2
     m2 = -2.0 * u * u
-    n = 0
-    while abs(term) > 1e-17 * abs(acc) + 5e-324:
-        n += 1
-        term *= m2 / (2 * n + 1)
-        acc += term
-        if n > 60:
-            break
-    return acc
+    acc = 0.0
+    for c in _DAWSON_SERIES:
+        acc = acc * m2 + c
+    return u * acc
 
 
 def _dawson_sampling(u: float) -> float:

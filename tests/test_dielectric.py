@@ -167,6 +167,18 @@ class TestEpsilonLindhard:
             b = 1.0 + (plasma_t(z - 0.5 * q) - plasma_t(z + 0.5 * q)) / q ** 3
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
+    def test_real_axis_point_against_live_mpmath(self):
+        # z - q/2 = 1.5906 lies on the real axis inside |z| < 1.8: the
+        # Maclaurin series would lose Im w there to ~1e-15, the trapezoid
+        # keeps it
+        x_p, x, q = 0.9419874832407676, 1.146831683187969, 0.6056962518002704
+        with mp.workdps(60):
+            x_p_, x_, q_ = mp.mpf(x_p), mp.mpf(x), mp.mpf(q)
+            z = x_ / q_
+            ref = complex(1 + (x_p_ / q_) ** 2 * (_mp_t(z - q_ / 2) - _mp_t(z + q_ / 2)) / q_)
+        got = epsilon_lindhard(x_p, x, q)
+        assert abs(got - ref) <= 1e-15 * max(abs(ref), abs(ref - 1.0))
+
     def test_bad_form_and_domain(self):
         with pytest.raises(ValueError):
             epsilon_lindhard(1.0, 1.0, 0.0)

@@ -89,6 +89,18 @@ class TestScanSpecValidation:
         assert g[-1] == pytest.approx(b, rel=1e-12)
         assert all(u < v for u, v in zip(g, g[1:]))
 
+    @given(st.floats(1e-6, 1e3), st.floats(1e-6, 1e3), st.integers(2, 50),
+           st.sampled_from(["linear", "log"]))
+    @example(1e-5, 0.1, 400, "log")
+    def test_grid_endpoints_exact(self, a, b, n, scale):
+        a, b = min(a, b), max(a, b)
+        try:
+            spec = drude_spec(sweep_range=(a, b), n=n, scale=scale)
+        except ValueError:
+            return
+        g = spec.grid()
+        assert (g[0], g[-1]) == (a, b)
+
 
 class TestRunScan:
     def test_drude_rows_exact(self):

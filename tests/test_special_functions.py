@@ -8,6 +8,7 @@ independent cross-checks.
 
 import cmath
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -121,13 +122,54 @@ class TestFaddeeva:
 
     def test_imaginary_part_near_imaginary_axis(self):
         # the static model reads Im w here through Re t(q/2 + iv); Im w is
-        # small against Re w, so the Maclaurin disk keeps it accurate where
-        # the trapezoid rule would lose ~1e-10 of it
+        # small against Re w, ~Re z |w|, so the Maclaurin strip |Re z| < 0.1
+        # keeps it accurate where the trapezoid rule would lose ~1e-10 of it;
+        # from Re z = 0.1 the trapezoid's relative Im error is ~6e-16
         for x in (1e-6, 1e-4, 1e-2, 0.1):
             for y in (0.01, 0.3, 1.0, 1.7):
                 z = complex(x, y)
                 ref = _mp_w(z).imag
                 assert abs(faddeeva_w(z).imag - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("region", ["upper disk", "lower disk", "real axis",
+                                        "band"])
+    def test_random_points_against_live_mpmath(self, region):
+        # below |z| = 12 and outside the Maclaurin strip (|Re z| < 0.1,
+        # |z| <= 1.8) w is the trapezoid's.  The strip is excluded from this
+        # bound: there the series' terms cancel up to ~100-fold towards
+        # |z| = 1.8 (the ring, continuity and Im-near-axis tests cover it)
+        rng = random.Random(f"w {region}")
+        points = []
+        while len(points) < 300:
+            if region == "real axis":
+                z = complex(rng.uniform(-3.0, 3.0), 0.0)
+            elif region == "band":
+                z = complex(rng.uniform(-12.0, 12.0), rng.uniform(-0.2, 0.2))
+            else:
+                z = complex(rng.uniform(-1.8, 1.8), rng.uniform(0.0, 1.8))
+                if abs(z) > 1.8:
+                    continue
+                if region == "lower disk":
+                    z = z.conjugate()
+            if abs(z.real) >= 0.1 or abs(z) > 1.8:
+                points.append(z)
+        for z in points:
+            assert_cclose(faddeeva_w(z), _mp_w(z), rtol=2e-15)
+
+    def test_continuity_across_strip_edges(self):
+        # the series/trapezoid switch at |Re z| = 0.1 and at |z| = 1.8
+        below = math.nextafter(0.1, 0.0)
+        for y in (0.0, 0.3, 0.9, 1.5, 1.79, -0.5, -1.79):
+            for s in (1.0, -1.0):
+                assert_cclose(faddeeva_w(complex(s * below, y)),
+                              faddeeva_w(complex(s * 0.1, y)), rtol=1e-14)
+        for x in (0.0, 0.02, 0.05, 0.0999):
+            for s in (1.0, -1.0):
+                z = complex(x, s * math.sqrt(1.8 ** 2 - x * x))
+                z *= 1.8 / abs(z)
+                inside, outside = z * (1.0 - 4e-16), z * (1.0 + 4e-16)
+                assert abs(inside) <= 1.8 < abs(outside)
+                assert_cclose(faddeeva_w(inside), faddeeva_w(outside), rtol=1e-14)
 
     @given(complex_box)
     def test_finite_everywhere_in_physical_band(self, z):
@@ -251,6 +293,15 @@ class TestDawson:
         # peak: nearby values are lower
         assert dawson(F_ARGMAX - 1e-3) < F_MAX
         assert dawson(F_ARGMAX + 1e-3) < F_MAX
+
+    def test_series_against_live_mpmath(self):
+        # |u| <= 1 is the fixed-degree Horner series
+        rng = random.Random("dawson series")
+        for u in [rng.uniform(-1.0, 1.0) for _ in range(300)] + [1.0, -1.0, 1e-8]:
+            with mp.workdps(30):
+                uu = mp.mpf(u)
+                ref = float(mp.sqrt(mp.pi) / 2 * mp.exp(-uu * uu) * mp.erfi(uu))
+            assert_cclose(dawson(u), ref, rtol=1e-15)
 
     def test_live_quadrature_oracle(self):
         for u in (0.25, 1.0, 2.0):
