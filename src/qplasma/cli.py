@@ -1,4 +1,5 @@
-"""Command-line front end for parameter sweeps and figure presets."""
+"""Command-line front end for parameter sweeps, dispersion roots and figure
+presets."""
 
 from __future__ import annotations
 
@@ -6,12 +7,14 @@ import argparse
 import os
 import sys
 
-from .dielectric import ModelKind
+from .dielectric import ModelKind, PlasmaParams
 from .scan import (
     ScanSpec,
     figure_part,
     figure_preset,
+    run_roots,
     run_scan,
+    write_csv,
     write_output,
     write_plot_script,
 )
@@ -49,8 +52,9 @@ def _parse_models(text: str) -> tuple[ModelKind, ...]:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qplasma",
-        description="Sweep longitudinal plasma permittivity models and write "
-                    "CSV tables (optionally with gnuplot scripts).",
+        description="Sweep longitudinal plasma permittivity models or trace "
+                    "their dispersion roots, and write CSV tables (optionally "
+                    "with gnuplot scripts).",
     )
     p.add_argument("--model", type=_parse_models, default=None,
                    help="model name or comma list for overlay "
@@ -61,8 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=None, help="wave number q")
     p.add_argument("--sweep", type=_parse_sweep, default=None,
                    metavar="VAR=LO:HI:N[:log]", help="sweep specification")
-    p.add_argument("--figure", type=int, default=None, metavar="1..14",
-                   help="run a preset figure instead of an explicit sweep")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--figure", type=int, default=None, metavar="1..14",
+                      help="run a preset figure instead of an explicit sweep")
+    mode.add_argument("--roots", action="store_true",
+                      help="trace the dispersion roots omega(q) of each model "
+                           "(quantum, classical, mermin) over a linear q sweep")
     p.add_argument("--n", type=int, default=400, help="grid size for presets")
     p.add_argument("--out", default=None,
                    help="CSV path for sweeps, output directory for figures")
@@ -115,11 +123,28 @@ def _run_sweep(args) -> int:
     return 0
 
 
+def _run_roots(args) -> int:
+    if None in (args.model, args.xp, args.y, args.sweep, args.out):
+        raise ValueError("--roots needs --model, --xp, --y, --sweep q=LO:HI:N and --out")
+    if args.x is not None or args.q is not None or args.plot_script:
+        raise ValueError("--roots takes no --x, --q or --plot-script")
+    var, rng, n, scale = args.sweep
+    if var != "q" or scale != "linear":
+        raise ValueError(f"--roots needs a linear sweep in q, got a {scale} sweep in {var}")
+    params = PlasmaParams(x_p=args.xp, y=args.y)
+    columns, rows = run_roots(params, args.model, rng, n)
+    write_csv(args.out, args.model, {"x_p": args.xp, "y": args.y}, columns, rows)
+    print(f"wrote {args.out}")
+    return 0
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.figure is not None:
             return _run_figure(args)
+        if args.roots:
+            return _run_roots(args)
         return _run_sweep(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

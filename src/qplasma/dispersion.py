@@ -26,8 +26,10 @@ _SQRT_PI_OVER_8 = math.sqrt(math.pi / 8.0)
 #: solve_root converges when |eps| <= _RESIDUAL_TOL within _MAX_ITER steps
 _RESIDUAL_TOL = 1e-12
 _MAX_ITER = 60
-#: trace_branch bisects a q step whose root moves by more than this fraction
+#: trace_branch halves a q step whose root moves by more than this fraction
 _CONTINUATION_STEP = 0.1
+#: trace_branch's solve budget per grid step, shared along the whole branch
+_SOLVES_PER_STEP = 25
 #: Muller's iteration starts from the seed and seed -/+ this * max(|seed|, 1)
 _SEED_SPREAD = 1e-3
 
@@ -127,13 +129,6 @@ def default_guess(params: PlasmaParams, q: float, model: ModelKind) -> complex:
     return complex(re, im)
 
 
-def _safe_eps(model, params, omega, q) -> complex:
-    try:
-        return _eps_at(model, params, omega, q)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        return complex(math.inf, math.inf)
-
-
 def _muller_step(h0, h1, h2):
     """One Muller iterate from three (omega, f) pairs; returns a new omega."""
     (x0, f0), (x1, f1), (x2, f2) = h0, h1, h2
@@ -172,14 +167,20 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
     spread = _SEED_SPREAD * max(abs(seed), 1.0)
     points: list[tuple[complex, complex]] = []  # (omega, eps), newest last
 
+    def stopped(omega: complex, what: str) -> ConvergenceError:
+        last_omega, last_f = points[-1] if points else (seed, complex(math.inf))
+        return ConvergenceError(
+            f"eps of {model.value} model {what} at omega={omega!r}",
+            last_omega, abs(last_f),
+        )
+
     def visit(omega: complex) -> float:
-        f = _safe_eps(model, params, omega, q)
+        try:
+            f = _eps_at(model, params, omega, q)
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:
+            raise stopped(omega, f"raised {type(exc).__name__}: {exc}") from exc
         if not cmath.isfinite(f):
-            last_omega, last_f = points[-1] if points else (seed, f)
-            raise ConvergenceError(
-                f"eps of {model.value} model is not finite at omega={omega!r}",
-                last_omega, abs(last_f),
-            )
+            raise stopped(omega, "is not finite")
         points.append((omega, f))
         return abs(f)
 
@@ -208,9 +209,10 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
     """Continue a dispersion branch from q_start to q_end on n_points.
 
     Each grid point is solved with the previous root as the seed; if the
-    root moves by more than _CONTINUATION_STEP (fractionally), the q step
-    is bisected internally until the motion is tame.  A persistent jump or
-    failed solve raises BranchLossError with the offending q.
+    root moves by more than _CONTINUATION_STEP (fractionally) or the solve
+    fails, the q step is halved until the motion is tame.  The whole branch
+    may spend _SOLVES_PER_STEP solves per grid step; when they run out,
+    BranchLossError names the q of the last failed solve.
     """
     if not (0.0 < q_start < q_end):
         raise ValueError(f"need 0 < q_start < q_end, got {q_start!r}, {q_end!r}")
@@ -219,32 +221,30 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
     model = ModelKind(model)
 
     qs = [q_start + (q_end - q_start) * i / (n_points - 1) for i in range(n_points)]
-    first = solve_root(params, qs[0], model)
-    roots = [first]
-    prev = first
+    prev = solve_root(params, qs[0], model)
+    roots = [prev]
+    budget = _SOLVES_PER_STEP * (n_points - 1)
     for q_target in qs[1:]:
-        prev = _continue_to(params, model, prev, q_target, depth=0)
+        pending = [q_target]  # q values still to reach, nearest last
+        while pending:
+            if budget == 0:
+                raise BranchLossError(
+                    f"branch lost: root jump or solve failure persists after "
+                    f"{_SOLVES_PER_STEP} solves per grid step",
+                    q_failed,
+                )
+            budget -= 1
+            q = pending[-1]
+            try:
+                root = solve_root(params, q, model, guess=prev.omega)
+                jump = abs(root.omega - prev.omega) / max(abs(prev.omega), 1e-300)
+            except (ConvergenceError, NonPhysicalRootError):
+                jump = math.inf
+            if jump <= _CONTINUATION_STEP:
+                prev = root
+                pending.pop()
+            else:
+                q_failed = q
+                pending.append(0.5 * (prev.q + q))
         roots.append(prev)
     return roots
-
-
-_MAX_BISECT = 12
-
-
-def _continue_to(params, model, prev: DispersionRoot, q_target: float,
-                 depth: int) -> DispersionRoot:
-    try:
-        root = solve_root(params, q_target, model, guess=prev.omega)
-        jump = abs(root.omega - prev.omega) / max(abs(prev.omega), 1e-300)
-        if jump <= _CONTINUATION_STEP:
-            return root
-    except (ConvergenceError, NonPhysicalRootError):
-        root = None
-    if depth >= _MAX_BISECT:
-        raise BranchLossError(
-            "branch lost: root jump or solve failure persists after bisection",
-            q_target,
-        )
-    q_mid = 0.5 * (prev.q + q_target)
-    mid = _continue_to(params, model, prev, q_mid, depth + 1)
-    return _continue_to(params, model, mid, q_target, depth + 1)

@@ -1,7 +1,9 @@
-"""Parameter sweeps over the permittivity models and figure-preset tables.
+"""Parameter sweeps over the permittivity models, dispersion-branch tables
+and figure-preset tables.
 
 A ScanSpec pins every model input except one sweep variable; run_scan
 evaluates the requested models over the grid and returns an ordered table.
+run_roots tabulates the roots omega(q) of eps(omega, q) = 0 per model.
 Output is plain CSV with a commented header plus an optional gnuplot script,
 both byte-deterministic for identical specs.
 """
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .dielectric import ModelKind, PlasmaParams, QueryPoint, evaluate
+from .dispersion import gamma_asymptotic, omega_asymptotic, trace_branch
 
 _SWEEPABLE = ("x", "q", "y")
 _PARAM_KEYS = ("x_p", "y", "x", "q")
@@ -143,6 +146,30 @@ def run_scan(spec: ScanSpec) -> ScanTable:
     return ScanTable(columns=tuple(columns), rows=tuple(rows), spec=spec)
 
 
+def run_roots(params: PlasmaParams, models: tuple[ModelKind, ...],
+              q_range: tuple[float, float], n: int) -> tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]:
+    """Trace one dispersion branch per model over n linear q points and
+    return (columns, rows): q, k/k_D, Re and Im omega per model, and the
+    long-wave omega_asymptotic and gamma_asymptotic."""
+    branches = [trace_branch(params, *q_range, n, model) for model in models]
+    columns = ["q", "kappa"]
+    for model in models:
+        columns += [f"re_omega_{model.value}", f"im_omega_{model.value}"]
+    columns += ["omega_asymptotic", "gamma_asymptotic"]
+    kD = params.debye_wavenumber
+    rows = []
+    for roots in zip(*branches):
+        q = roots[0].q
+        kappa = q / kD
+        row = [q, kappa]
+        for root in roots:
+            row += [root.omega.real, root.omega.imag]
+        row.append(params.x_p * omega_asymptotic(kappa, params.quantum_parameter))
+        row.append(gamma_asymptotic(params, q))
+        rows.append(tuple(row))
+    return tuple(columns), tuple(rows)
+
+
 # ---------------------------------------------------------------------------
 # Figure presets: fixed parameter families for the 14 standard plots.
 # Axis ranges are tool defaults (n=400, x-sweeps on [0.01, 3] except the
@@ -217,26 +244,30 @@ def write_output(table: ScanTable, spec: ScanSpec, path: str | None = None,
     out_path = path or spec.output_path
     if not out_path:
         raise ValueError("no output path given")
-    lines = [f"# model: {','.join(m.value for m in spec.models)}"]
-    for key in sorted(spec.fixed):
-        lines.append(f"# {key}: {_fmt(spec.fixed[key])}")
     lo, hi = spec.sweep_range
-    lines.append(
-        f"# sweep: {spec.sweep_var} from {_fmt(lo)} to {_fmt(hi)}, "
-        f"n={spec.n}, scale={spec.scale}"
-    )
+    notes = [f"sweep: {spec.sweep_var} from {_fmt(lo)} to {_fmt(hi)}, "
+             f"n={spec.n}, scale={spec.scale}"]
     if spec.label:
-        lines.append(f"# label: {spec.label}")
-    lines.append(f"# tool: qplasma {__version__}")
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        notes.append(f"label: {spec.label}")
+    write_csv(out_path, spec.models, spec.fixed, table.columns, table.rows, notes)
     written = [out_path]
     if plot_script:
         written.append(write_plot_script([out_path], spec, part=part))
     return written
+
+
+def write_csv(path: str, models: tuple[ModelKind, ...], fixed: dict[str, float],
+              columns, rows, notes=()) -> None:
+    """Write a CSV: a commented header (models, fixed parameters, notes and
+    the tool version), the column line and 17-significant-digit rows."""
+    lines = [f"# model: {','.join(m.value for m in models)}"]
+    lines += [f"# {key}: {_fmt(fixed[key])}" for key in sorted(fixed)]
+    lines += [f"# {note}" for note in notes]
+    lines.append(f"# tool: qplasma {__version__}")
+    lines.append(",".join(columns))
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_plot_script(csv_paths: list[str], spec: ScanSpec, part: str = "both",

@@ -1,12 +1,11 @@
 """Tests for the asymptotic dispersion formulas and the root solver."""
 
-import importlib.util
+import cmath
 import math
-import sys
-from pathlib import Path
 
 import pytest
 
+import qplasma.dispersion as dispersion
 from qplasma.dielectric import ModelKind, PlasmaParams
 from qplasma.dispersion import (
     BranchLossError,
@@ -21,7 +20,6 @@ from qplasma.dispersion import (
 )
 
 SQRT2 = math.sqrt(2.0)
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # frozen: -sqrt(pi/8)/0.027 * exp(-3/2 - 1/(2*0.09))  (mpmath, 30 digits)
 GAMMA_LANDAU_K03 = -0.02002061131206702122
@@ -30,8 +28,6 @@ SQRT_2125 = 1.4577379737113251177
 
 def count_eps_calls(monkeypatch) -> list[int]:
     """Count eps evaluations made by the solver; returns a one-item counter."""
-    import qplasma.dispersion as dispersion
-
     calls = [0]
     for name in ("eps_quantum_omega", "eps_classical_omega", "eps_mermin_omega"):
         inner = getattr(dispersion, name)
@@ -187,6 +183,13 @@ class TestSolveRoot:
         assert calls[0] <= 4
         assert err.value.last_omega == 1 - 50j
 
+    def test_overflow_is_the_named_cause(self):
+        params = PlasmaParams(x_p=1.0, y=0.01)
+        with pytest.raises(ConvergenceError) as err:
+            solve_root(params, 0.3 * SQRT2, ModelKind.CLASSICAL, guess=1 - 50j)
+        assert isinstance(err.value.__cause__, OverflowError)
+        assert str(err.value.__cause__) in str(err.value)
+
     @pytest.mark.parametrize("model, x_p, kappa", [
         (ModelKind.QUANTUM, 6.5, 0.36),
         (ModelKind.QUANTUM, 9.5, 0.45),
@@ -271,6 +274,38 @@ class TestTraceBranch:
             trace_branch(params, 0.2 * SQRT2, 0.5 * SQRT2, 7, ModelKind.CLASSICAL)
         assert q_fail < err.value.q <= 0.35 * SQRT2
 
+    def test_runaway_root_stops_within_the_solve_budget(self, monkeypatch):
+        # the root moves as exp(1900 (q - 0.1)): a tame step is 5e-5 wide,
+        # so q = 0.1..0.2 would need about 2000 solves
+        solved = []
+
+        def runaway(params, q, model, guess=None):
+            solved.append(q)
+            return DispersionRoot(q, cmath.exp(1900.0 * (q - 0.1)), 0.0, 0)
+
+        monkeypatch.setattr("qplasma.dispersion.solve_root", runaway)
+        with pytest.raises(BranchLossError) as err:
+            trace_branch(PlasmaParams(1.0, 0.0), 0.1, 0.2, 2, ModelKind.CLASSICAL)
+        assert len(solved) <= 1 + dispersion._SOLVES_PER_STEP
+        assert 0.1 < err.value.q <= 0.2
+
+    def test_halving_solves_in_depth_first_order(self, monkeypatch):
+        # a solver that converges only from a seed within 18% of q
+        solved = []
+
+        def near_seed_only(params, q, model, guess=None):
+            solved.append(q)
+            if guess is not None and q - (-guess.imag) > 0.18 * -guess.imag:
+                raise ConvergenceError("seed too far", guess, 1.0)
+            return DispersionRoot(q, complex(1.0, -q), 0.0, 0)
+
+        monkeypatch.setattr("qplasma.dispersion.solve_root", near_seed_only)
+        roots = trace_branch(PlasmaParams(1.0, 0.0), 0.1, 0.2, 2, ModelKind.CLASSICAL)
+        assert [r.q for r in roots] == [0.1, 0.2]
+        assert solved == [0.1, 0.2, 0.15000000000000002, 0.125, 0.1125, 0.125,
+                          0.15000000000000002, 0.1375, 0.15000000000000002,
+                          0.2, 0.17500000000000002, 0.2]
+
     @pytest.mark.parametrize("model", [ModelKind.QUANTUM, ModelKind.CLASSICAL,
                                        ModelKind.MERMIN])
     def test_eps_evaluations_per_root_bounded(self, model, monkeypatch):
@@ -287,25 +322,3 @@ class TestTraceBranch:
             trace_branch(params, 0.0, 0.2, 5, ModelKind.CLASSICAL)
         with pytest.raises(ValueError):
             trace_branch(params, 0.1, 0.2, 1, ModelKind.CLASSICAL)
-
-
-class TestTraceBranchesScript:
-    def test_writes_damped_branches(self, tmp_path, monkeypatch):
-        spec = importlib.util.spec_from_file_location(
-            "trace_branches", SCRIPTS / "trace_branches.py")
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        out = tmp_path / "b.csv"
-        monkeypatch.setattr(sys, "argv", ["trace_branches.py", "--n", "5",
-                                          "--out", str(out)])
-        assert script.main() == 0
-
-        lines = out.read_text().splitlines()
-        header = lines[2].split(",")
-        rows = [[float(v) for v in line.split(",")] for line in lines[3:]]
-        assert len(header) == 10 and len(rows) == 5
-        assert all(len(row) == 10 for row in rows)
-        for model in ("quantum", "classical", "mermin"):
-            re_col = header.index(f"re_omega_{model}")
-            im_col = header.index(f"im_omega_{model}")
-            assert all(row[re_col] > 0.0 >= row[im_col] for row in rows)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qplasma.cli import main
-from qplasma.dielectric import ModelKind
+from qplasma.dielectric import ModelKind, PlasmaParams
+from qplasma.dispersion import ConvergenceError, solve_root, trace_branch
 from qplasma.scan import (
     ScanError,
     ScanSpec,
@@ -20,6 +21,11 @@ from qplasma.scan import (
     write_output,
     write_plot_script,
 )
+
+
+#: the long-wave branches at x_p = 1, y = 1e-6, k/k_D = 0.1..0.5 on 5 points
+ROOTS = ["--roots", "--model", "quantum,classical,mermin", "--xp", "1",
+         "--y", "1e-6", "--sweep", "q=0.14142135623730953:0.7071067811865476:5"]
 
 
 def drude_spec(**over):
@@ -315,3 +321,67 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["--model", "drude", "--sweep", "x=1:2", "--out", "x.csv"])
         assert err.value.code != 0
+
+    def test_roots_writes_damped_branches(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(ROOTS + ["--out", str(out)]) == 0
+        header, rows = read_csv(str(out))
+        assert len(header) == 10 and len(rows) == 5
+        assert all(len(row) == 10 for row in rows)
+        for model in ("quantum", "classical", "mermin"):
+            re_col = header.index(f"re_omega_{model}")
+            im_col = header.index(f"im_omega_{model}")
+            assert all(row[re_col] > 0.0 >= row[im_col] for row in rows)
+
+        params = PlasmaParams(x_p=1.0, y=1e-6)
+        branches = [trace_branch(params, 0.14142135623730953, 0.7071067811865476,
+                                 5, model)
+                    for model in (ModelKind.QUANTUM, ModelKind.CLASSICAL,
+                                  ModelKind.MERMIN)]
+        for row, roots in zip(rows, zip(*branches)):
+            q = roots[0].q
+            expected = [q, q / params.debye_wavenumber]
+            for root in roots:
+                expected += [root.omega.real, root.omega.imag]
+            assert list(row[:8]) == expected
+
+    def test_roots_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(ROOTS + ["--out", str(a)]) == 0
+        assert main(ROOTS + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("sweep", ["x=0.5:1.5:5", "q=0.2:0.7:5:log"])
+    def test_roots_refuses_other_sweeps(self, sweep, tmp_path, capsys):
+        argv = ROOTS[:-1] + [sweep, "--out", str(tmp_path / "b.csv")]
+        assert main(argv) == 1
+        assert "linear sweep in q" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("argv, match", [
+        (ROOTS[:5] + ROOTS[7:], "needs"),  # no --y
+        (ROOTS + ["--x", "1"], "takes no"),
+        (ROOTS + ["--plot-script"], "takes no"),
+    ])
+    def test_roots_option_errors_exit_1(self, argv, match, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 1
+        assert match in capsys.readouterr().err
+
+    def test_roots_and_figure_exclusive(self):
+        with pytest.raises(SystemExit) as err:
+            main(ROOTS + ["--figure", "1"])
+        assert err.value.code != 0
+
+    def test_roots_branch_loss_exits_with_its_q(self, tmp_path, capsys, monkeypatch):
+        failed = []
+
+        def no_continuation(params, q, model, guess=None):
+            if guess is None:
+                return solve_root(params, q, model)
+            failed.append(q)
+            raise ConvergenceError("forced failure", guess, 1.0)
+
+        monkeypatch.setattr("qplasma.dispersion.solve_root", no_continuation)
+        assert main(ROOTS + ["--out", str(tmp_path / "b.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "branch lost" in err and f"at q={failed[-1]!r}" in err
