@@ -236,7 +236,7 @@ def _fmt(v: float) -> str:
 
 
 def write_output(table: ScanTable, spec: ScanSpec, path: str | None = None,
-                 plot_script: bool = False, part: str = "both") -> list[str]:
+                 plot_script: bool = False) -> list[str]:
     """Write the table as CSV (commented header, 17-significant-digit rows)
     and optionally a gnuplot script next to it.  Returns the written paths."""
     if not table.rows:
@@ -252,7 +252,7 @@ def write_output(table: ScanTable, spec: ScanSpec, path: str | None = None,
     write_csv(out_path, spec.models, spec.fixed, table.columns, table.rows, notes)
     written = [out_path]
     if plot_script:
-        written.append(write_plot_script([out_path], spec, part=part))
+        written.append(write_plot_script([out_path], spec))
     return written
 
 

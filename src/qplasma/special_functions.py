@@ -21,8 +21,8 @@ _TWO_I_SQRT_PI = 2j * SQRT_PI
 
 #: t_diff_over_q switches to its Taylor form below q = SERIES_SWITCH_Q * (1 + |z|)
 SERIES_SWITCH_Q = 1e-3
-#: |z| from which faddeeva_w takes its continued fraction, and lambda0 and
-#: the Taylor form of t_diff_over_q the large-argument tail series
+#: |z| from which faddeeva_w, lambda0 and t_diff_over_q sum the one
+#: large-argument tail series sum_m (1/2)_m z^(-2m)
 ASYMPTOTIC_SWITCH_Z = 12.0
 
 
@@ -40,9 +40,9 @@ def _check_finite(z: complex, name: str = "z") -> complex:
 #   elsewhere |z| < 12, Im z >= 0 trapezoidal sampling of the defining
 #                                 integral plus residue correction for the
 #                                 poles inside the summation strip
-#   |z| >= 12, Im z >= 0          Laplace continued fraction (12 is
-#                                 ASYMPTOTIC_SWITCH_Z, where lambda0 also
-#                                 takes its tail series)
+#   |z| >= 12, Im z >= 0          tail series (i/sqrt(pi))(1 + _tail(z^2))/z
+#                                 (12 is ASYMPTOTIC_SWITCH_Z, where lambda0
+#                                 and t_diff_over_q sum the same series)
 #   Im z < 0                      reflection w(z) = 2 exp(-z^2) - w(-z)
 # The trapezoid step h = 0.5 puts the quadrature floor at exp(-pi^2/h^2)
 # ~ 7e-18.  Two node grids, A at t = k*h and B at t = (k + 1/2)*h; each z
@@ -84,12 +84,18 @@ def _w_series(z: complex, az: float) -> complex:
     return acc
 
 
-def _w_cf(z: complex, depth: int) -> complex:
-    # Laplace continued fraction, evaluated by backward recurrence.
-    f = z
-    for k in range(depth, 0, -1):
-        f = z - (0.5 * k) / f
-    return (1j / SQRT_PI) / f
+def _tail(z2: complex) -> complex:
+    # sum_{m >= 1} (1/2)_m / z^(2m), (1/2)_m = (1/2)(3/2)...(m - 1/2), so
+    # t(z) = -(1 + _tail(z^2))/z: 14 terms from |z| = 12, 0 where z^2 is inf
+    if cmath.isinf(z2):
+        return 0j
+    term = acc = 0.5 + 0j
+    for m in range(2, 15):
+        term *= (m - 0.5) / z2
+        acc += term
+        if abs(term) < 1e-17 * abs(acc):
+            break
+    return acc / z2
 
 
 def _w_trapezoid(z: complex) -> complex:
@@ -118,11 +124,7 @@ def _w_upper(z: complex) -> complex:
         return _w_series(z, az)
     if az < ASYMPTOTIC_SWITCH_Z:
         return _w_trapezoid(z)
-    if az < 20.0:
-        return _w_cf(z, 36)
-    if az < 100.0:
-        return _w_cf(z, 16)
-    return _w_cf(z, 8)
+    return (1j / SQRT_PI) * (1.0 + _tail(z * z)) / z
 
 
 def _exp_minus_z2(z: complex) -> complex:
@@ -139,10 +141,13 @@ def _exp_minus_z2(z: complex) -> complex:
 def faddeeva_w(z: complex) -> complex:
     """Faddeeva function ``w(z) = exp(-z^2) erfc(-iz)``.
 
-    Entire in z; relative accuracy ~1e-13 for |z| <= 1e4.  For Im z < 0 the
-    reflection ``w(z) = 2 exp(-z^2) - w(-z)`` is used with the exponent
-    assembled cancellation-free, so no intermediate overflow occurs while the
-    result is representable; where the true value overflows double range
+    Entire in z; relative accuracy ~1e-13 for |z| <= 1e4, from |z| =
+    ASYMPTOTIC_SWITCH_Z by the tail series that lambda0 and t_diff_over_q
+    also sum.  For Im z < 0 the reflection ``w(z) = 2 exp(-z^2) - w(-z)``
+    is used with the exponent assembled cancellation-free, so no
+    intermediate overflow occurs while the result is representable; where
+    exp(-z^2) dominates, rounding its exponent and phase costs ~|z|^2 ulps,
+    w's condition number.  Where the true value overflows double range
     (deep lower half-plane) an OverflowError is raised instead of returning
     infinities.
     """
@@ -169,25 +174,16 @@ def plasma_t(z: complex) -> complex:
 def lambda0(z: complex) -> complex:
     """Van Kampen dispersion function, ``1 + z t(z)``.
 
-    From |z| = ASYMPTOTIC_SWITCH_Z, where faddeeva_w takes its continued
-    fraction, the tail series ``-1/(2 z^2) - 3/(4 z^4) - ...`` is summed
-    directly: the literal ``1 + z t`` cancels ~2|z|^2-fold there, while the
-    series is accurate to ~1e-15 from |z| = 12 on.  For Im z < 0 the
-    series stands for lambda0(-z) and the Landau continuation term
-    ``2i sqrt(pi) z exp(-z^2)`` is added.
+    From |z| = ASYMPTOTIC_SWITCH_Z the tail series of faddeeva_w gives
+    ``-1/(2 z^2) - 3/(4 z^4) - ...`` directly: the literal ``1 + z t``
+    cancels ~2|z|^2-fold there, while the series is accurate to ~1e-15 from
+    |z| = 12 on.  For Im z < 0 the series stands for lambda0(-z) and the
+    Landau continuation term ``2i sqrt(pi) z exp(-z^2)`` is added.
     """
     z = _check_finite(z)
     if abs(z) < ASYMPTOTIC_SWITCH_Z:
         return 1.0 + z * plasma_t(z)
-    # -sum_{m >= 1} (1/2)_m / z^(2m), (1/2)_m = (1/2)(3/2)...(m - 1/2)
-    z2 = z * z
-    term = acc = 0.5 + 0j
-    for m in range(2, 15):
-        term *= (m - 0.5) / z2
-        acc += term
-        if abs(term) < 1e-17 * abs(acc):
-            break
-    val = -acc / z2
+    val = -_tail(z * z)
     # the continuation term, skipped where exp(-z^2) underflows entirely
     if z.imag < 0.0 and (z.imag - z.real) * (z.imag + z.real) > -745.0:
         val += z * _TWO_I_SQRT_PI * _exp_minus_z2(z)
@@ -272,30 +268,32 @@ def t_derivatives(z: complex, n: int) -> list[complex]:
     z = _check_finite(z)
     out = [plasma_t(z)]
     if n >= 1:
-        out.append(-2.0 * lambda0(z))
+        # below |z| = 12 lambda0 is the literal 1 + z t: form it from out[0]
+        lam = 1.0 + z * out[0] if abs(z) < ASYMPTOTIC_SWITCH_Z else lambda0(z)
+        out.append(-2.0 * lam)
     for m in range(1, n):
         out.append(-2.0 * (m * out[m - 1] + z * out[m]))
     return out
 
 
 def _t_diff_tail(z: complex, q: float) -> complex:
-    # -(t' + q^2 t'''/24 + q^4 t^(5)/1920) for |z| >= 12, differentiating
-    # the tail series t = -sum_{m >= 0} (1/2)_m z^-(2m+1) of lambda0 term by
-    # term: with k = 2m + 1 and u = (q/z)^2 the m-th term is
-    # (1/2)_m z^-(2m+2) k [1 + u (k+1)(k+2)/24 [1 + u (k+3)(k+4)/80]]
-    z2 = z * z
-    u = q * q / z2
-    c = 1.0 + 0j  # (1/2)_m / z^(2m)
-    acc = 0j
-    for m in range(16):
-        k = 2 * m + 1
-        term = c * k * (1.0 + u * ((k + 1) * (k + 2) / 24.0)
-                        * (1.0 + u * ((k + 3) * (k + 4) / 80.0)))
+    # the tail series t(s) = -sum_{m >= 0} (1/2)_m s^-(2m+1) differenced
+    # exactly in q: with a, b = z -+ q/2 and d_k = (a^-k - b^-k)/q, d_1 =
+    # 1/(ab), d_2 = 2z/(ab)^2, d_(k+2) = d_k/a^2 + b^-k d_2 (nothing cancels)
+    # and D = -sum_m (1/2)_m d_(2m+1).  For q <= 0.9|z|, |a|, |b| >= 6.6, so
+    # 30 terms and the series' omitted exp(-s^2) part stay below 3e-18 of D
+    # (at q = |z| = 12, |a| = 6, that part is 3.7e-15)
+    a, b = z - 0.5 * q, z + 0.5 * q
+    inv_a2, inv_b2 = 1.0 / (a * a), 1.0 / (b * b)
+    term = acc = 1.0 / (a * b)
+    g = 2.0 * z * term * term / b  # (1/2)_(m-1) b^-(2m-1) d_2
+    for m in range(1, 31):
+        term = (m - 0.5) * (term * inv_a2 + g)  # (1/2)_m d_(2m+1)
+        g *= (m - 0.5) * inv_b2
         acc += term
         if abs(term) < 1e-17 * abs(acc):
             break
-        c *= (m + 0.5) / z2
-    val = -acc / z2
+    val = -acc
     if z.imag < 0.0:
         # the exact difference of the Landau terms 2i sqrt(pi) exp(-s^2) at
         # s = z -+ q/2: as 2 exp(-z^2 - q^2/4) sinh(qz) where it would
@@ -314,21 +312,22 @@ def _t_diff_tail(z: complex, q: float) -> complex:
 def t_diff_over_q(z: complex, q: float) -> complex:
     """[t(z - q/2) - t(z + q/2)] / q.
 
-    Below q = SERIES_SWITCH_Q * (1 + |z|) the direct difference suffers an
-    ~|z|/q-fold cancellation amplification, so the odd-order Taylor form
-    -(t' + q^2 t'''/24 + q^4 t^(5)/1920) is used instead; the two branches
-    agree within the accuracy target at the switch.  From |z| =
-    ASYMPTOTIC_SWITCH_Z the derivatives come from the tail series (see
-    :func:`_t_diff_tail`), since the recurrence of :func:`t_derivatives`
-    cancels there.
+    The direct difference cancels ~|z|/q-fold.  From |z| =
+    ASYMPTOTIC_SWITCH_Z, for q <= 0.9 |z|, the tail series of t is
+    differenced exactly in q instead (:func:`_t_diff_tail`); below |z| = 12
+    and q = SERIES_SWITCH_Q * (1 + |z|), the odd-order Taylor form
+    -(t' + q^2 t'''/24 + q^4 t^(5)/1920) of :func:`t_derivatives`.  Each
+    agrees with the direct difference within the accuracy target at its
+    switch.
     """
     z = _check_finite(z)
     q = float(q)
     if not (q > 0.0):
         raise ValueError(f"q must be strictly positive, got {q!r}")
-    if q < SERIES_SWITCH_Q * (1.0 + abs(z)):
-        if abs(z) >= ASYMPTOTIC_SWITCH_Z:
-            return _t_diff_tail(z, q)
+    az = abs(z)
+    if az >= ASYMPTOTIC_SWITCH_Z and q <= 0.9 * az:
+        return _t_diff_tail(z, q)
+    if q < SERIES_SWITCH_Q * (1.0 + az):
         d = t_derivatives(z, 5)
         q2 = q * q
         return -(d[1] + q2 * (d[3] / 24.0 + q2 * d[5] / 1920.0))

@@ -1,4 +1,13 @@
+import os
+
 import hypothesis
+
+import qplasma
+
+# subprocesses such as `python -m qplasma` import the same package as the tests
+_SRC = os.path.dirname(os.path.dirname(qplasma.__file__))
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 hypothesis.settings.register_profile(
     "qplasma", deadline=None, max_examples=60,

@@ -287,6 +287,14 @@ class TestCli:
         assert main(["--sweep", "x=1:2:4", "--out", str(tmp_path / "x.csv")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_sweep_plot_script_plots_both_parts(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["--model", "drude", "--xp", "1", "--y", "0.1", "--sweep",
+                     "x=1:2:3", "--out", str(out), "--plot-script"]) == 0
+        script = (tmp_path / "s.gp").read_text()
+        assert "set ylabel 're eps'" in script
+        assert "set ylabel 'im eps'" in script
+
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "cli.csv"
         proc = subprocess.run(

@@ -12,8 +12,9 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from qplasma import special_functions
 from qplasma.special_functions import (
     ASYMPTOTIC_SWITCH_Z,
     SERIES_SWITCH_Q,
@@ -132,12 +133,13 @@ class TestFaddeeva:
                 assert abs(faddeeva_w(z).imag - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("region", ["upper disk", "lower disk", "real axis",
-                                        "band"])
+                                        "band", "tail"])
     def test_random_points_against_live_mpmath(self, region):
         # below |z| = 12 and outside the Maclaurin strip (|Re z| < 0.1,
-        # |z| <= 1.8) w is the trapezoid's.  The strip is excluded from this
-        # bound: there the series' terms cancel up to ~100-fold towards
-        # |z| = 1.8 (the ring, continuity and Im-near-axis tests cover it)
+        # |z| <= 1.8) w is the trapezoid's, from |z| = 12 the tail series'.
+        # The strip is excluded from this bound: there the series' terms
+        # cancel up to ~100-fold towards |z| = 1.8 (the ring, continuity and
+        # Im-near-axis tests cover it)
         rng = random.Random(f"w {region}")
         points = []
         while len(points) < 300:
@@ -145,6 +147,18 @@ class TestFaddeeva:
                 z = complex(rng.uniform(-3.0, 3.0), 0.0)
             elif region == "band":
                 z = complex(rng.uniform(-12.0, 12.0), rng.uniform(-0.2, 0.2))
+            elif region == "tail":
+                r = math.exp(rng.uniform(math.log(12.0), math.log(1e4)))
+                z = cmath.rect(r, rng.uniform(0.0, math.pi))
+                # below the axis w = 2 exp(-z^2) - w(-z).  Where exp(-z^2)
+                # counts, its exponent (y - x)(y + x) and phase 2xy carry
+                # ~|z|^2 ulps of rounding, the condition number of w, so the
+                # lower draws are kept where exp(-z^2) < 2e-22 lies below
+                # 1e-17 |w|
+                if rng.random() < 0.5:
+                    z = z.conjugate()
+                    if (z.imag - z.real) * (z.imag + z.real) > -50.0:
+                        continue
             else:
                 z = complex(rng.uniform(-1.8, 1.8), rng.uniform(0.0, 1.8))
                 if abs(z) > 1.8:
@@ -170,6 +184,16 @@ class TestFaddeeva:
                 inside, outside = z * (1.0 - 4e-16), z * (1.0 + 4e-16)
                 assert abs(inside) <= 1.8 < abs(outside)
                 assert_cclose(faddeeva_w(inside), faddeeva_w(outside), rtol=1e-14)
+
+    def test_tail_switch_each_side_against_live_mpmath(self):
+        # trapezoid just inside |z| = 12, tail series just outside, each
+        # against mpmath: w itself moves by ~2|z|^2 dr/r between the two.
+        # Mirrored below the axis where exp(-z^2) < 2e-22, as in the random
+        # tail draws
+        for r in (12.0 * (1 - 1e-12), 12.0 * (1 + 1e-12)):
+            for deg in [*range(0, 181, 10), -10, -20, -30, -150, -160, -170]:
+                z = cmath.rect(r, math.radians(deg))
+                assert_cclose(faddeeva_w(z), _mp_w(z), rtol=2e-15)
 
     @given(complex_box)
     def test_finite_everywhere_in_physical_band(self, z):
@@ -267,6 +291,15 @@ class TestLambda0:
             assert_cclose(lambda0(z), complex(ref), rtol=1e-14)
 
 
+    def test_tail_where_z_squared_overflows(self):
+        # from |z| ~ 1.3e154 z^2 leaves double range, as inf - inf in its
+        # real part; the tail then underflows to 0 and w stays i/(sqrt(pi) z)
+        for z in (2e154 + 2e154j, 1e200 + 1e200j, 1e300 + 0j):
+            inv = 1 / z
+            assert_cclose(faddeeva_w(z), 1j / SQRT_PI * inv, rtol=1e-15)
+            assert_cclose(lambda0(z), -0.5 * inv * inv, atol=1e-308)
+
+
 class TestDawson:
     def test_at_zero(self):
         assert dawson(0.0) == 0.0
@@ -337,6 +370,29 @@ class TestTDerivatives:
         h = 1e-5
         fd = (plasma_t(3j + h) - plasma_t(3j - h)) / (2 * h)
         assert abs(t_derivatives(3j, 1)[1] - fd) <= 1e-8 * abs(fd)
+
+    def test_one_faddeeva_call_below_the_tail(self, monkeypatch):
+        # below |z| = 12, t' = -2(1 + z t) reuses t and is bit for bit
+        # lambda0's literal form, so the Taylor branch of t_diff_over_q
+        # evaluates w once, and to the same value as with -2 lambda0(z)
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return faddeeva_w(z)
+
+        monkeypatch.setattr(special_functions, "faddeeva_w", counting)
+        for z in (2j, 1 + 1j, 5 - 0.2j, -3 + 0.01j, 11.9 + 0.5j, 0.05 + 1.7j):
+            q = 0.5 * SERIES_SWITCH_Q * (1 + abs(z))
+            calls.clear()
+            got = t_diff_over_q(z, q)
+            assert len(calls) == 1
+            d = [plasma_t(z), -2.0 * lambda0(z)]
+            for m in range(1, 5):
+                d.append(-2.0 * (m * d[m - 1] + z * d[m]))
+            assert t_derivatives(z, 5) == d
+            q2 = q * q
+            assert got == -(d[1] + q2 * (d[3] / 24.0 + q2 * d[5] / 1920.0))
 
     def test_order_bounds(self):
         assert len(t_derivatives(1j, 0)) == 1
@@ -412,6 +468,45 @@ class TestTDiffOverQ:
             for q in (1e-7, 1e-3 * q_star, 0.999 * q_star):
                 rtol = 1e-15 * (1 + 2 * abs(z) ** 2)
                 assert_cclose(t_diff_over_q(z, q), self._mp_diff(z, q), rtol=rtol)
+
+    @staticmethod
+    @st.composite
+    def _tail_points(draw):
+        # |z| 12-2000 at any angle (kept off 12 itself, which cmath.rect may
+        # round to just below the switch), q log-uniform from 1e-8 up to |z|
+        r = draw(st.floats(12.0 * (1 + 1e-12), 2000.0))
+        z = cmath.rect(r, draw(st.floats(-math.pi, math.pi)))
+        q = 1e-8 * (r / 1e-8) ** draw(st.floats(0.0, 1.0))
+        return z, min(q, r)
+
+    @given(_tail_points())
+    @example(((1 + 0.1j) / 0.0635, 0.0635))
+    @example((12.0 * (1 + 1e-12) * cmath.exp(0.5j), 0.05))
+    @example((12.0 * (1 + 1e-12) * cmath.exp(1.5j), 0.5))
+    @example((12.0 * (1 + 1e-12) * cmath.exp(-0.1j), 2.0))
+    @example((12.0 * (1 + 1e-12) * cmath.exp(3.0j), 11.0))
+    @example((complex(12.0 * (1 + 1e-12), 0.0), 12.0 * (1 + 1e-12)))
+    @example((cmath.rect(24.0, -math.pi / 2), 21.6))
+    def test_tail_exact_in_q_against_live_mpmath(self, point):
+        # from |z| = 12, for q <= 0.9|z|, the tail series differenced exactly
+        # in q; the direct difference cancelled ~|z|/q-fold here (3.2e-14,
+        # 5.2e-14 and 5.2e-15 at the first three examples).  Beyond 0.9|z|
+        # the direct difference takes over: at z = q = 12 the series would
+        # leave out t's exp(-s^2) part at s = z - q/2 = 6, 3.7e-15 of D.
+        # Below the axis t's condition number 2|z|^2 sets the tolerance, on
+        # the scale of the Landau terms 2i sqrt(pi) exp(-s^2)/q, whose
+        # difference cancels where sin(q Im z) ~ 0 (at z = -24i, q = 21.6
+        # one ulp of q moves D by 2.3e-12)
+        z, q = point
+        ends = (z - 0.5 * q, z + 0.5 * q)
+        assume(all((s.imag - s.real) * (s.imag + s.real) < 700.0 for s in ends))
+        ref = self._mp_diff(z, q)
+        if z.imag >= 0.0:
+            assert_cclose(t_diff_over_q(z, q), ref, rtol=2e-15)
+        else:
+            landau = max(abs(cmath.exp(-s * s)) for s in ends) * 2 * SQRT_PI / q
+            err = abs(t_diff_over_q(z, q) - ref)
+            assert err <= 1e-15 * (1 + 2 * abs(z) ** 2) * max(abs(ref), landau)
 
     def test_tail_landau_term_beyond_sinh_form(self):
         # Re qz = 5e4: exp(-z^2 - q^2/4) underflows, yet exp(-(z - q/2)^2)
