@@ -79,27 +79,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _write_scans(args, specs, csv_paths, part: str, script_path: str) -> int:
+    """Run each spec into its CSV, then the plot script if asked for."""
+    for spec, path in zip(specs, csv_paths):
+        write_output(run_scan(spec), path)
+        print(f"wrote {path}")
+    if args.plot_script:
+        print(f"wrote {write_plot_script(csv_paths, specs[0], part, script_path)}")
+    return 0
+
+
 def _run_figure(args) -> int:
     fig_id = args.figure
     specs = figure_preset(fig_id, n=args.n)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    part = figure_part(fig_id)
-    csvs = []
-    for i, spec in enumerate(specs):
-        table = run_scan(spec)
-        suffix = f"_curve{i + 1}" if len(specs) > 1 else ""
-        path = os.path.join(out_dir, f"fig{fig_id:02d}{suffix}.csv")
-        write_output(table, spec, path=path)
-        csvs.append(path)
-        print(f"wrote {path}")
-    if args.plot_script:
-        script = write_plot_script(
-            csvs, specs[0], part=part,
-            script_path=os.path.join(out_dir, f"fig{fig_id:02d}.gp"),
-        )
-        print(f"wrote {script}")
-    return 0
+    stem = os.path.join(out_dir, f"fig{fig_id:02d}")
+    if len(specs) > 1:
+        csv_paths = [f"{stem}_curve{i}.csv" for i in range(1, len(specs) + 1)]
+    else:
+        csv_paths = [f"{stem}.csv"]
+    return _write_scans(args, specs, csv_paths, figure_part(fig_id), f"{stem}.gp")
 
 
 def _run_sweep(args) -> int:
@@ -115,12 +115,9 @@ def _run_sweep(args) -> int:
         if val is not None:
             fixed[key] = val
     spec = ScanSpec(models=args.model, fixed=fixed, sweep_var=var,
-                    sweep_range=rng, n=n, scale=scale, output_path=args.out)
-    table = run_scan(spec)
-    written = write_output(table, spec, plot_script=args.plot_script)
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+                    sweep_range=rng, n=n, scale=scale)
+    script_path = os.path.splitext(args.out)[0] + ".gp"
+    return _write_scans(args, [spec], [args.out], "both", script_path)
 
 
 def _run_roots(args) -> int:

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .special_functions import (
-    SERIES_SWITCH_Q,
     dawson,
     faddeeva_w,  # noqa: F401  bench/spans.py wraps this name; --trace 1 needs it
     lambda0,
-    plasma_t,
+    plasma_t,  # noqa: F401  bench/spans.py wraps this name; --trace 1 needs it
     t_diff_over_q,
 )
 
@@ -185,10 +184,9 @@ def epsilon_static(x_p: float, y: float, q: float) -> complex:
     At x = 0 the argument is z = iy/q, and the reflection symmetry
     t(-conj z) = -conj t(z) makes both the kernel and lambda0 real:
     D(iv, q) = -2 Re t(q/2 + iv)/q and lambda0(iv) = 1 - sqrt(pi) v w(iv).
-    Only the real parts enter.  lambda0 goes through :func:`lambda0`, whose
-    large-|z| tail avoids the ~2 v^2-fold cancellation of the literal form.
-    Below q = SERIES_SWITCH_Q (1 + v), where Re t(q/2 + iv) ~ -(q/2)/v^2
-    underflows as q -> 0, the kernel is t_diff_over_q's Taylor form at iv.
+    Only the real parts enter.  Both go through :func:`t_diff_over_q` and
+    :func:`lambda0`, whose small-q and large-|z| forms avoid the underflow
+    and cancellation of the literal ones.
     """
     q = _require_positive_q(q)
     y = float(y)
@@ -198,10 +196,7 @@ def epsilon_static(x_p: float, y: float, q: float) -> complex:
         return 1.0 + 0j
     pre = _prefactor(x_p, complex(0.0, y), q)
     v = y / q
-    if q < SERIES_SWITCH_Q * (1.0 + v):
-        kernel = t_diff_over_q(complex(0.0, v), q).real
-    else:
-        kernel = -2.0 * plasma_t(complex(0.5 * q, v)).real / q
+    kernel = t_diff_over_q(complex(0.0, v), q).real
     lam = lambda0(complex(0.0, v)).real
     return complex(1.0 + pre * kernel / lam, 0.0)
 

@@ -43,8 +43,6 @@ class ScanSpec:
     sweep_range: tuple[float, float]
     n: int
     scale: str = "linear"
-    output_path: str | None = None
-    label: str = ""
 
     def __post_init__(self):
         models = tuple(ModelKind(m) for m in (
@@ -171,53 +169,40 @@ def run_roots(params: PlasmaParams, models: tuple[ModelKind, ...],
 
 
 # ---------------------------------------------------------------------------
-# Figure presets: fixed parameter families for the 14 standard plots.
-# Axis ranges are tool defaults (n=400, x-sweeps on [0.01, 3] except the
-# x_p=10 resonance case on [0.01, 15], q-sweeps on [0.02, 2.5], the y-sweep
-# log on [1e-5, 1e-1]).
+# Figure presets: fixed parameter families for the 14 standard plots.  The
+# axis ranges and n = 400 are tool defaults.
 # ---------------------------------------------------------------------------
 
 FIGURE_IDS = range(1, 15)
 _OVERLAY = (ModelKind.QUANTUM, ModelKind.CLASSICAL)
+#: odd figure id -> (models, fixed, sweep_var, sweep_range, scale, curves);
+#: the even id after it plots Im of the same scans.  curves = (var, values)
+#: makes one scan per value of var added to fixed, None one overlay scan
+_FIGURES = {
+    1: ((ModelKind.QUANTUM,), {"x_p": 1.0, "y": 0.1}, "q", (0.02, 2.5), "linear",
+        ("x", (1.0, 0.7, 1.3))),
+    3: ((ModelKind.QUANTUM,), {"x_p": 1.0, "y": 0.1}, "x", (0.01, 3.0), "linear",
+        ("q", (0.5, 0.6, 0.7))),
+    5: (_OVERLAY, {"x_p": 10.0, "y": 0.01, "q": 1.0}, "x", (0.01, 15.0), "linear", None),
+    7: (_OVERLAY, {"x_p": 1.0, "y": 0.01, "q": 1.0}, "x", (0.01, 3.0), "linear", None),
+    9: (_OVERLAY, {"x_p": 1.0, "y": 0.01, "q": 0.5}, "x", (0.01, 3.0), "linear", None),
+    11: (_OVERLAY, {"x_p": 1.0, "x": 1.0, "q": 0.5}, "y", (1e-5, 1e-1), "log", None),
+    13: (_OVERLAY, {"x_p": 1.0, "x": 1.0, "y": 0.1}, "q", (0.02, 2.5), "linear", None),
+}
 
 
 def figure_preset(fig_id: int, n: int = 400) -> list[ScanSpec]:
     """Scan specs reproducing one of the 14 preset figures (1-based id)."""
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"figure id must be in 1..14, got {fig_id!r}")
-    q_sweep = (0.02, 2.5)
-    x_sweep = (0.01, 3.0)
-    if fig_id in (1, 2):
-        return [
-            ScanSpec(models=(ModelKind.QUANTUM,), fixed={"x_p": 1.0, "y": 0.1, "x": xv},
-                     sweep_var="q", sweep_range=q_sweep, n=n, label=f"x={xv:g}")
-            for xv in (1.0, 0.7, 1.3)
-        ]
-    if fig_id in (3, 4):
-        return [
-            ScanSpec(models=(ModelKind.QUANTUM,), fixed={"x_p": 1.0, "y": 0.1, "q": qv},
-                     sweep_var="x", sweep_range=x_sweep, n=n, label=f"q={qv:g}")
-            for qv in (0.5, 0.6, 0.7)
-        ]
-    if fig_id in (5, 6):
-        return [ScanSpec(models=_OVERLAY, fixed={"x_p": 10.0, "y": 0.01, "q": 1.0},
-                         sweep_var="x", sweep_range=(0.01, 15.0), n=n,
-                         label="quantum vs classical")]
-    if fig_id in (7, 8):
-        return [ScanSpec(models=_OVERLAY, fixed={"x_p": 1.0, "y": 0.01, "q": 1.0},
-                         sweep_var="x", sweep_range=x_sweep, n=n,
-                         label="quantum vs classical")]
-    if fig_id in (9, 10):
-        return [ScanSpec(models=_OVERLAY, fixed={"x_p": 1.0, "y": 0.01, "q": 0.5},
-                         sweep_var="x", sweep_range=x_sweep, n=n,
-                         label="quantum vs classical")]
-    if fig_id in (11, 12):
-        return [ScanSpec(models=_OVERLAY, fixed={"x_p": 1.0, "x": 1.0, "q": 0.5},
-                         sweep_var="y", sweep_range=(1e-5, 1e-1), n=n, scale="log",
-                         label="quantum vs classical")]
-    return [ScanSpec(models=_OVERLAY, fixed={"x_p": 1.0, "x": 1.0, "y": 0.1},
-                     sweep_var="q", sweep_range=q_sweep, n=n,
-                     label="quantum vs classical")]
+    models, fixed, sweep_var, sweep_range, scale, curves = _FIGURES[fig_id - 1 + fig_id % 2]
+    if curves is None:
+        families = [fixed]
+    else:
+        var, values = curves
+        families = [{**fixed, var: v} for v in values]
+    return [ScanSpec(models=models, fixed=f, sweep_var=sweep_var, sweep_range=sweep_range,
+                     n=n, scale=scale) for f in families]
 
 
 def figure_part(fig_id: int) -> str:
@@ -235,25 +220,17 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def write_output(table: ScanTable, spec: ScanSpec, path: str | None = None,
-                 plot_script: bool = False) -> list[str]:
-    """Write the table as CSV (commented header, 17-significant-digit rows)
-    and optionally a gnuplot script next to it.  Returns the written paths."""
+def write_output(table: ScanTable, path: str) -> list[str]:
+    """Write the table as CSV at path: a commented header from table.spec
+    and 17-significant-digit rows.  Returns the written paths, [path]."""
     if not table.rows:
         raise ValueError("refusing to write an empty table")
-    out_path = path or spec.output_path
-    if not out_path:
-        raise ValueError("no output path given")
+    spec = table.spec
     lo, hi = spec.sweep_range
-    notes = [f"sweep: {spec.sweep_var} from {_fmt(lo)} to {_fmt(hi)}, "
-             f"n={spec.n}, scale={spec.scale}"]
-    if spec.label:
-        notes.append(f"label: {spec.label}")
-    write_csv(out_path, spec.models, spec.fixed, table.columns, table.rows, notes)
-    written = [out_path]
-    if plot_script:
-        written.append(write_plot_script([out_path], spec))
-    return written
+    note = (f"sweep: {spec.sweep_var} from {_fmt(lo)} to {_fmt(hi)}, "
+            f"n={spec.n}, scale={spec.scale}")
+    write_csv(path, spec.models, spec.fixed, table.columns, table.rows, [note])
+    return [path]
 
 
 def write_csv(path: str, models: tuple[ModelKind, ...], fixed: dict[str, float],
@@ -270,16 +247,16 @@ def write_csv(path: str, models: tuple[ModelKind, ...], fixed: dict[str, float],
         fh.write("\n".join(lines) + "\n")
 
 
-def write_plot_script(csv_paths: list[str], spec: ScanSpec, part: str = "both",
-                      script_path: str | None = None) -> str:
-    """Emit a gnuplot script plotting the requested part(s) from the CSVs,
-    referencing them by relative path; log x-scale iff the spec is log."""
+def write_plot_script(csv_paths: list[str], spec: ScanSpec, part: str,
+                      script_path: str) -> str:
+    """Write a gnuplot script at script_path plotting part ("re", "im" or
+    "both") from the CSVs, referencing them by relative path; log x-scale
+    iff the spec is log.  Returns script_path."""
     import os
 
     if part not in ("re", "im", "both"):
         raise ValueError(f"part must be re/im/both, got {part!r}")
-    base = script_path or os.path.splitext(csv_paths[0])[0] + ".gp"
-    out_dir = os.path.dirname(os.path.abspath(base))
+    out_dir = os.path.dirname(os.path.abspath(script_path))
     rel = [os.path.relpath(p, out_dir) for p in csv_paths]
     lines = [
         "set datafile separator ','",
@@ -299,9 +276,9 @@ def write_plot_script(csv_paths: list[str], spec: ScanSpec, part: str = "both",
         lines.append("plot " + ", \\\n     ".join(plot_items))
         if len(parts) > 1 and which == "re":
             lines.append("pause -1")
-    with open(base, "w", encoding="utf-8") as fh:
+    with open(script_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    return base
+    return script_path
 
 
 def read_csv(path: str) -> tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]:

@@ -128,14 +128,18 @@ def _w_upper(z: complex) -> complex:
 
 
 def _exp_minus_z2(z: complex) -> complex:
-    # exp(-z^2) with Re(-z^2) formed cancellation-free as (y-x)(y+x)
+    # exp(-z^2) with Re(-z^2) formed cancellation-free as (y-x)(y+x); 0
+    # where it underflows, whatever its phase -2xy
     m = (z.imag - z.real) * (z.imag + z.real)
-    if m > 708.0:
+    if m < -745.0:
+        return 0j
+    phase = -2.0 * z.real * z.imag
+    if not (m <= 708.0 and math.isfinite(phase)):
         raise OverflowError(
             f"exp(-z^2) exceeds double-precision range at z={z!r}; "
             "the function value itself is not representable there"
         )
-    return cmath.exp(complex(m, -2.0 * z.real * z.imag))
+    return cmath.exp(complex(m, phase))
 
 
 def faddeeva_w(z: complex) -> complex:
@@ -184,9 +188,8 @@ def lambda0(z: complex) -> complex:
     if abs(z) < ASYMPTOTIC_SWITCH_Z:
         return 1.0 + z * plasma_t(z)
     val = -_tail(z * z)
-    # the continuation term, skipped where exp(-z^2) underflows entirely
-    if z.imag < 0.0 and (z.imag - z.real) * (z.imag + z.real) > -745.0:
-        val += z * _TWO_I_SQRT_PI * _exp_minus_z2(z)
+    if z.imag < 0.0:
+        val += z * (_TWO_I_SQRT_PI * _exp_minus_z2(z))
     return val
 
 
@@ -284,28 +287,32 @@ def _t_diff_tail(z: complex, q: float) -> complex:
     # 30 terms and the series' omitted exp(-s^2) part stay below 3e-18 of D
     # (at q = |z| = 12, |a| = 6, that part is 3.7e-15)
     a, b = z - 0.5 * q, z + 0.5 * q
-    inv_a2, inv_b2 = 1.0 / (a * a), 1.0 / (b * b)
-    term = acc = 1.0 / (a * b)
-    g = 2.0 * z * term * term / b  # (1/2)_(m-1) b^-(2m-1) d_2
-    for m in range(1, 31):
-        term = (m - 0.5) * (term * inv_a2 + g)  # (1/2)_m d_(2m+1)
-        g *= (m - 0.5) * inv_b2
-        acc += term
-        if abs(term) < 1e-17 * abs(acc):
-            break
-    val = -acc
+    a2, b2 = a * a, b * b
+    val = 0j
+    # where a^2 or b^2 is inf, |ab| >= 0.38 max(|a|, |b|)^2 and the series,
+    # ~ -1/(ab), underflows to 0 as in _tail
+    if not (cmath.isinf(a2) or cmath.isinf(b2)):
+        inv_a2, inv_b2 = 1.0 / a2, 1.0 / b2
+        term = acc = 1.0 / (a * b)
+        g = 2.0 * z * term * term / b  # (1/2)_(m-1) b^-(2m-1) d_2
+        for m in range(1, 31):
+            term = (m - 0.5) * (term * inv_a2 + g)  # (1/2)_m d_(2m+1)
+            g *= (m - 0.5) * inv_b2
+            acc += term
+            if abs(term) < 1e-17 * abs(acc):
+                break
+        val = -acc
     if z.imag < 0.0:
         # the exact difference of the Landau terms 2i sqrt(pi) exp(-s^2) at
         # s = z -+ q/2: as 2 exp(-z^2 - q^2/4) sinh(qz) where it would
-        # cancel, term by term otherwise; each skipped where exp underflows
+        # cancel, term by term otherwise
         qz = q * z
         if abs(qz.real) < 1.0:
             terms = ((z, 2.0 * math.exp(-0.25 * q * q) * cmath.sinh(qz)),)
         else:
             terms = ((z - 0.5 * q, 1.0), (z + 0.5 * q, -1.0))
         for s, f in terms:
-            if (s.imag - s.real) * (s.imag + s.real) > -745.0:
-                val += f * _TWO_I_SQRT_PI * _exp_minus_z2(s) / q
+            val += f * _TWO_I_SQRT_PI * _exp_minus_z2(s) / q
     return val
 
 
@@ -318,7 +325,8 @@ def t_diff_over_q(z: complex, q: float) -> complex:
     and q = SERIES_SWITCH_Q * (1 + |z|), the odd-order Taylor form
     -(t' + q^2 t'''/24 + q^4 t^(5)/1920) of :func:`t_derivatives`.  Each
     agrees with the direct difference within the accuracy target at its
-    switch.
+    switch.  On the imaginary axis the direct difference is formed as the
+    real -2 Re t(q/2 + iv)/q, from one w evaluation.
     """
     z = _check_finite(z)
     q = float(q)
@@ -332,4 +340,7 @@ def t_diff_over_q(z: complex, q: float) -> complex:
         q2 = q * q
         return -(d[1] + q2 * (d[3] / 24.0 + q2 * d[5] / 1920.0))
     half = 0.5 * q
+    if z.real == 0.0:
+        # t(-conj s) = -conj t(s) makes D(iv) = -2 Re t(q/2 + iv)/q, real
+        return complex(-2.0 * plasma_t(complex(half, z.imag)).real / q, 0.0)
     return (plasma_t(z - half) - plasma_t(z + half)) / q

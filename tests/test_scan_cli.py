@@ -186,6 +186,26 @@ class TestFigurePresets:
                 spec.validate()
                 assert spec.n == 400
 
+    @pytest.mark.parametrize("fig_id", range(1, 15))
+    def test_every_preset_pinned(self, fig_id):
+        # figures 2k - 1 and 2k plot Re and Im of the same scans
+        q, c = ModelKind.QUANTUM, ModelKind.CLASSICAL
+        expected = {
+            1: [((q,), {"x_p": 1.0, "y": 0.1, "x": x}, "q", (0.02, 2.5), "linear")
+                for x in (1.0, 0.7, 1.3)],
+            3: [((q,), {"x_p": 1.0, "y": 0.1, "q": qv}, "x", (0.01, 3.0), "linear")
+                for qv in (0.5, 0.6, 0.7)],
+            5: [((q, c), {"x_p": 10.0, "y": 0.01, "q": 1.0}, "x", (0.01, 15.0), "linear")],
+            7: [((q, c), {"x_p": 1.0, "y": 0.01, "q": 1.0}, "x", (0.01, 3.0), "linear")],
+            9: [((q, c), {"x_p": 1.0, "y": 0.01, "q": 0.5}, "x", (0.01, 3.0), "linear")],
+            11: [((q, c), {"x_p": 1.0, "x": 1.0, "q": 0.5}, "y", (1e-5, 1e-1), "log")],
+            13: [((q, c), {"x_p": 1.0, "x": 1.0, "y": 0.1}, "q", (0.02, 2.5), "linear")],
+        }[fig_id - 1 + fig_id % 2]
+        got = [(s.models, s.fixed, s.sweep_var, s.sweep_range, s.scale, s.n)
+               for s in figure_preset(fig_id)]
+        assert got == [(*spec, 400) for spec in expected]
+        assert [s.n for s in figure_preset(fig_id, n=7)] == [7] * len(expected)
+
     def test_parts_alternate(self):
         assert figure_part(1) == "re"
         assert figure_part(2) == "im"
@@ -194,9 +214,9 @@ class TestFigurePresets:
 
 class TestWriteOutput:
     def test_round_trip_exact(self, tmp_path):
-        spec = drude_spec(output_path=str(tmp_path / "drude.csv"))
+        spec = drude_spec()
         table = run_scan(spec)
-        paths = write_output(table, spec)
+        paths = write_output(table, str(tmp_path / "drude.csv"))
         cols, rows = read_csv(paths[0])
         assert cols == table.columns
         assert rows == table.rows
@@ -204,9 +224,8 @@ class TestWriteOutput:
     def test_header_records_fixed_parameters(self, tmp_path):
         spec = ScanSpec(models=(ModelKind.QUANTUM,),
                         fixed={"x_p": 1.0, "y": 0.1, "x": 1.3},
-                        sweep_var="q", sweep_range=(0.1, 1.0), n=4,
-                        output_path=str(tmp_path / "scan.csv"))
-        write_output(run_scan(spec), spec)
+                        sweep_var="q", sweep_range=(0.1, 1.0), n=4)
+        write_output(run_scan(spec), str(tmp_path / "scan.csv"))
         text = (tmp_path / "scan.csv").read_text()
         for line in ("# x: 1.3", "# x_p: 1", "# y: 0.1", "# model: quantum"):
             assert line in text
@@ -215,33 +234,34 @@ class TestWriteOutput:
     def test_plot_script_relative_path_and_log_scale(self, tmp_path):
         spec = ScanSpec(models=(ModelKind.QUANTUM, ModelKind.CLASSICAL),
                         fixed={"x_p": 1.0, "x": 1.0, "q": 0.5},
-                        sweep_var="y", sweep_range=(1e-5, 1e-1), n=4, scale="log",
-                        output_path=str(tmp_path / "sub" / "ysweep.csv"))
+                        sweep_var="y", sweep_range=(1e-5, 1e-1), n=4, scale="log")
         os.makedirs(tmp_path / "sub")
-        paths = write_output(run_scan(spec), spec, plot_script=True)
+        paths = write_output(run_scan(spec), str(tmp_path / "sub" / "ysweep.csv"))
+        write_plot_script(paths, spec, "both", str(tmp_path / "sub" / "ysweep.gp"))
         script = (tmp_path / "sub" / "ysweep.gp").read_text()
         assert "set logscale x" in script
         assert "'ysweep.csv'" in script  # relative, not absolute
         assert str(tmp_path) not in script
 
-        lin = drude_spec(output_path=str(tmp_path / "lin.csv"))
-        write_output(run_scan(lin), lin, plot_script=True)
+        lin = drude_spec()
+        paths = write_output(run_scan(lin), str(tmp_path / "lin.csv"))
+        write_plot_script(paths, lin, "both", str(tmp_path / "lin.gp"))
         assert "logscale" not in (tmp_path / "lin.gp").read_text()
 
     def test_empty_table_rejected(self, tmp_path):
-        spec = drude_spec(output_path=str(tmp_path / "x.csv"))
+        spec = drude_spec()
         table = run_scan(spec)
         empty = type(table)(columns=table.columns, rows=(), spec=spec)
         with pytest.raises(ValueError):
-            write_output(empty, spec)
+            write_output(empty, str(tmp_path / "x.csv"))
 
     def test_determinism_byte_identical(self, tmp_path):
         spec = ScanSpec(models=(ModelKind.QUANTUM,),
                         fixed={"x_p": 1.0, "y": 0.1, "x": 1.0},
                         sweep_var="q", sweep_range=(0.05, 2.0), n=32)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_output(run_scan(spec), spec, path=str(a))
-        write_output(run_scan(spec), spec, path=str(b))
+        write_output(run_scan(spec), str(a))
+        write_output(run_scan(spec), str(b))
         assert a.read_bytes() == b.read_bytes()
 
 

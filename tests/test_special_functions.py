@@ -9,6 +9,7 @@ independent cross-checks.
 import cmath
 import math
 import random
+import re
 
 import mpmath as mp
 import pytest
@@ -210,6 +211,20 @@ class TestFaddeeva:
         # deep lower half-plane where |w| exceeds double range
         with pytest.raises(OverflowError):
             faddeeva_w(complex(1.0, -30.0))
+
+    def test_reflection_where_exp_underflows_at_any_phase(self):
+        # Re(-z^2) ~ -2e300: exp(-z^2) underflows although its phase -2xy
+        # is not finite, and w = -w(-z) ~ (-1 + i) 2.82e-156 is representable
+        z = 1e155 - 9.999999999e154j
+        assert faddeeva_w(z) == -faddeeva_w(-z)
+        assert_cclose(faddeeva_w(z), 1j / (SQRT_PI * z), rtol=1e-15)
+
+    @pytest.mark.parametrize("z", [3e154 * (1 - 1j), 1e200 * (1 - 1j)])
+    @pytest.mark.parametrize("fn", [faddeeva_w, lambda0, lambda z: t_diff_over_q(z, 1.0)])
+    def test_unrepresentable_phase_raises_overflow_naming_z(self, fn, z):
+        # on the lower diagonal |exp(-z^2)| ~ 1 but its phase -2xy overflows
+        with pytest.raises(OverflowError, match=re.escape(repr(z))):
+            fn(z)
 
 
 class TestPlasmaT:
@@ -513,6 +528,24 @@ class TestTDiffOverQ:
         # is O(1) and carries the whole value
         z, q = complex(1e4, -(1e4 - 2.5)), 5.0
         assert_cclose(t_diff_over_q(z, q), self._mp_diff(z, q), rtol=1e-14)
+
+    @pytest.mark.parametrize("z", [2e154 * (1 + 1j), 1e200 * (1 + 1j),
+                                   1e200 * (1 - 0.5j)])
+    def test_tail_where_a_b_overflows(self, z):
+        # a b = (z - q/2)(z + q/2) leaves double range: D ~ -1/z^2 underflows
+        # to 0 as lambda0 does, and the Landau terms underflow below the axis
+        got = t_diff_over_q(z, 1.0)
+        assert math.isfinite(got.real) and math.isfinite(got.imag)
+        assert abs(got) <= 1e-300
+
+    def test_imaginary_axis_real_against_live_mpmath(self):
+        # off the tail and above the Taylor switch, D(iv, q) = -2 Re t(q/2 +
+        # iv)/q by t(-conj s) = -conj t(s), real with no rounding residue
+        for v in (0.05, 0.5, 1.0, 3.0, 8.0, 11.9):
+            for q in (0.1, 0.5, 2.0, 5.0):
+                got = t_diff_over_q(complex(0.0, v), q)
+                assert got.imag == 0.0
+                assert_cclose(got, self._mp_diff(complex(0.0, v), q), rtol=2e-15)
 
     def test_nonpositive_q_rejected(self):
         with pytest.raises(ValueError):
