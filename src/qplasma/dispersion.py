@@ -1,8 +1,8 @@
 """Plasma-oscillation dispersion: eps_l(omega, k) = 0.
 
 Closed-form long-wave asymptotics for the oscillation frequency and damping
-decrement, a derivative-free Muller root solver, and wave-number
-continuation along a branch.
+decrement, a derivative-free secant/Muller root solver, and wave-number
+continuation along a branch from extrapolated seeds.
 """
 
 from __future__ import annotations
@@ -26,23 +26,28 @@ _SQRT_PI_OVER_8 = math.sqrt(math.pi / 8.0)
 #: solve_root converges when |eps| <= _RESIDUAL_TOL within _MAX_ITER steps
 _RESIDUAL_TOL = 1e-12
 _MAX_ITER = 60
+#: |eps| at or below this sits at its rounding floor (~100 ulps of the unit
+#: term of eps = 1 + chi); above it a converged root takes one polishing step
+_ROUNDING_FLOOR = 1e-14
 #: trace_branch halves a q step whose root moves by more than this fraction
 _CONTINUATION_STEP = 0.1
 #: trace_branch's solve budget per grid step, shared along the whole branch
 _SOLVES_PER_STEP = 25
-#: Muller's iteration starts from the seed and seed -/+ this * max(|seed|, 1)
+#: solve_root starts from seed + this * max(|seed|, 1) and the seed
 _SEED_SPREAD = 1e-3
 
 
 @dataclass(frozen=True)
 class DispersionRoot:
     """One converged root omega = Re + i Im of eps(omega, q) = 0, with the
-    residual |eps| at return and the iteration count spent."""
+    residual |eps| at omega, the secant and Muller steps taken to converge,
+    and the eps evaluations spent in all (start points and polish included)."""
 
     q: float
     omega: complex
     residual: float
     iterations: int
+    evaluations: int = 0
 
 
 class ConvergenceError(RuntimeError):
@@ -129,6 +134,14 @@ def default_guess(params: PlasmaParams, q: float, model: ModelKind) -> complex:
     return complex(re, im)
 
 
+def _secant_step(h0, h1):
+    """One secant iterate from two (omega, f) pairs; returns a new omega."""
+    (x0, f0), (x1, f1) = h0, h1
+    if f1 == f0:
+        return x1 * (1.0 + 1e-6) + 1e-12
+    return x1 - f1 * (x1 - x0) / (f1 - f0)
+
+
 def _muller_step(h0, h1, h2):
     """One Muller iterate from three (omega, f) pairs; returns a new omega."""
     (x0, f0), (x1, f1), (x2, f2) = h0, h1, h2
@@ -147,15 +160,25 @@ def _muller_step(h0, h1, h2):
     return x2 - (x2 - x1) * (2.0 * c / den)
 
 
+def _next_omega(points):
+    # a secant step from the two start points, Muller's from three on
+    if len(points) == 2:
+        return _secant_step(*points)
+    return _muller_step(*points[-3:])
+
+
 def solve_root(params: PlasmaParams, q: float, model: ModelKind,
                guess: Optional[complex] = None) -> DispersionRoot:
     """Solve eps(omega, q) = 0 for complex omega at fixed q.
 
-    Muller iteration, one eps evaluation per step and no derivative, started
-    from the seed and seed -/+ _SEED_SPREAD * max(|seed|, 1).  Converges when
-    |eps| <= _RESIDUAL_TOL within _MAX_ITER steps; raises ConvergenceError
-    otherwise or at the first non-finite eps, naming the last finite iterate,
-    and NonPhysicalRootError if the converged root has Re omega <= 0.
+    Derivative-free: eps at seed + _SEED_SPREAD * max(|seed|, 1) and at the
+    seed, one secant step, then Muller steps, one eps evaluation each.
+    Converges when |eps| <= _RESIDUAL_TOL within _MAX_ITER steps; a root
+    whose |eps| is still above _ROUNDING_FLOOR then takes one more step,
+    kept only if its eps is finite and no larger.  The returned
+    residual is |eps| at the returned omega.  Raises ConvergenceError
+    without convergence or at the first non-finite eps, naming the last
+    finite iterate, and NonPhysicalRootError if the root has Re omega <= 0.
     """
     q = float(q)
     if not q > 0.0:
@@ -184,12 +207,13 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
         points.append((omega, f))
         return abs(f)
 
-    for omega in (seed, seed - spread, seed + spread):
-        residual = visit(omega)
+    visit(seed + spread)
+    omega = seed
+    residual = visit(omega)
     iterations = 0
     while not residual <= _RESIDUAL_TOL and iterations < _MAX_ITER:
         iterations += 1
-        omega = _muller_step(*points[-3:])
+        omega = _next_omega(points)
         residual = visit(omega)
 
     if not residual <= _RESIDUAL_TOL:
@@ -197,22 +221,47 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
             f"no root of {model.value} model within {_MAX_ITER} iterations",
             omega, residual,
         )
+    evaluations = len(points)
+    if residual > _ROUNDING_FLOOR:
+        evaluations += 1
+        polished = _next_omega(points)
+        try:
+            f = visit(polished)
+        except ConvergenceError:
+            f = math.inf
+        if f <= residual:
+            omega, residual = polished, f
     if omega.real <= 0.0:
         raise NonPhysicalRootError(
             f"converged to nonphysical branch Re omega = {omega.real!r} <= 0"
         )
-    return DispersionRoot(q=q, omega=omega, residual=residual, iterations=iterations)
+    return DispersionRoot(q=q, omega=omega, residual=residual,
+                          iterations=iterations, evaluations=evaluations)
+
+
+def _extrapolate(roots: list[DispersionRoot]) -> complex:
+    # the next root on a uniform q grid, by the polynomial through the last
+    # one, two or three roots
+    w = [r.omega for r in roots[-3:]]
+    if len(w) == 3:
+        return 3.0 * (w[2] - w[1]) + w[0]
+    if len(w) == 2:
+        return 2.0 * w[1] - w[0]
+    return w[0]
 
 
 def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
                  n_points: int, model: ModelKind) -> list[DispersionRoot]:
     """Continue a dispersion branch from q_start to q_end on n_points.
 
-    Each grid point is solved with the previous root as the seed; if the
-    root moves by more than _CONTINUATION_STEP (fractionally) or the solve
-    fails, the q step is halved until the motion is tame.  The whole branch
-    may spend _SOLVES_PER_STEP solves per grid step; when they run out,
-    BranchLossError names the q of the last failed solve.
+    Each grid point is seeded by polynomial extrapolation through the roots
+    already accepted on the uniform grid: the previous root after one,
+    2 w_-1 - w_-2 after two and 3 w_-1 - 3 w_-2 + w_-3 after three.  If the
+    root moves by more than _CONTINUATION_STEP (fractionally) from the
+    previous root or the solve fails, the q step is halved until the motion
+    is tame; the solves inside a halved step are seeded with the previous
+    root.  The whole branch may spend _SOLVES_PER_STEP solves per grid step;
+    when they run out, BranchLossError names the q of the last failed solve.
     """
     if not (0.0 < q_start < q_end):
         raise ValueError(f"need 0 < q_start < q_end, got {q_start!r}, {q_end!r}")
@@ -235,8 +284,10 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
                 )
             budget -= 1
             q = pending[-1]
+            halving = len(pending) > 1 or prev is not roots[-1]
+            seed = prev.omega if halving else _extrapolate(roots)
             try:
-                root = solve_root(params, q, model, guess=prev.omega)
+                root = solve_root(params, q, model, guess=seed)
                 jump = abs(root.omega - prev.omega) / max(abs(prev.omega), 1e-300)
             except (ConvergenceError, NonPhysicalRootError):
                 jump = math.inf

@@ -261,19 +261,60 @@ def dawson(u: float) -> float:
 # Derivatives of t and the cancellation-safe symmetric difference
 # ----------------------------------------------------------------------------
 
+def _t_tail_derivatives(z: complex, n: int) -> list[complex]:
+    # [t'', ..., t^(n)] from |z| = 12: the tail series differentiated term
+    # by term, t^(k) = -(-1)^k sum_m (1/2)_m (2m+1)_k z^-(2m+1+k) with the
+    # rising factorial (2m+1)_k, and below the axis the Landau term
+    # 2i sqrt(pi) exp(-z^2) differentiated through the Hermite recurrence,
+    # (d/dz)^k exp(-z^2) = (-1)^k H_k(z) exp(-z^2)
+    inv_z = 1.0 / z
+    inv_z2 = inv_z * inv_z
+    out = []
+    for k in range(2, n + 1):
+        term = acc = math.factorial(k) * inv_z ** (k + 1)
+        for m in range(40):
+            term *= ((m + 0.5) * (2 * m + 1 + k) * (2 * m + 2 + k)
+                     / ((2 * m + 1) * (2 * m + 2))) * inv_z2
+            acc += term
+            if abs(term) <= 1e-17 * abs(acc):
+                break
+        out.append(acc if k % 2 else -acc)
+    if z.imag < 0.0 and n >= 2:
+        g = [_exp_minus_z2(z)]  # g_k = H_k(z) exp(-z^2)
+        g.append(2.0 * z * g[0])
+        for k in range(1, n):
+            g.append(2.0 * z * g[k] - 2.0 * k * g[k - 1])
+        for k in range(2, n + 1):
+            out[k - 2] += (-1) ** k * _TWO_I_SQRT_PI * g[k]
+        if not all(cmath.isfinite(v) for v in out):
+            raise OverflowError(
+                f"a derivative of t exceeds double-precision range at z={z!r}"
+            )
+    return out
+
+
 def t_derivatives(z: complex, n: int) -> list[complex]:
-    """[t, t', ..., t^(n)] via t' = -2 lambda0 and
-    t^(m+1) = -2 (m t^(m-1) + z t^(m)).  Requires 0 <= n <= 6."""
+    """[t, t', ..., t^(n)] with t' = -2 lambda0.  Requires 0 <= n <= 6.
+
+    Below |z| = ASYMPTOTIC_SWITCH_Z the higher orders follow the recurrence
+    t^(m+1) = -2 (m t^(m-1) + z t^(m)); from there on, where each of its
+    steps would cancel ~|z|^2-fold, they sum the tail series of t
+    differentiated term by term, plus the Landau term's derivatives for
+    Im z < 0.
+    """
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"derivative order must be an integer, got {n!r}")
     if not 0 <= n <= 6:
         raise ValueError(f"derivative order must be in 0..6, got {n}")
     z = _check_finite(z)
     out = [plasma_t(z)]
+    if abs(z) >= ASYMPTOTIC_SWITCH_Z:
+        if n >= 1:
+            out.append(-2.0 * lambda0(z))
+        return out + _t_tail_derivatives(z, n)
     if n >= 1:
-        # below |z| = 12 lambda0 is the literal 1 + z t: form it from out[0]
-        lam = 1.0 + z * out[0] if abs(z) < ASYMPTOTIC_SWITCH_Z else lambda0(z)
-        out.append(-2.0 * lam)
+        # lambda0 is the literal 1 + z t here: form it from out[0]
+        out.append(-2.0 * (1.0 + z * out[0]))
     for m in range(1, n):
         out.append(-2.0 * (m * out[m - 1] + z * out[m]))
     return out
@@ -308,11 +349,15 @@ def _t_diff_tail(z: complex, q: float) -> complex:
         # cancel, term by term otherwise
         qz = q * z
         if abs(qz.real) < 1.0:
-            terms = ((z, 2.0 * math.exp(-0.25 * q * q) * cmath.sinh(qz)),)
+            # exp(-z^2) first: where q Im z overflows, so does |z|^2, and its
+            # OverflowError names z before sinh(qz) meets an infinite argument
+            e = _exp_minus_z2(z)
+            terms = ((e, 2.0 * math.exp(-0.25 * q * q) * cmath.sinh(qz)),)
         else:
-            terms = ((z - 0.5 * q, 1.0), (z + 0.5 * q, -1.0))
-        for s, f in terms:
-            val += f * _TWO_I_SQRT_PI * _exp_minus_z2(s) / q
+            terms = ((_exp_minus_z2(z - 0.5 * q), 1.0),
+                     (_exp_minus_z2(z + 0.5 * q), -1.0))
+        for e, f in terms:
+            val += f * _TWO_I_SQRT_PI * e / q
     return val
 
 

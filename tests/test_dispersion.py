@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 import qplasma.dispersion as dispersion
@@ -38,6 +39,25 @@ def count_eps_calls(monkeypatch) -> list[int]:
 
         monkeypatch.setattr(dispersion, name, counted)
     return calls
+
+
+def _mp_eps(model: ModelKind, x_p: float, y: float, omega, q: float):
+    """The solvable models' eps(omega, q) in mpmath, from their closed forms."""
+    def t(s):
+        return 1j * mp.sqrt(mp.pi) * mp.exp(-s * s) * mp.erfc(-1j * s)
+
+    x_p, y, q = mp.mpf(x_p), mp.mpf(y), mp.mpf(q)
+    xy = omega + 1j * y
+    z = xy / q
+    pre = x_p * x_p / (q * q)
+    lam = 1 + z * t(z)
+    if model is ModelKind.CLASSICAL:
+        return 1 + 2 * pre * xy * lam / (omega + 1j * y * lam)
+    D = (t(z - q / 2) - t(z + q / 2)) / q
+    if model is ModelKind.QUANTUM:
+        return 1 + pre * xy * D / (omega + 1j * y * lam)
+    D0 = 2 * mp.sqrt(mp.pi) * mp.exp(-q * q / 4) * mp.erfi(q / 2) / q
+    return 1 + pre * xy * D / (omega + 1j * y * D / D0)
 
 
 class TestOmegaAsymptotic:
@@ -206,6 +226,22 @@ class TestSolveRoot:
         continued = trace_branch(params, 0.1 * kD, kappa * kD, 9, model)[-1]
         assert abs(cold.omega - continued.omega) <= 1e-10 * abs(continued.omega)
 
+    @pytest.mark.parametrize("model, q, guess", [
+        (ModelKind.QUANTUM, 0.1 * SQRT2, None),
+        (ModelKind.CLASSICAL, 0.3 * SQRT2, None),
+        (ModelKind.MERMIN, 0.3 * SQRT2, 1.2 - 0.01j),
+        (ModelKind.CLASSICAL, 0.3 * SQRT2, 1.2 - 0.01j),
+    ])
+    def test_evaluations_count_every_eps_call(self, model, q, guess, monkeypatch):
+        calls = count_eps_calls(monkeypatch)
+        params = PlasmaParams(x_p=1.0, y=0.01)
+        root = solve_root(params, q, model, guess=guess)
+        assert root.evaluations == calls[0]
+        # two start points, one evaluation per step, at most one polish
+        assert 2 + root.iterations <= root.evaluations <= 3 + root.iterations
+        # polished or not, the residual is |eps| at the returned root
+        assert root.residual == abs(dispersion._eps_at(model, params, root.omega, q))
+
     def test_unsupported_model_rejected(self):
         with pytest.raises(ValueError):
             solve_root(PlasmaParams(1.0, 0.1), 0.5, ModelKind.DRUDE)
@@ -313,6 +349,26 @@ class TestTraceBranch:
         params = PlasmaParams(x_p=1.0, y=1e-8)
         roots = trace_branch(params, 0.1 * SQRT2, 0.5 * SQRT2, 9, model)
         assert calls[0] <= 8 * len(roots)
+        # seeds extrapolated along the branch and two start points: 5.3-5.4
+        # evaluations per root here, against 6.7 with the previous root as
+        # the seed and three start points
+        assert calls[0] <= 6 * len(roots)
+        assert calls[0] == sum(r.evaluations for r in roots)
+
+    @pytest.mark.parametrize("model", [ModelKind.QUANTUM, ModelKind.CLASSICAL,
+                                       ModelKind.MERMIN])
+    def test_roots_against_mpmath_findroot(self, model):
+        # a root that stops at |eps| <= 1e-12 was up to 2.0e-14 off here; the
+        # polish above the rounding floor brings each within 2.9e-15
+        params = PlasmaParams(x_p=1.0, y=1e-8)
+        roots = trace_branch(params, 0.1 * SQRT2, 0.5 * SQRT2, 9, model)
+        for root in roots:
+            with mp.workdps(40):
+                ref = mp.findroot(
+                    lambda w: _mp_eps(model, params.x_p, params.y, w, root.q),
+                    mp.mpc(root.omega), tol=mp.mpf(10) ** -35)
+            ref = complex(ref)
+            assert abs(root.omega - ref) <= 5e-15 * abs(ref)
 
     def test_invalid_ranges_rejected(self):
         params = PlasmaParams(x_p=1.0, y=0.01)

@@ -409,6 +409,45 @@ class TestTDerivatives:
             q2 = q * q
             assert got == -(d[1] + q2 * (d[3] / 24.0 + q2 * d[5] / 1920.0))
 
+    @staticmethod
+    def _mp_derivatives(z: complex, n: int) -> list[complex]:
+        # the recurrence run in 100-digit mpmath: it cancels ~|z|^2-fold per
+        # step, ~1e24 over five steps at |z| = 1000
+        with mp.workdps(100):
+            zz = mp.mpc(z.real, z.imag)
+            t = 1j * mp.sqrt(mp.pi) * mp.exp(-zz * zz) * mp.erfc(-1j * zz)
+            d = [t, -2 * (1 + zz * t)]
+            for m in range(1, n):
+                d.append(-2 * (m * d[m - 1] + zz * d[m]))
+            return [complex(v) for v in d]
+
+    @pytest.mark.parametrize("z", [100 + 1j, 1000 + 1j, 1000 - 1j,
+                                   12.5 - 0.5j, 10 - 10j, 15 - 14j])
+    def test_tail_orders_against_live_mpmath(self, z):
+        # from |z| = 12 the higher orders sum the tail series differentiated
+        # term by term; the recurrence was 0.25 off in t^(5) at z = 100 + i.
+        # The last three points sit below the axis, where the Landau term's
+        # derivatives are a sizeable part of the value or all of it
+        ref = self._mp_derivatives(z, 5)
+        got = t_derivatives(z, 5)
+        for m in range(2, 6):
+            assert_cclose(got[m], ref[m], rtol=2e-15)
+
+    def test_tail_orders_underflow_where_z_squared_overflows(self):
+        # t^(k) ~ -(-1)^k k! z^-(k+1) underflows to 0; the recurrence gave
+        # t''' = -4 and t^(5) = nan here
+        z = 1e200 * (1 + 1j)
+        d = t_derivatives(z, 6)
+        assert_cclose(d[0], -1 / z, rtol=1e-15)
+        assert all(v == 0 for v in d[1:])
+
+    def test_tail_orders_raise_overflow_naming_z(self):
+        # exp(-z^2) ~ 1e300 is representable, t^(6) ~ 6e14 times it is not
+        z = 100 - 103.4j
+        assert len(t_derivatives(z, 1)) == 2
+        with pytest.raises(OverflowError, match=re.escape(repr(z))):
+            t_derivatives(z, 6)
+
     def test_order_bounds(self):
         assert len(t_derivatives(1j, 0)) == 1
         assert len(t_derivatives(1j, 6)) == 7
@@ -528,6 +567,13 @@ class TestTDiffOverQ:
         # is O(1) and carries the whole value
         z, q = complex(1e4, -(1e4 - 2.5)), 5.0
         assert_cclose(t_diff_over_q(z, q), self._mp_diff(z, q), rtol=1e-14)
+
+    def test_tail_landau_term_where_q_im_z_overflows(self):
+        # q Im z = -1e309 is not finite, and sinh(qz) would raise a bare
+        # ValueError; exp(-z^2) overflows first and names z
+        z = 0.01 - 1e308j
+        with pytest.raises(OverflowError, match=re.escape(repr(z))):
+            t_diff_over_q(z, 10.0)
 
     @pytest.mark.parametrize("z", [2e154 * (1 + 1j), 1e200 * (1 + 1j),
                                    1e200 * (1 - 0.5j)])
