@@ -95,8 +95,11 @@ def _require_positive_q(q: float) -> float:
 def _prefactor(x_p: float, xy: complex, q: float) -> float:
     # x_p^2/q^2.  Below q = 1e-154 q^2 is subnormal, and where x_p/q or
     # |z| = |x + iy|/q passes 1e154, x_p^2/q^2 or z^2 in lambda0's tail
-    # overflows: fail loudly there rather than return nan or lost digits
+    # overflows: fail loudly there rather than return nan or lost digits.
+    # An infinite x + iy fails the same test but is no question of range
     if max(1.0, x_p, abs(xy)) > 1e154 * q:
+        if math.isinf(abs(xy)):
+            raise ValueError(f"x + iy must be finite, got {xy!r}")
         raise OverflowError(
             f"q={q!r} is too small at x_p={x_p!r}, x + iy={xy!r}: q^2, "
             "x_p^2/q^2 or z^2 = ((x + iy)/q)^2 leaves double range"

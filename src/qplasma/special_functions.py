@@ -7,16 +7,24 @@ the analytic (Landau) continuation from the upper half-plane.  All evaluators
 here are scalar, pure, and target ~1e-13 relative accuracy in double
 precision; the slow quadrature cross-checks live in the test suite's
 ``tests/oracle.py``.
+
+Each public function checks its argument once (``_check_finite``) and then
+works on private kernels that assume a finite complex argument: ``_w`` is w
+at finite z, and lambda0 and t_diff_over_q call it directly rather than
+through faddeeva_w and plasma_t, whose checks and calls would repeat the
+one already made.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from math import gamma as _gamma
 
 SQRT_PI = math.sqrt(math.pi)
 _INV_PI = 1.0 / math.pi
+_I_SQRT_PI = 1j * SQRT_PI
 _TWO_I_SQRT_PI = 2j * SQRT_PI
 
 #: t_diff_over_q switches to its Taylor form below q = SERIES_SWITCH_Q * (1 + |z|)
@@ -28,7 +36,7 @@ ASYMPTOTIC_SWITCH_Z = 12.0
 
 def _check_finite(z: complex, name: str = "z") -> complex:
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise ValueError(f"{name} must be finite, got {z!r}")
     return z
 
@@ -44,6 +52,9 @@ def _check_finite(z: complex, name: str = "z") -> complex:
 #                                 (12 is ASYMPTOTIC_SWITCH_Z, where lambda0
 #                                 and t_diff_over_q sum the same series)
 #   Im z < 0                      reflection w(z) = 2 exp(-z^2) - w(-z)
+# _w(z) makes this split for finite z; faddeeva_w is _w behind the one
+# _check_finite of its public call, and lambda0 and t_diff_over_q, having
+# made their own check, call _w directly.
 # The trapezoid step h = 0.5 puts the quadrature floor at exp(-pi^2/h^2)
 # ~ 7e-18.  Two node grids, A at t = k*h and B at t = (k + 1/2)*h; each z
 # takes the grid whose nodes lie at least h/4 from Re z, so neither a node
@@ -118,7 +129,10 @@ def _w_trapezoid(z: complex) -> complex:
     return w + 2.0 * ez2 / (e + 1.0)
 
 
-def _w_upper(z: complex) -> complex:
+def _w(z: complex) -> complex:
+    # w at finite z, by the region split above
+    if z.imag < 0.0:
+        return 2.0 * _exp_minus_z2(z) - _w(-z)
     az = abs(z)
     if az <= _SERIES_RADIUS and abs(z.real) < _SERIES_STRIP:
         return _w_series(z, az)
@@ -155,10 +169,7 @@ def faddeeva_w(z: complex) -> complex:
     (deep lower half-plane) an OverflowError is raised instead of returning
     infinities.
     """
-    z = _check_finite(z)
-    if z.imag >= 0.0:
-        return _w_upper(z)
-    return 2.0 * _exp_minus_z2(z) - _w_upper(-z)
+    return _w(_check_finite(z))
 
 
 # ----------------------------------------------------------------------------
@@ -172,9 +183,10 @@ def plasma_t(z: complex) -> complex:
     real axis and below it is the continuation from above, i.e.
     ``i sqrt(pi) w(z)``.
     """
-    return 1j * SQRT_PI * faddeeva_w(z)
+    return _I_SQRT_PI * faddeeva_w(z)
 
 
+@functools.lru_cache(maxsize=1)
 def lambda0(z: complex) -> complex:
     """Van Kampen dispersion function, ``1 + z t(z)``.
 
@@ -183,10 +195,16 @@ def lambda0(z: complex) -> complex:
     cancels ~2|z|^2-fold there, while the series is accurate to ~1e-15 from
     |z| = 12 on.  For Im z < 0 the series stands for lambda0(-z) and the
     Landau continuation term ``2i sqrt(pi) z exp(-z^2)`` is added.
+
+    The last result is memoised (one entry): the quantum and classical
+    models, evaluated one after the other at the same (x, y, q), ask for
+    lambda0 at the same z, and the second call returns the first's value
+    instead of a second w evaluation.  Non-finite z raises every time; a
+    raised call stores nothing.
     """
     z = _check_finite(z)
     if abs(z) < ASYMPTOTIC_SWITCH_Z:
-        return 1.0 + z * plasma_t(z)
+        return 1.0 + z * (_I_SQRT_PI * _w(z))
     val = -_tail(z * z)
     if z.imag < 0.0:
         val += z * (_TWO_I_SQRT_PI * _exp_minus_z2(z))
@@ -387,5 +405,5 @@ def t_diff_over_q(z: complex, q: float) -> complex:
     half = 0.5 * q
     if z.real == 0.0:
         # t(-conj s) = -conj t(s) makes D(iv) = -2 Re t(q/2 + iv)/q, real
-        return complex(-2.0 * plasma_t(complex(half, z.imag)).real / q, 0.0)
-    return (plasma_t(z - half) - plasma_t(z + half)) / q
+        return complex(-2.0 * (_I_SQRT_PI * _w(complex(half, z.imag))).real / q, 0.0)
+    return (_I_SQRT_PI * _w(z - half) - _I_SQRT_PI * _w(z + half)) / q

@@ -18,6 +18,8 @@ from qplasma.dielectric import (
     epsilon_mermin,
     epsilon_quantum,
     epsilon_static,
+    eps_classical_omega,
+    eps_mermin_omega,
     eps_quantum_omega,
     evaluate,
     mermin_static_denominator,
@@ -124,6 +126,23 @@ class TestEpsilonQuantum:
     def test_finite_on_physical_box(self, x, y, q, x_p):
         val = epsilon_quantum(PlasmaParams(x_p, y), QueryPoint(x, q))
         assert math.isfinite(val.real) and math.isfinite(val.imag)
+
+
+class TestNonFiniteFrequency:
+    # a non-finite omega must raise ValueError, never come back as nan: a nan
+    # part at the special functions' one check per call, an infinite one at
+    # the prefactor's range test before it, not as a q that is too small
+
+    @pytest.mark.parametrize("core", [eps_quantum_omega, eps_classical_omega,
+                                      eps_mermin_omega])
+    @pytest.mark.parametrize("y", [0.0, 0.1])
+    @pytest.mark.parametrize("omega", [
+        math.nan, complex(1.0, math.nan), complex(math.nan, -0.5),
+        math.inf, -math.inf, complex(1.0, -math.inf), complex(math.inf, math.nan),
+    ])
+    def test_nonfinite_omega_raises(self, core, y, omega):
+        with pytest.raises(ValueError, match="must be finite"):
+            core(1.0, y, omega, 0.5)
 
 
 class TestEpsilonClassical:

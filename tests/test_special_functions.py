@@ -599,3 +599,130 @@ class TestTDiffOverQ:
         with pytest.raises(ValueError):
             t_diff_over_q(1j, -0.5)
 
+
+
+def _seeded_points(seed: int, n: int = 400) -> list[complex]:
+    # z over every region of w: the Maclaurin strip, trapezoid grids A (Re
+    # z/h mod 1 in [1/4, 3/4)) and B, both half-planes, and both sides of
+    # |z| = 12, within the lower band where exp(-z^2) stays representable
+    rng = random.Random(seed)
+    h = 0.5
+    pts = []
+    for _ in range(n):
+        sign = rng.choice((1.0, -1.0))
+        region = rng.randrange(4)
+        if region == 0:
+            z = complex(rng.uniform(-0.1, 0.1), sign * rng.uniform(0.0, 1.7))
+        elif region in (1, 2):
+            u = rng.uniform(0.25, 0.75) if region == 1 else rng.uniform(-0.25, 0.25)
+            z = complex(h * (rng.randrange(-22, 23) + u), sign * rng.uniform(0.0, 3.0))
+        else:
+            z = cmath.rect(rng.uniform(11.0, 13.0), rng.uniform(-0.25, math.pi + 0.25))
+        pts.append(z)
+    return pts
+
+
+class TestFlatKernels:
+    # lambda0 and t_diff_over_q call the private kernel _w after one check of
+    # their own argument; they must equal the public composition bit for bit
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_lambda0_is_literal_one_plus_z_t_below_the_tail(self, seed):
+        pts = [z for z in _seeded_points(seed) if abs(z) < ASYMPTOTIC_SWITCH_Z]
+        assert len(pts) > 300
+        for z in pts:
+            assert repr(lambda0(z)) == repr(1.0 + z * plasma_t(z)), z
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_direct_difference_is_the_difference_of_t(self, seed):
+        rng = random.Random(seed)
+        for z in _seeded_points(seed):
+            az = abs(z)
+            # the direct branch: above the Taylor switch, and above 0.9 |z|
+            # from |z| = 12 on
+            lo = 0.9 * az if az >= ASYMPTOTIC_SWITCH_Z else SERIES_SWITCH_Q * (1 + az)
+            q = rng.uniform(lo, lo + 3.0) * 1.0001
+            lit = (plasma_t(z - q / 2) - plasma_t(z + q / 2)) / q
+            assert repr(t_diff_over_q(z, q)) == repr(lit), (z, q)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_imaginary_axis_is_minus_two_re_t_over_q(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            v = rng.uniform(-3.0, ASYMPTOTIC_SWITCH_Z)
+            q = rng.uniform(SERIES_SWITCH_Q * (1 + abs(v)) * 1.0001, 4.0)
+            lit = complex(-2 * plasma_t(complex(q / 2, v)).real / q, 0)
+            assert repr(t_diff_over_q(complex(0.0, v), q)) == repr(lit), (v, q)
+
+    @pytest.mark.parametrize("fn", [
+        faddeeva_w, plasma_t, lambda0,
+        lambda z: t_diff_over_q(z, 0.5), lambda z: t_derivatives(z, 3),
+    ])
+    @pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, math.nan),
+                                   complex(-math.inf, 1.0), complex(0.0, -math.inf)])
+    def test_nonfinite_z_rejected(self, fn, z):
+        with pytest.raises(ValueError, match=re.escape(f"z must be finite, got {complex(z)!r}")):
+            fn(z)
+
+
+class TestLambda0Memo:
+    # lambda0 keeps its last result so that the classical model, evaluated
+    # after the quantum one at the same point, reuses its lambda0
+
+    def test_equals_unmemoised_including_signed_zeros(self):
+        raw = lambda0.__wrapped__
+        rng = random.Random(7)
+        xs = [0.0, 0.5, 11.99, 12.0, 30.0, 1e150]
+        xs += [rng.uniform(-20.0, 20.0) for _ in range(300)]
+        for x in xs + [-x for x in xs]:
+            # x + 0j and x - 0j are one memo key: each must give the other's
+            # value bit for bit, in either order
+            for a, b in ((0.0, -0.0), (-0.0, 0.0)):
+                lambda0.cache_clear()
+                for y in (a, b):
+                    z = complex(x, y)
+                    assert repr(lambda0(z)) == repr(raw(z)), z
+        for z in _seeded_points(3):
+            assert repr(lambda0(z)) == repr(raw(z)), z
+
+    def test_interleaved_calls_are_never_stale(self):
+        raw = lambda0.__wrapped__
+        zs = [1 + 1j, 2 - 0.5j, 1 + 1j, 1 + 1j, 20j, 2 - 0.5j, 0.05 + 0.3j, 1 + 1j]
+        for z in zs:
+            assert repr(lambda0(z)) == repr(raw(z)), z
+        assert lambda0.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("z", [math.nan, complex(math.nan, 1.0), math.inf,
+                                   complex(1.0, -math.inf)])
+    def test_nonfinite_raises_on_every_call_and_is_never_cached(self, z):
+        lambda0(1 + 1j)
+        before = lambda0.cache_info()
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                lambda0(z)  # the same object each time
+        after = lambda0.cache_info()
+        assert after.hits == before.hits
+        assert after.currsize == before.currsize
+        assert repr(lambda0(1 + 1j)) == repr(lambda0.__wrapped__(1 + 1j))
+
+    def test_overlay_row_evaluates_w_three_times(self, monkeypatch):
+        from qplasma.dielectric import eps_classical_omega, eps_quantum_omega
+
+        calls = []
+        inner = special_functions._w
+
+        def counting(z):
+            calls.append(z)
+            return inner(z)
+
+        monkeypatch.setattr(special_functions, "_w", counting)
+        x_p, y, x, q = 1.0, 0.1, 1.3, 0.4  # z = 3.25 + 0.25i, direct branch
+        for memo in (True, False):
+            lambda0.cache_clear()
+            calls.clear()
+            eps_quantum_omega(x_p, y, x, q)
+            if not memo:
+                lambda0.cache_clear()
+            eps_classical_omega(x_p, y, x, q)
+            # two t values for D and one lambda0, shared by both models
+            assert len(calls) == (3 if memo else 4)
