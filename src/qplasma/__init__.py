@@ -8,6 +8,7 @@ from .special_functions import (  # noqa: F401
     lambda0,
     plasma_t,
     t_derivatives,
+    t_diff_and_lambda0,
     t_diff_over_q,
 )
 from .dielectric import (  # noqa: F401

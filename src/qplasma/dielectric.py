@@ -28,6 +28,7 @@ from .special_functions import (
     faddeeva_w,  # noqa: F401  bench/spans.py wraps this name; --trace 1 needs it
     lambda0,
     plasma_t,  # noqa: F401  bench/spans.py wraps this name; --trace 1 needs it
+    t_diff_and_lambda0,
     t_diff_over_q,
 )
 
@@ -119,11 +120,11 @@ def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float) -> complex
     xy = omega + 1j * y
     pre = _prefactor(x_p, xy, q)
     z = xy / q
-    D = t_diff_over_q(z, q)
     if y == 0.0:
         # the BGK factor xy/(omega + iy lambda0) is exactly 1: collisionless
-        return 1.0 + pre * D
-    return 1.0 + pre * xy * D / (omega + 1j * y * lambda0(z))
+        return 1.0 + pre * t_diff_over_q(z, q)
+    D, lam = t_diff_and_lambda0(z, q)
+    return 1.0 + pre * xy * D / (omega + 1j * y * lam)
 
 
 def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
@@ -139,12 +140,24 @@ def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> compl
     return 1.0 + pre * xy * lam / (omega + 1j * y * lam)
 
 
+#: (q, D0(q)) of the last mermin_static_denominator call: D0 is constant
+#: along every root solve and every x or y sweep
+_d0_last = (None, None)
+
+
 def mermin_static_denominator(q: float) -> float:
     """D0(q) = [t(-q/2) - t(q/2)]/q = 4 F(q/2)/q (Dawson F), entering
-    Mermin's number-conserving correction; D0 -> 2 as q -> 0."""
+    Mermin's number-conserving correction; D0 -> 2 as q -> 0.  The last
+    result is memoised (one entry)."""
+    global _d0_last
+    last_q, last = _d0_last
+    if q == last_q:
+        return last
     q = _require_positive_q(q)
     F = dawson(0.5 * q)
-    return 4.0 * F / q
+    val = 4.0 * F / q
+    _d0_last = (q, val)
+    return val
 
 
 def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
@@ -224,22 +237,24 @@ def epsilon_mermin(params: PlasmaParams, point: QueryPoint) -> complex:
     return eps_mermin_omega(params.x_p, params.y, point.x, point.q)
 
 
+_EVALUATORS = {
+    ModelKind.QUANTUM: epsilon_quantum,
+    ModelKind.CLASSICAL: epsilon_classical,
+    ModelKind.MERMIN: epsilon_mermin,
+    ModelKind.LINDHARD: lambda params, point: epsilon_lindhard(params.x_p, point.x, point.q),
+    ModelKind.STATIC: lambda params, point: epsilon_static(params.x_p, params.y, point.q),
+    ModelKind.DRUDE: lambda params, point: epsilon_drude(params.x_p, point.x, params.y),
+}
+
+
 def evaluate(model: ModelKind, params: PlasmaParams, point: QueryPoint) -> complex:
-    """Dispatch a permittivity model on (params, point)."""
-    model = ModelKind(model)
-    if model is ModelKind.QUANTUM:
-        return epsilon_quantum(params, point)
-    if model is ModelKind.CLASSICAL:
-        return epsilon_classical(params, point)
-    if model is ModelKind.MERMIN:
-        return epsilon_mermin(params, point)
-    if model is ModelKind.LINDHARD:
-        return epsilon_lindhard(params.x_p, point.x, point.q)
-    if model is ModelKind.STATIC:
-        return epsilon_static(params.x_p, params.y, point.q)
-    if model is ModelKind.DRUDE:
-        return epsilon_drude(params.x_p, point.x, params.y)
-    raise ValueError(f"unknown model {model!r}")
+    """Dispatch a permittivity model on (params, point); model is a
+    ModelKind or its value."""
+    try:
+        fn = _EVALUATORS[model]  # a str ModelKind hashes and compares as its value
+    except (KeyError, TypeError):
+        raise ValueError(f"{model!r} is not a valid ModelKind") from None
+    return fn(params, point)
 
 
 def conductivity(params: PlasmaParams, point: QueryPoint, model: ModelKind) -> complex:

@@ -242,7 +242,9 @@ def write_csv(path: str, models: tuple[ModelKind, ...], fixed: dict[str, float],
     lines += [f"# {note}" for note in notes]
     lines.append(f"# tool: qplasma {__version__}")
     lines.append(",".join(columns))
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    # one %-format per row: "%.17g" % v gives the bytes of _fmt(v)
+    template = ",".join(["%.17g"] * len(columns))
+    lines += [template % tuple(row) for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

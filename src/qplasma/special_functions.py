@@ -5,20 +5,24 @@ plasma dispersion function is its rescaling ``t(z) = i sqrt(pi) w(z)``, which
 for Im z > 0 equals the Hilbert-type integral of the Gaussian and elsewhere is
 the analytic (Landau) continuation from the upper half-plane.  All evaluators
 here are scalar, pure, and target ~1e-13 relative accuracy in double
-precision; the slow quadrature cross-checks live in the test suite's
-``tests/oracle.py``.
+precision; against mpmath, w is within 2e-15 outside the Maclaurin strip,
+and below |z| = 12 off the strip lambda0 is within ~7e-15 and the kernel
+D = [t(z - q/2) - t(z + q/2)]/q within ~6e-15 (1e-14 next to the node
+rule's bound, see _node_loop).  The slow quadrature cross-checks live in
+the test suite's ``tests/oracle.py``.
 
 Each public function checks its argument once (``_check_finite``) and then
 works on private kernels that assume a finite complex argument: ``_w`` is w
-at finite z, and lambda0 and t_diff_over_q call it directly rather than
-through faddeeva_w and plasma_t, whose checks and calls would repeat the
-one already made.
+at finite z, and ``_node_loop`` sums w's trapezoid rule as partial
+fractions, giving D and lambda0 at one z from one loop over its nodes.
+lambda0, t_diff_over_q and t_diff_and_lambda0 call these directly rather
+than through faddeeva_w and plasma_t, whose checks and calls would repeat
+the one already made.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from math import gamma as _gamma
 
@@ -53,8 +57,11 @@ def _check_finite(z: complex, name: str = "z") -> complex:
 #                                 and t_diff_over_q sum the same series)
 #   Im z < 0                      reflection w(z) = 2 exp(-z^2) - w(-z)
 # _w(z) makes this split for finite z; faddeeva_w is _w behind the one
-# _check_finite of its public call, and lambda0 and t_diff_over_q, having
-# made their own check, call _w directly.
+# _check_finite of its public call.  lambda0 and t_diff_over_q follow the
+# same split, but sum the trapezoid region's rule as partial fractions
+# (_node_loop below), free of the cancellation of 1 + z t and of a
+# difference of two t values; they call _w only in the strip and where D
+# keeps the direct difference.
 # The trapezoid step h = 0.5 puts the quadrature floor at exp(-pi^2/h^2)
 # ~ 7e-18.  Two node grids, A at t = k*h and B at t = (k + 1/2)*h; each z
 # takes the grid whose nodes lie at least h/4 from Re z, so neither a node
@@ -81,6 +88,17 @@ _SERIES_BANDS = [(r, _MACLAURIN[n::-1]) for r, n in
 # (t^2, 2 exp(-t^2)) for t > 0; grid A's t = 0 node is summed alone as 1/z
 _GRID_A = [(t * t, 2.0 * math.exp(-t * t)) for t in (k * _H for k in range(1, 15))]
 _GRID_B = [(t * t, 2.0 * math.exp(-t * t)) for t in ((k + 0.5) * _H for k in range(15))]
+# the same nodes as (t^2, 2 exp(-t^2), 2 t^2 exp(-t^2)) for _node_loop, as
+# complex numbers: complex-complex arithmetic is the faster, and gives the
+# bits of the mixed float-complex form
+_NODES_A = [(complex(t2), complex(wt), complex(wt * t2)) for t2, wt in _GRID_A]
+_NODES_B = [(complex(t2), complex(wt), complex(wt * t2)) for t2, wt in _GRID_B]
+_MINUS_H_OVER_SQRT_PI = complex(-_H / SQRT_PI)
+_MINUS_2PI_I_OVER_H = -2j * math.pi / _H
+_TWO_PI_I = 2j * math.pi
+# (sigma, 2 sigma i sqrt(pi)) of c(s) on grids A and B
+_POLES_A = (-1 + 0j, -_TWO_I_SQRT_PI)
+_POLES_B = (1 + 0j, _TWO_I_SQRT_PI)
 
 
 def _w_series(z: complex, az: float) -> complex:
@@ -173,6 +191,108 @@ def faddeeva_w(z: complex) -> complex:
 
 
 # ----------------------------------------------------------------------------
+# The trapezoid rule as partial fractions: the kernel D and lambda0 from one
+# node loop.  _w_trapezoid's rule is, in terms of t,
+#   t(s) = -(h/sqrt(pi)) sum_k exp(-t_k^2)/(s - t_k) + c(s),
+#   c(s) = 2 sigma i sqrt(pi) f(s)/g(s), f = exp(-s^2), g = e + sigma,
+# with e(s) = exp(-2 pi i s/h), sigma = -1 on grid A and +1 on grid B, and
+# c = 0 for Im s >= pi/h.  Pairing the nodes +-t_k (weights 2 exp(-t_k^2))
+# gives, with a, b = z -+ q/2,
+#   lambda0 = -(h/sqrt(pi)) sum_k 2 exp(-t_k^2) t_k^2/(z^2 - t_k^2) + z c(z),
+#   D = -(h/sqrt(pi)) [1/(ab) on grid A + sum_k 2 exp(-t_k^2)(ab + t_k^2)
+#       / ((a^2 - t_k^2)(b^2 - t_k^2))] + [c(a) - c(b)]/q.
+# The leading 1 of lambda0 = 1 + z t cancels exactly against (h/sqrt(pi))
+# sum_k exp(-t_k^2) = 1 + delta, delta = +-2 exp(-pi^2/h^2) ~ 1.4e-17 by
+# Poisson summation.  delta is left out: with it, the worst lambda0 of 300
+# points with 6 < Re z < 11.9, 0 < Im z < 1 went 1.5e-15 -> 3.4e-15 and the
+# median rose in every band of Im z, since the rule's own aliasing error
+# cancels delta to leading order.  D is exact in q: no two t values are
+# differenced, and for |Re qz| < 1 neither are the corrections, by
+#   f(a) g(b) - f(b) g(a) = 2 exp(-z^2 - q^2/4)
+#                           [e(z) sinh(qz - i pi q/h) + sigma sinh(qz)];
+# for |Re qz| >= 1, |f(a)/f(b)| = exp(2 Re qz) keeps the plain difference
+# from cancelling.  a and b use z's grid, so D needs them at least h/8
+# (complex distance) from its nodes, where the correction's poles sit; z's
+# grid keeps Re z h/4 from them, so only q > h/4 can fail that.  Below the
+# axis both are reflected, lambda0(z) = lambda0(-z) + 2i sqrt(pi) z exp(-z^2)
+# and D(z, q) = D(-z, q) plus the Landau block of _add_landau_diff.
+# ----------------------------------------------------------------------------
+
+def _node_loop(z: complex, q: float, with_lambda0: bool):
+    """(D(z, q), lambda0(z)) from one loop over the nodes of z's grid, for
+    finite z with |z| < 12 off the Maclaurin strip; for D also off the
+    imaginary axis, with SERIES_SWITCH_Q (1 + |z|) <= q < 12 (_t_diff
+    makes that split).  q = 0 asks for lambda0 alone, and without
+    with_lambda0 only D is summed; what is not asked for is None.  Returns
+    None instead where D is asked for but a or b lies nearer than h/8 to a
+    node."""
+    lower = z.imag < 0.0
+    u = -z if lower else z
+    y = u.imag
+    xs = u.real / _H
+    frac = xs % 1.0
+    on_a = 0.25 <= frac < 0.75
+    qs = 0.5 * q / _H
+    if qs > 0.125 and y < 0.125 * _H:
+        # Re a and Re b in steps, offset to the nearest node, against the
+        # node rule's bound
+        lim = 1.0 / 64.0 - (y / _H) ** 2
+        off = 0.5 if on_a else 0.0
+        fa = (xs + off - qs) % 1.0 - 0.5
+        fb = (xs + off + qs) % 1.0 - 0.5
+        if fa * fa < lim or fb * fb < lim:
+            return None
+    nodes = _NODES_A if on_a else _NODES_B
+    u2 = u * u
+    D = lam = None
+    if q:
+        half = 0.5 * q
+        a, b = u - half, u + half
+        ab, a2, b2 = a * b, a * a, b * b
+        acc = 1.0 / ab if on_a else 0j
+        if with_lambda0:
+            acc_l = 0j
+            for t2, wt, wt2 in nodes:
+                acc += wt * (ab + t2) / ((a2 - t2) * (b2 - t2))
+                acc_l += wt2 / (u2 - t2)
+            lam = _MINUS_H_OVER_SQRT_PI * acc_l
+        else:
+            for t2, wt, _ in nodes:
+                acc += wt * (ab + t2) / ((a2 - t2) * (b2 - t2))
+        D = _MINUS_H_OVER_SQRT_PI * acc
+    else:
+        acc_l = 0j
+        for t2, _, wt2 in nodes:
+            acc_l += wt2 / (u2 - t2)
+        lam = _MINUS_H_OVER_SQRT_PI * acc_l
+    if y < _PI_OVER_H:
+        # e(s) with its phase reduced to one period exactly: u less the
+        # multiple of h below it is exact
+        sigma, k = _POLES_A if on_a else _POLES_B
+        e = cmath.exp(_MINUS_2PI_I_OVER_H * (u - _H * (xs - frac)))
+        g = cmath.exp(-u2)
+        if lam is not None:
+            lam += k * u * g / (e + sigma)
+        if D is not None:
+            ith = _TWO_PI_I * (qs % 1.0)
+            rot = cmath.exp(ith)  # e(a)/e(z) = exp(i pi q/h)
+            ga, gb = e * rot + sigma, e / rot + sigma
+            qu = q * u
+            if abs(qu.real) < 1.0:
+                diff = (2.0 * math.exp(-0.25 * q * q) * g
+                        * (e * cmath.sinh(qu - ith) + sigma * cmath.sinh(qu)) / (ga * gb))
+            else:
+                diff = cmath.exp(-a2) / ga - cmath.exp(-b2) / gb
+            D += k * diff / q
+    if lower:
+        if lam is not None:
+            lam += z * (_TWO_I_SQRT_PI * _exp_minus_z2(z))
+        if D is not None:
+            D = _add_landau_diff(D, z, q)
+    return D, lam
+
+
+# ----------------------------------------------------------------------------
 # Plasma dispersion function t(z) and the Van Kampen function lambda0(z)
 # ----------------------------------------------------------------------------
 
@@ -186,29 +306,52 @@ def plasma_t(z: complex) -> complex:
     return _I_SQRT_PI * faddeeva_w(z)
 
 
-@functools.lru_cache(maxsize=1)
+#: (z, lambda0(z)) of the last lambda0 evaluated, by lambda0 or by
+#: t_diff_and_lambda0: the one-entry memo
+_lambda0_last = (None, None)
+
+
 def lambda0(z: complex) -> complex:
     """Van Kampen dispersion function, ``1 + z t(z)``.
 
     From |z| = ASYMPTOTIC_SWITCH_Z the tail series of faddeeva_w gives
     ``-1/(2 z^2) - 3/(4 z^4) - ...`` directly: the literal ``1 + z t``
     cancels ~2|z|^2-fold there, while the series is accurate to ~1e-15 from
-    |z| = 12 on.  For Im z < 0 the series stands for lambda0(-z) and the
-    Landau continuation term ``2i sqrt(pi) z exp(-z^2)`` is added.
+    |z| = 12 on.  Below |z| = 12, outside the Maclaurin strip, the
+    trapezoid rule of faddeeva_w is summed as partial fractions in which
+    the leading 1 cancels exactly (:func:`_node_loop`); inside the strip,
+    where |z| <= 1.8, the literal ``1 + z t`` is kept.  For Im z < 0 both
+    forms stand for lambda0(-z) and the Landau continuation term
+    ``2i sqrt(pi) z exp(-z^2)`` is added.
 
-    The last result is memoised (one entry): the quantum and classical
-    models, evaluated one after the other at the same (x, y, q), ask for
-    lambda0 at the same z, and the second call returns the first's value
-    instead of a second w evaluation.  Non-finite z raises every time; a
-    raised call stores nothing.
+    The last result is memoised (one entry, shared with
+    :func:`t_diff_and_lambda0`): the quantum and classical models,
+    evaluated one after the other at the same (x, y, q), ask for lambda0 at
+    the same z, and the second call returns the first's value instead of a
+    second node loop.  z + 0j and z - 0j share the entry, and give the same
+    value.  Non-finite z raises every time; a raised call stores nothing.
     """
+    global _lambda0_last
+    last_z, last = _lambda0_last
+    if z == last_z:
+        return last
     z = _check_finite(z)
-    if abs(z) < ASYMPTOTIC_SWITCH_Z:
-        return 1.0 + z * (_I_SQRT_PI * _w(z))
-    val = -_tail(z * z)
-    if z.imag < 0.0:
-        val += z * (_TWO_I_SQRT_PI * _exp_minus_z2(z))
+    val = _lambda0(z)
+    _lambda0_last = (z, val)
     return val
+
+
+def _lambda0(z: complex) -> complex:
+    # lambda0 at finite z, unmemoised
+    az = abs(z)
+    if az >= ASYMPTOTIC_SWITCH_Z:
+        val = -_tail(z * z)
+        if z.imag < 0.0:
+            val += z * (_TWO_I_SQRT_PI * _exp_minus_z2(z))
+        return val
+    if az <= _SERIES_RADIUS and abs(z.real) < _SERIES_STRIP:
+        return 1.0 + z * (_I_SQRT_PI * _w(z))
+    return _node_loop(z, 0.0, True)[1]
 
 
 # ----------------------------------------------------------------------------
@@ -326,13 +469,16 @@ def t_derivatives(z: complex, n: int) -> list[complex]:
         raise ValueError(f"derivative order must be in 0..6, got {n}")
     z = _check_finite(z)
     out = [plasma_t(z)]
-    if abs(z) >= ASYMPTOTIC_SWITCH_Z:
-        if n >= 1:
-            out.append(-2.0 * lambda0(z))
-        return out + _t_tail_derivatives(z, n)
+    az = abs(z)
     if n >= 1:
-        # lambda0 is the literal 1 + z t here: form it from out[0]
-        out.append(-2.0 * (1.0 + z * out[0]))
+        # -2 lambda0 bit for bit: in the strip lambda0 is the literal
+        # 1 + z t, formed from out[0] without a second w evaluation
+        if az <= _SERIES_RADIUS and abs(z.real) < _SERIES_STRIP:
+            out.append(-2.0 * (1.0 + z * out[0]))
+        else:
+            out.append(-2.0 * _lambda0(z))
+    if az >= ASYMPTOTIC_SWITCH_Z:
+        return out + _t_tail_derivatives(z, n)
     for m in range(1, n):
         out.append(-2.0 * (m * out[m - 1] + z * out[m]))
     return out
@@ -362,21 +508,33 @@ def _t_diff_tail(z: complex, q: float) -> complex:
                 break
         val = -acc
     if z.imag < 0.0:
-        # the exact difference of the Landau terms 2i sqrt(pi) exp(-s^2) at
-        # s = z -+ q/2: as 2 exp(-z^2 - q^2/4) sinh(qz) where it would
-        # cancel, term by term otherwise
-        qz = q * z
-        if abs(qz.real) < 1.0:
-            # exp(-z^2) first: where q Im z overflows, so does |z|^2, and its
-            # OverflowError names z before sinh(qz) meets an infinite argument
-            e = _exp_minus_z2(z)
-            terms = ((e, 2.0 * math.exp(-0.25 * q * q) * cmath.sinh(qz)),)
-        else:
-            terms = ((_exp_minus_z2(z - 0.5 * q), 1.0),
-                     (_exp_minus_z2(z + 0.5 * q), -1.0))
-        for e, f in terms:
-            val += f * _TWO_I_SQRT_PI * e / q
+        val = _add_landau_diff(val, z, q)
     return val
+
+
+def _add_landau_diff(val: complex, z: complex, q: float) -> complex:
+    # val plus the exact difference of the Landau terms 2i sqrt(pi) exp(-s^2)
+    # at s = z -+ q/2, over q: as 2 exp(-z^2 - q^2/4) sinh(qz) where it
+    # would cancel, term by term otherwise
+    qz = q * z
+    if abs(qz.real) < 1.0:
+        # exp(-z^2) first: where q Im z overflows, so does |z|^2, and its
+        # OverflowError names z before sinh(qz) meets an infinite argument
+        e = _exp_minus_z2(z)
+        terms = ((e, 2.0 * math.exp(-0.25 * q * q) * cmath.sinh(qz)),)
+    else:
+        terms = ((_exp_minus_z2(z - 0.5 * q), 1.0),
+                 (_exp_minus_z2(z + 0.5 * q), -1.0))
+    for e, f in terms:
+        val += f * _TWO_I_SQRT_PI * e / q
+    return val
+
+
+def _check_q(q: float) -> float:
+    q = float(q)
+    if not (q > 0.0):
+        raise ValueError(f"q must be strictly positive, got {q!r}")
+    return q
 
 
 def t_diff_over_q(z: complex, q: float) -> complex:
@@ -386,24 +544,59 @@ def t_diff_over_q(z: complex, q: float) -> complex:
     ASYMPTOTIC_SWITCH_Z, for q <= 0.9 |z|, the tail series of t is
     differenced exactly in q instead (:func:`_t_diff_tail`); below |z| = 12
     and q = SERIES_SWITCH_Q * (1 + |z|), the odd-order Taylor form
-    -(t' + q^2 t'''/24 + q^4 t^(5)/1920) of :func:`t_derivatives`.  Each
-    agrees with the direct difference within the accuracy target at its
-    switch.  On the imaginary axis the direct difference is formed as the
-    real -2 Re t(q/2 + iv)/q, from one w evaluation.
+    -(t' + q^2 t'''/24 + q^4 t^(5)/1920) of :func:`t_derivatives`.  Above
+    that switch, for q < 12, below |z| = 12 and off the imaginary axis and
+    the Maclaurin strip, the trapezoid rule is summed as partial fractions
+    exact in q (:func:`_node_loop`) where z -+ q/2 keep h/8 from the nodes
+    of z's grid.  On the imaginary axis the direct difference is formed as
+    the real -2 Re t(q/2 + iv)/q, from one w evaluation.  The direct
+    difference is left in the strip, where the node rule fails (there
+    q > h/4 = 0.125 off the strip, so it cancels at most ~8|z|-fold) and
+    for q >= 12 > |z|, where it cancels nothing.
     """
-    z = _check_finite(z)
-    q = float(q)
-    if not (q > 0.0):
-        raise ValueError(f"q must be strictly positive, got {q!r}")
+    return _t_diff(_check_finite(z), _check_q(q), False)[0]
+
+
+def _t_diff(z: complex, q: float, with_lambda0: bool):
+    # (D, lambda0) at finite z and q > 0 by t_diff_over_q's region split;
+    # lambda0 comes from the node loop when with_lambda0 is set, and is
+    # None everywhere else
     az = abs(z)
-    if az >= ASYMPTOTIC_SWITCH_Z and q <= 0.9 * az:
-        return _t_diff_tail(z, q)
-    if q < SERIES_SWITCH_Q * (1.0 + az):
+    if az >= ASYMPTOTIC_SWITCH_Z:
+        if q <= 0.9 * az:
+            return _t_diff_tail(z, q), None
+    elif q < SERIES_SWITCH_Q * (1.0 + az):
         d = t_derivatives(z, 5)
         q2 = q * q
-        return -(d[1] + q2 * (d[3] / 24.0 + q2 * d[5] / 1920.0))
+        return -(d[1] + q2 * (d[3] / 24.0 + q2 * d[5] / 1920.0)), None
+    elif (q < ASYMPTOTIC_SWITCH_Z and z.real != 0.0
+          and (az > _SERIES_RADIUS or abs(z.real) >= _SERIES_STRIP)):
+        pair = _node_loop(z, q, with_lambda0)
+        if pair is not None:
+            return pair
     half = 0.5 * q
     if z.real == 0.0:
         # t(-conj s) = -conj t(s) makes D(iv) = -2 Re t(q/2 + iv)/q, real
-        return complex(-2.0 * (_I_SQRT_PI * _w(complex(half, z.imag))).real / q, 0.0)
-    return (_I_SQRT_PI * _w(z - half) - _I_SQRT_PI * _w(z + half)) / q
+        return complex(-2.0 * (_I_SQRT_PI * _w(complex(half, z.imag))).real / q, 0.0), None
+    return (_I_SQRT_PI * _w(z - half) - _I_SQRT_PI * _w(z + half)) / q, None
+
+
+def t_diff_and_lambda0(z: complex, q: float) -> tuple[complex, complex]:
+    """``(t_diff_over_q(z, q), lambda0(z))``, bit for bit, from one call.
+
+    Where t_diff_over_q sums its partial fractions (:func:`_node_loop`),
+    lambda0's sum over the same nodes runs in the same loop.  The lambda0
+    returned is stored in lambda0's memo, and taken from it where the memo
+    already holds z.
+    """
+    global _lambda0_last
+    z = _check_finite(z)
+    q = _check_q(q)
+    last_z, last = _lambda0_last
+    if z == last_z:
+        return _t_diff(z, q, False)[0], last
+    D, lam = _t_diff(z, q, True)
+    if lam is None:
+        lam = _lambda0(z)
+    _lambda0_last = (z, lam)
+    return D, lam

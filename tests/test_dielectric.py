@@ -290,6 +290,28 @@ class TestEpsilonMermin:
         q = 0.5
         assert mermin_static_denominator(q) == pytest.approx(4 * dawson(0.25) / q)
 
+    def test_static_denominator_memo(self, monkeypatch):
+        # one entry: a repeated q reuses D0 without a Dawson evaluation, a new
+        # q never gets a stale value, a rejected q raises every time
+        from qplasma import dielectric
+
+        calls = []
+
+        def counting(u):
+            calls.append(u)
+            return dawson(u)
+
+        monkeypatch.setattr(dielectric, "dawson", counting)
+        monkeypatch.setattr(dielectric, "_d0_last", (None, None))
+        for q in (0.5, 0.5, 0.7, 0.5, 1e-6, 1e-6, 3):
+            assert repr(mermin_static_denominator(q)) == repr(4.0 * dawson(0.5 * q) / q)
+        assert len(calls) == 5
+        for bad in (0.0, -0.5, math.nan):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    mermin_static_denominator(bad)
+        assert dielectric._d0_last[0] == 3
+
     def test_small_q_static_denominator_limit(self):
         # D0 -> 2 as q -> 0, matching -t'(0)
         assert mermin_static_denominator(1e-6) == pytest.approx(2.0, rel=1e-10)
@@ -335,6 +357,18 @@ class TestConductivity:
         with pytest.raises(ValueError):
             conductivity(PlasmaParams(1.0, 0.1), QueryPoint(0.0, 0.5),
                          ModelKind.QUANTUM)
+
+
+class TestEvaluate:
+    def test_model_kind_and_its_value_dispatch_alike(self):
+        params, point = PlasmaParams(1.0, 0.1), QueryPoint(1.3, 0.4)
+        for model in ModelKind:
+            assert repr(evaluate(model, params, point)) == repr(evaluate(model.value, params, point))
+
+    @pytest.mark.parametrize("model", ["nope", "QUANTUM", None, 3, ["quantum"], {}])
+    def test_unknown_or_unhashable_model_raises_value_error(self, model):
+        with pytest.raises(ValueError, match="is not a valid ModelKind"):
+            evaluate(model, PlasmaParams(1.0, 0.1), QueryPoint(1.3, 0.4))
 
 
 class TestHighFrequencyTransparency:

@@ -255,6 +255,23 @@ class TestWriteOutput:
         with pytest.raises(ValueError):
             write_output(empty, str(tmp_path / "x.csv"))
 
+    def test_row_template_gives_the_bytes_of_format_per_value(self, tmp_path):
+        # write_csv formats each row with one "%.17g,...,%.17g" template; it
+        # must write format(float(v), ".17g") for every value
+        from qplasma.scan import run_roots, write_csv
+        columns, rows = run_roots(PlasmaParams(x_p=1.0, y=1e-6), (ModelKind.QUANTUM,),
+                                  (0.14142135623730953, 0.2), 2)
+        assert len(columns) == 6
+        rows = list(rows) + [
+            (-0.0, 5e-324, 1.7976931348623157e308, 0.1, 7.0, -1e16),
+            (2, 2.0 ** 53 + 2, -5e-324, math.inf, -math.inf, math.nan),
+        ]
+        path = tmp_path / "t.csv"
+        write_csv(str(path), (ModelKind.QUANTUM,), {"x_p": 1.0}, columns, rows)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[-len(rows):] == [",".join(format(float(v), ".17g") for v in row)
+                                      for row in rows]
+
     def test_determinism_byte_identical(self, tmp_path):
         spec = ScanSpec(models=(ModelKind.QUANTUM,),
                         fixed={"x_p": 1.0, "y": 0.1, "x": 1.0},

@@ -25,6 +25,7 @@ from qplasma.special_functions import (
     lambda0,
     plasma_t,
     t_derivatives,
+    t_diff_and_lambda0,
     t_diff_over_q,
 )
 
@@ -622,28 +623,69 @@ def _seeded_points(seed: int, n: int = 400) -> list[complex]:
     return pts
 
 
+def _in_strip(z: complex) -> bool:
+    return abs(z) <= 1.8 and abs(z.real) < 0.1
+
+
+def _mp_lambda0(z: complex) -> complex:
+    with mp.workdps(40):
+        zz = mp.mpc(z.real, z.imag)
+        t = 1j * mp.sqrt(mp.pi) * mp.exp(-zz * zz) * mp.erfc(-1j * zz)
+        return complex(1 + zz * t)
+
+
+def _lower_scale(z: complex, q: float = 0.0) -> float:
+    # below the axis the Landau terms 2i sqrt(pi) exp(-s^2) at s = z -+ q/2
+    # carry ~|s|^2 ulps of rounding in their exponent and phase: the scale
+    # on which lambda0 and D are compared there
+    if z.imag >= 0.0:
+        return 0.0
+    return max(abs(cmath.exp(-s * s)) for s in (z - q / 2, z + q / 2)) * (1 + abs(z) + q) ** 2
+
+
 class TestFlatKernels:
-    # lambda0 and t_diff_over_q call the private kernel _w after one check of
-    # their own argument; they must equal the public composition bit for bit
+    # lambda0 and t_diff_over_q check their argument once and then call the
+    # private kernels; where they keep the literal forms, those must equal
+    # the public composition bit for bit
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_lambda0_is_literal_one_plus_z_t_below_the_tail(self, seed):
-        pts = [z for z in _seeded_points(seed) if abs(z) < ASYMPTOTIC_SWITCH_Z]
-        assert len(pts) > 300
+    def test_lambda0_is_literal_one_plus_z_t_in_the_strip(self, seed):
+        # the strip keeps 1 + z t; below |z| = 12 outside it lambda0 sums
+        # partial fractions, held to mpmath by TestNodeLoop
+        pts = [z for z in _seeded_points(seed) if _in_strip(z)]
+        assert len(pts) > 60
         for z in pts:
             assert repr(lambda0(z)) == repr(1.0 + z * plasma_t(z)), z
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_direct_difference_is_the_difference_of_t(self, seed):
+        # the direct branch: above 0.9 |z| from |z| = 12 on, in the strip,
+        # for q >= 12, and where z -+ q/2 fall within h/8 of a node of z's
+        # grid (q > h/4, |Im z| < h/8).  Everywhere else below |z| = 12
+        # the node loop takes over, held to mpmath by TestNodeLoop
         rng = random.Random(seed)
+        h = 0.5
+        n_rule = 0
         for z in _seeded_points(seed):
             az = abs(z)
-            # the direct branch: above the Taylor switch, and above 0.9 |z|
-            # from |z| = 12 on
-            lo = 0.9 * az if az >= ASYMPTOTIC_SWITCH_Z else SERIES_SWITCH_Q * (1 + az)
-            q = rng.uniform(lo, lo + 3.0) * 1.0001
+            if az >= ASYMPTOTIC_SWITCH_Z:
+                q = rng.uniform(0.9 * az, 0.9 * az + 3.0) * 1.0001
+            elif _in_strip(z):
+                q = rng.uniform(SERIES_SWITCH_Q * (1 + az), 3.0) * 1.0001
+            elif rng.random() < 0.5 or z.real == 0.0:
+                q = rng.uniform(12.0, 15.0)
+            else:
+                # Re a within h/32 of a node of z's grid, |Im z| <= 0.03:
+                # z keeps h/4 from its nodes
+                z = complex(z.real, math.copysign(min(abs(z.imag) * 0.01, 0.03), z.imag))
+                off = 0.0 if 0.25 <= (z.real / h) % 1.0 < 0.75 else 0.5
+                node = h * (math.floor(z.real / h - off) + off) - h * rng.randrange(1, 4)
+                q = 2.0 * (z.real - node) + rng.uniform(-1.0, 1.0) * h / 16
+                assert special_functions._node_loop(z, q, False) is None, (z, q)
+                n_rule += 1
             lit = (plasma_t(z - q / 2) - plasma_t(z + q / 2)) / q
             assert repr(t_diff_over_q(z, q)) == repr(lit), (z, q)
+        assert n_rule > 50
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_imaginary_axis_is_minus_two_re_t_over_q(self, seed):
@@ -657,6 +699,7 @@ class TestFlatKernels:
     @pytest.mark.parametrize("fn", [
         faddeeva_w, plasma_t, lambda0,
         lambda z: t_diff_over_q(z, 0.5), lambda z: t_derivatives(z, 3),
+        lambda z: t_diff_and_lambda0(z, 0.5),
     ])
     @pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, math.nan),
                                    complex(-math.inf, 1.0), complex(0.0, -math.inf)])
@@ -665,64 +708,228 @@ class TestFlatKernels:
             fn(z)
 
 
-class TestLambda0Memo:
-    # lambda0 keeps its last result so that the classical model, evaluated
-    # after the quantum one at the same point, reuses its lambda0
+class TestNodeLoop:
+    # below |z| = 12, off the strip, lambda0 and (above the Taylor switch,
+    # where z -+ q/2 keep h/8 from the nodes of z's grid) D are the
+    # trapezoid rule summed as partial fractions, exact in q.  The literal
+    # 1 + z t was 1e-13 off here and the direct difference 1e-13 for D
 
-    def test_equals_unmemoised_including_signed_zeros(self):
-        raw = lambda0.__wrapped__
+    @staticmethod
+    def _draw(rng, grid: str, lower: bool):
+        # z with Re z / h mod 1 in grid A's [1/4, 3/4) or in grid B's
+        # [-1/4, 1/4), |Im z| <= 3; q log-uniform from the Taylor switch to 2.5
+        h = 0.5
+        while True:
+            frac = rng.uniform(0.25, 0.75) if grid == "A" else rng.uniform(-0.25, 0.25)
+            z = complex(h * (rng.randrange(-23, 23) + frac), rng.uniform(0.0, 3.0))
+            if abs(z) < ASYMPTOTIC_SWITCH_Z and not _in_strip(z) and z.real != 0.0:
+                break
+        q_star = SERIES_SWITCH_Q * (1 + abs(z))
+        q = q_star * (2.5 / q_star) ** rng.random()
+        return (z.conjugate() if lower else z), q
+
+    @pytest.mark.parametrize("grid", ["A", "B"])
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_grids_and_half_planes_against_live_mpmath(self, grid, lower):
+        # measured worst over these draws: D 2.1e-15 (A) and 5.5e-15 (B,
+        # at Im z = 0.05, where a and b sit h/4 from a node and a^2 - t_k^2
+        # cancels ~7-fold) from the node loop, 6.4e-16 from the direct
+        # difference; lambda0 1.5e-15
+        rng = random.Random(f"node loop {grid} {lower}")
+        for _ in range(100):
+            z, q = self._draw(rng, grid, lower)
+            kernel = special_functions._node_loop(z, q, False) is not None
+            rtol = 6e-15 if kernel else 2e-15
+            ref = TestTDiffOverQ._mp_diff(z, q)
+            err = abs(t_diff_over_q(z, q) - ref)
+            assert err <= rtol * max(abs(ref), _lower_scale(z, q)), (z, q)
+            ref = _mp_lambda0(z)
+            err = abs(lambda0(z) - ref)
+            assert err <= 3e-15 * max(abs(ref), _lower_scale(z)), z
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_lambda0_below_the_tail_against_live_mpmath(self, seed):
+        # every seeded point below |z| = 12 off the strip, Im z from -3.2
+        # to 3: the literal 1 + z t was up to ~1e-13 off near |z| = 12
+        pts = [z for z in _seeded_points(seed)
+               if abs(z) < ASYMPTOTIC_SWITCH_Z and not _in_strip(z)]
+        assert len(pts) > 200
+        for z in pts:
+            ref = _mp_lambda0(z)
+            assert abs(lambda0(z) - ref) <= 3e-15 * max(abs(ref), _lower_scale(z)), z
+
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_node_rule_each_side(self, lower):
+        # Re a at h/8 (1 -+ 1e-3) from a node of z's grid, Im z = +-1e-3, b
+        # clear of the nodes: the node loop just inside the rule, the direct
+        # difference just outside it, both against mpmath.  Inside, a^2 -
+        # t_k^2 cancels ~4|a|/h-fold and the node term, ~6|D|, cancels
+        # against the pole correction: 8.7e-15 at z = 0.924 - 0.001i,
+        # q = 0.2234 (5.1e-15 over these draws).  The direct difference is
+        # held on the scale of the t values it subtracts
+        h = 0.5
+        rng = random.Random(f"node rule {lower}")
+        n = 0
+        while n < 30:
+            grid_a = rng.random() < 0.5
+            k = rng.randrange(-20, 20)
+            x = h * (k + (rng.uniform(0.25, 0.75) if grid_a else rng.uniform(-0.25, 0.25)))
+            node = h * (k - rng.randrange(1, 4) + (0.0 if grid_a else 0.5))
+            z = complex(x, -1e-3 if lower else 1e-3)
+            b = 2.0 * x - node
+            if _in_strip(z) or abs((b / h + (0.5 if grid_a else 0.0)) % 1.0 - 0.5) < 0.25:
+                continue
+            n += 1
+            for side, inside in ((1.001, True), (0.999, False)):
+                q = 2.0 * (x - node - side * h / 8)
+                assert (special_functions._node_loop(z, q, False) is not None) is inside
+                ref = TestTDiffOverQ._mp_diff(z, q)
+                if inside:
+                    bound = 1e-14 * max(abs(ref), _lower_scale(z, q))
+                else:
+                    bound = 2e-15 * (abs(plasma_t(z - q / 2)) + abs(plasma_t(z + q / 2))) / q
+                assert abs(t_diff_over_q(z, q) - ref) <= bound, (z, q)
+        z, q = 0.9242596729229737 - 0.001j, 0.22339434584594747
+        assert special_functions._node_loop(z, q, False) is not None
+        assert_cclose(t_diff_over_q(z, q), TestTDiffOverQ._mp_diff(z, q), rtol=1e-14)
+
+    def test_just_above_the_taylor_switch_and_just_below_twelve(self):
+        for deg in range(-170, 181, 10):
+            for r in (2.5, 7.0, 12.0 * (1 - 1e-12)):
+                z = cmath.rect(r, math.radians(deg))
+                if _in_strip(z) or z.imag < -3.0:
+                    continue
+                for q in (SERIES_SWITCH_Q * (1 + abs(z)) * (1 + 1e-9), 0.1, 1.0):
+                    ref = TestTDiffOverQ._mp_diff(z, q)
+                    err = abs(t_diff_over_q(z, q) - ref)
+                    assert err <= 2e-15 * max(abs(ref), _lower_scale(z, q)), (z, q)
+                # lambda0 is 3.2e-15 off at z = 1.22 + 6.89i, just above Im z =
+                # pi/h, where the rule drops its pole correction
+                ref = _mp_lambda0(z)
+                assert abs(lambda0(z) - ref) <= 4e-15 * max(abs(ref), _lower_scale(z)), z
+
+    def test_found_points(self):
+        # fig 5/6 classical at x = 11.318: the literal lambda0 cancelled
+        # ~2|z|^2-fold (1.0e-13 off); fig 1 at x = 1, q = 0.0884: the direct
+        # difference cancelled ~|z|/q-fold (6.5e-14 off on eps)
+        z = 11.318 + 0.01j
+        assert_cclose(lambda0(z), _mp_lambda0(z), rtol=1e-15)
+        q = 0.0884
+        z = complex(1.0, 0.1) / q
+        assert special_functions._node_loop(z, q, False) is not None
+        assert_cclose(t_diff_over_q(z, q), TestTDiffOverQ._mp_diff(z, q), rtol=1e-15)
+
+    @staticmethod
+    def _property_points(seed: int):
+        # every branch of D and lambda0: tail, Taylor, node loop, node rule,
+        # imaginary axis, strip, q >= 12, both half-planes
+        rng = random.Random(seed)
+        for z in _seeded_points(seed, 200) + [complex(0.0, 3.0), complex(0.0, -2.0)]:
+            q_star = SERIES_SWITCH_Q * (1 + abs(z))
+            for q in (0.5 * q_star, q_star * (2.5 / q_star) ** rng.random(), 0.5, 13.0):
+                yield z, q
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_t_diff_and_lambda0_is_the_pair_bit_for_bit(self, seed, monkeypatch):
+        raw = special_functions._lambda0
+        for z, q in self._property_points(seed):
+            ref = (repr(t_diff_over_q(z, q)), repr(raw(z)))
+            monkeypatch.setattr(special_functions, "_lambda0_last", (None, None))
+            assert tuple(map(repr, t_diff_and_lambda0(z, q))) == ref, (z, q)
+            assert repr(lambda0(z)) == ref[1]  # filled by the call above
+            assert tuple(map(repr, t_diff_and_lambda0(z, q))) == ref, (z, q)  # memo hit
+            monkeypatch.setattr(special_functions, "_lambda0_last", (None, None))
+            assert repr(lambda0(z)) == ref[1]
+            assert tuple(map(repr, t_diff_and_lambda0(z, q))) == ref, (z, q)
+
+    def test_t_derivatives_first_order_is_minus_two_lambda0(self):
+        for z in _seeded_points(4, 200):
+            assert repr(t_derivatives(z, 1)[1]) == repr(-2.0 * lambda0(z)), z
+
+
+class TestLambda0Memo:
+    # lambda0 keeps its last result, and t_diff_and_lambda0 stores its
+    # lambda0 there, so that the classical model, evaluated after the
+    # quantum one at the same point, reuses the quantum model's lambda0
+
+    @staticmethod
+    def _clear(monkeypatch):
+        monkeypatch.setattr(special_functions, "_lambda0_last", (None, None))
+
+    def test_equals_unmemoised_including_signed_zeros(self, monkeypatch):
+        raw = special_functions._lambda0
         rng = random.Random(7)
         xs = [0.0, 0.5, 11.99, 12.0, 30.0, 1e150]
         xs += [rng.uniform(-20.0, 20.0) for _ in range(300)]
         for x in xs + [-x for x in xs]:
             # x + 0j and x - 0j are one memo key: each must give the other's
-            # value bit for bit, in either order
+            # value bit for bit, in either order, whichever call filled it
             for a, b in ((0.0, -0.0), (-0.0, 0.0)):
-                lambda0.cache_clear()
-                for y in (a, b):
-                    z = complex(x, y)
-                    assert repr(lambda0(z)) == repr(raw(z)), z
+                for fill in (lambda0, lambda z: t_diff_and_lambda0(z, 0.5)):
+                    self._clear(monkeypatch)
+                    fill(complex(x, a))
+                    for y in (a, b):
+                        z = complex(x, y)
+                        assert repr(lambda0(z)) == repr(raw(z)), z
         for z in _seeded_points(3):
             assert repr(lambda0(z)) == repr(raw(z)), z
 
     def test_interleaved_calls_are_never_stale(self):
-        raw = lambda0.__wrapped__
-        zs = [1 + 1j, 2 - 0.5j, 1 + 1j, 1 + 1j, 20j, 2 - 0.5j, 0.05 + 0.3j, 1 + 1j]
-        for z in zs:
-            assert repr(lambda0(z)) == repr(raw(z)), z
-        assert lambda0.cache_info().currsize == 1
+        raw = special_functions._lambda0
+        zs = [1 + 1j, 2 - 0.5j, 1 + 1j, 1 + 1j, 20j, 2 - 0.5j, 0.05 + 0.3j, 1 + 1j,
+              3.25 + 0.25j, 5 - 0.2j, 3.25 + 0.25j]
+        for i, z in enumerate(zs):
+            if i % 3 == 1:
+                got = t_diff_and_lambda0(z, 0.4)[1]
+            else:
+                got = lambda0(z)
+            assert repr(got) == repr(raw(z)), z
+            assert special_functions._lambda0_last == (z, got)
 
     @pytest.mark.parametrize("z", [math.nan, complex(math.nan, 1.0), math.inf,
                                    complex(1.0, -math.inf)])
-    def test_nonfinite_raises_on_every_call_and_is_never_cached(self, z):
+    def test_nonfinite_raises_on_every_call_and_is_never_cached(self, z, monkeypatch):
         lambda0(1 + 1j)
-        before = lambda0.cache_info()
+        before = special_functions._lambda0_last
         for _ in range(3):
             with pytest.raises(ValueError):
                 lambda0(z)  # the same object each time
-        after = lambda0.cache_info()
-        assert after.hits == before.hits
-        assert after.currsize == before.currsize
-        assert repr(lambda0(1 + 1j)) == repr(lambda0.__wrapped__(1 + 1j))
+            with pytest.raises(ValueError):
+                t_diff_and_lambda0(z, 0.5)
+        assert special_functions._lambda0_last is before
 
-    def test_overlay_row_evaluates_w_three_times(self, monkeypatch):
+        def unreachable(z):
+            raise AssertionError("memo miss")
+
+        # 1 + 1j is still the memo's entry, so no evaluation runs
+        monkeypatch.setattr(special_functions, "_lambda0", unreachable)
+        assert repr(lambda0(1 + 1j)) == repr(before[1])
+
+    def test_overlay_row_runs_one_node_loop(self, monkeypatch):
         from qplasma.dielectric import eps_classical_omega, eps_quantum_omega
 
-        calls = []
-        inner = special_functions._w
+        loops, ws = [], []
+        inner_loop, inner_w = special_functions._node_loop, special_functions._w
 
-        def counting(z):
-            calls.append(z)
-            return inner(z)
+        def counting_loop(z, q, with_lambda0):
+            loops.append((q, with_lambda0))
+            return inner_loop(z, q, with_lambda0)
 
-        monkeypatch.setattr(special_functions, "_w", counting)
-        x_p, y, x, q = 1.0, 0.1, 1.3, 0.4  # z = 3.25 + 0.25i, direct branch
+        def counting_w(z):
+            ws.append(z)
+            return inner_w(z)
+
+        monkeypatch.setattr(special_functions, "_node_loop", counting_loop)
+        monkeypatch.setattr(special_functions, "_w", counting_w)
+        x_p, y, x, q = 1.0, 0.1, 1.3, 0.4  # z = 3.25 + 0.25i, node loop region
         for memo in (True, False):
-            lambda0.cache_clear()
-            calls.clear()
+            self._clear(monkeypatch)
+            loops.clear()
             eps_quantum_omega(x_p, y, x, q)
             if not memo:
-                lambda0.cache_clear()
+                self._clear(monkeypatch)
             eps_classical_omega(x_p, y, x, q)
-            # two t values for D and one lambda0, shared by both models
-            assert len(calls) == (3 if memo else 4)
+            # D and lambda0 from one loop, shared by both models; without
+            # the memo the classical model runs lambda0's loop alone
+            assert loops == ([(q, True)] if memo else [(q, True), (0.0, True)])
+            assert ws == []
