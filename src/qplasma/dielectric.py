@@ -200,9 +200,9 @@ def epsilon_static(x_p: float, y: float, q: float) -> complex:
     At x = 0 the argument is z = iy/q, and the reflection symmetry
     t(-conj z) = -conj t(z) makes both the kernel and lambda0 real:
     D(iv, q) = -2 Re t(q/2 + iv)/q and lambda0(iv) = 1 - sqrt(pi) v w(iv).
-    Only the real parts enter.  Both go through :func:`t_diff_over_q` and
-    :func:`lambda0`, whose small-q and large-|z| forms avoid the underflow
-    and cancellation of the literal ones.
+    Only the real parts enter.  Both come from one
+    :func:`t_diff_and_lambda0` call, whose partial-fraction and tail forms
+    avoid the underflow and cancellation of the literal ones.
     """
     q = _require_positive_q(q)
     y = float(y)
@@ -212,9 +212,8 @@ def epsilon_static(x_p: float, y: float, q: float) -> complex:
         return 1.0 + 0j
     pre = _prefactor(x_p, complex(0.0, y), q)
     v = y / q
-    kernel = t_diff_over_q(complex(0.0, v), q).real
-    lam = lambda0(complex(0.0, v)).real
-    return complex(1.0 + pre * kernel / lam, 0.0)
+    kernel, lam = t_diff_and_lambda0(complex(0.0, v), q)
+    return complex(1.0 + pre * kernel.real / lam.real, 0.0)
 
 
 def epsilon_drude(x_p: float, x: float, y: float) -> complex:

@@ -6,10 +6,11 @@ for Im z > 0 equals the Hilbert-type integral of the Gaussian and elsewhere is
 the analytic (Landau) continuation from the upper half-plane.  All evaluators
 here are scalar, pure, and target ~1e-13 relative accuracy in double
 precision; against mpmath, w is within 2e-15 outside the Maclaurin strip,
-and below |z| = 12 off the strip lambda0 is within ~7e-15 and the kernel
-D = [t(z - q/2) - t(z + q/2)]/q within ~6e-15 (1e-14 next to the node
-rule's bound, see _node_loop).  The slow quadrature cross-checks live in
-the test suite's ``tests/oracle.py``.
+and below |z| = 12 lambda0 is within ~7e-15 and the kernel D = [t(z -
+q/2) - t(z + q/2)]/q within ~6e-15 (1e-14 next to the node rule's bound,
+see _node_loop, and 2.3e-14 where the rule refuses and D is the direct
+difference).  The slow quadrature cross-checks live in the test suite's
+``tests/oracle.py``.
 
 Each public function checks its argument once (``_check_finite``) and then
 works on private kernels that assume a finite complex argument: ``_w`` is w
@@ -31,8 +32,6 @@ _INV_PI = 1.0 / math.pi
 _I_SQRT_PI = 1j * SQRT_PI
 _TWO_I_SQRT_PI = 2j * SQRT_PI
 
-#: t_diff_over_q switches to its Taylor form below q = SERIES_SWITCH_Q * (1 + |z|)
-SERIES_SWITCH_Q = 1e-3
 #: |z| from which faddeeva_w, lambda0 and t_diff_over_q sum the one
 #: large-argument tail series sum_m (1/2)_m z^(-2m)
 ASYMPTOTIC_SWITCH_Z = 12.0
@@ -57,11 +56,12 @@ def _check_finite(z: complex, name: str = "z") -> complex:
 #                                 and t_diff_over_q sum the same series)
 #   Im z < 0                      reflection w(z) = 2 exp(-z^2) - w(-z)
 # _w(z) makes this split for finite z; faddeeva_w is _w behind the one
-# _check_finite of its public call.  lambda0 and t_diff_over_q follow the
-# same split, but sum the trapezoid region's rule as partial fractions
-# (_node_loop below), free of the cancellation of 1 + z t and of a
-# difference of two t values; they call _w only in the strip and where D
-# keeps the direct difference.
+# _check_finite of its public call.  lambda0 and t_diff_over_q share the
+# tail; below |z| = 12 they take the series only on the disk |z| <= 0.5 of
+# its 0.5 band, and elsewhere, strip included, sum the trapezoid rule as
+# partial fractions (_node_loop below), free of the cancellation of 1 + z t
+# and of a difference of two t values; their errors are on |lambda0| and
+# |D|, not on a small Im w.
 # The trapezoid step h = 0.5 puts the quadrature floor at exp(-pi^2/h^2)
 # ~ 7e-18.  Two node grids, A at t = k*h and B at t = (k + 1/2)*h; each z
 # takes the grid whose nodes lie at least h/4 from Re z, so neither a node
@@ -75,8 +75,6 @@ def _check_finite(z: complex, name: str = "z") -> complex:
 # and it is the less accurate of the two.
 # ----------------------------------------------------------------------------
 
-_SERIES_RADIUS = 1.8
-_SERIES_STRIP = 0.1
 _H = 0.5
 _PI_OVER_H = math.pi / _H
 _MACLAURIN = [1.0 / _gamma(0.5 * n + 1.0) for n in range(66)]
@@ -85,6 +83,8 @@ _MACLAURIN = [1.0 / _gamma(0.5 * n + 1.0) for n in range(66)]
 # below 1e-20
 _SERIES_BANDS = [(r, _MACLAURIN[n::-1]) for r, n in
                  ((0.25, 22), (0.5, 29), (1.0, 42), (1.4, 53), (1.8, 65))]
+# the disk |s| <= 0.5 of one band: lambda0's 1 + z t, D's series difference
+_DISK_RADIUS, _DISK_COEFFS = _SERIES_BANDS[1]
 # (t^2, 2 exp(-t^2)) for t > 0; grid A's t = 0 node is summed alone as 1/z
 _GRID_A = [(t * t, 2.0 * math.exp(-t * t)) for t in (k * _H for k in range(1, 15))]
 _GRID_B = [(t * t, 2.0 * math.exp(-t * t)) for t in ((k + 0.5) * _H for k in range(15))]
@@ -152,7 +152,7 @@ def _w(z: complex) -> complex:
     if z.imag < 0.0:
         return 2.0 * _exp_minus_z2(z) - _w(-z)
     az = abs(z)
-    if az <= _SERIES_RADIUS and abs(z.real) < _SERIES_STRIP:
+    if az <= 1.8 and abs(z.real) < 0.1:
         return _w_series(z, az)
     if az < ASYMPTOTIC_SWITCH_Z:
         return _w_trapezoid(z)
@@ -220,12 +220,10 @@ def faddeeva_w(z: complex) -> complex:
 
 def _node_loop(z: complex, q: float, with_lambda0: bool):
     """(D(z, q), lambda0(z)) from one loop over the nodes of z's grid, for
-    finite z with |z| < 12 off the Maclaurin strip; for D also off the
-    imaginary axis, with SERIES_SWITCH_Q (1 + |z|) <= q < 12 (_t_diff
-    makes that split).  q = 0 asks for lambda0 alone, and without
-    with_lambda0 only D is summed; what is not asked for is None.  Returns
-    None instead where D is asked for but a or b lies nearer than h/8 to a
-    node."""
+    finite z with |z| < 12 and, for D, 0 < q < 12.  q = 0 asks for lambda0
+    alone, and without with_lambda0 only D is summed; what is not asked for
+    is None.  Returns None instead where D is asked for but a or b lies
+    nearer than h/8 to a node."""
     lower = z.imag < 0.0
     u = -z if lower else z
     y = u.imag
@@ -317,12 +315,12 @@ def lambda0(z: complex) -> complex:
     From |z| = ASYMPTOTIC_SWITCH_Z the tail series of faddeeva_w gives
     ``-1/(2 z^2) - 3/(4 z^4) - ...`` directly: the literal ``1 + z t``
     cancels ~2|z|^2-fold there, while the series is accurate to ~1e-15 from
-    |z| = 12 on.  Below |z| = 12, outside the Maclaurin strip, the
-    trapezoid rule of faddeeva_w is summed as partial fractions in which
-    the leading 1 cancels exactly (:func:`_node_loop`); inside the strip,
-    where |z| <= 1.8, the literal ``1 + z t`` is kept.  For Im z < 0 both
-    forms stand for lambda0(-z) and the Landau continuation term
-    ``2i sqrt(pi) z exp(-z^2)`` is added.
+    |z| = 12 on.  Below |z| = 12, off the disk |z| <= 0.5, the trapezoid
+    rule of faddeeva_w is summed as partial fractions in which the leading
+    1 cancels exactly (:func:`_node_loop`); on the disk, where |z t| < 1,
+    the literal ``1 + z t`` is kept, and lambda0(0) is exactly 1.  For
+    Im z < 0 the tail and the partial fractions stand for lambda0(-z) and
+    the Landau continuation term ``2i sqrt(pi) z exp(-z^2)`` is added.
 
     The last result is memoised (one entry, shared with
     :func:`t_diff_and_lambda0`): the quantum and classical models,
@@ -349,7 +347,7 @@ def _lambda0(z: complex) -> complex:
         if z.imag < 0.0:
             val += z * (_TWO_I_SQRT_PI * _exp_minus_z2(z))
         return val
-    if az <= _SERIES_RADIUS and abs(z.real) < _SERIES_STRIP:
+    if az <= _DISK_RADIUS:
         return 1.0 + z * (_I_SQRT_PI * _w(z))
     return _node_loop(z, 0.0, True)[1]
 
@@ -469,15 +467,9 @@ def t_derivatives(z: complex, n: int) -> list[complex]:
         raise ValueError(f"derivative order must be in 0..6, got {n}")
     z = _check_finite(z)
     out = [plasma_t(z)]
-    az = abs(z)
     if n >= 1:
-        # -2 lambda0 bit for bit: in the strip lambda0 is the literal
-        # 1 + z t, formed from out[0] without a second w evaluation
-        if az <= _SERIES_RADIUS and abs(z.real) < _SERIES_STRIP:
-            out.append(-2.0 * (1.0 + z * out[0]))
-        else:
-            out.append(-2.0 * _lambda0(z))
-    if az >= ASYMPTOTIC_SWITCH_Z:
+        out.append(-2.0 * _lambda0(z))
+    if abs(z) >= ASYMPTOTIC_SWITCH_Z:
         return out + _t_tail_derivatives(z, n)
     for m in range(1, n):
         out.append(-2.0 * (m * out[m - 1] + z * out[m]))
@@ -540,54 +532,61 @@ def _check_q(q: float) -> float:
 def t_diff_over_q(z: complex, q: float) -> complex:
     """[t(z - q/2) - t(z + q/2)] / q.
 
-    The direct difference cancels ~|z|/q-fold.  From |z| =
+    The direct difference cancels ~|z|/q-fold, so D is formed exact in q
+    by four forms on one split, with no switch on q.  From |z| =
     ASYMPTOTIC_SWITCH_Z, for q <= 0.9 |z|, the tail series of t is
-    differenced exactly in q instead (:func:`_t_diff_tail`); below |z| = 12
-    and q = SERIES_SWITCH_Q * (1 + |z|), the odd-order Taylor form
-    -(t' + q^2 t'''/24 + q^4 t^(5)/1920) of :func:`t_derivatives`.  Above
-    that switch, for q < 12, below |z| = 12 and off the imaginary axis and
-    the Maclaurin strip, the trapezoid rule is summed as partial fractions
-    exact in q (:func:`_node_loop`) where z -+ q/2 keep h/8 from the nodes
-    of z's grid.  On the imaginary axis the direct difference is formed as
-    the real -2 Re t(q/2 + iv)/q, from one w evaluation.  The direct
-    difference is left in the strip, where the node rule fails (there
-    q > h/4 = 0.125 off the strip, so it cancels at most ~8|z|-fold) and
-    for q >= 12 > |z|, where it cancels nothing.
+    differenced exactly (:func:`_t_diff_tail`).  Below |z| = 12 with q < 12,
+    on the disk |z| + q/2 <= 0.5 the Maclaurin series of w is differenced
+    exactly (:func:`_t_diff_disk`), and everywhere else the trapezoid rule
+    is summed as partial fractions (:func:`_node_loop`) where z -+ q/2 keep
+    h/8 from the nodes of z's grid.  The direct difference is left where
+    the node rule refuses, for q > h/4 = 0.125, where it cancels at most
+    ~8|z|-fold and is within ~2.3e-14 of mpmath, and for q >= 12 > |z| and
+    q > 0.9 |z| >= 10.8, where it cancels nothing.  On the imaginary axis
+    t(-conj s) = -conj t(s) makes D real, and its imaginary part is set to 0.
     """
     return _t_diff(_check_finite(z), _check_q(q), False)[0]
 
 
+def _t_diff_disk(z: complex, q: float) -> complex:
+    # w's series on |s| <= 0.5 differenced exactly in q: Horner at xa, xb =
+    # i(z -+ q/2) carrying dd = [P(xa) - P(xb)]/(xa - xb); D = sqrt(pi) dd
+    xa, xb = 1j * (z - 0.5 * q), 1j * (z + 0.5 * q)
+    acc = dd = 0j
+    for c in _DISK_COEFFS:
+        dd = dd * xb + acc
+        acc = acc * xa + c
+    return SQRT_PI * dd
+
+
 def _t_diff(z: complex, q: float, with_lambda0: bool):
     # (D, lambda0) at finite z and q > 0 by t_diff_over_q's region split;
-    # lambda0 comes from the node loop when with_lambda0 is set, and is
-    # None everywhere else
+    # lambda0 comes from the node loop when with_lambda0 is set and |z| >
+    # 0.5, where it is not the literal 1 + z t, and is None everywhere else
     az = abs(z)
+    D = lam = None
     if az >= ASYMPTOTIC_SWITCH_Z:
         if q <= 0.9 * az:
-            return _t_diff_tail(z, q), None
-    elif q < SERIES_SWITCH_Q * (1.0 + az):
-        d = t_derivatives(z, 5)
-        q2 = q * q
-        return -(d[1] + q2 * (d[3] / 24.0 + q2 * d[5] / 1920.0)), None
-    elif (q < ASYMPTOTIC_SWITCH_Z and z.real != 0.0
-          and (az > _SERIES_RADIUS or abs(z.real) >= _SERIES_STRIP)):
-        pair = _node_loop(z, q, with_lambda0)
-        if pair is not None:
-            return pair
-    half = 0.5 * q
+            D = _t_diff_tail(z, q)
+    elif az + 0.5 * q <= _DISK_RADIUS:
+        D = _t_diff_disk(z, q)
+    elif q < ASYMPTOTIC_SWITCH_Z:
+        D, lam = _node_loop(z, q, with_lambda0 and az > _DISK_RADIUS) or (None, None)
+    if D is None:
+        half = 0.5 * q
+        D = (_I_SQRT_PI * _w(z - half) - _I_SQRT_PI * _w(z + half)) / q
     if z.real == 0.0:
-        # t(-conj s) = -conj t(s) makes D(iv) = -2 Re t(q/2 + iv)/q, real
-        return complex(-2.0 * (_I_SQRT_PI * _w(complex(half, z.imag))).real / q, 0.0), None
-    return (_I_SQRT_PI * _w(z - half) - _I_SQRT_PI * _w(z + half)) / q, None
+        D = complex(D.real, 0.0)
+    return D, lam
 
 
 def t_diff_and_lambda0(z: complex, q: float) -> tuple[complex, complex]:
     """``(t_diff_over_q(z, q), lambda0(z))``, bit for bit, from one call.
 
-    Where t_diff_over_q sums its partial fractions (:func:`_node_loop`),
-    lambda0's sum over the same nodes runs in the same loop.  The lambda0
-    returned is stored in lambda0's memo, and taken from it where the memo
-    already holds z.
+    Where t_diff_over_q sums its partial fractions (:func:`_node_loop`) at
+    |z| > 0.5, lambda0's sum over the same nodes runs in the same loop.  The
+    lambda0 returned is stored in lambda0's memo, and taken from it where
+    the memo already holds z.
     """
     global _lambda0_last
     z = _check_finite(z)

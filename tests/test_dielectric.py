@@ -318,8 +318,8 @@ class TestEpsilonMermin:
 
     @pytest.mark.parametrize("q", [1e-8, 1e-6, 1e-5, 1e-4])
     def test_long_wave_against_live_mpmath(self, q):
-        # |z| >= 50: D takes t_diff_over_q's Taylor form, whose t' = -2 lambda0
-        # is lambda0's tail series
+        # |z| >= 50: D takes the tail series differenced exactly in q, and
+        # lambda0 its tail series
         for r in (50.0, 70.0, 100.0, 1e3):
             for deg in (0, 10, 45, 80, 135):
                 th = math.radians(deg)
@@ -430,8 +430,8 @@ class TestComplexFrequencyCore:
 
     @pytest.mark.parametrize("y, q", [(100.0, 0.1), (925.47, 1.8937e-6)])
     def test_large_z_taylor_against_live_mpmath(self, y, q):
-        # x = 0, |z| = y/q >= 12 below the series switch: D takes the Taylor
-        # form from the tail series; the t_derivatives recurrence was off by
+        # x = 0, |z| = y/q >= 12: D takes the tail series differenced exactly
+        # in q; the Taylor form on the t_derivatives recurrence was off by
         # 7.6e-11 and 1.3e-6 here
         with mp.workdps(60):
             y_, q_ = mp.mpf(y), mp.mpf(q)

@@ -18,7 +18,6 @@ from hypothesis import assume, example, given, strategies as st
 from qplasma import special_functions
 from qplasma.special_functions import (
     ASYMPTOTIC_SWITCH_Z,
-    SERIES_SWITCH_Q,
     SQRT_PI,
     dawson,
     faddeeva_w,
@@ -388,9 +387,12 @@ class TestTDerivatives:
         assert abs(t_derivatives(3j, 1)[1] - fd) <= 1e-8 * abs(fd)
 
     def test_one_faddeeva_call_below_the_tail(self, monkeypatch):
-        # below |z| = 12, t' = -2(1 + z t) reuses t and is bit for bit
-        # lambda0's literal form, so the Taylor branch of t_diff_over_q
-        # evaluates w once, and to the same value as with -2 lambda0(z)
+        # below |z| = 12, t_derivatives evaluates w once through plasma_t,
+        # takes t' = -2 lambda0 and runs the recurrence.  D at small q, which
+        # took the Taylor form -(t' + q^2 t^(3)/24 + q^4 t^(5)/1920) below
+        # q = 1e-3 (1 + |z|), is held to mpmath at and around that old
+        # switch: the direct difference just above it was 4.2e-13 off at
+        # 0.05 + 1.7i, q = 0.004
         calls = []
 
         def counting(z):
@@ -399,16 +401,17 @@ class TestTDerivatives:
 
         monkeypatch.setattr(special_functions, "faddeeva_w", counting)
         for z in (2j, 1 + 1j, 5 - 0.2j, -3 + 0.01j, 11.9 + 0.5j, 0.05 + 1.7j):
-            q = 0.5 * SERIES_SWITCH_Q * (1 + abs(z))
             calls.clear()
-            got = t_diff_over_q(z, q)
+            got = t_derivatives(z, 5)
             assert len(calls) == 1
             d = [plasma_t(z), -2.0 * lambda0(z)]
             for m in range(1, 5):
                 d.append(-2.0 * (m * d[m - 1] + z * d[m]))
-            assert t_derivatives(z, 5) == d
-            q2 = q * q
-            assert got == -(d[1] + q2 * (d[3] / 24.0 + q2 * d[5] / 1920.0))
+            assert got == d
+            for q in (1e-8, 0.5e-3 * (1 + abs(z)), 0.004):
+                ref = TestTDiffOverQ._mp_diff(z, q)
+                err = abs(t_diff_over_q(z, q) - ref)
+                assert err <= 2e-15 * max(abs(ref), _lower_scale(z, q)), (z, q)
 
     @staticmethod
     def _mp_derivatives(z: complex, n: int) -> list[complex]:
@@ -477,7 +480,7 @@ class TestTDiffOverQ:
 
     def test_series_switch_continuity(self):
         for z in (2j, 1 + 1j, 5 - 0.2j):
-            q_star = SERIES_SWITCH_Q * (1 + abs(z))
+            q_star = 1e-3 * (1 + abs(z))
             lo = t_diff_over_q(z, q_star * (1 - 1e-6))
             hi = t_diff_over_q(z, q_star * (1 + 1e-6))
             assert abs(lo - hi) <= 1e-10 * abs(hi)
@@ -485,7 +488,7 @@ class TestTDiffOverQ:
     @given(complex_box, st.floats(1e-6, 3.0, allow_nan=False))
     def test_matches_literal_difference_when_safe(self, z, q):
         # in the regime where the literal difference is well-conditioned
-        if q < 10 * SERIES_SWITCH_Q * (1 + abs(z)):
+        if q < 10 * 1e-3 * (1 + abs(z)):
             return
         lit = (plasma_t(z - q / 2) - plasma_t(z + q / 2)) / q
         assert abs(t_diff_over_q(z, q) - lit) <= 1e-11 * max(1.0, abs(lit))
@@ -503,9 +506,10 @@ class TestTDiffOverQ:
     @pytest.mark.parametrize("radius", [12.0 * (1 + 1e-12), 20.0, 100.0, 1e3,
                                         1e4, 1e5, 1e6])
     def test_tail_band_against_live_mpmath(self, radius):
-        # the Taylor form from |z| = 12 on; the recurrence of t_derivatives
-        # lost ~eps |z|^4/120 there, the leading digit near |z| ~ 7e4
-        q_star = SERIES_SWITCH_Q * (1 + radius)
+        # the tail difference from |z| = 12 on, up to the old Taylor switch
+        # q = 1e-3 (1 + |z|); the recurrence of t_derivatives lost ~eps
+        # |z|^4/120 there, the leading digit near |z| ~ 7e4
+        q_star = 1e-3 * (1 + radius)
         for deg in range(-30, 181, 15):
             z = cmath.rect(radius, math.radians(deg))
             for q in (1e-6 * q_star, 1e-2 * q_star, (1 - 1e-9) * q_star):
@@ -517,7 +521,7 @@ class TestTDiffOverQ:
         # 2i sqrt(pi) exp(-z^2) is O(1) and dominates; q z spans both the
         # sinh form (|Re qz| < 1) and the plain difference.  t's condition
         # number 2|z|^2 sets the tolerance
-        q_star = SERIES_SWITCH_Q * (1 + abs(x) * math.sqrt(2))
+        q_star = 1e-3 * (1 + abs(x) * math.sqrt(2))
         for dy in (-2.0, 0.0, 3.0):
             z = complex(x, -abs(x) + dy / abs(x))
             for q in (1e-7, 1e-3 * q_star, 0.999 * q_star):
@@ -586,8 +590,8 @@ class TestTDiffOverQ:
         assert abs(got) <= 1e-300
 
     def test_imaginary_axis_real_against_live_mpmath(self):
-        # off the tail and above the Taylor switch, D(iv, q) = -2 Re t(q/2 +
-        # iv)/q by t(-conj s) = -conj t(s), real with no rounding residue
+        # off the tail, D(iv, q) = -2 Re t(q/2 + iv)/q by t(-conj s) =
+        # -conj t(s), real with no rounding residue
         for v in (0.05, 0.5, 1.0, 3.0, 8.0, 11.9):
             for q in (0.1, 0.5, 2.0, 5.0):
                 got = t_diff_over_q(complex(0.0, v), q)
@@ -649,20 +653,21 @@ class TestFlatKernels:
     # the public composition bit for bit
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_lambda0_is_literal_one_plus_z_t_in_the_strip(self, seed):
-        # the strip keeps 1 + z t; below |z| = 12 outside it lambda0 sums
-        # partial fractions, held to mpmath by TestNodeLoop
-        pts = [z for z in _seeded_points(seed) if _in_strip(z)]
-        assert len(pts) > 60
+    def test_lambda0_is_literal_one_plus_z_t_on_the_disk(self, seed):
+        # the disk |z| <= 0.5 keeps 1 + z t, which keeps lambda0(0) == 1;
+        # below |z| = 12 outside it lambda0 sums partial fractions, held to
+        # mpmath by TestNodeLoop
+        pts = [0j] + [z for z in _seeded_points(seed) if abs(z) <= 0.5]
+        assert len(pts) > 20
         for z in pts:
             assert repr(lambda0(z)) == repr(1.0 + z * plasma_t(z)), z
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_direct_difference_is_the_difference_of_t(self, seed):
-        # the direct branch: above 0.9 |z| from |z| = 12 on, in the strip,
-        # for q >= 12, and where z -+ q/2 fall within h/8 of a node of z's
-        # grid (q > h/4, |Im z| < h/8).  Everywhere else below |z| = 12
-        # the node loop takes over, held to mpmath by TestNodeLoop
+        # the direct branch: above 0.9 |z| from |z| = 12 on, for q >= 12,
+        # and where z -+ q/2 fall within h/8 of a node of z's grid (q > h/4,
+        # |Im z| < h/8).  Everywhere else below |z| = 12 the node loop or
+        # the disk takes over, held to mpmath by TestNodeLoop
         rng = random.Random(seed)
         h = 0.5
         n_rule = 0
@@ -671,7 +676,7 @@ class TestFlatKernels:
             if az >= ASYMPTOTIC_SWITCH_Z:
                 q = rng.uniform(0.9 * az, 0.9 * az + 3.0) * 1.0001
             elif _in_strip(z):
-                q = rng.uniform(SERIES_SWITCH_Q * (1 + az), 3.0) * 1.0001
+                continue
             elif rng.random() < 0.5 or z.real == 0.0:
                 q = rng.uniform(12.0, 15.0)
             else:
@@ -689,12 +694,16 @@ class TestFlatKernels:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_imaginary_axis_is_minus_two_re_t_over_q(self, seed):
+        # t(-conj s) = -conj t(s) makes D(iv, q) = -2 Re t(q/2 + iv)/q real;
+        # each form's result is set real there.  The one-w formula that
+        # formed it was 4.3e-14 off mpmath
         rng = random.Random(seed)
-        for _ in range(200):
+        for _ in range(60):
             v = rng.uniform(-3.0, ASYMPTOTIC_SWITCH_Z)
-            q = rng.uniform(SERIES_SWITCH_Q * (1 + abs(v)) * 1.0001, 4.0)
-            lit = complex(-2 * plasma_t(complex(q / 2, v)).real / q, 0)
-            assert repr(t_diff_over_q(complex(0.0, v), q)) == repr(lit), (v, q)
+            q = 1e-8 * (11.0 / 1e-8) ** rng.random()
+            got = t_diff_over_q(complex(0.0, v), q)
+            assert got.imag == 0.0, (v, q)
+            assert_cclose(got, TestTDiffOverQ._mp_diff(complex(0.0, v), q), rtol=2e-15)
 
     @pytest.mark.parametrize("fn", [
         faddeeva_w, plasma_t, lambda0,
@@ -709,23 +718,22 @@ class TestFlatKernels:
 
 
 class TestNodeLoop:
-    # below |z| = 12, off the strip, lambda0 and (above the Taylor switch,
-    # where z -+ q/2 keep h/8 from the nodes of z's grid) D are the
-    # trapezoid rule summed as partial fractions, exact in q.  The literal
-    # 1 + z t was 1e-13 off here and the direct difference 1e-13 for D
+    # below |z| = 12, off the disk |z| <= 0.5, lambda0 and (where z -+ q/2
+    # keep h/8 from the nodes of z's grid) D are the trapezoid rule summed
+    # as partial fractions, exact in q.  The literal 1 + z t was 1e-13 off
+    # here and the direct difference 1e-13 for D
 
     @staticmethod
     def _draw(rng, grid: str, lower: bool):
         # z with Re z / h mod 1 in grid A's [1/4, 3/4) or in grid B's
-        # [-1/4, 1/4), |Im z| <= 3; q log-uniform from the Taylor switch to 2.5
+        # [-1/4, 1/4), |Im z| <= 3; q log-uniform from 1e-8 to 2.5
         h = 0.5
         while True:
             frac = rng.uniform(0.25, 0.75) if grid == "A" else rng.uniform(-0.25, 0.25)
             z = complex(h * (rng.randrange(-23, 23) + frac), rng.uniform(0.0, 3.0))
             if abs(z) < ASYMPTOTIC_SWITCH_Z and not _in_strip(z) and z.real != 0.0:
                 break
-        q_star = SERIES_SWITCH_Q * (1 + abs(z))
-        q = q_star * (2.5 / q_star) ** rng.random()
+        q = 1e-8 * (2.5 / 1e-8) ** rng.random()
         return (z.conjugate() if lower else z), q
 
     @pytest.mark.parametrize("grid", ["A", "B"])
@@ -749,10 +757,10 @@ class TestNodeLoop:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_lambda0_below_the_tail_against_live_mpmath(self, seed):
-        # every seeded point below |z| = 12 off the strip, Im z from -3.2
-        # to 3: the literal 1 + z t was up to ~1e-13 off near |z| = 12
-        pts = [z for z in _seeded_points(seed)
-               if abs(z) < ASYMPTOTIC_SWITCH_Z and not _in_strip(z)]
+        # every seeded point below |z| = 12 off the disk |z| <= 0.5, Im z
+        # from -3.2 to 3: the literal 1 + z t was up to ~1e-13 off near
+        # |z| = 12, and 7.5e-14 in the strip
+        pts = [z for z in _seeded_points(seed) if 0.5 < abs(z) < ASYMPTOTIC_SWITCH_Z]
         assert len(pts) > 200
         for z in pts:
             ref = _mp_lambda0(z)
@@ -794,12 +802,13 @@ class TestNodeLoop:
         assert_cclose(t_diff_over_q(z, q), TestTDiffOverQ._mp_diff(z, q), rtol=1e-14)
 
     def test_just_above_the_taylor_switch_and_just_below_twelve(self):
+        # q just above 1e-3 (1 + |z|), where the Taylor form handed over
         for deg in range(-170, 181, 10):
             for r in (2.5, 7.0, 12.0 * (1 - 1e-12)):
                 z = cmath.rect(r, math.radians(deg))
                 if _in_strip(z) or z.imag < -3.0:
                     continue
-                for q in (SERIES_SWITCH_Q * (1 + abs(z)) * (1 + 1e-9), 0.1, 1.0):
+                for q in (1e-3 * (1 + abs(z)) * (1 + 1e-9), 0.1, 1.0):
                     ref = TestTDiffOverQ._mp_diff(z, q)
                     err = abs(t_diff_over_q(z, q) - ref)
                     assert err <= 2e-15 * max(abs(ref), _lower_scale(z, q)), (z, q)
@@ -818,14 +827,23 @@ class TestNodeLoop:
         z = complex(1.0, 0.1) / q
         assert special_functions._node_loop(z, q, False) is not None
         assert_cclose(t_diff_over_q(z, q), TestTDiffOverQ._mp_diff(z, q), rtol=1e-15)
+        # the strip just above the old Taylor switch: the direct difference
+        # of two series values was 1.7e-12 off
+        z, q = 0.0265 + 1.683j, 0.004
+        assert_cclose(t_diff_over_q(z, q), TestTDiffOverQ._mp_diff(z, q), rtol=1e-15)
+        # where the node rule refuses, the direct difference cancels
+        # ~|z|/q-fold: 2.24e-14 off here, the worst such point seen
+        z, q = -10.207392204665915 + 0.021797898706670205j, 0.37991995166060316
+        assert special_functions._node_loop(z, q, False) is None
+        assert_cclose(t_diff_over_q(z, q), TestTDiffOverQ._mp_diff(z, q), rtol=3e-14)
 
     @staticmethod
     def _property_points(seed: int):
-        # every branch of D and lambda0: tail, Taylor, node loop, node rule,
+        # every branch of D and lambda0: tail, disk, node loop, node rule,
         # imaginary axis, strip, q >= 12, both half-planes
         rng = random.Random(seed)
         for z in _seeded_points(seed, 200) + [complex(0.0, 3.0), complex(0.0, -2.0)]:
-            q_star = SERIES_SWITCH_Q * (1 + abs(z))
+            q_star = 1e-3 * (1 + abs(z))
             for q in (0.5 * q_star, q_star * (2.5 / q_star) ** rng.random(), 0.5, 13.0):
                 yield z, q
 
