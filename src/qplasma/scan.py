@@ -10,6 +10,7 @@ both byte-deterministic for identical specs.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,11 @@ class ScanSpec:
         self.validate()
 
     def validate(self) -> None:
+        self._checked_grid()
+
+    def _checked_grid(self) -> list[float]:
+        # validate's checks, one of which builds the grid: run_scan takes
+        # the grid from here rather than build it twice
         if not self.models:
             raise ValueError("at least one model is required")
         if self.sweep_var not in _SWEEPABLE:
@@ -88,6 +94,7 @@ class ScanSpec:
                 raise ValueError(f"model {model.value!r} needs {missing} fixed or swept")
         if "x_p" not in self.fixed:
             raise ValueError("x_p must be given in fixed")
+        return g
 
     def grid(self) -> list[float]:
         # the endpoints are the requested values exactly; the rounding of
@@ -109,36 +116,43 @@ class ScanTable:
     spec: ScanSpec
 
 
-def _eval_point(spec: ScanSpec, value: float) -> tuple[float, ...]:
-    vals = dict(spec.fixed)
-    vals[spec.sweep_var] = value
-    params = PlasmaParams(x_p=vals["x_p"], y=vals.get("y", 0.0))
-    point = QueryPoint(x=vals.get("x", 0.0), q=vals.get("q", 1.0))
-    out = [value]
-    for model in spec.models:
-        try:
-            eps = evaluate(model, params, point)
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise ScanError(
-                f"evaluation of {model.value} failed at "
-                f"{spec.sweep_var}={value!r} with fixed={spec.fixed!r}: {exc}"
-            ) from exc
-        if not (math.isfinite(eps.real) and math.isfinite(eps.imag)):
-            raise ScanError(
-                f"{model.value} returned non-finite value {eps!r} at "
-                f"{spec.sweep_var}={value!r}"
-            )
-        out.extend((eps.real, eps.imag))
-    return tuple(out)
-
-
 def run_scan(spec: ScanSpec) -> ScanTable:
     """Evaluate the spec over its grid; rows come back in ascending sweep
     order."""
-    spec.validate()
-    rows = [_eval_point(spec, v) for v in spec.grid()]
-    columns = [spec.sweep_var]
-    for model in spec.models:
+    grid = spec._checked_grid()  # spec.fixed is a dict: check it again
+    fixed, var, models = spec.fixed, spec.sweep_var, spec.models
+    x_p, y = fixed["x_p"], fixed.get("y", 0.0)
+    x, q = fixed.get("x", 0.0), fixed.get("q", 1.0)
+    # what the sweep holds fixed is built once: the plasma state of an x or
+    # q sweep, the query point of a y sweep
+    if var == "y":
+        point = QueryPoint(x, q)
+        inputs = ((PlasmaParams(x_p, v), point) for v in grid)
+    else:
+        params = PlasmaParams(x_p, y)
+        if var == "x":
+            inputs = ((params, QueryPoint(v, q)) for v in grid)
+        else:
+            inputs = ((params, QueryPoint(x, v)) for v in grid)
+    rows = []
+    for v, (params, point) in zip(grid, inputs):
+        row = [v]
+        for model in models:
+            try:
+                eps = evaluate(model, params, point)
+            except (ValueError, OverflowError, ZeroDivisionError) as exc:
+                raise ScanError(
+                    f"evaluation of {model.value} failed at "
+                    f"{var}={v!r} with fixed={fixed!r}: {exc}"
+                ) from exc
+            if not cmath.isfinite(eps):
+                raise ScanError(
+                    f"{model.value} returned non-finite value {eps!r} at {var}={v!r}"
+                )
+            row += (eps.real, eps.imag)
+        rows.append(tuple(row))
+    columns = [var]
+    for model in models:
         columns.append(f"re_eps_{model.value}")
         columns.append(f"im_eps_{model.value}")
     return ScanTable(columns=tuple(columns), rows=tuple(rows), spec=spec)

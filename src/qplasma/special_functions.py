@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from math import gamma as _gamma
 
 SQRT_PI = math.sqrt(math.pi)
 _INV_PI = 1.0 / math.pi
 _I_SQRT_PI = 1j * SQRT_PI
 _TWO_I_SQRT_PI = 2j * SQRT_PI
+_MIN_NORMAL = sys.float_info.min
 
 #: |z| from which faddeeva_w, lambda0 and t_diff_over_q sum the one
 #: large-argument tail series sum_m (1/2)_m z^(-2m)
@@ -57,11 +59,11 @@ def _check_finite(z: complex, name: str = "z") -> complex:
 #   Im z < 0                      reflection w(z) = 2 exp(-z^2) - w(-z)
 # _w(z) makes this split for finite z; faddeeva_w is _w behind the one
 # _check_finite of its public call.  lambda0 and t_diff_over_q share the
-# tail; below |z| = 12 they take the series only on the disk |z| <= 0.5 of
-# its 0.5 band, and elsewhere, strip included, sum the trapezoid rule as
-# partial fractions (_node_loop below), free of the cancellation of 1 + z t
-# and of a difference of two t values; their errors are on |lambda0| and
-# |D|, not on a small Im w.
+# tail; below |z| = 12 t_diff_over_q takes the series only on the disk
+# |z| + q/2 <= 0.5 of its 0.5 band, and both elsewhere, strip and disk
+# included, sum the trapezoid rule as partial fractions (_node_loop below),
+# free of the cancellation of 1 + z t and of a difference of two t values;
+# their errors are on |lambda0| and |D|, not on a small Im w.
 # The trapezoid step h = 0.5 puts the quadrature floor at exp(-pi^2/h^2)
 # ~ 7e-18.  Two node grids, A at t = k*h and B at t = (k + 1/2)*h; each z
 # takes the grid whose nodes lie at least h/4 from Re z, so neither a node
@@ -83,7 +85,7 @@ _MACLAURIN = [1.0 / _gamma(0.5 * n + 1.0) for n in range(66)]
 # below 1e-20
 _SERIES_BANDS = [(r, _MACLAURIN[n::-1]) for r, n in
                  ((0.25, 22), (0.5, 29), (1.0, 42), (1.4, 53), (1.8, 65))]
-# the disk |s| <= 0.5 of one band: lambda0's 1 + z t, D's series difference
+# the disk |s| <= 0.5 of one band, where D is the series differenced
 _DISK_RADIUS, _DISK_COEFFS = _SERIES_BANDS[1]
 # (t^2, 2 exp(-t^2)) for t > 0; grid A's t = 0 node is summed alone as 1/z
 _GRID_A = [(t * t, 2.0 * math.exp(-t * t)) for t in (k * _H for k in range(1, 15))]
@@ -315,10 +317,10 @@ def lambda0(z: complex) -> complex:
     From |z| = ASYMPTOTIC_SWITCH_Z the tail series of faddeeva_w gives
     ``-1/(2 z^2) - 3/(4 z^4) - ...`` directly: the literal ``1 + z t``
     cancels ~2|z|^2-fold there, while the series is accurate to ~1e-15 from
-    |z| = 12 on.  Below |z| = 12, off the disk |z| <= 0.5, the trapezoid
-    rule of faddeeva_w is summed as partial fractions in which the leading
-    1 cancels exactly (:func:`_node_loop`); on the disk, where |z t| < 1,
-    the literal ``1 + z t`` is kept, and lambda0(0) is exactly 1.  For
+    |z| = 12 on.  Below |z| = 12 the trapezoid rule of faddeeva_w is summed
+    as partial fractions in which the leading 1 cancels exactly
+    (:func:`_node_loop`), except at z = 0, where lambda0 is exactly 1 (the
+    literal ``1 + z t``; the partial fractions give 1 + 2e-16).  For
     Im z < 0 the tail and the partial fractions stand for lambda0(-z) and
     the Landau continuation term ``2i sqrt(pi) z exp(-z^2)`` is added.
 
@@ -347,8 +349,8 @@ def _lambda0(z: complex) -> complex:
         if z.imag < 0.0:
             val += z * (_TWO_I_SQRT_PI * _exp_minus_z2(z))
         return val
-    if az <= _DISK_RADIUS:
-        return 1.0 + z * (_I_SQRT_PI * _w(z))
+    if az == 0.0:
+        return 1.0 + 0j  # the node loop gives 1.0000000000000002
     return _node_loop(z, 0.0, True)[1]
 
 
@@ -542,7 +544,9 @@ def t_diff_over_q(z: complex, q: float) -> complex:
     h/8 from the nodes of z's grid.  The direct difference is left where
     the node rule refuses, for q > h/4 = 0.125, where it cancels at most
     ~8|z|-fold and is within ~2.3e-14 of mpmath, and for q >= 12 > |z| and
-    q > 0.9 |z| >= 10.8, where it cancels nothing.  On the imaginary axis
+    q > 0.9 |z| >= 10.8, where it cancels nothing.  Below the smallest
+    normal double q (``sys.float_info.min``) q^2 underflows, and D is its
+    q -> 0 limit 2 lambda0(z) to rounding.  On the imaginary axis
     t(-conj s) = -conj t(s) makes D real, and its imaginary part is set to 0.
     """
     return _t_diff(_check_finite(z), _check_q(q), False)[0]
@@ -561,17 +565,23 @@ def _t_diff_disk(z: complex, q: float) -> complex:
 
 def _t_diff(z: complex, q: float, with_lambda0: bool):
     # (D, lambda0) at finite z and q > 0 by t_diff_over_q's region split;
-    # lambda0 comes from the node loop when with_lambda0 is set and |z| >
-    # 0.5, where it is not the literal 1 + z t, and is None everywhere else
+    # lambda0 comes from the node loop when with_lambda0 is set and z != 0
+    # (lambda0(0) is exactly 1), or with D's q -> 0 limit, and is None
+    # everywhere else
     az = abs(z)
     D = lam = None
-    if az >= ASYMPTOTIC_SWITCH_Z:
+    if q < _MIN_NORMAL:
+        # q^2 underflows, and the forms below divide subnormal products by
+        # q; D is its limit -t'(z) = 2 lambda0(z) to rounding
+        lam = _lambda0(z)
+        D = 2.0 * lam
+    elif az >= ASYMPTOTIC_SWITCH_Z:
         if q <= 0.9 * az:
             D = _t_diff_tail(z, q)
     elif az + 0.5 * q <= _DISK_RADIUS:
         D = _t_diff_disk(z, q)
     elif q < ASYMPTOTIC_SWITCH_Z:
-        D, lam = _node_loop(z, q, with_lambda0 and az > _DISK_RADIUS) or (None, None)
+        D, lam = _node_loop(z, q, with_lambda0 and az > 0.0) or (None, None)
     if D is None:
         half = 0.5 * q
         D = (_I_SQRT_PI * _w(z - half) - _I_SQRT_PI * _w(z + half)) / q
@@ -584,7 +594,7 @@ def t_diff_and_lambda0(z: complex, q: float) -> tuple[complex, complex]:
     """``(t_diff_over_q(z, q), lambda0(z))``, bit for bit, from one call.
 
     Where t_diff_over_q sums its partial fractions (:func:`_node_loop`) at
-    |z| > 0.5, lambda0's sum over the same nodes runs in the same loop.  The
+    z != 0, lambda0's sum over the same nodes runs in the same loop.  The
     lambda0 returned is stored in lambda0's memo, and taken from it where
     the memo already holds z.
     """

@@ -61,6 +61,14 @@ FIGURE_1 = ["--figure", "1", "--n", "5"]  # three curves of five points
     ("qplasma.cli", "run_scan", lambda d: main(FIGURE_1 + ["--out", d]), 3),
     ("qplasma.cli", "write_output", lambda d: main(FIGURE_1 + ["--out", d]), 3),
     ("qplasma.scan", "evaluate", lambda d: run_scan(figure_preset(1, n=5)[0]), 5),
+    # the overlay scans of x, y and q: once per (row, model) whichever
+    # variable the sweep takes from its grid
+    pytest.param("qplasma.scan", "evaluate", lambda d: run_scan(figure_preset(5, n=5)[0]),
+                 10, id="qplasma.scan-evaluate-x-sweep"),
+    pytest.param("qplasma.scan", "evaluate", lambda d: run_scan(figure_preset(11, n=5)[0]),
+                 10, id="qplasma.scan-evaluate-y-sweep"),
+    pytest.param("qplasma.scan", "evaluate", lambda d: run_scan(figure_preset(13, n=5)[0]),
+                 10, id="qplasma.scan-evaluate-q-sweep"),
     ("qplasma.dispersion", "solve_root",
      lambda d: trace_branch(PlasmaParams(1.0, 1e-6), 0.2, 0.3, 3, ModelKind.CLASSICAL),
      3),

@@ -2,6 +2,8 @@
 
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qplasma.cli import main
-from qplasma.dielectric import ModelKind, PlasmaParams
+from qplasma.dielectric import ModelKind, PlasmaParams, QueryPoint, evaluate
 from qplasma.dispersion import ConvergenceError, solve_root, trace_branch
 from qplasma.scan import (
     ScanError,
@@ -140,6 +142,64 @@ class TestRunScan:
                         sweep_var="x", sweep_range=(-1.0, 1.0), n=3)  # hits x=0
         table = run_scan(spec)
         assert table.rows[1][:2] == (0.0, pytest.approx(8.674853234012744, rel=1e-15))
+
+    @pytest.mark.parametrize("sweep_var", ["x", "q", "y"])
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    def test_rows_are_the_per_point_evaluations(self, sweep_var, scale):
+        # run_scan builds what a sweep holds fixed once per scan; every row
+        # must still equal evaluate at that row's own PlasmaParams and
+        # QueryPoint, for all six models in a seeded order
+        rng = random.Random(f"rows {sweep_var} {scale}")
+        for _ in range(4):
+            vals = {"x_p": rng.uniform(0.1, 3.0), "y": 10.0 ** rng.uniform(-4.0, -0.3),
+                    "x": rng.uniform(0.05, 3.0), "q": rng.uniform(0.05, 2.5)}
+            lo = vals.pop(sweep_var)
+            spec = ScanSpec(models=tuple(rng.sample(list(ModelKind), 6)), fixed=vals,
+                            sweep_var=sweep_var, sweep_range=(lo, lo * rng.uniform(1.5, 20.0)),
+                            n=rng.randrange(2, 12), scale=scale)
+            expected = []
+            for v in spec.grid():
+                at = {**vals, sweep_var: v}
+                params, point = PlasmaParams(at["x_p"], at["y"]), QueryPoint(at["x"], at["q"])
+                row = [v]
+                for model in spec.models:
+                    eps = evaluate(model, params, point)
+                    row += [eps.real, eps.imag]
+                expected.append(tuple(row))
+            assert run_scan(spec).rows == tuple(expected), spec
+
+    @pytest.mark.parametrize("fixed, sweep_var, sweep_range, message", [
+        ({"x_p": 1.0, "y": -0.1, "q": 0.5}, "x", (0.1, 1.0), "y must be finite and >= 0, got -0.1"),
+        ({"x_p": 1.0, "y": 0.1, "x": 1.0}, "q", (-1.0, 1.0), "q must be finite and >= 0, got -1.0"),
+    ])
+    def test_invalid_plasma_state_or_point_raises_value_error(self, fixed, sweep_var,
+                                                              sweep_range, message):
+        # a negative y or q is refused by PlasmaParams or QueryPoint, not by
+        # a model, and is not wrapped as a ScanError
+        spec = ScanSpec(models=(ModelKind.QUANTUM,), fixed=fixed, sweep_var=sweep_var,
+                        sweep_range=sweep_range, n=3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_scan(spec)
+
+    def test_y_sweep_error_reports_coordinates(self):
+        spec = ScanSpec(models=(ModelKind.STATIC,), fixed={"x_p": 1.0, "q": 0.5},
+                        sweep_var="y", sweep_range=(0.0, 1.0), n=3)  # hits y=0
+        with pytest.raises(ScanError, match=re.escape("static failed at y=0.0")):
+            run_scan(spec)
+
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda fixed: fixed.update(x_p=math.nan), "must be finite"),
+        (lambda fixed: fixed.update(nope=1.0), "unknown fixed"),
+        (lambda fixed: fixed.pop("x_p"), "x_p must be given"),
+        (lambda fixed: fixed.update(x=1.5), "must not appear"),
+    ])
+    def test_fixed_changed_after_construction_is_refused(self, mutate, match):
+        # ScanSpec is frozen but its fixed dict is not: run_scan checks it
+        # again
+        spec = drude_spec()
+        mutate(spec.fixed)
+        with pytest.raises(ValueError, match=match):
+            run_scan(spec)
 
     def test_unexpected_error_propagates_unwrapped(self, monkeypatch):
         # only the errors the models raise become ScanError; a programming

@@ -496,8 +496,8 @@ class TestTDiffOverQ:
     @staticmethod
     def _mp_diff(z: complex, q: float) -> complex:
         # enough digits for the |z|/q-fold cancellation and the |z|^2-sized
-        # phase of exp(-z^2)
-        with mp.workdps(30 + int(math.log10(abs(z) ** 3 / q))):
+        # phase of exp(-z^2); |z|^3/q itself may overflow at subnormal q
+        with mp.workdps(30 + int(3 * math.log10(abs(z)) - math.log10(q))):
             zz, qq = mp.mpc(z.real, z.imag), mp.mpf(q)
             t = [1j * mp.sqrt(mp.pi) * mp.exp(-s * s) * mp.erfc(-1j * s)
                  for s in (zz - qq / 2, zz + qq / 2)]
@@ -589,6 +589,21 @@ class TestTDiffOverQ:
         assert math.isfinite(got.real) and math.isfinite(got.imag)
         assert abs(got) <= 1e-300
 
+    @pytest.mark.parametrize("q", [1e-310, 5e-324])
+    def test_subnormal_q_against_live_mpmath(self, q):
+        # below the smallest normal q, q^2 underflows and D is its limit
+        # 2 lambda0(z) to rounding.  The node loop's pole-correction
+        # difference, formed from subnormal products, was 3.4e-4 off at
+        # 1 + i, q = 5e-324 and 5.6e-13 at 3i, q = 1e-310;
+        # _add_landau_diff's sinh(qz)/q was 1.4e-12 off at 5 - 0.5i
+        for z in (0.3 + 0.1j, 0.2j, -0.4 - 0.1j,  # the disk
+                  1 + 1j, 3j, 5 + 0.5j, -2 + 0.3j,  # the node loop, both half-planes
+                  5 - 0.5j, 1 - 1j, -2 - 0.3j,
+                  20 + 1j, 15 - 2j, -13 + 0.5j):  # the tail
+            ref = self._mp_diff(z, q)
+            err = abs(t_diff_over_q(z, q) - ref)
+            assert err <= 2e-15 * max(abs(ref), _lower_scale(z, q)), z
+
     def test_imaginary_axis_real_against_live_mpmath(self):
         # off the tail, D(iv, q) = -2 Re t(q/2 + iv)/q by t(-conj s) =
         # -conj t(s), real with no rounding residue
@@ -652,15 +667,19 @@ class TestFlatKernels:
     # private kernels; where they keep the literal forms, those must equal
     # the public composition bit for bit
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_lambda0_is_literal_one_plus_z_t_on_the_disk(self, seed):
-        # the disk |z| <= 0.5 keeps 1 + z t, which keeps lambda0(0) == 1;
-        # below |z| = 12 outside it lambda0 sums partial fractions, held to
-        # mpmath by TestNodeLoop
-        pts = [0j] + [z for z in _seeded_points(seed) if abs(z) <= 0.5]
-        assert len(pts) > 20
-        for z in pts:
-            assert repr(lambda0(z)) == repr(1.0 + z * plasma_t(z)), z
+    def test_lambda0_is_exactly_one_at_zero(self, monkeypatch):
+        # the one point where lambda0 keeps the literal 1 + z t: the node
+        # loop gives 1 + 2e-16 there.  Elsewhere below |z| = 12, the disk
+        # |z| <= 0.5 included, lambda0 sums partial fractions, held to
+        # mpmath by TestNodeLoop.  t_diff_and_lambda0 gives the same 1
+        # beside each of D's forms: the subnormal-q limit, the disk series,
+        # the node loop and the direct difference
+        assert special_functions._node_loop(0j, 0.0, True)[1] != 1.0
+        for z in (0j, -0j, complex(-0.0, -0.0), complex(0.0, -0.0)):
+            assert repr(special_functions._lambda0(z)) == "(1+0j)", z
+            for q in (5e-324, 0.5, 2.0, 13.0):
+                monkeypatch.setattr(special_functions, "_lambda0_last", (None, None))
+                assert repr(t_diff_and_lambda0(z, q)[1]) == "(1+0j)", (z, q)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_direct_difference_is_the_difference_of_t(self, seed):
@@ -757,14 +776,19 @@ class TestNodeLoop:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_lambda0_below_the_tail_against_live_mpmath(self, seed):
-        # every seeded point below |z| = 12 off the disk |z| <= 0.5, Im z
-        # from -3.2 to 3: the literal 1 + z t was up to ~1e-13 off near
-        # |z| = 12, and 7.5e-14 in the strip
-        pts = [z for z in _seeded_points(seed) if 0.5 < abs(z) < ASYMPTOTIC_SWITCH_Z]
-        assert len(pts) > 200
+        # every seeded point below |z| = 12, Im z from -3.2 to 3, with the
+        # disk |z| <= 0.5, the imaginary axis and z down to 1e-300: the
+        # literal 1 + z t was up to ~1e-13 off near |z| = 12, and 7.5e-14
+        # in the strip.  On the axis lambda0 is real
+        pts = [z for z in _seeded_points(seed) if abs(z) < ASYMPTOTIC_SWITCH_Z]
+        pts += [complex(0.0, v) for v in (-3.0, -0.5, -1e-8, 1e-300, 0.25, 0.5, 2.0, 3.0)]
+        pts += [1e-300 + 0j, -1e-300j, 1e-20 + 1e-20j, 1e-10 - 3e-10j, -0.3 + 0.4j]
+        assert len(pts) > 200 and sum(abs(z) <= 0.5 for z in pts) > 20
         for z in pts:
             ref = _mp_lambda0(z)
-            assert abs(lambda0(z) - ref) <= 3e-15 * max(abs(ref), _lower_scale(z)), z
+            got = lambda0(z)
+            assert abs(got - ref) <= 3e-15 * max(abs(ref), _lower_scale(z)), z
+            assert z.real != 0.0 or got.imag == 0.0, z
 
     @pytest.mark.parametrize("lower", [False, True])
     def test_node_rule_each_side(self, lower):
@@ -840,11 +864,12 @@ class TestNodeLoop:
     @staticmethod
     def _property_points(seed: int):
         # every branch of D and lambda0: tail, disk, node loop, node rule,
-        # imaginary axis, strip, q >= 12, both half-planes
+        # imaginary axis, strip, q >= 12, subnormal q, both half-planes
         rng = random.Random(seed)
         for z in _seeded_points(seed, 200) + [complex(0.0, 3.0), complex(0.0, -2.0)]:
             q_star = 1e-3 * (1 + abs(z))
-            for q in (0.5 * q_star, q_star * (2.5 / q_star) ** rng.random(), 0.5, 13.0):
+            for q in (0.5 * q_star, q_star * (2.5 / q_star) ** rng.random(), 0.5, 13.0,
+                      5e-324):
                 yield z, q
 
     @pytest.mark.parametrize("seed", [1, 2])
