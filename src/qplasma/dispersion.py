@@ -2,7 +2,7 @@
 
 Closed-form long-wave asymptotics for the oscillation frequency and damping
 decrement, a derivative-free secant/Muller root solver, and wave-number
-continuation along a branch from extrapolated seeds.
+continuation along a branch from extrapolated seeds and carried slopes.
 """
 
 from __future__ import annotations
@@ -26,28 +26,35 @@ _SQRT_PI_OVER_8 = math.sqrt(math.pi / 8.0)
 #: solve_root converges when |eps| <= _RESIDUAL_TOL within _MAX_ITER steps
 _RESIDUAL_TOL = 1e-12
 _MAX_ITER = 60
-#: |eps| at or below this sits at its rounding floor (~100 ulps of the unit
+#: |eps| at or below this sits at its rounding floor (~30 ulps of the unit
 #: term of eps = 1 + chi); above it a converged root takes one polishing step
-_ROUNDING_FLOOR = 1e-14
+_ROUNDING_FLOOR = 3e-15
 #: trace_branch halves a q step whose root moves by more than this fraction
 _CONTINUATION_STEP = 0.1
 #: trace_branch's solve budget per grid step, shared along the whole branch
 _SOLVES_PER_STEP = 25
-#: solve_root starts from seed + this * max(|seed|, 1) and the seed
+#: without a slope, solve_root starts from seed + this * max(|seed|, 1) and
+#: the seed
 _SEED_SPREAD = 1e-3
+#: trace_branch extrapolates through at most this many roots on its grid
+_SEED_ORDER = 6
 
 
 @dataclass(frozen=True)
 class DispersionRoot:
     """One converged root omega = Re + i Im of eps(omega, q) = 0, with the
-    residual |eps| at omega, the secant and Muller steps taken to converge,
-    and the eps evaluations spent in all (start points and polish included)."""
+    residual |eps| at omega, the slope, secant and Muller steps taken to
+    converge, the eps evaluations spent in all (start points and polish
+    included), and the slope d eps/d omega of the secant through the solve's
+    last two evaluations before the polish (None when that is not finite
+    and nonzero; the given slope when the solve converged at its seed)."""
 
     q: float
     omega: complex
     residual: float
     iterations: int
     evaluations: int = 0
+    slope: Optional[complex] = None
 
 
 class ConvergenceError(RuntimeError):
@@ -160,34 +167,67 @@ def _muller_step(h0, h1, h2):
     return x2 - (x2 - x1) * (2.0 * c / den)
 
 
-def _next_omega(points):
-    # a secant step from the two start points, Muller's from three on
+def _next_omega(points, slope):
+    # the slope step from one point, the secant from two, Muller's from three on
+    if len(points) == 1:
+        omega, f = points[0]
+        return omega - f / slope
     if len(points) == 2:
         return _secant_step(*points)
     return _muller_step(*points[-3:])
 
 
+def _last_slope(points, slope):
+    # d eps/d omega of the secant through the last two points; one point
+    # keeps the slope it was given
+    if len(points) < 2:
+        return slope
+    (x0, f0), (x1, f1) = points[-2:]
+    if x1 == x0:
+        return None
+    s = (f1 - f0) / (x1 - x0)
+    return s if s != 0 and cmath.isfinite(s) else None
+
+
+def _finite(name: str, value):
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def solve_root(params: PlasmaParams, q: float, model: ModelKind,
-               guess: Optional[complex] = None) -> DispersionRoot:
+               guess: Optional[complex] = None,
+               slope: Optional[complex] = None) -> DispersionRoot:
     """Solve eps(omega, q) = 0 for complex omega at fixed q.
 
-    Derivative-free: eps at seed + _SEED_SPREAD * max(|seed|, 1) and at the
-    seed, one secant step, then Muller steps, one eps evaluation each.
-    Converges when |eps| <= _RESIDUAL_TOL within _MAX_ITER steps; a root
-    whose |eps| is still above _ROUNDING_FLOOR then takes one more step,
-    kept only if its eps is finite and no larger.  The returned
-    residual is |eps| at the returned omega.  Raises ConvergenceError
-    without convergence or at the first non-finite eps, naming the last
-    finite iterate, and NonPhysicalRootError if the root has Re omega <= 0.
+    Derivative-free, one eps evaluation per step.  Without a slope the
+    start is eps at seed + _SEED_SPREAD * max(|seed|, 1) and at the seed,
+    and the first step is a secant step; with a slope (d eps/d omega near
+    the root, as a previous root on the branch carries it) the start is eps
+    at the seed alone and the first step is omega - eps/slope.  Muller
+    steps follow from three points on; the slope step counts as an
+    iteration.  Converges when |eps| <= _RESIDUAL_TOL within _MAX_ITER
+    steps; a root whose |eps| is still above _ROUNDING_FLOOR then takes one
+    more step by the same rule, kept only if its eps is finite and no
+    larger.  The returned residual is |eps| at the returned omega.  Raises
+    ValueError for a q, guess or slope that is not finite (or a zero
+    slope), ConvergenceError without convergence or at the first
+    non-finite eps, naming the last finite iterate, and NonPhysicalRootError
+    if the root has Re omega <= 0.
     """
     q = float(q)
+    _finite("q", q)
     if not q > 0.0:
         raise ValueError(f"q must be strictly positive, got {q!r}")
     model = ModelKind(model)
     if model not in _SOLVABLE:
         raise ValueError(f"solve_root supports {[m.value for m in _SOLVABLE]}, got {model.value!r}")
+    if guess is not None:
+        _finite("guess", guess)
+    if slope is not None:
+        _finite("slope", slope)
+        if slope == 0:
+            raise ValueError("slope must be nonzero")
     seed = complex(guess) if guess is not None else default_guess(params, q, model)
-    spread = _SEED_SPREAD * max(abs(seed), 1.0)
     points: list[tuple[complex, complex]] = []  # (omega, eps), newest last
 
     def stopped(omega: complex, what: str) -> ConvergenceError:
@@ -207,13 +247,14 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
         points.append((omega, f))
         return abs(f)
 
-    visit(seed + spread)
+    if slope is None:
+        visit(seed + _SEED_SPREAD * max(abs(seed), 1.0))
     omega = seed
     residual = visit(omega)
     iterations = 0
     while not residual <= _RESIDUAL_TOL and iterations < _MAX_ITER:
         iterations += 1
-        omega = _next_omega(points)
+        omega = _next_omega(points, slope)
         residual = visit(omega)
 
     if not residual <= _RESIDUAL_TOL:
@@ -222,9 +263,11 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
             omega, residual,
         )
     evaluations = len(points)
+    # a polish step is ulps long: its secant slope would be rounding noise
+    root_slope = _last_slope(points, slope)
     if residual > _ROUNDING_FLOOR:
         evaluations += 1
-        polished = _next_omega(points)
+        polished = _next_omega(points, slope)
         try:
             f = visit(polished)
         except ConvergenceError:
@@ -236,35 +279,47 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
             f"converged to nonphysical branch Re omega = {omega.real!r} <= 0"
         )
     return DispersionRoot(q=q, omega=omega, residual=residual,
-                          iterations=iterations, evaluations=evaluations)
+                          iterations=iterations, evaluations=evaluations,
+                          slope=root_slope)
+
+
+#: the weights (-1)^(j+1) C(m, j) of w_-1 .. w_-m, indexed by m
+_EXTRAPOLATION_WEIGHTS = [
+    tuple((-1) ** (j + 1) * math.comb(m, j) for j in range(1, m + 1))
+    for m in range(_SEED_ORDER + 1)
+]
 
 
 def _extrapolate(roots: list[DispersionRoot]) -> complex:
     # the next root on a uniform q grid, by the polynomial through the last
-    # one, two or three roots
-    w = [r.omega for r in roots[-3:]]
-    if len(w) == 3:
-        return 3.0 * (w[2] - w[1]) + w[0]
-    if len(w) == 2:
-        return 2.0 * w[1] - w[0]
-    return w[0]
+    # m = min(_SEED_ORDER, len(roots)) roots
+    w = roots[-_SEED_ORDER:]
+    return sum(c * r.omega for c, r in zip(_EXTRAPOLATION_WEIGHTS[len(w)], reversed(w)))
 
 
 def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
                  n_points: int, model: ModelKind) -> list[DispersionRoot]:
     """Continue a dispersion branch from q_start to q_end on n_points.
 
-    Each grid point is seeded by polynomial extrapolation through the roots
-    already accepted on the uniform grid: the previous root after one,
-    2 w_-1 - w_-2 after two and 3 w_-1 - 3 w_-2 + w_-3 after three.  If the
-    root moves by more than _CONTINUATION_STEP (fractionally) from the
-    previous root or the solve fails, the q step is halved until the motion
-    is tame; the solves inside a halved step are seeded with the previous
-    root.  The whole branch may spend _SOLVES_PER_STEP solves per grid step;
-    when they run out, BranchLossError names the q of the last failed solve.
+    Each grid point is seeded by polynomial extrapolation through the last
+    m = min(6, accepted) roots on the uniform grid, sum_{j=1..m} (-1)^(j+1)
+    C(m, j) w_-j (the previous root after one, 2 w_-1 - w_-2 after two),
+    and solved with the previous root's slope, so that it starts from one
+    eps evaluation.  If the root moves by more than _CONTINUATION_STEP
+    (fractionally) from the previous root or the solve fails, the q step is
+    halved until the motion is tame; the solves inside a halved step are
+    seeded with the previous root and start from two points.  The whole
+    branch may spend _SOLVES_PER_STEP solves per grid step; when they run
+    out, BranchLossError names the q of the last failed solve.  Raises
+    ValueError unless n_points is an integer >= 2 and
+    0 < q_start < q_end < inf.
     """
+    _finite("q_start", q_start)
+    _finite("q_end", q_end)
     if not (0.0 < q_start < q_end):
         raise ValueError(f"need 0 < q_start < q_end, got {q_start!r}, {q_end!r}")
+    if not isinstance(n_points, int) or isinstance(n_points, bool):
+        raise ValueError(f"n_points must be an integer, got {n_points!r}")
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points!r}")
     model = ModelKind(model)
@@ -284,10 +339,12 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
                 )
             budget -= 1
             q = pending[-1]
-            halving = len(pending) > 1 or prev is not roots[-1]
-            seed = prev.omega if halving else _extrapolate(roots)
+            if len(pending) > 1 or prev is not roots[-1]:
+                seed, slope = prev.omega, None  # inside a halved step
+            else:
+                seed, slope = _extrapolate(roots), prev.slope
             try:
-                root = solve_root(params, q, model, guess=seed)
+                root = solve_root(params, q, model, guess=seed, slope=slope)
                 jump = abs(root.omega - prev.omega) / max(abs(prev.omega), 1e-300)
             except (ConvergenceError, NonPhysicalRootError):
                 jump = math.inf

@@ -242,6 +242,54 @@ class TestSolveRoot:
         # polished or not, the residual is |eps| at the returned root
         assert root.residual == abs(dispersion._eps_at(model, params, root.omega, q))
 
+    @pytest.mark.parametrize("model, q, guess, slope", [
+        (ModelKind.QUANTUM, 0.1 * SQRT2, 1.0 - 0.005j, 2.0),
+        (ModelKind.MERMIN, 0.3 * SQRT2, 1.2 - 0.01j, 2.4 - 0.26j),
+        (ModelKind.CLASSICAL, 0.3 * SQRT2, 1.2 - 0.01j, 2.4 - 0.26j),
+    ])
+    def test_slope_start_counts_every_eps_call(self, model, q, guess, slope, monkeypatch):
+        calls = count_eps_calls(monkeypatch)
+        params = PlasmaParams(x_p=1.0, y=0.01)
+        root = solve_root(params, q, model, guess=guess, slope=slope)
+        assert root.evaluations == calls[0]
+        # one start point, one evaluation per step, at most one polish
+        assert 1 + root.iterations <= root.evaluations <= 2 + root.iterations
+        assert root.residual == abs(dispersion._eps_at(model, params, root.omega, q))
+
+    @pytest.mark.parametrize("polish", [False, True])
+    def test_seed_at_root_returns_or_polishes_by_the_slope(self, polish, monkeypatch):
+        # a seed already at its rounding floor returns after one evaluation;
+        # with a zero floor it is polished by the slope step from its one point
+        params = PlasmaParams(x_p=1.0, y=0.01)
+        q, model = 0.3 * SQRT2, ModelKind.CLASSICAL
+        found = solve_root(params, q, model)
+        assert found.slope is not None
+        at_seed = abs(dispersion._eps_at(model, params, found.omega, q))
+        assert at_seed <= dispersion._ROUNDING_FLOOR
+        if polish:
+            monkeypatch.setattr("qplasma.dispersion._ROUNDING_FLOOR", 0.0)
+        calls = count_eps_calls(monkeypatch)
+        root = solve_root(params, q, model, guess=found.omega, slope=found.slope)
+        assert root.iterations == 0
+        assert root.evaluations == calls[0] == 1 + polish
+        assert root.residual <= at_seed
+        assert root.slope == found.slope  # one point before the polish: no secant
+        if not polish:
+            assert root.omega == found.omega
+
+    @pytest.mark.parametrize("q, kwargs, message", [
+        (math.inf, {}, "q must be finite"),
+        (math.nan, {}, "q must be finite"),
+        (0.3, {"guess": complex(math.nan, 0.0)}, "guess must be finite"),
+        (0.3, {"guess": math.inf}, "guess must be finite"),
+        (0.3, {"slope": complex(1.0, math.inf)}, "slope must be finite"),
+        (0.3, {"slope": math.nan}, "slope must be finite"),
+        (0.3, {"slope": 0j}, "slope must be nonzero"),
+    ])
+    def test_bad_input_names_its_argument(self, q, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            solve_root(PlasmaParams(x_p=1.0, y=0.01), q, ModelKind.QUANTUM, **kwargs)
+
     def test_unsupported_model_rejected(self):
         with pytest.raises(ValueError):
             solve_root(PlasmaParams(1.0, 0.1), 0.5, ModelKind.DRUDE)
@@ -315,7 +363,7 @@ class TestTraceBranch:
         # so q = 0.1..0.2 would need about 2000 solves
         solved = []
 
-        def runaway(params, q, model, guess=None):
+        def runaway(params, q, model, guess=None, **kwargs):
             solved.append(q)
             return DispersionRoot(q, cmath.exp(1900.0 * (q - 0.1)), 0.0, 0)
 
@@ -329,7 +377,7 @@ class TestTraceBranch:
         # a solver that converges only from a seed within 18% of q
         solved = []
 
-        def near_seed_only(params, q, model, guess=None):
+        def near_seed_only(params, q, model, guess=None, **kwargs):
             solved.append(q)
             if guess is not None and q - (-guess.imag) > 0.18 * -guess.imag:
                 raise ConvergenceError("seed too far", guess, 1.0)
@@ -349,17 +397,33 @@ class TestTraceBranch:
         params = PlasmaParams(x_p=1.0, y=1e-8)
         roots = trace_branch(params, 0.1 * SQRT2, 0.5 * SQRT2, 9, model)
         assert calls[0] <= 8 * len(roots)
-        # seeds extrapolated along the branch and two start points: 5.3-5.4
-        # evaluations per root here, against 6.7 with the previous root as
-        # the seed and three start points
+        # sixth-order seeds and the carried slope: 4.9 evaluations per root
+        # on these 9 points, against 5.3-5.4 from third-order seeds and two
+        # start points, and 6.7 with the previous root as the seed and three
+        # start points
         assert calls[0] <= 6 * len(roots)
         assert calls[0] == sum(r.evaluations for r in roots)
 
     @pytest.mark.parametrize("model", [ModelKind.QUANTUM, ModelKind.CLASSICAL,
                                        ModelKind.MERMIN])
+    def test_long_branch_costs_at_most_four_evaluations_per_root(self, model,
+                                                                 monkeypatch):
+        # 3.68-3.73 per root from sixth-order seeds and one start point, 4.51
+        # from third-order seeds and two start points
+        calls = count_eps_calls(monkeypatch)
+        params = PlasmaParams(x_p=1.0, y=1e-3)
+        kD = params.debye_wavenumber
+        roots = trace_branch(params, 0.1 * kD, 0.5 * kD, 41, model)
+        assert len(roots) == 41
+        assert calls[0] <= 4.0 * len(roots)
+
+    @pytest.mark.parametrize("model", [ModelKind.QUANTUM, ModelKind.CLASSICAL,
+                                       ModelKind.MERMIN])
     def test_roots_against_mpmath_findroot(self, model):
         # a root that stops at |eps| <= 1e-12 was up to 2.0e-14 off here; the
-        # polish above the rounding floor brings each within 2.9e-15
+        # polish above the rounding floor brings each within 4.3e-15 (quantum
+        # and Mermin at q = 0.212, where double eps is 8.1e-15 at the exact
+        # root)
         params = PlasmaParams(x_p=1.0, y=1e-8)
         roots = trace_branch(params, 0.1 * SQRT2, 0.5 * SQRT2, 9, model)
         for root in roots:
@@ -378,3 +442,37 @@ class TestTraceBranch:
             trace_branch(params, 0.0, 0.2, 5, ModelKind.CLASSICAL)
         with pytest.raises(ValueError):
             trace_branch(params, 0.1, 0.2, 1, ModelKind.CLASSICAL)
+
+    @pytest.mark.parametrize("q_start, q_end, name", [
+        (0.2, math.inf, "q_end"),
+        (0.2, math.nan, "q_end"),
+        (math.nan, 0.5, "q_start"),
+        (-math.inf, 0.5, "q_start"),
+    ])
+    def test_nonfinite_range_names_its_end(self, q_start, q_end, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            trace_branch(PlasmaParams(1.0, 0.01), q_start, q_end, 3, ModelKind.CLASSICAL)
+
+    @pytest.mark.parametrize("n_points", [5.0, True, "5", None])
+    def test_non_integer_point_count_rejected(self, n_points):
+        with pytest.raises(ValueError, match="^n_points must be an integer"):
+            trace_branch(PlasmaParams(1.0, 0.01), 0.2, 0.5, n_points, ModelKind.CLASSICAL)
+
+
+class TestExtrapolate:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_reproduces_a_polynomial_through_m_roots(self, m):
+        # the seed through m uniform roots is exact for degree m - 1; the
+        # weights sum to 1 in absolute value 2^m - 1, so rounding stays
+        # within ~64 ulps
+        coeffs = [complex(1.3 - 0.2 * j, 0.1 * j - 0.05) for j in range(m)]
+
+        def poly(q):
+            return sum(c * q ** j for j, c in enumerate(coeffs))
+
+        qs = [0.3 + 0.05 * i for i in range(m + 3)]
+        roots = [DispersionRoot(q, poly(q), 0.0, 0) for q in qs]
+        for n in range(m, len(qs)):
+            expected = poly(qs[n])
+            got = dispersion._extrapolate(roots[:n])
+            assert abs(got - expected) <= 64 * 2.2e-16 * max(abs(r.omega) for r in roots)

@@ -472,6 +472,12 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 1
         assert match in capsys.readouterr().err
 
+    def test_roots_infinite_sweep_end_named(self, tmp_path, capsys):
+        argv = ROOTS[:-1] + ["q=0.1:inf:5", "--out", str(tmp_path / "b.csv")]
+        assert main(argv) == 1
+        assert "q_end must be finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
     def test_roots_and_figure_exclusive(self):
         with pytest.raises(SystemExit) as err:
             main(ROOTS + ["--figure", "1"])
@@ -480,7 +486,7 @@ class TestCli:
     def test_roots_branch_loss_exits_with_its_q(self, tmp_path, capsys, monkeypatch):
         failed = []
 
-        def no_continuation(params, q, model, guess=None):
+        def no_continuation(params, q, model, guess=None, **kwargs):
             if guess is None:
                 return solve_root(params, q, model)
             failed.append(q)
