@@ -20,7 +20,6 @@ with D(z,q) = [t(z-q/2) - t(z+q/2)]/q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .special_functions import (
@@ -42,18 +41,55 @@ class ModelKind(str, Enum):
     DRUDE = "drude"
 
 
-@dataclass(frozen=True)
-class PlasmaParams:
+#: a record's __init__ sets its fields through this, past its own __setattr__
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable value types: __slots__ fields, named once in
+    __match_args__ and set once by __init__; equality, hash and repr by
+    field, as a frozen dataclass gives them; copy and pickle rebuild the
+    record through its constructor."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PlasmaParams(_Record):
     """Dimensionless plasma state: x_p = omega_p/(k_T v_T), y = nu/(k_T v_T)."""
 
-    x_p: float
-    y: float = 0.0
+    __slots__ = __match_args__ = ("x_p", "y")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x_p) and self.x_p >= 0):
-            raise ValueError(f"x_p must be finite and >= 0, got {self.x_p!r}")
-        if not (math.isfinite(self.y) and self.y >= 0):
-            raise ValueError(f"y must be finite and >= 0, got {self.y!r}")
+    def __init__(self, x_p: float, y: float = 0.0):
+        if not (math.isfinite(x_p) and x_p >= 0):
+            raise ValueError(f"x_p must be finite and >= 0, got {x_p!r}")
+        if not (math.isfinite(y) and y >= 0):
+            raise ValueError(f"y must be finite and >= 0, got {y!r}")
+        _set(self, "x_p", x_p)
+        _set(self, "y", y)
 
     @property
     def quantum_parameter(self) -> float:
@@ -67,18 +103,18 @@ class PlasmaParams:
         return math.sqrt(2.0) * self.x_p
 
 
-@dataclass(frozen=True)
-class QueryPoint:
+class QueryPoint(_Record):
     """Evaluation point: x = omega/(k_T v_T), q = k/k_T."""
 
-    x: float
-    q: float
+    __slots__ = __match_args__ = ("x", "q")
 
-    def __post_init__(self):
-        if not math.isfinite(self.x):
-            raise ValueError(f"x must be finite, got {self.x!r}")
-        if not (math.isfinite(self.q) and self.q >= 0):
-            raise ValueError(f"q must be finite and >= 0, got {self.q!r}")
+    def __init__(self, x: float, q: float):
+        if not math.isfinite(x):
+            raise ValueError(f"x must be finite, got {x!r}")
+        if not (math.isfinite(q) and q >= 0):
+            raise ValueError(f"q must be finite and >= 0, got {q!r}")
+        _set(self, "x", x)
+        _set(self, "q", q)
 
     def z(self, y: float) -> complex:
         if self.q <= 0:

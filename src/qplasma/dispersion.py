@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .dielectric import (
     ModelKind,
     PlasmaParams,
+    _Record,
+    _set,
     eps_classical_omega,
     eps_mermin_omega,
     eps_quantum_omega,
@@ -40,8 +40,7 @@ _SEED_SPREAD = 1e-3
 _SEED_ORDER = 6
 
 
-@dataclass(frozen=True)
-class DispersionRoot:
+class DispersionRoot(_Record):
     """One converged root omega = Re + i Im of eps(omega, q) = 0, with the
     residual |eps| at omega, the slope, secant and Muller steps taken to
     converge, the eps evaluations spent in all (start points and polish
@@ -49,12 +48,17 @@ class DispersionRoot:
     last two evaluations before the polish (None when that is not finite
     and nonzero; the given slope when the solve converged at its seed)."""
 
-    q: float
-    omega: complex
-    residual: float
-    iterations: int
-    evaluations: int = 0
-    slope: Optional[complex] = None
+    __slots__ = __match_args__ = ("q", "omega", "residual", "iterations",
+                                  "evaluations", "slope")
+
+    def __init__(self, q: float, omega: complex, residual: float, iterations: int,
+                 evaluations: int = 0, slope: complex | None = None):
+        _set(self, "q", q)
+        _set(self, "omega", omega)
+        _set(self, "residual", residual)
+        _set(self, "iterations", iterations)
+        _set(self, "evaluations", evaluations)
+        _set(self, "slope", slope)
 
 
 class ConvergenceError(RuntimeError):
@@ -195,8 +199,8 @@ def _finite(name: str, value):
 
 
 def solve_root(params: PlasmaParams, q: float, model: ModelKind,
-               guess: Optional[complex] = None,
-               slope: Optional[complex] = None) -> DispersionRoot:
+               guess: complex | None = None,
+               slope: complex | None = None) -> DispersionRoot:
     """Solve eps(omega, q) = 0 for complex omega at fixed q.
 
     Derivative-free, one eps evaluation per step.  Without a slope the
@@ -278,9 +282,7 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
         raise NonPhysicalRootError(
             f"converged to nonphysical branch Re omega = {omega.real!r} <= 0"
         )
-    return DispersionRoot(q=q, omega=omega, residual=residual,
-                          iterations=iterations, evaluations=evaluations,
-                          slope=root_slope)
+    return DispersionRoot(q, omega, residual, iterations, evaluations, root_slope)
 
 
 #: the weights (-1)^(j+1) C(m, j) of w_-1 .. w_-m, indexed by m

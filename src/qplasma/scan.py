@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import __version__
-from .dielectric import ModelKind, PlasmaParams, QueryPoint, evaluate
+from .dielectric import ModelKind, PlasmaParams, QueryPoint, _Record, _set, evaluate
 from .dispersion import gamma_asymptotic, omega_asymptotic, trace_branch
 
 _SWEEPABLE = ("x", "q", "y")
@@ -36,29 +35,26 @@ class ScanError(RuntimeError):
     """Evaluation failed at a specific grid point."""
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    models: tuple[ModelKind, ...]
-    fixed: dict[str, float]
-    sweep_var: str
-    sweep_range: tuple[float, float]
-    n: int
-    scale: str = "linear"
+class ScanSpec(_Record):
+    __slots__ = __match_args__ = ("models", "fixed", "sweep_var", "sweep_range",
+                                  "n", "scale")
 
-    def __post_init__(self):
-        models = tuple(ModelKind(m) for m in (
-            self.models if isinstance(self.models, (tuple, list)) else (self.models,)
-        ))
-        object.__setattr__(self, "models", models)
-        object.__setattr__(self, "fixed", dict(self.fixed))
+    def __init__(self, models: tuple[ModelKind, ...], fixed: dict[str, float],
+                 sweep_var: str, sweep_range: tuple[float, float], n: int,
+                 scale: str = "linear"):
+        _set(self, "models", tuple(ModelKind(m) for m in (
+            models if isinstance(models, (tuple, list)) else (models,)
+        )))
+        _set(self, "fixed", dict(fixed))
+        _set(self, "sweep_var", sweep_var)
+        _set(self, "sweep_range", sweep_range)
+        _set(self, "n", n)
+        _set(self, "scale", scale)
         self.validate()
 
-    def validate(self) -> None:
-        self._checked_grid()
-
-    def _checked_grid(self) -> list[float]:
-        # validate's checks, one of which builds the grid: run_scan takes
-        # the grid from here rather than build it twice
+    def validate(self) -> list[float]:
+        """Check the spec and return its grid.  The fixed dict can change
+        after construction, so run_scan checks again."""
         if not self.models:
             raise ValueError("at least one model is required")
         if self.sweep_var not in _SWEEPABLE:
@@ -109,17 +105,20 @@ class ScanSpec:
         return [lo, *inner, hi]
 
 
-@dataclass(frozen=True)
-class ScanTable:
-    columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
-    spec: ScanSpec
+class ScanTable(_Record):
+    __slots__ = __match_args__ = ("columns", "rows", "spec")
+
+    def __init__(self, columns: tuple[str, ...], rows: tuple[tuple[float, ...], ...],
+                 spec: ScanSpec):
+        _set(self, "columns", columns)
+        _set(self, "rows", rows)
+        _set(self, "spec", spec)
 
 
 def run_scan(spec: ScanSpec) -> ScanTable:
     """Evaluate the spec over its grid; rows come back in ascending sweep
     order."""
-    grid = spec._checked_grid()  # spec.fixed is a dict: check it again
+    grid = spec.validate()  # spec.fixed is a dict: check it again
     fixed, var, models = spec.fixed, spec.sweep_var, spec.models
     x_p, y = fixed["x_p"], fixed.get("y", 0.0)
     x, q = fixed.get("x", 0.0), fixed.get("q", 1.0)
