@@ -23,6 +23,7 @@ import math
 from enum import Enum
 
 from .special_functions import (
+    _check_q,
     dawson,
     faddeeva_w,  # noqa: F401  bench/spans.py wraps this name; --trace 1 needs it
     lambda0,
@@ -117,16 +118,7 @@ class QueryPoint(_Record):
         _set(self, "q", q)
 
     def z(self, y: float) -> complex:
-        if self.q <= 0:
-            raise ValueError("z = (x + iy)/q is defined only for q > 0")
-        return complex(self.x, y) / self.q
-
-
-def _require_positive_q(q: float) -> float:
-    q = float(q)
-    if not q > 0.0:
-        raise ValueError(f"wave number q must be strictly positive, got {q!r}")
-    return q
+        return complex(self.x, y) / _check_q(self.q)
 
 
 def _prefactor(x_p: float, xy: complex, q: float) -> float:
@@ -150,7 +142,7 @@ def _prefactor(x_p: float, xy: complex, q: float) -> float:
 
 def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     """Quantum-model permittivity at (possibly complex) frequency omega."""
-    q = _require_positive_q(q)
+    q = _check_q(q)
     if x_p == 0.0:
         return 1.0 + 0j
     xy = omega + 1j * y
@@ -165,7 +157,7 @@ def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float) -> complex
 
 def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     """Classical-model permittivity at (possibly complex) frequency omega."""
-    q = _require_positive_q(q)
+    q = _check_q(q)
     if x_p == 0.0:
         return 1.0 + 0j
     xy = omega + 1j * y
@@ -189,7 +181,7 @@ def mermin_static_denominator(q: float) -> float:
     last_q, last = _d0_last
     if q == last_q:
         return last
-    q = _require_positive_q(q)
+    q = _check_q(q)
     F = dawson(0.5 * q)
     val = 4.0 * F / q
     _d0_last = (q, val)
@@ -198,7 +190,7 @@ def mermin_static_denominator(q: float) -> float:
 
 def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     """Mermin-model permittivity at (possibly complex) frequency omega."""
-    q = _require_positive_q(q)
+    q = _check_q(q)
     if x_p == 0.0:
         return 1.0 + 0j
     xy = omega + 1j * y
@@ -240,7 +232,7 @@ def epsilon_static(x_p: float, y: float, q: float) -> complex:
     :func:`t_diff_and_lambda0` call, whose partial-fraction and tail forms
     avoid the underflow and cancellation of the literal ones.
     """
-    q = _require_positive_q(q)
+    q = _check_q(q)
     y = float(y)
     if not y > 0.0:
         raise ValueError(f"static limit requires y > 0, got {y!r}")

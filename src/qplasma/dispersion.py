@@ -19,6 +19,7 @@ from .dielectric import (
     eps_mermin_omega,
     eps_quantum_omega,
 )
+from .special_functions import _check_q
 
 _SQRT_PI_OVER_8 = math.sqrt(math.pi / 8.0)
 
@@ -103,9 +104,7 @@ def gamma_asymptotic(params: PlasmaParams, q: float,
     gives the classical collisional decrement; y = 0 then reduces it to the
     Landau value.  Valid for k well below k_D.
     """
-    q = float(q)
-    if not q > 0.0:
-        raise ValueError(f"q must be strictly positive, got {q!r}")
+    q = _check_q(q)
     if not params.x_p > 0.0:
         raise ValueError("gamma_asymptotic requires x_p > 0")
     kD = params.debye_wavenumber
@@ -213,15 +212,12 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
     steps; a root whose |eps| is still above _ROUNDING_FLOOR then takes one
     more step by the same rule, kept only if its eps is finite and no
     larger.  The returned residual is |eps| at the returned omega.  Raises
-    ValueError for a q, guess or slope that is not finite (or a zero
-    slope), ConvergenceError without convergence or at the first
-    non-finite eps, naming the last finite iterate, and NonPhysicalRootError
-    if the root has Re omega <= 0.
+    ValueError unless 0 < q < inf, for a guess or slope that is not finite
+    and for a zero slope, ConvergenceError without convergence or at the
+    first non-finite eps, naming the last finite iterate, and
+    NonPhysicalRootError if the root has Re omega <= 0.
     """
-    q = float(q)
-    _finite("q", q)
-    if not q > 0.0:
-        raise ValueError(f"q must be strictly positive, got {q!r}")
+    q = _check_q(q)
     model = ModelKind(model)
     if model not in _SOLVABLE:
         raise ValueError(f"solve_root supports {[m.value for m in _SOLVABLE]}, got {model.value!r}")

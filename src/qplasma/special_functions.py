@@ -12,13 +12,16 @@ see _node_loop, and 2.3e-14 where the rule refuses and D is the direct
 difference).  The slow quadrature cross-checks live in the test suite's
 ``tests/oracle.py``.
 
-Each public function checks its argument once (``_check_finite``) and then
+Each public function checks its argument once (``_check_finite``; a wave
+number q by ``_check_q``, the package's one rule 0 < q < inf) and then
 works on private kernels that assume a finite complex argument: ``_w`` is w
 at finite z, and ``_node_loop`` sums w's trapezoid rule as partial
 fractions, giving D and lambda0 at one z from one loop over its nodes.
 lambda0, t_diff_over_q and t_diff_and_lambda0 call these directly rather
 than through faddeeva_w and plasma_t, whose checks and calls would repeat
-the one already made.
+the one already made.  Deep below the real axis exp(-z^2) and the Landau
+terms built from it can leave double range; there the functions raise
+OverflowError naming z (and q) instead of returning inf or nan.
 """
 
 from __future__ import annotations
@@ -46,6 +49,19 @@ def _check_finite(z: complex, name: str = "z") -> complex:
     return z
 
 
+def _check_q(q: float) -> float:
+    # the package's one rule for a wave number q
+    q = float(q)
+    if not 0.0 < q < math.inf:
+        raise ValueError(f"q must be finite and > 0, got {q!r}")
+    return q
+
+
+def _out_of_range(what: str, where: str) -> OverflowError:
+    return OverflowError(f"{what} exceeds double-precision range at {where}; "
+                         "the function value itself is not representable there")
+
+
 # ----------------------------------------------------------------------------
 # Faddeeva function.  Region split:
 #   |z| <= 1.8, |Re z| < 0.1      Maclaurin series (the strip along the
@@ -59,11 +75,9 @@ def _check_finite(z: complex, name: str = "z") -> complex:
 #   Im z < 0                      reflection w(z) = 2 exp(-z^2) - w(-z)
 # _w(z) makes this split for finite z; faddeeva_w is _w behind the one
 # _check_finite of its public call.  lambda0 and t_diff_over_q share the
-# tail; below |z| = 12 t_diff_over_q takes the series only on the disk
-# |z| + q/2 <= 0.5 of its 0.5 band, and both elsewhere, strip and disk
-# included, sum the trapezoid rule as partial fractions (_node_loop below),
-# free of the cancellation of 1 + z t and of a difference of two t values;
-# their errors are on |lambda0| and |D|, not on a small Im w.
+# tail, and below it, strip included, sum the trapezoid rule as partial
+# fractions (_node_loop below), free of the cancellation of 1 + z t and of
+# a difference of two t values.
 # The trapezoid step h = 0.5 puts the quadrature floor at exp(-pi^2/h^2)
 # ~ 7e-18.  Two node grids, A at t = k*h and B at t = (k + 1/2)*h; each z
 # takes the grid whose nodes lie at least h/4 from Re z, so neither a node
@@ -87,14 +101,19 @@ _SERIES_BANDS = [(r, _MACLAURIN[n::-1]) for r, n in
                  ((0.25, 22), (0.5, 29), (1.0, 42), (1.4, 53), (1.8, 65))]
 # the disk |s| <= 0.5 of one band, where D is the series differenced
 _DISK_RADIUS, _DISK_COEFFS = _SERIES_BANDS[1]
-# (t^2, 2 exp(-t^2)) for t > 0; grid A's t = 0 node is summed alone as 1/z
-_GRID_A = [(t * t, 2.0 * math.exp(-t * t)) for t in (k * _H for k in range(1, 15))]
-_GRID_B = [(t * t, 2.0 * math.exp(-t * t)) for t in ((k + 0.5) * _H for k in range(15))]
-# the same nodes as (t^2, 2 exp(-t^2), 2 t^2 exp(-t^2)) for _node_loop, as
-# complex numbers: complex-complex arithmetic is the faster, and gives the
-# bits of the mixed float-complex form
-_NODES_A = [(complex(t2), complex(wt), complex(wt * t2)) for t2, wt in _GRID_A]
-_NODES_B = [(complex(t2), complex(wt), complex(wt * t2)) for t2, wt in _GRID_B]
+
+
+def _node(t: float) -> tuple[complex, complex, complex]:
+    # (t^2, 2 exp(-t^2), 2 t^2 exp(-t^2)) as complex numbers: complex-complex
+    # arithmetic is the faster, and gives the bits of the mixed float-complex
+    # form
+    wt = 2.0 * math.exp(-t * t)
+    return complex(t * t), complex(wt), complex(wt * (t * t))
+
+
+# the nodes t > 0 of grids A and B; grid A's t = 0 node is summed alone as 1/z
+_NODES_A = [_node(k * _H) for k in range(1, 15)]
+_NODES_B = [_node((k + 0.5) * _H) for k in range(15)]
 _MINUS_H_OVER_SQRT_PI = complex(-_H / SQRT_PI)
 _MINUS_2PI_I_OVER_H = -2j * math.pi / _H
 _TWO_PI_I = 2j * math.pi
@@ -131,10 +150,11 @@ def _tail(z2: complex) -> complex:
 
 def _w_trapezoid(z: complex) -> complex:
     on_a = 0.25 <= (z.real / _H) % 1.0 < 0.75
+    nodes, (sigma, _) = (_NODES_A, _POLES_A) if on_a else (_NODES_B, _POLES_B)
     z2 = z * z
     acc = 0j
-    for t2, weight in _GRID_A if on_a else _GRID_B:
-        acc += weight / (z2 - t2)
+    for t2, wt, _ in nodes:
+        acc += wt / (z2 - t2)
     acc *= z
     if on_a:
         acc += 1.0 / z
@@ -143,10 +163,7 @@ def _w_trapezoid(z: complex) -> complex:
         # poles outside the summation strip; plain trapezoid already exact
         return w
     e = cmath.exp(-2j * math.pi * z / _H)
-    ez2 = cmath.exp(-z2)
-    if on_a:
-        return w - 2.0 * ez2 / (e - 1.0)
-    return w + 2.0 * ez2 / (e + 1.0)
+    return w + sigma * 2.0 * cmath.exp(-z2) / (e + sigma)
 
 
 def _w(z: complex) -> complex:
@@ -169,10 +186,7 @@ def _exp_minus_z2(z: complex) -> complex:
         return 0j
     phase = -2.0 * z.real * z.imag
     if not (m <= 708.0 and math.isfinite(phase)):
-        raise OverflowError(
-            f"exp(-z^2) exceeds double-precision range at z={z!r}; "
-            "the function value itself is not representable there"
-        )
+        raise _out_of_range("exp(-z^2)", f"z={z!r}")
     return cmath.exp(complex(m, phase))
 
 
@@ -205,10 +219,8 @@ def faddeeva_w(z: complex) -> complex:
 #       / ((a^2 - t_k^2)(b^2 - t_k^2))] + [c(a) - c(b)]/q.
 # The leading 1 of lambda0 = 1 + z t cancels exactly against (h/sqrt(pi))
 # sum_k exp(-t_k^2) = 1 + delta, delta = +-2 exp(-pi^2/h^2) ~ 1.4e-17 by
-# Poisson summation.  delta is left out: with it, the worst lambda0 of 300
-# points with 6 < Re z < 11.9, 0 < Im z < 1 went 1.5e-15 -> 3.4e-15 and the
-# median rose in every band of Im z, since the rule's own aliasing error
-# cancels delta to leading order.  D is exact in q: no two t values are
+# Poisson summation.  delta is left out, since the rule's own aliasing
+# error cancels it to leading order.  D is exact in q: no two t values are
 # differenced, and for |Re qz| < 1 neither are the corrections, by
 #   f(a) g(b) - f(b) g(a) = 2 exp(-z^2 - q^2/4)
 #                           [e(z) sinh(qz - i pi q/h) + sigma sinh(qz)];
@@ -330,6 +342,8 @@ def lambda0(z: complex) -> complex:
     the same z, and the second call returns the first's value instead of a
     second node loop.  z + 0j and z - 0j share the entry, and give the same
     value.  Non-finite z raises every time; a raised call stores nothing.
+    Deep below the real axis, where the Landau term leaves double range,
+    OverflowError names z.
     """
     global _lambda0_last
     last_z, last = _lambda0_last
@@ -348,6 +362,8 @@ def _lambda0(z: complex) -> complex:
         val = -_tail(z * z)
         if z.imag < 0.0:
             val += z * (_TWO_I_SQRT_PI * _exp_minus_z2(z))
+            if not cmath.isfinite(val):
+                raise _out_of_range("lambda0", f"z={z!r}")
         return val
     if az == 0.0:
         return 1.0 + 0j  # the node loop gives 1.0000000000000002
@@ -419,63 +435,23 @@ def dawson(u: float) -> float:
 
 
 # ----------------------------------------------------------------------------
-# Derivatives of t and the cancellation-safe symmetric difference
+# t and t', and the cancellation-safe symmetric difference
 # ----------------------------------------------------------------------------
 
-def _t_tail_derivatives(z: complex, n: int) -> list[complex]:
-    # [t'', ..., t^(n)] from |z| = 12: the tail series differentiated term
-    # by term, t^(k) = -(-1)^k sum_m (1/2)_m (2m+1)_k z^-(2m+1+k) with the
-    # rising factorial (2m+1)_k, and below the axis the Landau term
-    # 2i sqrt(pi) exp(-z^2) differentiated through the Hermite recurrence,
-    # (d/dz)^k exp(-z^2) = (-1)^k H_k(z) exp(-z^2)
-    inv_z = 1.0 / z
-    inv_z2 = inv_z * inv_z
-    out = []
-    for k in range(2, n + 1):
-        term = acc = math.factorial(k) * inv_z ** (k + 1)
-        for m in range(40):
-            term *= ((m + 0.5) * (2 * m + 1 + k) * (2 * m + 2 + k)
-                     / ((2 * m + 1) * (2 * m + 2))) * inv_z2
-            acc += term
-            if abs(term) <= 1e-17 * abs(acc):
-                break
-        out.append(acc if k % 2 else -acc)
-    if z.imag < 0.0 and n >= 2:
-        g = [_exp_minus_z2(z)]  # g_k = H_k(z) exp(-z^2)
-        g.append(2.0 * z * g[0])
-        for k in range(1, n):
-            g.append(2.0 * z * g[k] - 2.0 * k * g[k - 1])
-        for k in range(2, n + 1):
-            out[k - 2] += (-1) ** k * _TWO_I_SQRT_PI * g[k]
-        if not all(cmath.isfinite(v) for v in out):
-            raise OverflowError(
-                f"a derivative of t exceeds double-precision range at z={z!r}"
-            )
-    return out
-
-
 def t_derivatives(z: complex, n: int) -> list[complex]:
-    """[t, t', ..., t^(n)] with t' = -2 lambda0.  Requires 0 <= n <= 6.
-
-    Below |z| = ASYMPTOTIC_SWITCH_Z the higher orders follow the recurrence
-    t^(m+1) = -2 (m t^(m-1) + z t^(m)); from there on, where each of its
-    steps would cancel ~|z|^2-fold, they sum the tail series of t
-    differentiated term by term, plus the Landau term's derivatives for
-    Im z < 0.
-    """
+    """[t] for n = 0 and [t, t'] for n = 1, with t' = -2 lambda0."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"derivative order must be an integer, got {n!r}")
-    if not 0 <= n <= 6:
-        raise ValueError(f"derivative order must be in 0..6, got {n}")
+    if n not in (0, 1):
+        raise ValueError(f"derivative order must be 0 or 1, got {n}")
     z = _check_finite(z)
-    out = [plasma_t(z)]
-    if n >= 1:
-        out.append(-2.0 * _lambda0(z))
-    if abs(z) >= ASYMPTOTIC_SWITCH_Z:
-        return out + _t_tail_derivatives(z, n)
-    for m in range(1, n):
-        out.append(-2.0 * (m * out[m - 1] + z * out[m]))
-    return out
+    t = plasma_t(z)
+    if n == 0:
+        return [t]
+    dt = -2.0 * _lambda0(z)
+    if not cmath.isfinite(dt):
+        raise _out_of_range("t' = -2 lambda0", f"z={z!r}")
+    return [t, dt]
 
 
 def _t_diff_tail(z: complex, q: float) -> complex:
@@ -524,13 +500,6 @@ def _add_landau_diff(val: complex, z: complex, q: float) -> complex:
     return val
 
 
-def _check_q(q: float) -> float:
-    q = float(q)
-    if not (q > 0.0):
-        raise ValueError(f"q must be strictly positive, got {q!r}")
-    return q
-
-
 def t_diff_over_q(z: complex, q: float) -> complex:
     """[t(z - q/2) - t(z + q/2)] / q.
 
@@ -548,6 +517,8 @@ def t_diff_over_q(z: complex, q: float) -> complex:
     normal double q (``sys.float_info.min``) q^2 underflows, and D is its
     q -> 0 limit 2 lambda0(z) to rounding.  On the imaginary axis
     t(-conj s) = -conj t(s) makes D real, and its imaginary part is set to 0.
+    Raises ValueError unless 0 < q < inf, and OverflowError naming z and q
+    where D leaves double range, deep below the real axis.
     """
     return _t_diff(_check_finite(z), _check_q(q), False)[0]
 
@@ -585,6 +556,9 @@ def _t_diff(z: complex, q: float, with_lambda0: bool):
     if D is None:
         half = 0.5 * q
         D = (_I_SQRT_PI * _w(z - half) - _I_SQRT_PI * _w(z + half)) / q
+    if z.imag < 0.0 and not cmath.isfinite(D):
+        # the Landau terms below the axis, or their difference over q
+        raise _out_of_range("[t(z - q/2) - t(z + q/2)]/q", f"z={z!r}, q={q!r}")
     if z.real == 0.0:
         D = complex(D.real, 0.0)
     return D, lam

@@ -24,7 +24,8 @@ from qplasma.dielectric import (
     evaluate,
     mermin_static_denominator,
 )
-from qplasma.special_functions import dawson, plasma_t
+from qplasma.dispersion import gamma_asymptotic, solve_root
+from qplasma.special_functions import dawson, plasma_t, t_diff_and_lambda0, t_diff_over_q
 
 from conftest import assert_cclose
 from oracle import quad_epsilon_quantum
@@ -75,6 +76,29 @@ class TestDomainTypes:
         assert QueryPoint(x=1.0, q=0.5).z(0.1) == (1.0 + 0.1j) / 0.5
         with pytest.raises(ValueError):
             QueryPoint(x=1.0, q=0.0).z(0.1)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda q: t_diff_over_q(1 + 1j, q),
+    lambda q: t_diff_and_lambda0(1 + 1j, q),
+    lambda q: eps_quantum_omega(1.0, 0.1, 1.0, q),
+    lambda q: eps_classical_omega(1.0, 0.1, 1.0, q),
+    lambda q: eps_mermin_omega(1.0, 0.1, 1.0, q),
+    lambda q: epsilon_static(1.0, 0.1, q),
+    lambda q: epsilon_lindhard(1.0, 1.0, q),
+    mermin_static_denominator,
+    lambda q: gamma_asymptotic(PlasmaParams(1.0, 0.1), q),
+    lambda q: solve_root(PlasmaParams(1.0, 0.1), q, ModelKind.QUANTUM),
+], ids=["t_diff_over_q", "t_diff_and_lambda0", "eps_quantum_omega",
+        "eps_classical_omega", "eps_mermin_omega", "epsilon_static",
+        "epsilon_lindhard", "mermin_static_denominator", "gamma_asymptotic",
+        "solve_root"])
+@pytest.mark.parametrize("q", [0.0, -0.5, math.inf, math.nan])
+def test_one_q_rule(fn, q):
+    # every function that takes a wave number q applies the one rule
+    # 0 < q < inf; at q = inf the eps cores returned 1, gamma_asymptotic nan
+    with pytest.raises(ValueError, match="^q must be finite and > 0"):
+        fn(q)
 
 
 class TestEpsilonQuantum:

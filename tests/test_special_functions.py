@@ -366,20 +366,13 @@ class TestTDerivatives:
         d = t_derivatives(z, 1)
         assert abs(d[1] + 2 * lambda0(z)) <= 1e-12
 
-    def test_second_derivative_at_zero(self):
-        d = t_derivatives(0.0, 2)
-        assert_cclose(d[2], -2j * SQRT_PI, rtol=1e-14)
-
     def test_against_finite_differences(self):
-        # validate each recurrence step: central difference of the m-th
-        # derivative against the (m+1)-th, orders up to 3.  (A direct
-        # h^-3 stencil would be roundoff-dominated at this step size.)
+        # the central difference of t against t' = -2 lambda0
         h = 1e-5
         for z in (3j, 1 + 1j, -2 + 0.5j):
-            d = t_derivatives(z, 3)
-            for m in (0, 1, 2):
-                fd = (t_derivatives(z + h, m)[m] - t_derivatives(z - h, m)[m]) / (2 * h)
-                assert abs(d[m + 1] - fd) <= 1e-7 * max(1.0, abs(fd))
+            d = t_derivatives(z, 1)
+            fd = (t_derivatives(z + h, 0)[0] - t_derivatives(z - h, 0)[0]) / (2 * h)
+            assert abs(d[1] - fd) <= 1e-7 * max(1.0, abs(fd))
 
     def test_first_derivative_fd_example(self):
         h = 1e-5
@@ -387,12 +380,8 @@ class TestTDerivatives:
         assert abs(t_derivatives(3j, 1)[1] - fd) <= 1e-8 * abs(fd)
 
     def test_one_faddeeva_call_below_the_tail(self, monkeypatch):
-        # below |z| = 12, t_derivatives evaluates w once through plasma_t,
-        # takes t' = -2 lambda0 and runs the recurrence.  D at small q, which
-        # took the Taylor form -(t' + q^2 t^(3)/24 + q^4 t^(5)/1920) below
-        # q = 1e-3 (1 + |z|), is held to mpmath at and around that old
-        # switch: the direct difference just above it was 4.2e-13 off at
-        # 0.05 + 1.7i, q = 0.004
+        # below |z| = 12, t_derivatives evaluates w once through plasma_t
+        # and takes t' = -2 lambda0
         calls = []
 
         def counting(z):
@@ -402,65 +391,35 @@ class TestTDerivatives:
         monkeypatch.setattr(special_functions, "faddeeva_w", counting)
         for z in (2j, 1 + 1j, 5 - 0.2j, -3 + 0.01j, 11.9 + 0.5j, 0.05 + 1.7j):
             calls.clear()
-            got = t_derivatives(z, 5)
+            got = t_derivatives(z, 1)
             assert len(calls) == 1
-            d = [plasma_t(z), -2.0 * lambda0(z)]
-            for m in range(1, 5):
-                d.append(-2.0 * (m * d[m - 1] + z * d[m]))
-            assert got == d
-            for q in (1e-8, 0.5e-3 * (1 + abs(z)), 0.004):
-                ref = TestTDiffOverQ._mp_diff(z, q)
-                err = abs(t_diff_over_q(z, q) - ref)
-                assert err <= 2e-15 * max(abs(ref), _lower_scale(z, q)), (z, q)
-
-    @staticmethod
-    def _mp_derivatives(z: complex, n: int) -> list[complex]:
-        # the recurrence run in 100-digit mpmath: it cancels ~|z|^2-fold per
-        # step, ~1e24 over five steps at |z| = 1000
-        with mp.workdps(100):
-            zz = mp.mpc(z.real, z.imag)
-            t = 1j * mp.sqrt(mp.pi) * mp.exp(-zz * zz) * mp.erfc(-1j * zz)
-            d = [t, -2 * (1 + zz * t)]
-            for m in range(1, n):
-                d.append(-2 * (m * d[m - 1] + zz * d[m]))
-            return [complex(v) for v in d]
-
-    @pytest.mark.parametrize("z", [100 + 1j, 1000 + 1j, 1000 - 1j,
-                                   12.5 - 0.5j, 10 - 10j, 15 - 14j])
-    def test_tail_orders_against_live_mpmath(self, z):
-        # from |z| = 12 the higher orders sum the tail series differentiated
-        # term by term; the recurrence was 0.25 off in t^(5) at z = 100 + i.
-        # The last three points sit below the axis, where the Landau term's
-        # derivatives are a sizeable part of the value or all of it
-        ref = self._mp_derivatives(z, 5)
-        got = t_derivatives(z, 5)
-        for m in range(2, 6):
-            assert_cclose(got[m], ref[m], rtol=2e-15)
+            assert got == [plasma_t(z), -2.0 * lambda0(z)]
 
     def test_tail_orders_underflow_where_z_squared_overflows(self):
-        # t^(k) ~ -(-1)^k k! z^-(k+1) underflows to 0; the recurrence gave
-        # t''' = -4 and t^(5) = nan here
+        # t ~ -1/z, and t' ~ -1/z^2 underflows to 0
         z = 1e200 * (1 + 1j)
-        d = t_derivatives(z, 6)
+        d = t_derivatives(z, 1)
         assert_cclose(d[0], -1 / z, rtol=1e-15)
-        assert all(v == 0 for v in d[1:])
+        assert d[1] == 0
 
     def test_tail_orders_raise_overflow_naming_z(self):
-        # exp(-z^2) ~ 1e300 is representable, t^(6) ~ 6e14 times it is not
+        # exp(-z^2) ~ 1e300 is representable, and so is t' there; at the
+        # second z t' = -2 lambda0 is not, and was nan
         z = 100 - 103.4j
         assert len(t_derivatives(z, 1)) == 2
+        z = -2.2612872579819108 - 26.69525566056445j
         with pytest.raises(OverflowError, match=re.escape(repr(z))):
-            t_derivatives(z, 6)
+            t_derivatives(z, 1)
 
     def test_order_bounds(self):
         assert len(t_derivatives(1j, 0)) == 1
-        assert len(t_derivatives(1j, 6)) == 7
-        with pytest.raises(ValueError):
-            t_derivatives(1j, 7)
-        with pytest.raises(ValueError):
-            t_derivatives(1j, -1)
-        with pytest.raises(ValueError):
-            t_derivatives(1j, 2.5)
+        assert len(t_derivatives(1j, 1)) == 2
+        for n in (2, -1):
+            with pytest.raises(ValueError, match="^derivative order must be 0 or 1"):
+                t_derivatives(1j, n)
+        for n in (2.5, True):
+            with pytest.raises(ValueError, match="^derivative order must be an integer"):
+                t_derivatives(1j, n)
 
 
 class TestTDiffOverQ:
@@ -477,6 +436,17 @@ class TestTDiffOverQ:
         got = t_diff_over_q(1 + 1j, 0.5)
         assert_cclose(got, J0_1_1I_05, rtol=1e-12)
         assert_cclose(got, oracle.quad_J0(1 + 1j, 0.5), rtol=1e-10)
+
+    def test_around_the_old_taylor_switch_against_live_mpmath(self):
+        # D at small q took the Taylor form -(t' + q^2 t^(3)/24 + q^4
+        # t^(5)/1920) below q = 1e-3 (1 + |z|); it is held to mpmath at and
+        # around that old switch: the direct difference just above it was
+        # 4.2e-13 off at 0.05 + 1.7i, q = 0.004
+        for z in (2j, 1 + 1j, 5 - 0.2j, -3 + 0.01j, 11.9 + 0.5j, 0.05 + 1.7j):
+            for q in (1e-8, 0.5e-3 * (1 + abs(z)), 0.004):
+                ref = self._mp_diff(z, q)
+                err = abs(t_diff_over_q(z, q) - ref)
+                assert err <= 2e-15 * max(abs(ref), _lower_scale(z, q)), (z, q)
 
     def test_series_switch_continuity(self):
         for z in (2j, 1 + 1j, 5 - 0.2j):
@@ -726,7 +696,7 @@ class TestFlatKernels:
 
     @pytest.mark.parametrize("fn", [
         faddeeva_w, plasma_t, lambda0,
-        lambda z: t_diff_over_q(z, 0.5), lambda z: t_derivatives(z, 3),
+        lambda z: t_diff_over_q(z, 0.5), lambda z: t_derivatives(z, 1),
         lambda z: t_diff_and_lambda0(z, 0.5),
     ])
     @pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, math.nan),
@@ -976,3 +946,54 @@ class TestLambda0Memo:
             # the memo the classical model runs lambda0's loop alone
             assert loops == ([(q, True)] if memo else [(q, True), (0.0, True)])
             assert ws == []
+
+
+class TestNoSilentInfinities:
+    # deep below the axis exp(-z^2) is representable up to Re(-z^2) = 708,
+    # but the Landau term 2i sqrt(pi) z exp(-z^2) of lambda0, its difference
+    # over q in D, and t' = -2 lambda0 can leave double range there.  Each
+    # public function returns a finite value or raises OverflowError naming
+    # the point; these repros returned inf or nan
+    LAMBDA0_REPRO = -2.2612872579819108 - 26.69525566056445j
+    D_REPROS = [(-26.6j, 1e-3), (6.393028798601832 - 27.312731832145666j,
+                                 2.0086431928966847e-94)]
+
+    @staticmethod
+    def _points(seed: int, n: int):
+        # Re(-z^2) = y^2 - x^2 from 690 to 712, |Re z| log-uniform from 1e-3
+        # to 300, q log-uniform from 1e-320 to 30
+        rng = random.Random(seed)
+        for _ in range(n):
+            x = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-3.0, 2.5)
+            z = complex(x, -math.sqrt(rng.uniform(690.0, 712.0) + x * x))
+            yield z, 10 ** rng.uniform(-320.0, 1.5)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_finite_or_overflow_error(self, seed):
+        points = [(self.LAMBDA0_REPRO, 1e-3)] + self.D_REPROS + list(self._points(seed, 400))
+        raised = 0
+        for z, q in points:
+            for fn in (faddeeva_w, plasma_t, lambda0, lambda z: t_derivatives(z, 1),
+                       lambda z: t_diff_over_q(z, q), lambda z: t_diff_and_lambda0(z, q)):
+                try:
+                    got = fn(z)
+                except OverflowError as exc:
+                    assert re.search(r"range at z=\(", str(exc)), (z, q, exc)
+                    raised += 1
+                    continue
+                values = got if isinstance(got, (tuple, list)) else [got]
+                assert all(map(cmath.isfinite, values)), (z, q, got)
+        assert raised > 100
+
+    def test_repros_raise_naming_z_and_q(self):
+        z = self.LAMBDA0_REPRO
+        lambda0(1 + 1j)
+        before = special_functions._lambda0_last
+        for fn in (lambda0, lambda z: t_derivatives(z, 1)):
+            with pytest.raises(OverflowError, match=re.escape(f"at z={z!r};")):
+                fn(z)
+        for z, q in self.D_REPROS:
+            for fn in (t_diff_over_q, t_diff_and_lambda0):
+                with pytest.raises(OverflowError, match=re.escape(f"at z={z!r}, q={q!r};")):
+                    fn(z, q)
+        assert special_functions._lambda0_last is before  # a raised call stores nothing
