@@ -2,7 +2,7 @@
 
 Closed-form long-wave asymptotics for the oscillation frequency and damping
 decrement, a derivative-free secant/Muller root solver, and wave-number
-continuation along a branch from extrapolated seeds and carried slopes.
+continuation along a branch from extrapolated seeds and slopes.
 """
 
 from __future__ import annotations
@@ -37,8 +37,10 @@ _SOLVES_PER_STEP = 25
 #: without a slope, solve_root starts from seed + this * max(|seed|, 1) and
 #: the seed
 _SEED_SPREAD = 1e-3
-#: trace_branch extrapolates through at most this many roots on its grid
+#: trace_branch extrapolates the seed through at most this many roots on its
+#: grid, and the slope through at most _SLOPE_ORDER of their slopes
 _SEED_ORDER = 6
+_SLOPE_ORDER = 4
 
 
 class DispersionRoot(_Record):
@@ -122,22 +124,29 @@ def gamma_asymptotic(params: PlasmaParams, q: float,
     return -0.5 * params.y - landau
 
 
-_SOLVABLE = (ModelKind.QUANTUM, ModelKind.CLASSICAL, ModelKind.MERMIN)
+_QUANTUM, _CLASSICAL, _MERMIN = ModelKind.QUANTUM, ModelKind.CLASSICAL, ModelKind.MERMIN
+_SOLVABLE = (_QUANTUM, _CLASSICAL, _MERMIN)
+
+
+def _eps_core(model: ModelKind):
+    # the model's eps(x_p, y, omega, q), read from the module globals at call
+    # time: a wrapper set on those names is what the solver then calls
+    if model is _QUANTUM:
+        return eps_quantum_omega
+    if model is _CLASSICAL:
+        return eps_classical_omega
+    return eps_mermin_omega
 
 
 def _eps_at(model: ModelKind, params: PlasmaParams, omega: complex, q: float) -> complex:
-    if model is ModelKind.QUANTUM:
-        return eps_quantum_omega(params.x_p, params.y, omega, q)
-    if model is ModelKind.CLASSICAL:
-        return eps_classical_omega(params.x_p, params.y, omega, q)
-    return eps_mermin_omega(params.x_p, params.y, omega, q)
+    return _eps_core(model)(params.x_p, params.y, omega, q)
 
 
 def default_guess(params: PlasmaParams, q: float, model: ModelKind) -> complex:
     """Asymptotic seed: omega_p-scaled long-wave frequency, quantum term per
     model, plus i times the classical damping decrement; its quantum factor
     1 - q^2/4 would flip the seed into the upper half-plane for q > 2."""
-    Q = params.quantum_parameter if model is not ModelKind.CLASSICAL else 0.0
+    Q = params.quantum_parameter if model is not _CLASSICAL else 0.0
     kappa = q / params.debye_wavenumber
     re = params.x_p * omega_asymptotic(kappa, Q)
     im = gamma_asymptotic(params, q, quantum_factors=False)
@@ -202,25 +211,29 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
                slope: complex | None = None) -> DispersionRoot:
     """Solve eps(omega, q) = 0 for complex omega at fixed q.
 
-    Derivative-free, one eps evaluation per step.  Without a slope the
-    start is eps at seed + _SEED_SPREAD * max(|seed|, 1) and at the seed,
-    and the first step is a secant step; with a slope (d eps/d omega near
-    the root, as a previous root on the branch carries it) the start is eps
-    at the seed alone and the first step is omega - eps/slope.  Muller
-    steps follow from three points on; the slope step counts as an
-    iteration.  Converges when |eps| <= _RESIDUAL_TOL within _MAX_ITER
-    steps; a root whose |eps| is still above _ROUNDING_FLOOR then takes one
-    more step by the same rule, kept only if its eps is finite and no
-    larger.  The returned residual is |eps| at the returned omega.  Raises
-    ValueError unless 0 < q < inf, for a guess or slope that is not finite
-    and for a zero slope, ConvergenceError without convergence or at the
-    first non-finite eps, naming the last finite iterate, and
-    NonPhysicalRootError if the root has Re omega <= 0.
+    Derivative-free, one eps evaluation per step, all through the model's
+    eps core, picked once per solve from the module's eps_*_omega names.
+    Without a slope the start is eps at seed + _SEED_SPREAD * max(|seed|, 1)
+    and at the seed, and the first step is a secant step; with a slope
+    (d eps/d omega near the root, as trace_branch extrapolates it from the
+    slopes of the roots before) the start is eps at the seed alone and the
+    first step is omega - eps/slope.  Muller steps follow from three
+    points on; the slope step counts as an iteration.  Converges when
+    |eps| <= _RESIDUAL_TOL within _MAX_ITER steps; a root whose |eps| is
+    still above _ROUNDING_FLOOR then takes one more step by the same rule,
+    kept only if its eps is finite and no larger.  The returned residual is
+    |eps| at the returned omega.  Raises ValueError unless 0 < q < inf, for
+    a guess or slope that is not finite and for a zero slope,
+    ConvergenceError without convergence or at the first non-finite eps,
+    naming the last finite iterate, and NonPhysicalRootError if the root
+    has Re omega <= 0.
     """
     q = _check_q(q)
-    model = ModelKind(model)
-    if model not in _SOLVABLE:
-        raise ValueError(f"solve_root supports {[m.value for m in _SOLVABLE]}, got {model.value!r}")
+    if model is not _QUANTUM and model is not _CLASSICAL and model is not _MERMIN:
+        model = ModelKind(model)
+        if model not in _SOLVABLE:
+            raise ValueError(
+                f"solve_root supports {[m.value for m in _SOLVABLE]}, got {model.value!r}")
     if guess is not None:
         _finite("guess", guess)
     if slope is not None:
@@ -228,6 +241,7 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
         if slope == 0:
             raise ValueError("slope must be nonzero")
     seed = complex(guess) if guess is not None else default_guess(params, q, model)
+    eps, x_p, y = _eps_core(model), params.x_p, params.y
     points: list[tuple[complex, complex]] = []  # (omega, eps), newest last
 
     def stopped(omega: complex, what: str) -> ConvergenceError:
@@ -239,7 +253,7 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
 
     def visit(omega: complex) -> float:
         try:
-            f = _eps_at(model, params, omega, q)
+            f = eps(x_p, y, omega, q)
         except (OverflowError, ValueError, ZeroDivisionError) as exc:
             raise stopped(omega, f"raised {type(exc).__name__}: {exc}") from exc
         if not cmath.isfinite(f):
@@ -288,11 +302,26 @@ _EXTRAPOLATION_WEIGHTS = [
 ]
 
 
-def _extrapolate(roots: list[DispersionRoot]) -> complex:
-    # the next root on a uniform q grid, by the polynomial through the last
-    # m = min(_SEED_ORDER, len(roots)) roots
-    w = roots[-_SEED_ORDER:]
-    return sum(c * r.omega for c, r in zip(_EXTRAPOLATION_WEIGHTS[len(w)], reversed(w)))
+def _extrapolate(roots: list[DispersionRoot]) -> tuple[complex, complex | None]:
+    # the next root and slope on a uniform q grid, by the polynomials through
+    # the last min(_SEED_ORDER, len(roots)) roots and the last
+    # min(_SLOPE_ORDER, len(roots)) slopes; the slope is the last root's
+    # where a slope in its window is None or the polynomial gives 0 or a
+    # value that is not finite
+    n = len(roots)
+    seed_weights = _EXTRAPOLATION_WEIGHTS[n if n < _SEED_ORDER else _SEED_ORDER]
+    slope_weights = _EXTRAPOLATION_WEIGHTS[n if n < _SLOPE_ORDER else _SLOPE_ORDER]
+    m = len(slope_weights)
+    seed = slope = 0j
+    for j in range(len(seed_weights)):
+        r = roots[n - 1 - j]
+        seed += seed_weights[j] * r.omega
+        if j < m and slope is not None:
+            s = r.slope
+            slope = None if s is None else slope + slope_weights[j] * s
+    if slope is None or slope == 0 or not cmath.isfinite(slope):
+        slope = roots[-1].slope
+    return seed, slope
 
 
 def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
@@ -302,8 +331,10 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
     Each grid point is seeded by polynomial extrapolation through the last
     m = min(6, accepted) roots on the uniform grid, sum_{j=1..m} (-1)^(j+1)
     C(m, j) w_-j (the previous root after one, 2 w_-1 - w_-2 after two),
-    and solved with the previous root's slope, so that it starts from one
-    eps evaluation.  If the root moves by more than _CONTINUATION_STEP
+    and solved from one eps evaluation with a slope extrapolated the same
+    way through the slopes of the last min(4, accepted) roots; the previous
+    root's slope stands in where one of those is None or the extrapolation
+    is 0 or not finite.  If the root moves by more than _CONTINUATION_STEP
     (fractionally) from the previous root or the solve fails, the q step is
     halved until the motion is tame; the solves inside a halved step are
     seeded with the previous root and start from two points.  The whole
@@ -340,7 +371,7 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
             if len(pending) > 1 or prev is not roots[-1]:
                 seed, slope = prev.omega, None  # inside a halved step
             else:
-                seed, slope = _extrapolate(roots), prev.slope
+                seed, slope = _extrapolate(roots)
             try:
                 root = solve_root(params, q, model, guess=seed, slope=slope)
                 jump = abs(root.omega - prev.omega) / max(abs(prev.omega), 1e-300)

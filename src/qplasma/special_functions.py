@@ -493,11 +493,20 @@ def _add_landau_diff(val: complex, z: complex, q: float) -> complex:
         e = _exp_minus_z2(z)
         terms = ((e, 2.0 * math.exp(-0.25 * q * q) * cmath.sinh(qz)),)
     else:
-        terms = ((_exp_minus_z2(z - 0.5 * q), 1.0),
-                 (_exp_minus_z2(z + 0.5 * q), -1.0))
+        try:
+            terms = ((_exp_minus_z2(z - 0.5 * q), 1.0),
+                     (_exp_minus_z2(z + 0.5 * q), -1.0))
+        except OverflowError as exc:
+            raise _t_diff_out_of_range(z, q) from exc
     for e, f in terms:
         val += f * _TWO_I_SQRT_PI * e / q
     return val
+
+
+def _t_diff_out_of_range(z: complex, q: float) -> OverflowError:
+    # D's error names the caller's z and q, not the shifted point z -+ q/2
+    # whose exp(-s^2) left range
+    return _out_of_range("[t(z - q/2) - t(z + q/2)]/q", f"z={z!r}, q={q!r}")
 
 
 def t_diff_over_q(z: complex, q: float) -> complex:
@@ -555,10 +564,13 @@ def _t_diff(z: complex, q: float, with_lambda0: bool):
         D, lam = _node_loop(z, q, with_lambda0 and az > 0.0) or (None, None)
     if D is None:
         half = 0.5 * q
-        D = (_I_SQRT_PI * _w(z - half) - _I_SQRT_PI * _w(z + half)) / q
+        try:
+            D = (_I_SQRT_PI * _w(z - half) - _I_SQRT_PI * _w(z + half)) / q
+        except OverflowError as exc:
+            raise _t_diff_out_of_range(z, q) from exc
     if z.imag < 0.0 and not cmath.isfinite(D):
         # the Landau terms below the axis, or their difference over q
-        raise _out_of_range("[t(z - q/2) - t(z + q/2)]/q", f"z={z!r}, q={q!r}")
+        raise _t_diff_out_of_range(z, q)
     if z.real == 0.0:
         D = complex(D.real, 0.0)
     return D, lam

@@ -78,3 +78,17 @@ def test_wrapped_names_are_called_through_their_globals(module, attr, run, expec
     calls = count_calls(monkeypatch, module, attr)
     run(str(tmp_path))
     assert calls[0] == expected, f"callers bypass {module}.{attr}"
+
+
+@pytest.mark.parametrize("attr, model", [
+    ("eps_quantum_omega", ModelKind.QUANTUM),
+    ("eps_classical_omega", ModelKind.CLASSICAL),
+    ("eps_mermin_omega", ModelKind.MERMIN),
+])
+def test_solver_calls_eps_through_the_wrapped_globals(attr, model, monkeypatch):
+    # solve_root picks its model's eps core once per solve; it must read the
+    # name the tracer wraps, so every evaluation a root counts passes there
+    assert ("qplasma.dispersion", attr) in _wrapped()
+    calls = count_calls(monkeypatch, "qplasma.dispersion", attr)
+    roots = trace_branch(PlasmaParams(1.0, 1e-6), 0.2, 0.3, 5, model)
+    assert calls[0] == sum(r.evaluations for r in roots) > 0

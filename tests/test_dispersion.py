@@ -398,9 +398,9 @@ class TestTraceBranch:
         roots = trace_branch(params, 0.1 * SQRT2, 0.5 * SQRT2, 9, model)
         assert calls[0] <= 8 * len(roots)
         # sixth-order seeds and the carried slope: 4.9 evaluations per root
-        # on these 9 points, against 5.3-5.4 from third-order seeds and two
-        # start points, and 6.7 with the previous root as the seed and three
-        # start points
+        # on these 9 points, extrapolated slope or not, against 5.3-5.4 from
+        # third-order seeds and two start points, and 6.7 with the previous
+        # root as the seed and three start points
         assert calls[0] <= 6 * len(roots)
         assert calls[0] == sum(r.evaluations for r in roots)
 
@@ -408,14 +408,15 @@ class TestTraceBranch:
                                        ModelKind.MERMIN])
     def test_long_branch_costs_at_most_four_evaluations_per_root(self, model,
                                                                  monkeypatch):
-        # 3.68-3.73 per root from sixth-order seeds and one start point, 4.51
-        # from third-order seeds and two start points
+        # 3.37-3.46 per root with the slope extrapolated through the last
+        # four roots' slopes, 3.68-3.73 with the previous root's slope
+        # carried unchanged, 4.51 from third-order seeds and two start points
         calls = count_eps_calls(monkeypatch)
         params = PlasmaParams(x_p=1.0, y=1e-3)
         kD = params.debye_wavenumber
         roots = trace_branch(params, 0.1 * kD, 0.5 * kD, 41, model)
         assert len(roots) == 41
-        assert calls[0] <= 4.0 * len(roots)
+        assert calls[0] <= 3.55 * len(roots)
 
     @pytest.mark.parametrize("model", [ModelKind.QUANTUM, ModelKind.CLASSICAL,
                                        ModelKind.MERMIN])
@@ -462,17 +463,66 @@ class TestTraceBranch:
 class TestExtrapolate:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_reproduces_a_polynomial_through_m_roots(self, m):
-        # the seed through m uniform roots is exact for degree m - 1; the
+        # the seed through m uniform roots is exact for degree m - 1, and the
+        # slope through min(m, 4) slopes for degree min(m, 4) - 1; the
         # weights sum to 1 in absolute value 2^m - 1, so rounding stays
         # within ~64 ulps
         coeffs = [complex(1.3 - 0.2 * j, 0.1 * j - 0.05) for j in range(m)]
+        slope_coeffs = [complex(2.4 + 0.3 * j, 0.2 - 0.1 * j) for j in range(min(m, 4))]
 
-        def poly(q):
-            return sum(c * q ** j for j, c in enumerate(coeffs))
+        def poly(cs, q):
+            return sum(c * q ** j for j, c in enumerate(cs))
 
         qs = [0.3 + 0.05 * i for i in range(m + 3)]
-        roots = [DispersionRoot(q, poly(q), 0.0, 0) for q in qs]
+        roots = [DispersionRoot(q, poly(coeffs, q), 0.0, 0, 1, poly(slope_coeffs, q))
+                 for q in qs]
         for n in range(m, len(qs)):
-            expected = poly(qs[n])
-            got = dispersion._extrapolate(roots[:n])
-            assert abs(got - expected) <= 64 * 2.2e-16 * max(abs(r.omega) for r in roots)
+            seed, slope = dispersion._extrapolate(roots[:n])
+            assert abs(seed - poly(coeffs, qs[n])) <= (
+                64 * 2.2e-16 * max(abs(r.omega) for r in roots))
+            assert abs(slope - poly(slope_coeffs, qs[n])) <= (
+                64 * 2.2e-16 * max(abs(r.slope) for r in roots))
+
+    # slope fields of the roots found so far, oldest first, and the slope the
+    # next solve must be given: the extrapolation, or the last slope where a
+    # slope in the window is None or the extrapolation is 0 or not finite
+    SLOPE_CASES = [
+        pytest.param([1.0, 2.0, 3.0], 4.0, id="extrapolated"),
+        pytest.param([2.0, 1.0], 1.0, id="zero"),
+        pytest.param([2.0 - 1j, 1.0 - 0.5j], 1.0 - 0.5j, id="zero-complex"),
+        pytest.param([None, 1.0, 2.0], 2.0, id="none-in-window"),
+        pytest.param([None, 1.0, 2.0, 3.0, 4.0], 5.0, id="none-outside-window"),
+        pytest.param([1.0, 1.0, None], None, id="none-last"),
+        pytest.param([-1e308, 1e308], 1e308, id="overflow"),
+        pytest.param([1.0, 1e308, 1e308], 1e308, id="nan"),
+    ]
+
+    @pytest.mark.parametrize("slopes, expected", SLOPE_CASES)
+    def test_slope_falls_back_to_the_last(self, slopes, expected):
+        roots = [DispersionRoot(0.1 * (i + 1), complex(1.0 + 0.01 * i, -0.01), 0.0, 0, 1, s)
+                 for i, s in enumerate(slopes)]
+        assert dispersion._extrapolate(roots)[1] == expected
+
+    @pytest.mark.parametrize("slopes, expected", SLOPE_CASES)
+    def test_trace_branch_gives_solve_root_only_valid_slopes(self, slopes, expected,
+                                                            monkeypatch):
+        # a stand-in whose roots carry the scripted slope fields, checking
+        # each slope it is given as solve_root does
+        given = []
+
+        def scripted(params, q, model, guess=None, slope=None):
+            if slope is not None:
+                dispersion._finite("slope", slope)
+                if slope == 0:
+                    raise ValueError("slope must be nonzero")
+            given.append(slope)
+            i = len(given) - 1
+            return DispersionRoot(q, complex(1.0 + 0.01 * i, -0.01), 0.0, 0, 1,
+                                  slopes[i] if i < len(slopes) else None)
+
+        monkeypatch.setattr("qplasma.dispersion.solve_root", scripted)
+        n = len(slopes) + 1
+        trace_branch(PlasmaParams(1.0, 0.0), 0.1, 0.1 * n, n, ModelKind.CLASSICAL)
+        assert len(given) == n
+        assert given[0] is None  # the cold start
+        assert given[-1] == expected

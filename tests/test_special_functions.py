@@ -957,6 +957,11 @@ class TestNoSilentInfinities:
     LAMBDA0_REPRO = -2.2612872579819108 - 26.69525566056445j
     D_REPROS = [(-26.6j, 1e-3), (6.393028798601832 - 27.312731832145666j,
                                  2.0086431928966847e-94)]
+    # D out of range where exp(-s^2) overflows at s = z + q/2 alone: the
+    # tail's Landau terms one by one, and the direct difference; these
+    # raised naming z + q/2 in place of z and q
+    SHIFTED_REPROS = [(-4.529907864737164 - 27.063189670938268j, 2.431947686590233),
+                      (-14.0 - 27.2j, 28.0)]
 
     @staticmethod
     def _points(seed: int, n: int):
@@ -970,7 +975,8 @@ class TestNoSilentInfinities:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_finite_or_overflow_error(self, seed):
-        points = [(self.LAMBDA0_REPRO, 1e-3)] + self.D_REPROS + list(self._points(seed, 400))
+        points = ([(self.LAMBDA0_REPRO, 1e-3)] + self.D_REPROS + self.SHIFTED_REPROS
+                  + list(self._points(seed, 400)))
         raised = 0
         for z, q in points:
             for fn in (faddeeva_w, plasma_t, lambda0, lambda z: t_derivatives(z, 1),
@@ -992,7 +998,7 @@ class TestNoSilentInfinities:
         for fn in (lambda0, lambda z: t_derivatives(z, 1)):
             with pytest.raises(OverflowError, match=re.escape(f"at z={z!r};")):
                 fn(z)
-        for z, q in self.D_REPROS:
+        for z, q in self.D_REPROS + self.SHIFTED_REPROS:
             for fn in (t_diff_over_q, t_diff_and_lambda0):
                 with pytest.raises(OverflowError, match=re.escape(f"at z={z!r}, q={q!r};")):
                     fn(z, q)
