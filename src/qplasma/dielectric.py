@@ -4,7 +4,10 @@ All models take the plasma state (x_p, y) and an evaluation point (x, q),
 where frequencies are in units of k_T v_T and wave numbers in units of the
 thermal wave number k_T.  The internal evaluators accept a complex frequency
 so the dispersion solver can continue them off the real axis; the public
-operations expose the physical real-frequency surface.
+operations expose the physical real-frequency surface.  Each returns a
+finite eps or raises OverflowError naming its arguments: one
+cmath.isfinite per call, and where the plain form is not finite, the O(1)
+ratio formed before the prefactor multiplies it.
 
 Normalization note (re-derivation of the classical form): with
 omega -> x, nu -> y, omega_p -> x_p in units of k_T v_T and k -> q in units
@@ -19,11 +22,13 @@ with D(z,q) = [t(z-q/2) - t(z+q/2)]/q.
 
 from __future__ import annotations
 
+import cmath
 import math
 from enum import Enum
 
 from .special_functions import (
     _check_q,
+    _out_of_range,
     dawson,
     faddeeva_w,  # noqa: F401  bench/spans.py wraps this name; --trace 1 needs it
     lambda0,
@@ -136,6 +141,17 @@ def _prefactor(x_p: float, xy: complex, q: float) -> float:
     return x_p * x_p / (q * q)
 
 
+def _rescaled(pre: float, ratio: complex, x_p: float, xy: complex, q: float) -> complex:
+    # eps = 1 + pre * ratio where a model's plain form pre * xy * D / den
+    # was not finite: with the O(1) ratio xy D / den formed first, pre * xy
+    # no longer overflows.  Still not finite, eps itself is not
+    # representable
+    eps = 1.0 + pre * ratio
+    if cmath.isfinite(eps):
+        return eps
+    raise _out_of_range("eps", f"x_p={x_p!r}, x + iy={xy!r}, q={q!r}")
+
+
 # ---------------------------------------------------------------------------
 # Complex-frequency cores (used by the public surface and the root solver)
 # ---------------------------------------------------------------------------
@@ -150,9 +166,13 @@ def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float) -> complex
     z = xy / q
     if y == 0.0:
         # the BGK factor xy/(omega + iy lambda0) is exactly 1: collisionless
-        return 1.0 + pre * t_diff_over_q(z, q)
+        D = t_diff_over_q(z, q)
+        eps = 1.0 + pre * D
+        return eps if cmath.isfinite(eps) else _rescaled(pre, D, x_p, xy, q)
     D, lam = t_diff_and_lambda0(z, q)
-    return 1.0 + pre * xy * D / (omega + 1j * y * lam)
+    den = omega + 1j * y * lam
+    eps = 1.0 + pre * xy * D / den
+    return eps if cmath.isfinite(eps) else _rescaled(pre, xy * D / den, x_p, xy, q)
 
 
 def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
@@ -164,8 +184,11 @@ def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> compl
     pre = 2.0 * _prefactor(x_p, xy, q)
     lam = lambda0(xy / q)
     if y == 0.0:
-        return 1.0 + pre * lam
-    return 1.0 + pre * xy * lam / (omega + 1j * y * lam)
+        eps = 1.0 + pre * lam
+        return eps if cmath.isfinite(eps) else _rescaled(pre, lam, x_p, xy, q)
+    den = omega + 1j * y * lam
+    eps = 1.0 + pre * xy * lam / den
+    return eps if cmath.isfinite(eps) else _rescaled(pre, xy * lam / den, x_p, xy, q)
 
 
 #: (q, D0(q)) of the last mermin_static_denominator call: D0 is constant
@@ -197,9 +220,11 @@ def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     pre = _prefactor(x_p, xy, q)
     D = t_diff_over_q(xy / q, q)
     if y == 0.0:
-        return 1.0 + pre * D
-    D0 = mermin_static_denominator(q)
-    return 1.0 + pre * xy * D / (omega + 1j * y * D / D0)
+        eps = 1.0 + pre * D
+        return eps if cmath.isfinite(eps) else _rescaled(pre, D, x_p, xy, q)
+    den = omega + 1j * y * D / mermin_static_denominator(q)
+    eps = 1.0 + pre * xy * D / den
+    return eps if cmath.isfinite(eps) else _rescaled(pre, xy * D / den, x_p, xy, q)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +266,10 @@ def epsilon_static(x_p: float, y: float, q: float) -> complex:
     pre = _prefactor(x_p, complex(0.0, y), q)
     v = y / q
     kernel, lam = t_diff_and_lambda0(complex(0.0, v), q)
-    return complex(1.0 + pre * kernel.real / lam.real, 0.0)
+    eps = 1.0 + pre * kernel.real / lam.real
+    if not math.isfinite(eps):
+        eps = _rescaled(pre, kernel.real / lam.real, x_p, complex(0.0, y), q)
+    return complex(eps, 0.0)
 
 
 def epsilon_drude(x_p: float, x: float, y: float) -> complex:
@@ -256,7 +284,21 @@ def epsilon_drude(x_p: float, x: float, y: float) -> complex:
             "drude limit is undefined at x = 0 (static and long-wave limits "
             "do not commute); use epsilon_static instead"
         )
-    return 1.0 - x_p * x_p / (complex(x, y) * x)
+    xy = complex(x, y)
+    try:
+        eps = 1.0 - x_p * x_p / (xy * x)
+    except ZeroDivisionError:  # (x + iy) x underflowed to 0
+        eps = math.inf
+    if cmath.isfinite(eps):
+        return eps
+    # |eps - 1| = r^2 with r = x_p/sqrt(|x + iy| |x|), times the unit phase
+    # of 1/((x + iy) x): no intermediate leaves double range before eps does
+    m = math.hypot(x, y)
+    r = x_p / (math.sqrt(m) * math.sqrt(abs(x)))
+    eps = 1.0 - r * r * (math.copysign(1.0, x) * xy.conjugate() / m)
+    if cmath.isfinite(eps):
+        return eps
+    raise _out_of_range("eps", f"x_p={x_p!r}, x + iy={xy!r}")
 
 
 def epsilon_mermin(params: PlasmaParams, point: QueryPoint) -> complex:

@@ -19,9 +19,14 @@ at finite z, and ``_node_loop`` sums w's trapezoid rule as partial
 fractions, giving D and lambda0 at one z from one loop over its nodes.
 lambda0, t_diff_over_q and t_diff_and_lambda0 call these directly rather
 than through faddeeva_w and plasma_t, whose checks and calls would repeat
-the one already made.  Deep below the real axis exp(-z^2) and the Landau
-terms built from it can leave double range; there the functions raise
-OverflowError naming z (and q) instead of returning inf or nan.
+the one already made.  From |z| = 12 all of them sum one tail series by
+Horner over one table of its coefficients, to a length that one lookup on
+|z|^2 picks.  lambda0 and t_diff_over_q keep their last result (one-entry
+memos, which t_diff_and_lambda0 reads and fills), so the models evaluated
+one after the other at one point compute lambda0 and D once.  Deep below
+the real axis exp(-z^2) and the Landau terms built from it can leave
+double range; there the functions raise OverflowError naming z (and q)
+instead of returning inf or nan.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_left
 from math import gamma as _gamma
 
 SQRT_PI = math.sqrt(math.pi)
@@ -134,18 +140,34 @@ def _w_series(z: complex, az: float) -> complex:
     return acc
 
 
+# The tail series t(s) = -(1/s) sum_{m >= 0} (1/2)_m w^m, w = 1/s^2 and
+# (1/2)_m = (1/2)(3/2)...(m - 1/2), summed by Horner.  _TAIL_HORNER[n - 1]
+# holds (1/2)_n, ..., (1/2)_1, the n terms from m = 1 on.  The |s|^2 below,
+# for n = 1, 2, ..., are the smallest from which n terms keep the omitted
+# ones, against 30 terms, below 1e-17 of _tail and of D (with |z/s| <=
+# 20/11, as q <= 0.9|z| keeps it), rounded up; one bisect on |w| against
+# their reciprocals picks the length, 13 at most for _tail (|s| >= 12) and
+# 30 for D (|s| >= 6.6)
+_HALF_POCHHAMMER = [math.prod(range(1, 2 * m, 2)) / 2 ** m for m in range(31)]
+_TAIL_HORNER = [tuple(_HALF_POCHHAMMER[n:0:-1]) for n in range(1, 31)]
+_TAIL_W = [1.0 / r2 for r2 in (1.51e17, 6.13e8, 1.1e6, 49300.0, 7990.0, 2450.0, 1070.0,
+                               586.0, 371.0, 261.0, 197.0, 157.0)]
+_D_W = [1.0 / r2 for r2 in (7.88e8, 1.31e6, 56600.0, 8930.0, 2690.0, 1160.0, 629.0, 396.0,
+                            276.0, 207.0, 165.0, 136.0, 116.0, 102.0, 91.1, 82.9, 76.4,
+                            71.3, 67.2, 63.8, 61.0, 58.7, 56.7, 55.1, 53.6, 52.3, 51.1,
+                            49.9, 48.3)]
+
+
 def _tail(z2: complex) -> complex:
-    # sum_{m >= 1} (1/2)_m / z^(2m), (1/2)_m = (1/2)(3/2)...(m - 1/2), so
-    # t(z) = -(1 + _tail(z^2))/z: 14 terms from |z| = 12, 0 where z^2 is inf
+    # sum_{m >= 1} (1/2)_m / z^(2m), so t(z) = -(1 + _tail(z^2))/z; 13 terms
+    # at |z| = 12, fewer beyond, and 0 where z^2 is inf
     if cmath.isinf(z2):
         return 0j
-    term = acc = 0.5 + 0j
-    for m in range(2, 15):
-        term *= (m - 0.5) / z2
-        acc += term
-        if abs(term) < 1e-17 * abs(acc):
-            break
-    return acc / z2
+    w = 1.0 / z2
+    acc = 0j
+    for c in _TAIL_HORNER[bisect_left(_TAIL_W, abs(w))]:
+        acc = acc * w + c
+    return acc * w
 
 
 def _w_trapezoid(z: complex) -> complex:
@@ -455,28 +477,28 @@ def t_derivatives(z: complex, n: int) -> list[complex]:
 
 
 def _t_diff_tail(z: complex, q: float) -> complex:
-    # the tail series t(s) = -sum_{m >= 0} (1/2)_m s^-(2m+1) differenced
-    # exactly in q: with a, b = z -+ q/2 and d_k = (a^-k - b^-k)/q, d_1 =
-    # 1/(ab), d_2 = 2z/(ab)^2, d_(k+2) = d_k/a^2 + b^-k d_2 (nothing cancels)
-    # and D = -sum_m (1/2)_m d_(2m+1).  For q <= 0.9|z|, |a|, |b| >= 6.6, so
-    # 30 terms and the series' omitted exp(-s^2) part stay below 3e-18 of D
-    # (at q = |z| = 12, |a| = 6, that part is 3.7e-15)
+    # the tail series t(s) = -(1/s) P(1/s^2) differenced exactly in q: with
+    # a, b = z -+ q/2, wa, wb = 1/a^2, 1/b^2 and dd = [P(wa) - P(wb)]/(wa -
+    # wb), carried by Horner as in _t_diff_disk, D = -[P(wa) + 2 dd (z/a)
+    # wb]/(ab) (nothing cancels).  The smaller of |a|, |b| (|a| where Re z
+    # >= 0) sets the length.  For q <= 0.9|z|, |a|, |b| >= 6.6, so 30 terms
+    # and the series' omitted exp(-s^2) part stay below 3e-18 of D (at q =
+    # |z| = 12, |a| = 6, that part is 3.7e-15)
+    z += 0j  # x - 0j as x + 0j: on the axis D's imaginary part is a signed 0
     a, b = z - 0.5 * q, z + 0.5 * q
     a2, b2 = a * a, b * b
     val = 0j
     # where a^2 or b^2 is inf, |ab| >= 0.38 max(|a|, |b|)^2 and the series,
     # ~ -1/(ab), underflows to 0 as in _tail
     if not (cmath.isinf(a2) or cmath.isinf(b2)):
-        inv_a2, inv_b2 = 1.0 / a2, 1.0 / b2
-        term = acc = 1.0 / (a * b)
-        g = 2.0 * z * term * term / b  # (1/2)_(m-1) b^-(2m-1) d_2
-        for m in range(1, 31):
-            term = (m - 0.5) * (term * inv_a2 + g)  # (1/2)_m d_(2m+1)
-            g *= (m - 0.5) * inv_b2
-            acc += term
-            if abs(term) < 1e-17 * abs(acc):
-                break
-        val = -acc
+        wa, wb = 1.0 / a2, 1.0 / b2
+        acc = dd = 0j
+        for c in _TAIL_HORNER[bisect_left(_D_W, abs(wa if z.real >= 0.0 else wb))]:
+            dd = dd * wb + acc
+            acc = acc * wa + c
+        dd = dd * wb + acc
+        acc = acc * wa + 1.0  # (1/2)_0
+        val = -(acc + 2.0 * dd * (z / a) * wb) / (a * b)
     if z.imag < 0.0:
         val = _add_landau_diff(val, z, q)
     return val
@@ -509,6 +531,11 @@ def _t_diff_out_of_range(z: complex, q: float) -> OverflowError:
     return _out_of_range("[t(z - q/2) - t(z + q/2)]/q", f"z={z!r}, q={q!r}")
 
 
+#: (z, q, D(z, q)) of the last D evaluated, by t_diff_over_q or by
+#: t_diff_and_lambda0: the one-entry memo
+_d_last = (None, None, None)
+
+
 def t_diff_over_q(z: complex, q: float) -> complex:
     """[t(z - q/2) - t(z + q/2)] / q.
 
@@ -528,8 +555,23 @@ def t_diff_over_q(z: complex, q: float) -> complex:
     t(-conj s) = -conj t(s) makes D real, and its imaginary part is set to 0.
     Raises ValueError unless 0 < q < inf, and OverflowError naming z and q
     where D leaves double range, deep below the real axis.
+
+    The last result is memoised (one entry, shared with
+    :func:`t_diff_and_lambda0`): the Mermin model, evaluated after the
+    quantum one at the same (x, y, q), asks for D at the same (z, q), and
+    takes the quantum model's value.  z + 0j and z - 0j share the entry,
+    and give the same value.  Non-finite z or q raises every time; a raised
+    call stores nothing.
     """
-    return _t_diff(_check_finite(z), _check_q(q), False)[0]
+    global _d_last
+    last_z, last_q, last = _d_last
+    if z == last_z and q == last_q:
+        return last
+    z = _check_finite(z)
+    q = _check_q(q)
+    D = _t_diff(z, q, False)[0]
+    _d_last = (z, q, D)
+    return D
 
 
 def _t_diff_disk(z: complex, q: float) -> complex:
@@ -580,18 +622,23 @@ def t_diff_and_lambda0(z: complex, q: float) -> tuple[complex, complex]:
     """``(t_diff_over_q(z, q), lambda0(z))``, bit for bit, from one call.
 
     Where t_diff_over_q sums its partial fractions (:func:`_node_loop`) at
-    z != 0, lambda0's sum over the same nodes runs in the same loop.  The
-    lambda0 returned is stored in lambda0's memo, and taken from it where
-    the memo already holds z.
+    z != 0, lambda0's sum over the same nodes runs in the same loop.  D and
+    lambda0 are stored in the memos of t_diff_over_q and lambda0, and taken
+    from them where they already hold (z, q) and z.
     """
-    global _lambda0_last
+    global _d_last, _lambda0_last
     z = _check_finite(z)
     q = _check_q(q)
     last_z, last = _lambda0_last
-    if z == last_z:
-        return _t_diff(z, q, False)[0], last
-    D, lam = _t_diff(z, q, True)
-    if lam is None:
-        lam = _lambda0(z)
+    d_z, d_q, D = _d_last
+    if z == d_z and q == d_q:
+        lam = last if z == last_z else _lambda0(z)
+    elif z == last_z:
+        D, lam = _t_diff(z, q, False)[0], last
+    else:
+        D, lam = _t_diff(z, q, True)
+        if lam is None:
+            lam = _lambda0(z)
     _lambda0_last = (z, lam)
+    _d_last = (z, q, D)
     return D, lam

@@ -1,6 +1,9 @@
 """Tests for the permittivity models and their limits/degeneracies."""
 
+import cmath
 import math
+import random
+import re
 
 import mpmath as mp
 import numpy as np
@@ -478,3 +481,66 @@ class TestComplexFrequencyCore:
         d_im = (eps_quantum_omega(1.0, 0.1, om + 1j * h, 0.5)
                 - eps_quantum_omega(1.0, 0.1, om - 1j * h, 0.5)) / (2j * h)
         assert abs(d_re - d_im) <= 1e-6 * max(1.0, abs(d_re))
+
+
+class TestNoSilentInfinities:
+    # every model returns a finite eps or raises ValueError/OverflowError
+    # naming its arguments.  Where x_p^2/q^2 is near the top of double range,
+    # the plain form overflowed in pre * (x + iy) although eps is
+    # representable; these repros returned nan or inf
+    REPROS = [
+        ("quantum", PlasmaParams(1e4, 1e4), QueryPoint(0.0, 1e-149), 2e306),
+        ("mermin", PlasmaParams(970.7568074300232, 6.278181300367166e-05),
+         QueryPoint(-39500.14736672992, 5.59742550218724e-150), 1.0),
+        ("classical", PlasmaParams(970.7568074300232, 6.278181300367166e-05),
+         QueryPoint(-39500.14736672992, 5.59742550218724e-150), 1.0),
+        # ~1.9e308 beyond double range
+        ("static", PlasmaParams(1.6511990652374073, 0.0005290735686110687),
+         QueryPoint(0.0, 1.6956759234933524e-154), None),
+        # (x + iy) x underflows to 0: a bare ZeroDivisionError before; |eps|
+        # is 1e306 and 1e400 respectively
+        ("drude", PlasmaParams(1e-12, 1e-130), QueryPoint(1e-200, 1.0), 1e306),
+        ("drude", PlasmaParams(1.0, 1e-200), QueryPoint(1e-200, 1.0), None),
+    ]
+
+    @pytest.mark.parametrize("model, params, point, size", REPROS)
+    def test_repros(self, model, params, point, size):
+        if size is None:
+            with pytest.raises(OverflowError, match=re.escape(f"at x_p={params.x_p!r}, ")):
+                evaluate(model, params, point)
+        else:
+            got = evaluate(model, params, point)
+            assert cmath.isfinite(got)
+            assert abs(got) == pytest.approx(size, rel=1e-3)
+
+    def test_seeded_wide_ranges(self):
+        # x_p 1e-6..1e6, y 1e-12..1e6, |x| 1e-8..1e8 or 0, and q 1e-160..1e8,
+        # half of it in 1e-160..1e-140 where x_p^2/q^2 and z^2 near the top
+        # of double range
+        rng = random.Random(24)
+
+        def log_uniform(lo, hi):
+            return 10.0 ** rng.uniform(lo, hi)
+
+        counts = {"finite": 0, "raised": 0}
+        for _ in range(2500):
+            params = PlasmaParams(log_uniform(-6, 6), log_uniform(-12, 6))
+            x = 0.0 if rng.random() < 0.1 else rng.choice((1, -1)) * log_uniform(-8, 8)
+            q = log_uniform(-160, -140) if rng.random() < 0.5 else log_uniform(-160, 8)
+            point = QueryPoint(x, q)
+            for model in ModelKind:
+                try:
+                    got = evaluate(model, params, point)
+                except OverflowError as exc:
+                    assert f"x_p={params.x_p!r}" in str(exc), (model, params, point, exc)
+                    if model is not ModelKind.DRUDE:
+                        assert f"q={q!r}" in str(exc), (model, params, point, exc)
+                    counts["raised"] += 1
+                    continue
+                except ValueError as exc:
+                    # the long-wave limit at x = 0
+                    assert model is ModelKind.DRUDE and x == 0.0, (model, params, point, exc)
+                    continue
+                assert cmath.isfinite(got), (model, params, point, got)
+                counts["finite"] += 1
+        assert min(counts.values()) > 1000, counts

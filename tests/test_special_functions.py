@@ -6,6 +6,7 @@ integral); the quadrature routes in tests/oracle.py provide the live
 independent cross-checks.
 """
 
+import bisect
 import cmath
 import math
 import random
@@ -591,6 +592,73 @@ class TestTDiffOverQ:
 
 
 
+class TestTailHorner:
+    # _tail and _t_diff_tail sum the tail series by Horner to a length that
+    # one bisect on |w| = 1/|s|^2 picks: at each length's threshold the
+    # omitted terms, against 30, stay below 1e-17 of the sum
+    @staticmethod
+    def _mp_t(s, n: int):
+        # t(s) ~ -(1/s) sum_{m <= n} (1/2)_m s^(-2m), in mpmath
+        w, acc, term = 1 / (s * s), 0, 1
+        for m in range(n + 1):
+            acc += term
+            term *= (m + 0.5) * w
+        return -acc / s
+
+    @staticmethod
+    def _length(table, w: complex) -> int:
+        return len(special_functions._TAIL_HORNER[bisect.bisect_left(table, abs(w))])
+
+    def test_each_tail_length_agrees_with_thirty_terms(self):
+        table = special_functions._TAIL_W
+        assert self._length(table, 1 / 144.0) == 13
+        with mp.workdps(40):
+            for n, w_max in enumerate(table, start=1):
+                for deg in (0.0, 30.0, 75.0, 135.0):
+                    z = cmath.rect(math.sqrt(1.0 / w_max) * (1 + 1e-12), math.radians(deg))
+                    z2 = z * z
+                    assert self._length(table, 1.0 / z2) == n
+                    zz = mp.mpc(z.real, z.imag)
+                    full = -zz * self._mp_t(zz, 30) - 1  # sum_{1 <= m <= 30}
+                    cut = -zz * self._mp_t(zz, n) - 1
+                    assert abs(cut - full) <= 1e-17 * abs(full), (n, z)
+                    # and the float Horner sum is the series to rounding
+                    assert_cclose(special_functions._tail(z2), complex(full), rtol=4e-16)
+
+    def test_each_difference_length_agrees_with_thirty_terms(self):
+        # the smaller of |a|, |b| = |z -+ q/2| at the threshold, q up to
+        # 0.9|z| and Re z of either sign
+        table = special_functions._D_W
+        with mp.workdps(30):
+            for n, w_max in enumerate(table, start=1):
+                for deg, f in ((0.0, 0.9), (110.0, 1e-3), (170.0, 0.5)):
+                    u = cmath.exp(1j * math.radians(deg))
+                    side = -0.5 * f if u.real >= 0.0 else 0.5 * f
+                    r = math.sqrt(1.0 / w_max) * (1 + 1e-12) / abs(u + side)
+                    z, q = r * u, f * r
+                    s = z + side * r
+                    assert self._length(table, 1.0 / (s * s)) == n
+                    zz, qq = mp.mpc(z.real, z.imag), mp.mpf(q)
+                    a, b = zz - qq / 2, zz + qq / 2
+                    full = (self._mp_t(a, 30) - self._mp_t(b, 30)) / qq
+                    cut = (self._mp_t(a, n) - self._mp_t(b, n)) / qq
+                    assert abs(cut - full) <= 1e-17 * abs(full), (n, z, q)
+                    assert_cclose(special_functions._t_diff_tail(z, q), complex(full),
+                                  rtol=1e-15)
+        # below the last threshold, down to |s| = 6.6, 30 terms
+        assert self._length(table, 1 / 6.6 ** 2) == 30
+
+    @pytest.mark.parametrize("z", [1e155 - 9.999999999e154j, 2e154 + 2e154j, 1e300 + 0j])
+    def test_zero_where_z_squared_is_inf(self, z):
+        # z^2 inf, or inf - inf = nan in its real part: the series
+        # underflows to 0, in _tail and in the difference, not nan
+        assert cmath.isinf(z * z)
+        assert special_functions._tail(z * z) == 0
+        for zz in (z, -z.conjugate()):
+            got = special_functions._t_diff_tail(zz, 1.0)
+            assert got == 0 or cmath.isfinite(got) and abs(got) <= 1e-300, zz
+
+
 def _seeded_points(seed: int, n: int = 400) -> list[complex]:
     # z over every region of w: the Maclaurin strip, trapezoid grids A (Re
     # z/h mod 1 in [1/4, 3/4)) and B, both half-planes, and both sides of
@@ -867,7 +935,9 @@ class TestLambda0Memo:
 
     @staticmethod
     def _clear(monkeypatch):
+        # both memos: a D left by an earlier call would skip a node loop
         monkeypatch.setattr(special_functions, "_lambda0_last", (None, None))
+        monkeypatch.setattr(special_functions, "_d_last", (None, None, None))
 
     def test_equals_unmemoised_including_signed_zeros(self, monkeypatch):
         raw = special_functions._lambda0
@@ -946,6 +1016,122 @@ class TestLambda0Memo:
             # the memo the classical model runs lambda0's loop alone
             assert loops == ([(q, True)] if memo else [(q, True), (0.0, True)])
             assert ws == []
+
+
+class TestDMemo:
+    # t_diff_over_q keeps its last (z, q, D), and t_diff_and_lambda0 stores
+    # its D there, so that the Mermin model, evaluated after the quantum one
+    # at the same point, reuses the quantum model's D
+
+    @staticmethod
+    def _clear(monkeypatch):
+        monkeypatch.setattr(special_functions, "_lambda0_last", (None, None))
+        monkeypatch.setattr(special_functions, "_d_last", (None, None, None))
+
+    @staticmethod
+    def _raw(z, q):
+        return special_functions._t_diff(complex(z), q, False)[0]
+
+    def test_equals_unmemoised_including_signed_zeros(self, monkeypatch):
+        rng = random.Random(8)
+        xs = [0.0, 0.3, 11.99, 12.0, 30.0, 1e150]
+        xs += [rng.uniform(-20.0, 20.0) for _ in range(150)]
+        for x in xs + [-x for x in xs]:
+            q = rng.choice((5e-324, 1e-6, 0.3, 2.0, 13.0))
+            # x + 0j and x - 0j are one memo key: each must give the other's
+            # value bit for bit, in either order, whichever call filled it
+            for a, b in ((0.0, -0.0), (-0.0, 0.0)):
+                for fill in (t_diff_over_q, t_diff_and_lambda0):
+                    self._clear(monkeypatch)
+                    fill(complex(x, a), q)
+                    for y in (a, b):
+                        z = complex(x, y)
+                        assert repr(t_diff_over_q(z, q)) == repr(self._raw(z, q)), (z, q)
+        for z in _seeded_points(5, 200):
+            assert repr(t_diff_over_q(z, 0.4)) == repr(self._raw(z, 0.4)), z
+
+    def test_interleaved_calls_are_never_stale(self):
+        raw_lambda0 = special_functions._lambda0
+        calls = [(1 + 1j, 0.4), (1 + 1j, 0.5), (2 - 0.5j, 0.4), (2 - 0.5j, 0.4), (20j, 1.0),
+                 (1 + 1j, 0.4), (20j, 1.0), (20j, 2.0), (30 + 1j, 2.0), (3.25 + 0.25j, 0.4),
+                 (3.25 + 0.25j, 0.4), (0.05 + 0.3j, 0.1), (30 + 1j, 2.0), (3.25 + 0.25j, 0.4)]
+        for i, (z, q) in enumerate(calls):
+            if i % 3 == 0:
+                got, lam = t_diff_and_lambda0(z, q)
+                assert repr(lam) == repr(raw_lambda0(z)), z
+            elif i % 3 == 1:
+                got = t_diff_over_q(z, q)
+            else:
+                lambda0(z + 1)  # lambda0 alone leaves D's memo as it was
+                got = t_diff_over_q(z, q)
+            assert repr(got) == repr(self._raw(z, q)), (z, q)
+            assert special_functions._d_last == (z, q, got)
+
+    @pytest.mark.parametrize("z, q", [(math.nan, 0.5), (complex(math.nan, 1.0), 0.5),
+                                      (math.inf, 0.5), (complex(1.0, -math.inf), 0.5),
+                                      (1 + 1j, math.nan), (1 + 1j, math.inf), (1 + 1j, 0.0)])
+    def test_invalid_raises_on_every_call_and_is_never_cached(self, z, q, monkeypatch):
+        t_diff_over_q(1 + 1j, 0.5)
+        before = special_functions._d_last
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                t_diff_over_q(z, q)  # the same objects each time
+            with pytest.raises(ValueError):
+                t_diff_and_lambda0(z, q)
+        assert special_functions._d_last is before
+
+        def unreachable(*args):
+            raise AssertionError("memo miss")
+
+        # (1 + 1j, 0.5) is still the memo's entry, so no evaluation runs
+        monkeypatch.setattr(special_functions, "_t_diff", unreachable)
+        assert repr(t_diff_over_q(1 + 1j, 0.5)) == repr(before[2])
+
+    def test_raised_call_stores_nothing(self):
+        t_diff_and_lambda0(1 + 1j, 0.5)
+        before = (special_functions._d_last, special_functions._lambda0_last)
+        for z, q in TestNoSilentInfinities.D_REPROS + TestNoSilentInfinities.SHIFTED_REPROS:
+            for fn in (t_diff_over_q, t_diff_and_lambda0):
+                with pytest.raises(OverflowError):
+                    fn(z, q)
+        assert (special_functions._d_last, special_functions._lambda0_last) == before
+        # D is finite here, ~6e305, but lambda0 leaves double range: with D
+        # memoised or not, the raised call stores neither
+        z, q = TestNoSilentInfinities.LAMBDA0_REPRO, 10.0
+        with pytest.raises(OverflowError):
+            t_diff_and_lambda0(z, q)
+        assert (special_functions._d_last, special_functions._lambda0_last) == before
+        D = t_diff_over_q(z, q)
+        assert cmath.isfinite(D)
+        with pytest.raises(OverflowError):
+            t_diff_and_lambda0(z, q)
+        assert special_functions._d_last == (z, q, D)
+        assert special_functions._lambda0_last == before[1]
+
+    @pytest.mark.parametrize("x, q", [(1.3, 0.4), (13.0, 0.5)])
+    def test_overlay_row_runs_one_d_evaluation(self, x, q, monkeypatch):
+        # the quantum, classical and Mermin models at one point: one node
+        # loop (z = 3.25 + 0.25i) or one tail difference and one tail (z =
+        # 26 + 0.2i) for all three
+        from qplasma.dielectric import eps_classical_omega, eps_mermin_omega, eps_quantum_omega
+
+        calls = []
+
+        def counting(name):
+            inner = getattr(special_functions, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return inner(*args)
+            monkeypatch.setattr(special_functions, name, wrapper)
+
+        for name in ("_node_loop", "_t_diff_tail", "_tail", "_w"):
+            counting(name)
+        self._clear(monkeypatch)
+        x_p, y = 1.0, 0.1
+        for core in (eps_quantum_omega, eps_classical_omega, eps_mermin_omega):
+            core(x_p, y, x, q)
+        assert calls == (["_node_loop"] if x < 12 * q else ["_t_diff_tail", "_tail"])
 
 
 class TestNoSilentInfinities:
