@@ -27,6 +27,7 @@ import math
 from enum import Enum
 
 from .special_functions import (
+    _MIN_NORMAL,
     _check_q,
     _out_of_range,
     dawson,
@@ -285,12 +286,11 @@ def epsilon_drude(x_p: float, x: float, y: float) -> complex:
             "do not commute); use epsilon_static instead"
         )
     xy = complex(x, y)
-    try:
-        eps = 1.0 - x_p * x_p / (xy * x)
-    except ZeroDivisionError:  # (x + iy) x underflowed to 0
-        eps = math.inf
-    if cmath.isfinite(eps):
-        return eps
+    den = xy * x
+    if abs(den) >= _MIN_NORMAL:  # a subnormal den keeps few bits, and 0 none
+        eps = 1.0 - x_p * x_p / den
+        if cmath.isfinite(eps):
+            return eps
     # |eps - 1| = r^2 with r = x_p/sqrt(|x + iy| |x|), times the unit phase
     # of 1/((x + iy) x): no intermediate leaves double range before eps does
     m = math.hypot(x, y)

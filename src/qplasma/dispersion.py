@@ -224,9 +224,9 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
     kept only if its eps is finite and no larger.  The returned residual is
     |eps| at the returned omega.  Raises ValueError unless 0 < q < inf, for
     a guess or slope that is not finite and for a zero slope,
-    ConvergenceError without convergence or at the first non-finite eps,
-    naming the last finite iterate, and NonPhysicalRootError if the root
-    has Re omega <= 0.
+    ConvergenceError without convergence or where eps raises, naming the
+    last evaluated iterate, and NonPhysicalRootError if the root has
+    Re omega <= 0.
     """
     q = _check_q(q)
     if model is not _QUANTUM and model is not _CLASSICAL and model is not _MERMIN:
@@ -244,20 +244,15 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
     eps, x_p, y = _eps_core(model), params.x_p, params.y
     points: list[tuple[complex, complex]] = []  # (omega, eps), newest last
 
-    def stopped(omega: complex, what: str) -> ConvergenceError:
-        last_omega, last_f = points[-1] if points else (seed, complex(math.inf))
-        return ConvergenceError(
-            f"eps of {model.value} model {what} at omega={omega!r}",
-            last_omega, abs(last_f),
-        )
-
     def visit(omega: complex) -> float:
         try:
             f = eps(x_p, y, omega, q)
         except (OverflowError, ValueError, ZeroDivisionError) as exc:
-            raise stopped(omega, f"raised {type(exc).__name__}: {exc}") from exc
-        if not cmath.isfinite(f):
-            raise stopped(omega, "is not finite")
+            last_omega, last_f = points[-1] if points else (seed, math.inf)
+            raise ConvergenceError(
+                f"eps of {model.value} model raised {type(exc).__name__}: {exc} "
+                f"at omega={omega!r}", last_omega, abs(last_f),
+            ) from exc
         points.append((omega, f))
         return abs(f)
 
@@ -353,7 +348,9 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
         raise ValueError(f"n_points must be >= 2, got {n_points!r}")
     model = ModelKind(model)
 
-    qs = [q_start + (q_end - q_start) * i / (n_points - 1) for i in range(n_points)]
+    # ScanSpec.grid's rule: q_end exactly, which the formula can miss by an ulp
+    qs = [q_start + (q_end - q_start) * i / (n_points - 1) for i in range(n_points - 1)]
+    qs += [q_end]
     prev = solve_root(params, qs[0], model)
     roots = [prev]
     budget = _SOLVES_PER_STEP * (n_points - 1)

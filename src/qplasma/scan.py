@@ -10,7 +10,6 @@ both byte-deterministic for identical specs.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from . import __version__
@@ -144,10 +143,6 @@ def run_scan(spec: ScanSpec) -> ScanTable:
                     f"evaluation of {model.value} failed at "
                     f"{var}={v!r} with fixed={fixed!r}: {exc}"
                 ) from exc
-            if not cmath.isfinite(eps):
-                raise ScanError(
-                    f"{model.value} returned non-finite value {eps!r} at {var}={v!r}"
-                )
             row += (eps.real, eps.imag)
         rows.append(tuple(row))
     columns = [var]

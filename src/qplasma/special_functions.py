@@ -22,11 +22,11 @@ than through faddeeva_w and plasma_t, whose checks and calls would repeat
 the one already made.  From |z| = 12 all of them sum one tail series by
 Horner over one table of its coefficients, to a length that one lookup on
 |z|^2 picks.  lambda0 and t_diff_over_q keep their last result (one-entry
-memos, which t_diff_and_lambda0 reads and fills), so the models evaluated
-one after the other at one point compute lambda0 and D once.  Deep below
-the real axis exp(-z^2) and the Landau terms built from it can leave
-double range; there the functions raise OverflowError naming z (and q)
-instead of returning inf or nan.
+memos, which t_diff_and_lambda0 fills and reads neither), so the models
+evaluated one after the other at one point compute lambda0 and D once.
+Deep below the real axis exp(-z^2) and the Landau terms built from it can
+leave double range; there the functions raise OverflowError naming z (and
+q) instead of returning inf or nan.
 """
 
 from __future__ import annotations
@@ -358,11 +358,11 @@ def lambda0(z: complex) -> complex:
     Im z < 0 the tail and the partial fractions stand for lambda0(-z) and
     the Landau continuation term ``2i sqrt(pi) z exp(-z^2)`` is added.
 
-    The last result is memoised (one entry, shared with
-    :func:`t_diff_and_lambda0`): the quantum and classical models,
-    evaluated one after the other at the same (x, y, q), ask for lambda0 at
-    the same z, and the second call returns the first's value instead of a
-    second node loop.  z + 0j and z - 0j share the entry, and give the same
+    The last result is memoised (one entry, which
+    :func:`t_diff_and_lambda0` also fills): the quantum and classical
+    models, evaluated one after the other at the same (x, y, q), ask for
+    lambda0 at the same z, and the second call returns the first's value
+    instead of a second node loop.  z + 0j and z - 0j share the entry, and give the same
     value.  Non-finite z raises every time; a raised call stores nothing.
     Deep below the real axis, where the Landau term leaves double range,
     OverflowError names z.
@@ -556,10 +556,10 @@ def t_diff_over_q(z: complex, q: float) -> complex:
     Raises ValueError unless 0 < q < inf, and OverflowError naming z and q
     where D leaves double range, deep below the real axis.
 
-    The last result is memoised (one entry, shared with
-    :func:`t_diff_and_lambda0`): the Mermin model, evaluated after the
-    quantum one at the same (x, y, q), asks for D at the same (z, q), and
-    takes the quantum model's value.  z + 0j and z - 0j share the entry,
+    The last result is memoised (one entry, which
+    :func:`t_diff_and_lambda0` also fills): the Mermin model, evaluated
+    after the quantum one at the same (x, y, q), asks for D at the same
+    (z, q), and takes the quantum model's value.  z + 0j and z - 0j share the entry,
     and give the same value.  Non-finite z or q raises every time; a raised
     call stores nothing.
     """
@@ -623,22 +623,16 @@ def t_diff_and_lambda0(z: complex, q: float) -> tuple[complex, complex]:
 
     Where t_diff_over_q sums its partial fractions (:func:`_node_loop`) at
     z != 0, lambda0's sum over the same nodes runs in the same loop.  D and
-    lambda0 are stored in the memos of t_diff_over_q and lambda0, and taken
-    from them where they already hold (z, q) and z.
+    lambda0 are stored in the memos of t_diff_over_q and lambda0, and read
+    from neither: the quantum and static models call this first at a point,
+    and where lambda0 is already held, the same loop gives it at little cost.
     """
     global _d_last, _lambda0_last
     z = _check_finite(z)
     q = _check_q(q)
-    last_z, last = _lambda0_last
-    d_z, d_q, D = _d_last
-    if z == d_z and q == d_q:
-        lam = last if z == last_z else _lambda0(z)
-    elif z == last_z:
-        D, lam = _t_diff(z, q, False)[0], last
-    else:
-        D, lam = _t_diff(z, q, True)
-        if lam is None:
-            lam = _lambda0(z)
+    D, lam = _t_diff(z, q, True)
+    if lam is None:
+        lam = _lambda0(z)
     _lambda0_last = (z, lam)
     _d_last = (z, q, D)
     return D, lam

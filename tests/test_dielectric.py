@@ -231,6 +231,9 @@ class TestEpsilonLindhard:
 
 
 class TestEpsilonStatic:
+    def test_no_plasma_is_vacuum(self):
+        assert repr(epsilon_static(0.0, 0.1, 0.5)) == "(1+0j)"
+
     def test_exactly_real_by_construction(self):
         for y in (0.01, 0.1, 0.3, 1.0):
             for q in (0.1, 0.5, 1.0, 2.0):
@@ -282,8 +285,22 @@ class TestEpsilonDrude:
         with pytest.raises(ValueError):
             epsilon_drude(1.0, 0.0, 0.1)
 
+    @pytest.mark.parametrize("x_p, x, y, exact", [
+        # (x + iy) x = 1e-320i keeps ~11 bits: the plain form gave
+        # 1 + 1.0000111e300i
+        (1e-10, 1e-200, 1e-120, complex(-1e220, 1e300)),
+        # x^2 = 9e-324 is two subnormal ulps
+        (1e-150, -3e-162, 0.0, complex(1.0 - (1e-150 / 3e-162) ** 2, 0.0)),
+    ])
+    def test_subnormal_denominator(self, x_p, x, y, exact):
+        assert abs(epsilon_drude(x_p, x, y) - exact) <= 1e-15 * abs(exact)
+
 
 class TestEpsilonMermin:
+    @pytest.mark.parametrize("y", [0.0, 0.3])
+    def test_no_plasma_is_vacuum(self, y):
+        assert repr(eps_mermin_omega(0.0, y, 1.0 - 0.2j, 0.5)) == "(1+0j)"
+
     def test_collisionless_degeneracy(self):
         rng = np.random.default_rng(7)
         for _ in range(10):

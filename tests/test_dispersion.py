@@ -329,6 +329,12 @@ class TestTraceBranch:
         assert all(r.residual <= 1e-12 for r in roots)
         assert roots[0].q < roots[1].q
 
+    def test_grid_ends_on_q_end_exactly(self):
+        # the inner points are q_start + (q_end - q_start) i/(n - 1), which
+        # at i = n - 1 here gives 0.89999999999999991, not q_end
+        roots = trace_branch(PlasmaParams(1.0, 1e-3), 0.2, 0.9, 8, ModelKind.QUANTUM)
+        assert [r.q for r in roots] == [0.2 + (0.9 - 0.2) * i / 7 for i in range(7)] + [0.9]
+
     def test_damping_grows_with_wavenumber(self):
         params = PlasmaParams(x_p=1.0, y=1e-8)
         roots = trace_branch(params, 0.1 * SQRT2, 0.5 * SQRT2, 9, ModelKind.CLASSICAL)

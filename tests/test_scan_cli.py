@@ -271,6 +271,11 @@ class TestFigurePresets:
         assert figure_part(2) == "im"
         assert figure_part(13) == "re"
 
+    @pytest.mark.parametrize("fig_id", [0, 15])
+    def test_part_out_of_range(self, fig_id):
+        with pytest.raises(ValueError, match=f"figure id must be in 1..14, got {fig_id}"):
+            figure_part(fig_id)
+
 
 class TestWriteOutput:
     def test_round_trip_exact(self, tmp_path):
@@ -307,6 +312,12 @@ class TestWriteOutput:
         paths = write_output(run_scan(lin), str(tmp_path / "lin.csv"))
         write_plot_script(paths, lin, "both", str(tmp_path / "lin.gp"))
         assert "logscale" not in (tmp_path / "lin.gp").read_text()
+
+    def test_plot_script_unknown_part_rejected(self, tmp_path):
+        script = tmp_path / "x.gp"
+        with pytest.raises(ValueError, match="part must be re/im/both, got 'x'"):
+            write_plot_script([str(tmp_path / "x.csv")], drude_spec(), "x", str(script))
+        assert not script.exists()
 
     def test_empty_table_rejected(self, tmp_path):
         spec = drude_spec()
@@ -426,6 +437,21 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["--model", "drude", "--sweep", "x=1:2", "--out", "x.csv"])
         assert err.value.code != 0
+
+    @pytest.mark.parametrize("argv, match", [
+        (["--model", "drude", "--sweep", "x=1:2:4:lin"], "sweep must look like"),
+        (["--model", "plasmon", "--sweep", "x=1:2:4"], "unknown model in 'plasmon'"),
+    ])
+    def test_bad_option_values_rejected(self, argv, match, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--xp", "1", "--out", str(tmp_path / "x.csv")])
+        assert err.value.code != 0
+        assert match in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_sweep_without_out_exits_1(self, capsys):
+        assert main(["--model", "drude", "--xp", "1", "--sweep", "x=1:2:4"]) == 1
+        assert "--out is required with --sweep" in capsys.readouterr().err
 
     def test_roots_writes_damped_branches(self, tmp_path):
         out = tmp_path / "b.csv"
