@@ -4,6 +4,7 @@ presets."""
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -135,8 +136,13 @@ def _run_roots(args) -> int:
     return 0
 
 
+#: the one parser of the process, built on the first main call: parse_args
+#: leaves a parser as it found it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.figure is not None:
             return _run_figure(args)

@@ -30,11 +30,11 @@ from .special_functions import (
     _MIN_NORMAL,
     _check_q,
     _out_of_range,
+    _t_diff_and_lambda0,
     dawson,
     faddeeva_w,  # noqa: F401  bench/spans.py wraps this name; --trace 1 needs it
     lambda0,
     plasma_t,  # noqa: F401  bench/spans.py wraps this name; --trace 1 needs it
-    t_diff_and_lambda0,
     t_diff_over_q,
 )
 
@@ -131,9 +131,11 @@ def _prefactor(x_p: float, xy: complex, q: float) -> float:
     # x_p^2/q^2.  Below q = 1e-154 q^2 is subnormal, and where x_p/q or
     # |z| = |x + iy|/q passes 1e154, x_p^2/q^2 or z^2 in lambda0's tail
     # overflows: fail loudly there rather than return nan or lost digits.
-    # An infinite x + iy fails the same test but is no question of range
-    if max(1.0, x_p, abs(xy)) > 1e154 * q:
-        if math.isinf(abs(xy)):
+    # An x + iy that is not finite fails the same test (max keeps a leading
+    # nan) but is no question of range; this is the one finiteness check of
+    # z = (x + iy)/q before the kernels
+    if not max(abs(xy), 1.0, x_p) <= 1e154 * q:
+        if not cmath.isfinite(xy):
             raise ValueError(f"x + iy must be finite, got {xy!r}")
         raise OverflowError(
             f"q={q!r} is too small at x_p={x_p!r}, x + iy={xy!r}: q^2, "
@@ -153,6 +155,23 @@ def _rescaled(pre: float, ratio: complex, x_p: float, xy: complex, q: float) -> 
     raise _out_of_range("eps", f"x_p={x_p!r}, x + iy={xy!r}, q={q!r}")
 
 
+#: below this in y and |omega|, the products of the BGK factor go subnormal;
+#: scaled by _BGK_SCALE, those inputs lie in [2^-474, 1)
+_BGK_TINY = 2.0 ** -600
+_BGK_SCALE = 2.0 ** 600
+
+
+def _bgk_tiny(pre: float, omega: complex, y: float, num: complex, mem: complex,
+              x_p: float, q: float) -> complex:
+    # eps = 1 + pre * xy * num / (omega + iy mem), xy = omega + iy, where
+    # omega and y lie below _BGK_TINY: there xy num and the division by the
+    # denominator round subnormal products.  The ratio is homogeneous of
+    # degree 0 in (omega, y), so it is formed from both scaled by one exact
+    # power of two, and then as in _rescaled
+    w, s = omega * _BGK_SCALE, y * _BGK_SCALE
+    return _rescaled(pre, (w + 1j * s) * num / (w + 1j * s * mem), x_p, omega + 1j * y, q)
+
+
 # ---------------------------------------------------------------------------
 # Complex-frequency cores (used by the public surface and the root solver)
 # ---------------------------------------------------------------------------
@@ -170,7 +189,9 @@ def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float) -> complex
         D = t_diff_over_q(z, q)
         eps = 1.0 + pre * D
         return eps if cmath.isfinite(eps) else _rescaled(pre, D, x_p, xy, q)
-    D, lam = t_diff_and_lambda0(z, q)
+    D, lam = _t_diff_and_lambda0(z, q)  # z is finite: _prefactor checked x + iy
+    if y < _BGK_TINY and abs(omega) < _BGK_TINY:
+        return _bgk_tiny(pre, omega, y, D, lam, x_p, q)
     den = omega + 1j * y * lam
     eps = 1.0 + pre * xy * D / den
     return eps if cmath.isfinite(eps) else _rescaled(pre, xy * D / den, x_p, xy, q)
@@ -187,6 +208,8 @@ def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> compl
     if y == 0.0:
         eps = 1.0 + pre * lam
         return eps if cmath.isfinite(eps) else _rescaled(pre, lam, x_p, xy, q)
+    if y < _BGK_TINY and abs(omega) < _BGK_TINY:
+        return _bgk_tiny(pre, omega, y, lam, lam, x_p, q)
     den = omega + 1j * y * lam
     eps = 1.0 + pre * xy * lam / den
     return eps if cmath.isfinite(eps) else _rescaled(pre, xy * lam / den, x_p, xy, q)
@@ -223,6 +246,8 @@ def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     if y == 0.0:
         eps = 1.0 + pre * D
         return eps if cmath.isfinite(eps) else _rescaled(pre, D, x_p, xy, q)
+    if y < _BGK_TINY and abs(omega) < _BGK_TINY:
+        return _bgk_tiny(pre, omega, y, D, D / mermin_static_denominator(q), x_p, q)
     den = omega + 1j * y * D / mermin_static_denominator(q)
     eps = 1.0 + pre * xy * D / den
     return eps if cmath.isfinite(eps) else _rescaled(pre, xy * D / den, x_p, xy, q)
@@ -266,7 +291,7 @@ def epsilon_static(x_p: float, y: float, q: float) -> complex:
         return 1.0 + 0j
     pre = _prefactor(x_p, complex(0.0, y), q)
     v = y / q
-    kernel, lam = t_diff_and_lambda0(complex(0.0, v), q)
+    kernel, lam = _t_diff_and_lambda0(complex(0.0, v), q)
     eps = 1.0 + pre * kernel.real / lam.real
     if not math.isfinite(eps):
         eps = _rescaled(pre, kernel.real / lam.real, x_p, complex(0.0, y), q)
@@ -306,24 +331,27 @@ def epsilon_mermin(params: PlasmaParams, point: QueryPoint) -> complex:
     return eps_mermin_omega(params.x_p, params.y, point.x, point.q)
 
 
-_EVALUATORS = {
-    ModelKind.QUANTUM: epsilon_quantum,
-    ModelKind.CLASSICAL: epsilon_classical,
-    ModelKind.MERMIN: epsilon_mermin,
-    ModelKind.LINDHARD: lambda params, point: epsilon_lindhard(params.x_p, point.x, point.q),
-    ModelKind.STATIC: lambda params, point: epsilon_static(params.x_p, params.y, point.q),
-    ModelKind.DRUDE: lambda params, point: epsilon_drude(params.x_p, point.x, params.y),
+#: model -> its eps(x_p, y, x, q), the complex-frequency core where it has one
+_CORES = {
+    ModelKind.QUANTUM: eps_quantum_omega,
+    ModelKind.CLASSICAL: eps_classical_omega,
+    ModelKind.MERMIN: eps_mermin_omega,
+    ModelKind.LINDHARD: lambda x_p, y, x, q: eps_quantum_omega(x_p, 0.0, x, q),
+    ModelKind.STATIC: lambda x_p, y, x, q: epsilon_static(x_p, y, q),
+    ModelKind.DRUDE: lambda x_p, y, x, q: epsilon_drude(x_p, x, y),
 }
 
 
 def evaluate(model: ModelKind, params: PlasmaParams, point: QueryPoint) -> complex:
     """Dispatch a permittivity model on (params, point); model is a
-    ModelKind or its value."""
+    ModelKind or its value.  The model's core is called on (x_p, y, x, q)
+    straight from the table, and its value is the public epsilon_*
+    function's, bit for bit."""
     try:
-        fn = _EVALUATORS[model]  # a str ModelKind hashes and compares as its value
+        core = _CORES[model]  # a str ModelKind hashes and compares as its value
     except (KeyError, TypeError):
         raise ValueError(f"{model!r} is not a valid ModelKind") from None
-    return fn(params, point)
+    return core(params.x_p, params.y, point.x, point.q)
 
 
 def conductivity(params: PlasmaParams, point: QueryPoint, model: ModelKind) -> complex:

@@ -35,8 +35,8 @@ class ScanError(RuntimeError):
 
 
 class ScanSpec(_Record):
-    __slots__ = __match_args__ = ("models", "fixed", "sweep_var", "sweep_range",
-                                  "n", "scale")
+    __match_args__ = ("models", "fixed", "sweep_var", "sweep_range", "n", "scale")
+    __slots__ = (*__match_args__, "_grid")
 
     def __init__(self, models: tuple[ModelKind, ...], fixed: dict[str, float],
                  sweep_var: str, sweep_range: tuple[float, float], n: int,
@@ -49,59 +49,63 @@ class ScanSpec(_Record):
         _set(self, "sweep_range", sweep_range)
         _set(self, "n", n)
         _set(self, "scale", scale)
-        self.validate()
-
-    def validate(self) -> list[float]:
-        """Check the spec and return its grid.  The fixed dict can change
-        after construction, so run_scan checks again."""
         if not self.models:
             raise ValueError("at least one model is required")
-        if self.sweep_var not in _SWEEPABLE:
-            raise ValueError(f"sweep_var must be one of {_SWEEPABLE}, got {self.sweep_var!r}")
-        if self.sweep_var in self.fixed:
-            raise ValueError(f"sweep variable {self.sweep_var!r} must not appear in fixed")
-        for key, val in self.fixed.items():
-            if key not in _PARAM_KEYS:
-                raise ValueError(f"unknown fixed parameter {key!r}")
-            if not math.isfinite(float(val)):
-                raise ValueError(f"fixed parameter {key}={val!r} must be finite")
-        lo, hi = self.sweep_range
+        if sweep_var not in _SWEEPABLE:
+            raise ValueError(f"sweep_var must be one of {_SWEEPABLE}, got {sweep_var!r}")
+        lo, hi = sweep_range
         if not lo < hi:
             raise ValueError(f"sweep range must satisfy lo < hi, got [{lo!r}, {hi!r}]")
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ValueError(f"grid size n must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise ValueError(f"grid size n must be >= 2, got {self.n!r}")
-        if self.scale not in ("linear", "log"):
-            raise ValueError(f"scale must be 'linear' or 'log', got {self.scale!r}")
-        if self.scale == "log" and not lo > 0:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"grid size n must be an integer, got {n!r}")
+        if n < 2:
+            raise ValueError(f"grid size n must be >= 2, got {n!r}")
+        if scale not in ("linear", "log"):
+            raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
+        if scale == "log" and not lo > 0:
             raise ValueError("log scale requires lo > 0")
-        g = self.grid()
-        if not all(u < v for u, v in zip(g, g[1:])):
-            raise ValueError(
-                f"sweep range [{lo!r}, {hi!r}] is too narrow for {self.n} "
-                "distinct grid points"
-            )
-        available = set(self.fixed) | {self.sweep_var, "x_p"}
-        for model in self.models:
-            missing = [v for v in _REQUIRED[model] if v not in available]
-            if missing:
-                raise ValueError(f"model {model.value!r} needs {missing} fixed or swept")
-        if "x_p" not in self.fixed:
-            raise ValueError("x_p must be given in fixed")
-        return g
-
-    def grid(self) -> list[float]:
         # the endpoints are the requested values exactly; the rounding of
         # lo + (hi - lo) and of exp(log hi) would move them by an ulp
-        lo, hi = self.sweep_range
-        m = self.n - 1
-        if self.scale == "log":
+        m = n - 1
+        if scale == "log":
             llo, lhi = math.log(lo), math.log(hi)
             inner = [math.exp(llo + (lhi - llo) * i / m) for i in range(1, m)]
         else:
             inner = [lo + (hi - lo) * i / m for i in range(1, m)]
-        return [lo, *inner, hi]
+        g = (lo, *inner, hi)
+        if not all(u < v for u, v in zip(g, g[1:])):
+            raise ValueError(
+                f"sweep range [{lo!r}, {hi!r}] is too narrow for {n} "
+                "distinct grid points"
+            )
+        _set(self, "_grid", g)
+        self.validate()
+
+    def validate(self) -> tuple[float, ...]:
+        """Check the fixed dict against the rest of the spec and return the
+        grid.  Every other field is immutable and was checked once, and the
+        grid built once, at construction; the fixed dict can change after
+        it, so run_scan calls this again."""
+        fixed, sweep_var = self.fixed, self.sweep_var
+        if sweep_var in fixed:
+            raise ValueError(f"sweep variable {sweep_var!r} must not appear in fixed")
+        for key, val in fixed.items():
+            if key not in _PARAM_KEYS:
+                raise ValueError(f"unknown fixed parameter {key!r}")
+            if not math.isfinite(float(val)):
+                raise ValueError(f"fixed parameter {key}={val!r} must be finite")
+        available = set(fixed) | {sweep_var, "x_p"}
+        for model in self.models:
+            missing = [v for v in _REQUIRED[model] if v not in available]
+            if missing:
+                raise ValueError(f"model {model.value!r} needs {missing} fixed or swept")
+        if "x_p" not in fixed:
+            raise ValueError("x_p must be given in fixed")
+        return self._grid
+
+    def grid(self) -> list[float]:
+        """The sweep values, from lo to hi."""
+        return list(self._grid)
 
 
 class ScanTable(_Record):
@@ -116,8 +120,9 @@ class ScanTable(_Record):
 
 def run_scan(spec: ScanSpec) -> ScanTable:
     """Evaluate the spec over its grid; rows come back in ascending sweep
-    order."""
-    grid = spec.validate()  # spec.fixed is a dict: check it again
+    order.  The spec's fixed dict, the one field that can change after
+    construction, is checked again (ScanSpec.validate)."""
+    grid = spec.validate()
     fixed, var, models = spec.fixed, spec.sweep_var, spec.models
     x_p, y = fixed["x_p"], fixed.get("y", 0.0)
     x, q = fixed.get("x", 0.0), fixed.get("q", 1.0)

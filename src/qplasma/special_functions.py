@@ -19,7 +19,9 @@ at finite z, and ``_node_loop`` sums w's trapezoid rule as partial
 fractions, giving D and lambda0 at one z from one loop over its nodes.
 lambda0, t_diff_over_q and t_diff_and_lambda0 call these directly rather
 than through faddeeva_w and plasma_t, whose checks and calls would repeat
-the one already made.  From |z| = 12 all of them sum one tail series by
+the one already made; the quantum and static models, which check their
+own q and x + iy, call t_diff_and_lambda0's kernel ``_t_diff_and_lambda0``
+the same way.  From |z| = 12 all of them sum one tail series by
 Horner over one table of its coefficients, to a length that one lookup on
 |z|^2 picks.  lambda0 and t_diff_over_q keep their last result (one-entry
 memos, which t_diff_and_lambda0 fills and reads neither), so the models
@@ -88,7 +90,9 @@ def _out_of_range(what: str, where: str) -> OverflowError:
 # ~ 7e-18.  Two node grids, A at t = k*h and B at t = (k + 1/2)*h; each z
 # takes the grid whose nodes lie at least h/4 from Re z, so neither a node
 # term nor the correction, whose poles sit on that grid's nodes, comes near
-# a pole.  The omitted nodes, |t| >= 7.5, weigh below exp(-56).
+# a pole.  The tables stop at t = 6.5: the omitted nodes, |t| >= 6.75,
+# weigh exp(-t^2) < exp(-45) and move D, lambda0 and w by at most ~2e-17
+# relative.
 # The trapezoid's error is ~6e-17 |w| absolute, under 1e-15 relative, but
 # near the imaginary axis Im w shrinks like Re z * |w|, so there its relative
 # error in Im w grows like 6e-17 / |Re z|.  The series' error in Im w
@@ -118,8 +122,8 @@ def _node(t: float) -> tuple[complex, complex, complex]:
 
 
 # the nodes t > 0 of grids A and B; grid A's t = 0 node is summed alone as 1/z
-_NODES_A = [_node(k * _H) for k in range(1, 15)]
-_NODES_B = [_node((k + 0.5) * _H) for k in range(15)]
+_NODES_A = [_node(k * _H) for k in range(1, 14)]
+_NODES_B = [_node((k + 0.5) * _H) for k in range(13)]
 _MINUS_H_OVER_SQRT_PI = complex(-_H / SQRT_PI)
 _MINUS_2PI_I_OVER_H = -2j * math.pi / _H
 _TWO_PI_I = 2j * math.pi
@@ -624,12 +628,17 @@ def t_diff_and_lambda0(z: complex, q: float) -> tuple[complex, complex]:
     Where t_diff_over_q sums its partial fractions (:func:`_node_loop`) at
     z != 0, lambda0's sum over the same nodes runs in the same loop.  D and
     lambda0 are stored in the memos of t_diff_over_q and lambda0, and read
-    from neither: the quantum and static models call this first at a point,
-    and where lambda0 is already held, the same loop gives it at little cost.
+    from neither: the quantum and static models call its kernel first at a
+    point, and where lambda0 is already held, the same loop gives it at
+    little cost.
     """
+    return _t_diff_and_lambda0(_check_finite(z), _check_q(q))
+
+
+def _t_diff_and_lambda0(z: complex, q: float) -> tuple[complex, complex]:
+    # t_diff_and_lambda0 at finite complex z and 0 < q < inf, for callers
+    # that have checked both
     global _d_last, _lambda0_last
-    z = _check_finite(z)
-    q = _check_q(q)
     D, lam = _t_diff(z, q, True)
     if lam is None:
         lam = _lambda0(z)

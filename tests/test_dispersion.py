@@ -532,3 +532,45 @@ class TestExtrapolate:
         assert len(given) == n
         assert given[0] is None  # the cold start
         assert given[-1] == expected
+
+
+class TestDegenerateSteps:
+    # the solver's fallbacks where a step has no defined next point; no
+    # workload reaches them
+
+    NUDGED = 2.0 * (1.0 + 1e-6) + 1e-12  # x_last (1 + 1e-6) + 1e-12 at x_last = 2
+
+    def test_secant_with_equal_values_nudges_the_last_point(self):
+        assert dispersion._secant_step((1.0 + 0j, 0.5j), (2.0 + 0j, 0.5j)) == self.NUDGED
+
+    @pytest.mark.parametrize("xs", [(2.0, 2.0, 2.0), (1.0, 1.0, 2.0), (1.0, 2.0, 2.0)])
+    def test_muller_with_repeated_points_nudges_the_last(self, xs):
+        points = [(complex(x), complex(f)) for x, f in zip(xs, (3.0, 2.0, 1.0))]
+        assert dispersion._muller_step(*points) == self.NUDGED
+
+    def test_muller_with_zero_denominator_nudges_the_last_point(self):
+        # x = 0, 1, 2 and f = 4, 1, 0: b = f0 - 4 f1 = 0 and c = 2 f2 = 0,
+        # so b +- sqrt(b^2 - 4ac) are both 0
+        points = [(complex(x), complex(f)) for x, f in ((0.0, 4.0), (1.0, 1.0), (2.0, 0.0))]
+        assert dispersion._muller_step(*points) == self.NUDGED
+
+    def test_last_slope_of_a_repeated_point_is_none(self):
+        assert dispersion._last_slope([(1.0 + 0j, 1j), (1.0 + 0j, 2j)], 3.0) is None
+        assert dispersion._last_slope([(1.0 + 0j, 1j)], 3.0) == 3.0
+
+    def test_polish_that_raises_keeps_the_converged_root(self, monkeypatch):
+        # |eps| = 1e-13 at the seed: converged, and above the rounding floor,
+        # so one polish step follows; eps raises there, and the root stays
+        # at the seed
+        seed = 1.2 - 0.01j
+
+        def stand_in(x_p, y, omega, q):
+            if omega == seed:
+                return 1e-13 + 0j
+            raise OverflowError("stand-in leaves range")
+
+        monkeypatch.setattr(dispersion, "eps_quantum_omega", stand_in)
+        root = solve_root(PlasmaParams(1.0, 0.01), 0.3, ModelKind.QUANTUM,
+                          guess=seed, slope=1.0 + 0j)
+        assert (root.omega, root.residual, root.iterations, root.evaluations) == (
+            seed, 1e-13, 0, 2)

@@ -201,6 +201,15 @@ class TestRunScan:
         with pytest.raises(ValueError, match=match):
             run_scan(spec)
 
+    @pytest.mark.parametrize("fig_id", [1, 5, 11, 13])
+    def test_a_spec_scans_alike_twice(self, fig_id):
+        # the grid is built once, at construction, and kept: a second scan
+        # of the same spec reads the same grid and gives the same bits
+        spec = figure_preset(fig_id, n=7)[0]
+        first, second = run_scan(spec), run_scan(spec)
+        assert first == second and repr(first) == repr(second)
+        assert [row[0] for row in first.rows] == spec.grid()
+
     def test_unexpected_error_propagates_unwrapped(self, monkeypatch):
         # only the errors the models raise become ScanError; a programming
         # error keeps its own type and traceback
@@ -394,6 +403,43 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert main(["--sweep", "x=1:2:4", "--out", str(tmp_path / "x.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_one_process_answers_each_request_as_a_new_one(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # main builds its parser once per process: a figure, a sweep, a bad
+        # option and the figure again, in one process, each write the bytes
+        # and return the exit code of the same request alone in a new one
+        requests = [
+            ["--figure", "3", "--n", "5", "--out", "figs", "--plot-script"],
+            ["--model", "quantum,classical", "--xp", "1", "--y", "0.1", "--q", "0.5",
+             "--sweep", "x=0.5:1.5:5", "--out", "sweep.csv"],
+            ["--figure", "3", "--n", "5", "--nope"],
+            ["--figure", "3", "--n", "5", "--out", "figs", "--plot-script"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+
+        def written(d):
+            return {str(p.relative_to(d)): p.read_bytes()
+                    for p in sorted(d.rglob("*")) if p.is_file()}
+
+        codes = []
+        for i, argv in enumerate(requests):
+            alone = tmp_path / f"alone{i}"
+            alone.mkdir()
+            proc = subprocess.run([sys.executable, "-m", "qplasma", *argv], cwd=alone,
+                                  capture_output=True, text=True)
+            together = tmp_path / f"together{i}"
+            together.mkdir()
+            monkeypatch.chdir(together)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+            assert written(together) == written(alone), argv
+            codes.append(code)
+        assert codes == [0, 0, 2, 0]
 
     def test_sweep_plot_script_plots_both_parts(self, tmp_path):
         out = tmp_path / "s.csv"

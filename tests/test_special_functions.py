@@ -863,6 +863,60 @@ class TestNodeLoop:
         assert special_functions._node_loop(z, q, False) is not None
         assert_cclose(t_diff_over_q(z, q), TestTDiffOverQ._mp_diff(z, q), rtol=1e-14)
 
+    @staticmethod
+    def _trim_points(seed: int):
+        # below |z| = 12 in both half-planes, a quarter with |Re z| from 6 to
+        # 7.5 (next to the last nodes kept), Im z from 1e-8 up or 0; a
+        # quarter with a = z - q/2 at h/8 (1 + 1e-3) from a node of z's grid
+        h = 0.5
+        rng = random.Random(f"node trim {seed}")
+        for i in range(2000):
+            x = (rng.uniform(6.0, 7.5) * rng.choice((1, -1)) if i % 4 == 0
+                 else rng.uniform(-11.0, 11.0))
+            z = complex(x, rng.choice((0.0, 10.0 ** rng.uniform(-8, 0.5)))
+                        * rng.choice((1, -1)))
+            if i % 4 == 2:
+                xs = x / h
+                offset = 0.0 if 0.25 <= xs % 1.0 < 0.75 else 0.5
+                node = h * (math.floor(xs) - rng.randrange(0, 8) + offset)
+                q = 2.0 * (x - node - 1.001 * h / 8)
+            else:
+                q = 10.0 ** rng.uniform(-8, 0.4)
+            if abs(z) < ASYMPTOTIC_SWITCH_Z and 0.0 < q < ASYMPTOTIC_SWITCH_Z:
+                yield z, q
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_trimmed_node_tables_give_the_full_sums(self, seed, monkeypatch):
+        # the node tables stop at t = 6.5.  Against tables to t = 7.25 the
+        # sums move by at most 5.0e-18 (D), 2.0e-17 (lambda0) and 0 (w)
+        # relative here
+        h = 0.5
+        full_a = [special_functions._node(k * h) for k in range(1, 15)]
+        full_b = [special_functions._node((k + 0.5) * h) for k in range(15)]
+        assert special_functions._NODES_A == full_a[:13]
+        assert special_functions._NODES_B == full_b[:13]
+
+        def sums():
+            return [(special_functions._node_loop(z, q, True),
+                     special_functions._w_trapezoid(z) if z.imag >= 0.0 else None)
+                    for z, q in points]
+
+        points = list(self._trim_points(seed))
+        trimmed = sums()
+        monkeypatch.setattr(special_functions, "_NODES_A", full_a)
+        monkeypatch.setattr(special_functions, "_NODES_B", full_b)
+        full = sums()
+        summed = 0
+        for (z, q), (pair, w), (pair_full, w_full) in zip(points, trimmed, full):
+            assert w is None or abs(w - w_full) <= 5e-17 * abs(w_full), z
+            if pair is None:  # the node rule refuses D here, on both tables
+                assert pair_full is None
+                continue
+            summed += 1
+            for got, ref in zip(pair, pair_full):
+                assert abs(got - ref) <= 5e-17 * abs(ref), (z, q)
+        assert summed > 1500
+
     def test_just_above_the_taylor_switch_and_just_below_twelve(self):
         # q just above 1e-3 (1 + |z|), where the Taylor form handed over
         for deg in range(-170, 181, 10):
