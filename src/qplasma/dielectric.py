@@ -17,7 +17,18 @@ z = (omega + i nu)/(k v_T) = (x + i y)/q, giving
     eps_classical = 1 + (2 x_p^2/q^2) (x+iy) lambda0(z) / (x + i y lambda0(z))
     eps_quantum   = 1 + (x_p^2/q^2)  (x+iy) D(z,q)     / (x + i y lambda0(z))
 
-with D(z,q) = [t(z-q/2) - t(z+q/2)]/q.
+with D(z,q) = [t(z-q/2) - t(z+q/2)]/q.  The quantum model, its hbar -> 0
+limit (classical) and Mermin's are one BGK form,
+
+    eps = 1 + pre (x+iy) K / (x + i y M)
+
+    model       pre          K          M
+    quantum     x_p^2/q^2    D(z,q)     lambda0(z)
+    classical   2 x_p^2/q^2  lambda0(z) lambda0(z)
+    mermin      x_p^2/q^2    D(z,q)     D(z,q)/D0(q)
+
+written once (_bgk): at y = 0 eps = 1 + pre K, and each model's core only
+forms pre, K and M.
 """
 
 from __future__ import annotations
@@ -127,16 +138,21 @@ class QueryPoint(_Record):
         return complex(self.x, y) / _check_q(self.q)
 
 
+def _finite(name: str, value) -> None:
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _prefactor(x_p: float, xy: complex, q: float) -> float:
     # x_p^2/q^2.  Below q = 1e-154 q^2 is subnormal, and where x_p/q or
     # |z| = |x + iy|/q passes 1e154, x_p^2/q^2 or z^2 in lambda0's tail
     # overflows: fail loudly there rather than return nan or lost digits.
-    # An x + iy that is not finite fails the same test (max keeps a leading
-    # nan) but is no question of range; this is the one finiteness check of
-    # z = (x + iy)/q before the kernels
+    # An x + iy or x_p that is not finite fails the same test (max keeps a
+    # leading nan) but is no question of range; this is the one finiteness
+    # check of z = (x + iy)/q before the kernels
     if not max(abs(xy), 1.0, x_p) <= 1e154 * q:
-        if not cmath.isfinite(xy):
-            raise ValueError(f"x + iy must be finite, got {xy!r}")
+        _finite("x + iy", xy)
+        _finite("x_p", x_p)
         raise OverflowError(
             f"q={q!r} is too small at x_p={x_p!r}, x + iy={xy!r}: q^2, "
             "x_p^2/q^2 or z^2 = ((x + iy)/q)^2 leaves double range"
@@ -145,13 +161,14 @@ def _prefactor(x_p: float, xy: complex, q: float) -> float:
 
 
 def _rescaled(pre: float, ratio: complex, x_p: float, xy: complex, q: float) -> complex:
-    # eps = 1 + pre * ratio where a model's plain form pre * xy * D / den
-    # was not finite: with the O(1) ratio xy D / den formed first, pre * xy
+    # eps = 1 + pre * ratio where a model's plain form pre * xy * K / den
+    # was not finite: with the O(1) ratio xy K / den formed first, pre * xy
     # no longer overflows.  Still not finite, eps itself is not
-    # representable
+    # representable, unless x_p was not finite (a nan passes _prefactor)
     eps = 1.0 + pre * ratio
     if cmath.isfinite(eps):
         return eps
+    _finite("x_p", x_p)
     raise _out_of_range("eps", f"x_p={x_p!r}, x + iy={xy!r}, q={q!r}")
 
 
@@ -161,15 +178,25 @@ _BGK_TINY = 2.0 ** -600
 _BGK_SCALE = 2.0 ** 600
 
 
-def _bgk_tiny(pre: float, omega: complex, y: float, num: complex, mem: complex,
-              x_p: float, q: float) -> complex:
-    # eps = 1 + pre * xy * num / (omega + iy mem), xy = omega + iy, where
-    # omega and y lie below _BGK_TINY: there xy num and the division by the
-    # denominator round subnormal products.  The ratio is homogeneous of
-    # degree 0 in (omega, y), so it is formed from both scaled by one exact
-    # power of two, and then as in _rescaled
-    w, s = omega * _BGK_SCALE, y * _BGK_SCALE
-    return _rescaled(pre, (w + 1j * s) * num / (w + 1j * s * mem), x_p, omega + 1j * y, q)
+def _bgk(pre: float, x_p: float, y: float, omega: complex, q: float,
+         K: complex, M: complex | None) -> complex:
+    # eps = 1 + pre * xy * K / (omega + iy M), xy = omega + iy: the one form
+    # of the three BGK models (see the module docstring), in four rungs
+    xy = omega + 1j * y
+    if y == 0.0:
+        # the BGK factor xy/(omega + iy M) is exactly 1: collisionless, and
+        # M is not read
+        eps = 1.0 + pre * K
+        return eps if cmath.isfinite(eps) else _rescaled(pre, K, x_p, xy, q)
+    if y < _BGK_TINY and abs(omega) < _BGK_TINY:
+        # xy K and the division by the denominator would round subnormal
+        # products.  The ratio is homogeneous of degree 0 in (omega, y), so
+        # it is formed from both scaled by one exact power of two
+        w, s = omega * _BGK_SCALE, y * _BGK_SCALE
+        return _rescaled(pre, (w + 1j * s) * K / (w + 1j * s * M), x_p, xy, q)
+    den = omega + 1j * y * M
+    eps = 1.0 + pre * xy * K / den
+    return eps if cmath.isfinite(eps) else _rescaled(pre, xy * K / den, x_p, xy, q)
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +210,10 @@ def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float) -> complex
         return 1.0 + 0j
     xy = omega + 1j * y
     pre = _prefactor(x_p, xy, q)
-    z = xy / q
     if y == 0.0:
-        # the BGK factor xy/(omega + iy lambda0) is exactly 1: collisionless
-        D = t_diff_over_q(z, q)
-        eps = 1.0 + pre * D
-        return eps if cmath.isfinite(eps) else _rescaled(pre, D, x_p, xy, q)
-    D, lam = _t_diff_and_lambda0(z, q)  # z is finite: _prefactor checked x + iy
-    if y < _BGK_TINY and abs(omega) < _BGK_TINY:
-        return _bgk_tiny(pre, omega, y, D, lam, x_p, q)
-    den = omega + 1j * y * lam
-    eps = 1.0 + pre * xy * D / den
-    return eps if cmath.isfinite(eps) else _rescaled(pre, xy * D / den, x_p, xy, q)
+        return _bgk(pre, x_p, y, omega, q, t_diff_over_q(xy / q, q), None)
+    # xy / q is finite: _prefactor checked x + iy
+    return _bgk(pre, x_p, y, omega, q, *_t_diff_and_lambda0(xy / q, q))
 
 
 def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
@@ -205,14 +224,7 @@ def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> compl
     xy = omega + 1j * y
     pre = 2.0 * _prefactor(x_p, xy, q)
     lam = lambda0(xy / q)
-    if y == 0.0:
-        eps = 1.0 + pre * lam
-        return eps if cmath.isfinite(eps) else _rescaled(pre, lam, x_p, xy, q)
-    if y < _BGK_TINY and abs(omega) < _BGK_TINY:
-        return _bgk_tiny(pre, omega, y, lam, lam, x_p, q)
-    den = omega + 1j * y * lam
-    eps = 1.0 + pre * xy * lam / den
-    return eps if cmath.isfinite(eps) else _rescaled(pre, xy * lam / den, x_p, xy, q)
+    return _bgk(pre, x_p, y, omega, q, lam, lam)
 
 
 #: (q, D0(q)) of the last mermin_static_denominator call: D0 is constant
@@ -243,14 +255,8 @@ def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     xy = omega + 1j * y
     pre = _prefactor(x_p, xy, q)
     D = t_diff_over_q(xy / q, q)
-    if y == 0.0:
-        eps = 1.0 + pre * D
-        return eps if cmath.isfinite(eps) else _rescaled(pre, D, x_p, xy, q)
-    if y < _BGK_TINY and abs(omega) < _BGK_TINY:
-        return _bgk_tiny(pre, omega, y, D, D / mermin_static_denominator(q), x_p, q)
-    den = omega + 1j * y * D / mermin_static_denominator(q)
-    eps = 1.0 + pre * xy * D / den
-    return eps if cmath.isfinite(eps) else _rescaled(pre, xy * D / den, x_p, xy, q)
+    M = D / mermin_static_denominator(q) if y else None  # y = 0 reads no M
+    return _bgk(pre, x_p, y, omega, q, D, M)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +329,8 @@ def epsilon_drude(x_p: float, x: float, y: float) -> complex:
     eps = 1.0 - r * r * (math.copysign(1.0, x) * xy.conjugate() / m)
     if cmath.isfinite(eps):
         return eps
+    _finite("x_p", x_p)
+    _finite("x + iy", xy)
     raise _out_of_range("eps", f"x_p={x_p!r}, x + iy={xy!r}")
 
 

@@ -13,6 +13,7 @@ import math
 from .dielectric import (
     ModelKind,
     PlasmaParams,
+    _finite,
     _Record,
     _set,
     eps_classical_omega,
@@ -138,10 +139,6 @@ def _eps_core(model: ModelKind):
     return eps_mermin_omega
 
 
-def _eps_at(model: ModelKind, params: PlasmaParams, omega: complex, q: float) -> complex:
-    return _eps_core(model)(params.x_p, params.y, omega, q)
-
-
 def default_guess(params: PlasmaParams, q: float, model: ModelKind) -> complex:
     """Asymptotic seed: omega_p-scaled long-wave frequency, quantum term per
     model, plus i times the classical damping decrement; its quantum factor
@@ -153,40 +150,31 @@ def default_guess(params: PlasmaParams, q: float, model: ModelKind) -> complex:
     return complex(re, im)
 
 
-def _secant_step(h0, h1):
-    """One secant iterate from two (omega, f) pairs; returns a new omega."""
-    (x0, f0), (x1, f1) = h0, h1
-    if f1 == f0:
-        return x1 * (1.0 + 1e-6) + 1e-12
-    return x1 - f1 * (x1 - x0) / (f1 - f0)
-
-
-def _muller_step(h0, h1, h2):
-    """One Muller iterate from three (omega, f) pairs; returns a new omega."""
-    (x0, f0), (x1, f1), (x2, f2) = h0, h1, h2
-    if x1 == x0 or x2 == x1:
-        return x2 * (1.0 + 1e-6) + 1e-12
-    q_r = (x2 - x1) / (x1 - x0)
-    a = q_r * f2 - q_r * (1.0 + q_r) * f1 + q_r * q_r * f0
-    b = (2.0 * q_r + 1.0) * f2 - (1.0 + q_r) ** 2 * f1 + q_r * q_r * f0
-    c = (1.0 + q_r) * f2
-    disc = cmath.sqrt(b * b - 4.0 * a * c)
-    den_plus = b + disc
-    den_minus = b - disc
-    den = den_plus if abs(den_plus) >= abs(den_minus) else den_minus
-    if den == 0:
-        return x2 * (1.0 + 1e-6) + 1e-12
-    return x2 - (x2 - x1) * (2.0 * c / den)
-
-
 def _next_omega(points, slope):
-    # the slope step from one point, the secant from two, Muller's from three on
+    # the slope step from one (omega, eps) point, the secant from two,
+    # Muller's from the last three on; where a step is undefined (equal
+    # values, a repeated point, a zero denominator) the last point is nudged
+    x2, f2 = points[-1]
     if len(points) == 1:
-        omega, f = points[0]
-        return omega - f / slope
+        return x2 - f2 / slope
+    x1, f1 = points[-2]
     if len(points) == 2:
-        return _secant_step(*points)
-    return _muller_step(*points[-3:])
+        if f2 != f1:
+            return x2 - f2 * (x2 - x1) / (f2 - f1)
+    else:
+        x0, f0 = points[-3]
+        if x1 != x0 and x2 != x1:
+            q_r = (x2 - x1) / (x1 - x0)
+            a = q_r * f2 - q_r * (1.0 + q_r) * f1 + q_r * q_r * f0
+            b = (2.0 * q_r + 1.0) * f2 - (1.0 + q_r) ** 2 * f1 + q_r * q_r * f0
+            c = (1.0 + q_r) * f2
+            disc = cmath.sqrt(b * b - 4.0 * a * c)
+            den_plus = b + disc
+            den_minus = b - disc
+            den = den_plus if abs(den_plus) >= abs(den_minus) else den_minus
+            if den != 0:
+                return x2 - (x2 - x1) * (2.0 * c / den)
+    return x2 * (1.0 + 1e-6) + 1e-12
 
 
 def _last_slope(points, slope):
@@ -199,11 +187,6 @@ def _last_slope(points, slope):
         return None
     s = (f1 - f0) / (x1 - x0)
     return s if s != 0 and cmath.isfinite(s) else None
-
-
-def _finite(name: str, value):
-    if not cmath.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def solve_root(params: PlasmaParams, q: float, model: ModelKind,

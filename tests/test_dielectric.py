@@ -28,7 +28,13 @@ from qplasma.dielectric import (
     mermin_static_denominator,
 )
 from qplasma.dispersion import gamma_asymptotic, solve_root
-from qplasma.special_functions import dawson, plasma_t, t_diff_and_lambda0, t_diff_over_q
+from qplasma.special_functions import (
+    dawson,
+    lambda0,
+    plasma_t,
+    t_diff_and_lambda0,
+    t_diff_over_q,
+)
 
 from conftest import assert_cclose
 from oracle import quad_epsilon_quantum
@@ -170,6 +176,34 @@ class TestNonFiniteFrequency:
     def test_nonfinite_omega_raises(self, core, y, omega):
         with pytest.raises(ValueError, match="must be finite"):
             core(1.0, y, omega, 0.5)
+
+
+class TestNonFiniteArguments:
+    # a non-finite x_p (or Drude's x + iy) is no question of range: it
+    # raises ValueError naming itself, where it raised OverflowError as an
+    # eps out of range (nan) or as a q that is too small (inf)
+
+    @pytest.mark.parametrize("x_p", [math.nan, math.inf])
+    @pytest.mark.parametrize("core", [eps_quantum_omega, eps_classical_omega,
+                                      eps_mermin_omega])
+    @pytest.mark.parametrize("y", [0.0, 0.1])
+    def test_bgk_cores(self, core, x_p, y):
+        with pytest.raises(ValueError, match=f"^x_p must be finite, got {x_p!r}"):
+            core(x_p, y, 1.0, 0.5)
+
+    @pytest.mark.parametrize("x_p", [math.nan, math.inf])
+    def test_static(self, x_p):
+        with pytest.raises(ValueError, match=f"^x_p must be finite, got {x_p!r}"):
+            epsilon_static(x_p, 1.0, 0.5)
+
+    @pytest.mark.parametrize("x_p, x, y, name", [
+        (math.nan, 1.0, 0.1, "x_p"), (math.inf, 1.0, 0.1, "x_p"),
+        (1.0, math.nan, 0.1, "x + iy"), (1.0, -math.inf, 0.1, "x + iy"),
+        (1.0, 1.0, math.nan, "x + iy"), (1.0, 1.0, math.inf, "x + iy"),
+    ])
+    def test_drude(self, x_p, x, y, name):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite"):
+            epsilon_drude(x_p, x, y)
 
 
 class TestEpsilonClassical:
@@ -539,6 +573,49 @@ class TestSubnormalFrequencyAndCollisions:
             q = 10.0 ** rng.uniform(-150, 1)
             ref = core(1.0, 0.0, complex(x, y), q)
             assert abs(core(1.0, y, x, q) - ref) <= 1e-15 * abs(ref), (x, y, q)
+
+
+class TestOneBGKForm:
+    # the three BGK cores are eps = 1 + pre xy K / (omega + iy M), xy =
+    # omega + iy, with (pre, K, M) from the public kernels, and 1 + pre K at
+    # y = 0, bit for bit; omega real, in the upper and in the lower half-plane
+
+    @staticmethod
+    def _expected(model, x_p, y, omega, q):
+        xy = omega + 1j * y
+        z = xy / q
+        pre = x_p * x_p / (q * q)
+        if model == "classical":
+            pre, K, M = 2.0 * pre, lambda0(z), lambda0(z)
+        elif model == "quantum":
+            K, M = t_diff_over_q(z, q), lambda0(z)
+        else:
+            K = t_diff_over_q(z, q)
+            M = K / mermin_static_denominator(q)
+        if y == 0.0:
+            return 1.0 + pre * K
+        return 1.0 + pre * xy * K / (omega + 1j * y * M)
+
+    @pytest.mark.parametrize("model, core", [("quantum", eps_quantum_omega),
+                                             ("classical", eps_classical_omega),
+                                             ("mermin", eps_mermin_omega)])
+    @pytest.mark.parametrize("half", ["real", "upper", "lower"])
+    @pytest.mark.parametrize("collisions", [False, True])
+    def test_core_is_the_one_form(self, model, core, half, collisions):
+        rng = random.Random(f"one bgk form {model} {half} {collisions}")
+        points = []
+        for _ in range(200):
+            x_p, q = rng.uniform(0.1, 10.0), rng.uniform(0.02, 3.0)
+            y = 10.0 ** rng.uniform(-5, 0) if collisions else 0.0
+            x = rng.uniform(-3.0, 15.0)
+            im = 10.0 ** rng.uniform(-4, -0.5)
+            omega = {"real": x, "upper": complex(x, im), "lower": complex(x, -im)}[half]
+            points.append((x_p, y, omega, q))
+        # all the expected values first, so that (but at the last point) the
+        # core finds none of them in the kernels' one-entry memos
+        expected = [self._expected(model, *p) for p in points]
+        for p, want in zip(points, expected):
+            assert repr(core(*p)) == repr(want), p
 
 
 class TestNoSilentInfinities:

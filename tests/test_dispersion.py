@@ -240,7 +240,7 @@ class TestSolveRoot:
         # two start points, one evaluation per step, at most one polish
         assert 2 + root.iterations <= root.evaluations <= 3 + root.iterations
         # polished or not, the residual is |eps| at the returned root
-        assert root.residual == abs(dispersion._eps_at(model, params, root.omega, q))
+        assert root.residual == abs(dispersion._eps_core(model)(params.x_p, params.y, root.omega, q))
 
     @pytest.mark.parametrize("model, q, guess, slope", [
         (ModelKind.QUANTUM, 0.1 * SQRT2, 1.0 - 0.005j, 2.0),
@@ -254,7 +254,7 @@ class TestSolveRoot:
         assert root.evaluations == calls[0]
         # one start point, one evaluation per step, at most one polish
         assert 1 + root.iterations <= root.evaluations <= 2 + root.iterations
-        assert root.residual == abs(dispersion._eps_at(model, params, root.omega, q))
+        assert root.residual == abs(dispersion._eps_core(model)(params.x_p, params.y, root.omega, q))
 
     @pytest.mark.parametrize("polish", [False, True])
     def test_seed_at_root_returns_or_polishes_by_the_slope(self, polish, monkeypatch):
@@ -264,7 +264,7 @@ class TestSolveRoot:
         q, model = 0.3 * SQRT2, ModelKind.CLASSICAL
         found = solve_root(params, q, model)
         assert found.slope is not None
-        at_seed = abs(dispersion._eps_at(model, params, found.omega, q))
+        at_seed = abs(dispersion._eps_core(model)(params.x_p, params.y, found.omega, q))
         assert at_seed <= dispersion._ROUNDING_FLOOR
         if polish:
             monkeypatch.setattr("qplasma.dispersion._ROUNDING_FLOOR", 0.0)
@@ -541,18 +541,18 @@ class TestDegenerateSteps:
     NUDGED = 2.0 * (1.0 + 1e-6) + 1e-12  # x_last (1 + 1e-6) + 1e-12 at x_last = 2
 
     def test_secant_with_equal_values_nudges_the_last_point(self):
-        assert dispersion._secant_step((1.0 + 0j, 0.5j), (2.0 + 0j, 0.5j)) == self.NUDGED
+        assert dispersion._next_omega([(1.0 + 0j, 0.5j), (2.0 + 0j, 0.5j)], None) == self.NUDGED
 
     @pytest.mark.parametrize("xs", [(2.0, 2.0, 2.0), (1.0, 1.0, 2.0), (1.0, 2.0, 2.0)])
     def test_muller_with_repeated_points_nudges_the_last(self, xs):
         points = [(complex(x), complex(f)) for x, f in zip(xs, (3.0, 2.0, 1.0))]
-        assert dispersion._muller_step(*points) == self.NUDGED
+        assert dispersion._next_omega(points, None) == self.NUDGED
 
     def test_muller_with_zero_denominator_nudges_the_last_point(self):
         # x = 0, 1, 2 and f = 4, 1, 0: b = f0 - 4 f1 = 0 and c = 2 f2 = 0,
         # so b +- sqrt(b^2 - 4ac) are both 0
         points = [(complex(x), complex(f)) for x, f in ((0.0, 4.0), (1.0, 1.0), (2.0, 0.0))]
-        assert dispersion._muller_step(*points) == self.NUDGED
+        assert dispersion._next_omega(points, None) == self.NUDGED
 
     def test_last_slope_of_a_repeated_point_is_none(self):
         assert dispersion._last_slope([(1.0 + 0j, 1j), (1.0 + 0j, 2j)], 3.0) is None
