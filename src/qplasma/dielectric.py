@@ -7,7 +7,10 @@ so the dispersion solver can continue them off the real axis; the public
 operations expose the physical real-frequency surface.  Each returns a
 finite eps or raises OverflowError naming its arguments: one
 cmath.isfinite per call, and where the plain form is not finite, the O(1)
-ratio formed before the prefactor multiplies it.
+ratio formed before the prefactor multiplies it.  The three BGK cores
+check their arguments once, in _prefactor's one range test: 0 < q < inf,
+x_p >= 0 and finite, x + iy finite.  What fails it raises ValueError
+naming the argument, or OverflowError where only the range is at fault.
 
 Normalization note (re-derivation of the classical form): with
 omega -> x, nu -> y, omega_p -> x_p in units of k_T v_T and k -> q in units
@@ -42,6 +45,7 @@ from .special_functions import (
     _check_q,
     _out_of_range,
     _t_diff_and_lambda0,
+    _t_diff_over_q,
     dawson,
     faddeeva_w,  # noqa: F401  bench/spans.py wraps this name; --trace 1 needs it
     lambda0,
@@ -132,7 +136,7 @@ class QueryPoint(_Record):
         if not (math.isfinite(q) and q >= 0):
             raise ValueError(f"q must be finite and >= 0, got {q!r}")
         _set(self, "x", x)
-        _set(self, "q", q)
+        _set(self, "q", float(q))  # the cores do not convert q
 
     def z(self, y: float) -> complex:
         return complex(self.x, y) / _check_q(self.q)
@@ -144,19 +148,24 @@ def _finite(name: str, value) -> None:
 
 
 def _prefactor(x_p: float, xy: complex, q: float) -> float:
-    # x_p^2/q^2.  Below q = 1e-154 q^2 is subnormal, and where x_p/q or
-    # |z| = |x + iy|/q passes 1e154, x_p^2/q^2 or z^2 in lambda0's tail
-    # overflows: fail loudly there rather than return nan or lost digits.
-    # An x + iy or x_p that is not finite fails the same test (max keeps a
-    # leading nan) but is no question of range; this is the one finiteness
-    # check of z = (x + iy)/q before the kernels
-    if not max(abs(xy), 1.0, x_p) <= 1e154 * q:
+    # x_p^2/q^2, and the cores' one check of q, x_p and x + iy.  Below q =
+    # 1e-154 q^2 is subnormal, and where x_p/q or |z| = |x + iy|/q passes
+    # 1e154, x_p^2/q^2 or z^2 in lambda0's tail overflows: fail loudly there
+    # rather than return nan or lost digits.  A q outside 0 < q < inf, an
+    # x + iy or x_p that is not finite and a negative x_p fail the same test
+    # (every compare with nan is false) and are told apart after it
+    bound = 1e154 * q
+    if not (abs(xy) <= bound and 0.0 <= x_p <= bound and 1.0 <= bound < math.inf):
+        q = _check_q(q)
         _finite("x + iy", xy)
+        if x_p < 0.0:
+            raise ValueError(f"x_p must be finite and >= 0, got {x_p!r}")
         _finite("x_p", x_p)
-        raise OverflowError(
-            f"q={q!r} is too small at x_p={x_p!r}, x + iy={xy!r}: q^2, "
-            "x_p^2/q^2 or z^2 = ((x + iy)/q)^2 leaves double range"
-        )
+        if not max(abs(xy), 1.0, x_p) <= bound:  # not where only 1e154 q is inf
+            raise OverflowError(
+                f"q={q!r} is too small at x_p={x_p!r}, x + iy={xy!r}: q^2, "
+                "x_p^2/q^2 or z^2 = ((x + iy)/q)^2 leaves double range"
+            )
     return x_p * x_p / (q * q)
 
 
@@ -164,11 +173,10 @@ def _rescaled(pre: float, ratio: complex, x_p: float, xy: complex, q: float) -> 
     # eps = 1 + pre * ratio where a model's plain form pre * xy * K / den
     # was not finite: with the O(1) ratio xy K / den formed first, pre * xy
     # no longer overflows.  Still not finite, eps itself is not
-    # representable, unless x_p was not finite (a nan passes _prefactor)
+    # representable (_prefactor has checked x_p)
     eps = 1.0 + pre * ratio
     if cmath.isfinite(eps):
         return eps
-    _finite("x_p", x_p)
     raise _out_of_range("eps", f"x_p={x_p!r}, x + iy={xy!r}, q={q!r}")
 
 
@@ -205,8 +213,8 @@ def _bgk(pre: float, x_p: float, y: float, omega: complex, q: float,
 
 def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     """Quantum-model permittivity at (possibly complex) frequency omega."""
-    q = _check_q(q)
     if x_p == 0.0:
+        _check_q(q)
         return 1.0 + 0j
     xy = omega + 1j * y
     pre = _prefactor(x_p, xy, q)
@@ -218,8 +226,8 @@ def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float) -> complex
 
 def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     """Classical-model permittivity at (possibly complex) frequency omega."""
-    q = _check_q(q)
     if x_p == 0.0:
+        _check_q(q)
         return 1.0 + 0j
     xy = omega + 1j * y
     pre = 2.0 * _prefactor(x_p, xy, q)
@@ -236,26 +244,29 @@ def mermin_static_denominator(q: float) -> float:
     """D0(q) = [t(-q/2) - t(q/2)]/q = 4 F(q/2)/q (Dawson F), entering
     Mermin's number-conserving correction; D0 -> 2 as q -> 0.  The last
     result is memoised (one entry)."""
+    return _mermin_static_denominator(_check_q(q))
+
+
+def _mermin_static_denominator(q: float) -> float:
+    # mermin_static_denominator at 0 < q < inf, through the same memo
     global _d0_last
     last_q, last = _d0_last
     if q == last_q:
         return last
-    q = _check_q(q)
-    F = dawson(0.5 * q)
-    val = 4.0 * F / q
+    val = 4.0 * dawson(0.5 * q) / q
     _d0_last = (q, val)
     return val
 
 
 def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     """Mermin-model permittivity at (possibly complex) frequency omega."""
-    q = _check_q(q)
     if x_p == 0.0:
+        _check_q(q)
         return 1.0 + 0j
     xy = omega + 1j * y
     pre = _prefactor(x_p, xy, q)
-    D = t_diff_over_q(xy / q, q)
-    M = D / mermin_static_denominator(q) if y else None  # y = 0 reads no M
+    D = _t_diff_over_q(xy / q, q)  # xy / q is finite: _prefactor checked x + iy
+    M = D / _mermin_static_denominator(q) if y else None  # y = 0 reads no M
     return _bgk(pre, x_p, y, omega, q, D, M)
 
 
@@ -276,7 +287,7 @@ def epsilon_classical(params: PlasmaParams, point: QueryPoint) -> complex:
 def epsilon_lindhard(x_p: float, x: float, q: float) -> complex:
     """Collisionless (Landau-continued) permittivity: the quantum model at
     y = 0, 1 + (x_p^2/q^2) D(x/q, q)."""
-    return eps_quantum_omega(x_p, 0.0, x, q)
+    return eps_quantum_omega(x_p, 0.0, x, float(q))  # the core does not convert q
 
 
 def epsilon_static(x_p: float, y: float, q: float) -> complex:
@@ -316,6 +327,8 @@ def epsilon_drude(x_p: float, x: float, y: float) -> complex:
             "drude limit is undefined at x = 0 (static and long-wave limits "
             "do not commute); use epsilon_static instead"
         )
+    if x_p < 0.0:  # x_p^2 hides the sign; nan and inf fail below
+        raise ValueError(f"x_p must be finite and >= 0, got {x_p!r}")
     xy = complex(x, y)
     den = xy * x
     if abs(den) >= _MIN_NORMAL:  # a subnormal den keeps few bits, and 0 none

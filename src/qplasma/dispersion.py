@@ -15,7 +15,6 @@ from .dielectric import (
     PlasmaParams,
     _finite,
     _Record,
-    _set,
     eps_classical_omega,
     eps_mermin_omega,
     eps_quantum_omega,
@@ -57,12 +56,18 @@ class DispersionRoot(_Record):
 
     def __init__(self, q: float, omega: complex, residual: float, iterations: int,
                  evaluations: int = 0, slope: complex | None = None):
-        _set(self, "q", q)
-        _set(self, "omega", omega)
-        _set(self, "residual", residual)
-        _set(self, "iterations", iterations)
-        _set(self, "evaluations", evaluations)
-        _set(self, "slope", slope)
+        _set_q(self, q)
+        _set_omega(self, omega)
+        _set_residual(self, residual)
+        _set_iterations(self, iterations)
+        _set_evaluations(self, evaluations)
+        _set_slope(self, slope)
+
+
+#: the setters of DispersionRoot's slots: a construction sets each field
+#: through its slot descriptor, past _Record.__setattr__ and a name lookup
+(_set_q, _set_omega, _set_residual, _set_iterations, _set_evaluations,
+ _set_slope) = (getattr(DispersionRoot, name).__set__ for name in DispersionRoot.__slots__)
 
 
 class ConvergenceError(RuntimeError):
@@ -226,28 +231,28 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
     seed = complex(guess) if guess is not None else default_guess(params, q, model)
     eps, x_p, y = _eps_core(model), params.x_p, params.y
     points: list[tuple[complex, complex]] = []  # (omega, eps), newest last
-
-    def visit(omega: complex) -> float:
-        try:
-            f = eps(x_p, y, omega, q)
-        except (OverflowError, ValueError, ZeroDivisionError) as exc:
-            last_omega, last_f = points[-1] if points else (seed, math.inf)
-            raise ConvergenceError(
-                f"eps of {model.value} model raised {type(exc).__name__}: {exc} "
-                f"at omega={omega!r}", last_omega, abs(last_f),
-            ) from exc
+    omega = seed + _SEED_SPREAD * max(abs(seed), 1.0) if slope is None else seed
+    try:
+        if slope is None:
+            points.append((omega, eps(x_p, y, omega, q)))
+            omega = seed
+        f = eps(x_p, y, omega, q)
         points.append((omega, f))
-        return abs(f)
-
-    if slope is None:
-        visit(seed + _SEED_SPREAD * max(abs(seed), 1.0))
-    omega = seed
-    residual = visit(omega)
-    iterations = 0
-    while not residual <= _RESIDUAL_TOL and iterations < _MAX_ITER:
-        iterations += 1
-        omega = _next_omega(points, slope)
-        residual = visit(omega)
+        residual = abs(f)
+        iterations = 0
+        while not residual <= _RESIDUAL_TOL and iterations < _MAX_ITER:
+            iterations += 1
+            omega = _next_omega(points, slope)
+            f = eps(x_p, y, omega, q)
+            points.append((omega, f))
+            residual = abs(f)
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        # named by the last point evaluated before omega, if any
+        last_omega, last_f = points[-1] if points else (seed, math.inf)
+        raise ConvergenceError(
+            f"eps of {model.value} model raised {type(exc).__name__}: {exc} "
+            f"at omega={omega!r}", last_omega, abs(last_f),
+        ) from exc
 
     if not residual <= _RESIDUAL_TOL:
         raise ConvergenceError(
@@ -261,8 +266,8 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
         evaluations += 1
         polished = _next_omega(points, slope)
         try:
-            f = visit(polished)
-        except ConvergenceError:
+            f = abs(eps(x_p, y, polished, q))
+        except (OverflowError, ValueError, ZeroDivisionError):
             f = math.inf
         if f <= residual:
             omega, residual = polished, f
@@ -287,17 +292,17 @@ def _extrapolate(roots: list[DispersionRoot]) -> tuple[complex, complex | None]:
     # where a slope in its window is None or the polynomial gives 0 or a
     # value that is not finite
     n = len(roots)
-    seed_weights = _EXTRAPOLATION_WEIGHTS[n if n < _SEED_ORDER else _SEED_ORDER]
-    slope_weights = _EXTRAPOLATION_WEIGHTS[n if n < _SLOPE_ORDER else _SLOPE_ORDER]
-    m = len(slope_weights)
     seed = slope = 0j
-    for j in range(len(seed_weights)):
-        r = roots[n - 1 - j]
-        seed += seed_weights[j] * r.omega
-        if j < m and slope is not None:
-            s = r.slope
-            slope = None if s is None else slope + slope_weights[j] * s
-    if slope is None or slope == 0 or not cmath.isfinite(slope):
+    for w, r in zip(_EXTRAPOLATION_WEIGHTS[n if n < _SEED_ORDER else _SEED_ORDER],
+                    reversed(roots)):
+        seed += w * r.omega
+    for w, r in zip(_EXTRAPOLATION_WEIGHTS[n if n < _SLOPE_ORDER else _SLOPE_ORDER],
+                    reversed(roots)):
+        s = r.slope
+        if s is None:
+            return seed, roots[-1].slope
+        slope += w * s
+    if slope == 0 or not cmath.isfinite(slope):
         slope = roots[-1].slope
     return seed, slope
 

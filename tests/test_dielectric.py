@@ -38,6 +38,7 @@ from qplasma.special_functions import (
 
 from conftest import assert_cclose
 from oracle import quad_epsilon_quantum
+from qplasma import dielectric, dispersion, special_functions
 
 # regression baseline, pinned from the first converged implementation run:
 # the quantum and Mermin models legitimately differ at this point
@@ -204,6 +205,132 @@ class TestNonFiniteArguments:
     def test_drude(self, x_p, x, y, name):
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite"):
             epsilon_drude(x_p, x, y)
+
+
+class TestNegativePlasmaFrequency:
+    # x_p enters as x_p^2, so a negative x_p gave the value at |x_p|;
+    # the functions that take a raw x_p reject it as PlasmaParams does
+
+    @pytest.mark.parametrize("fn", [
+        lambda x_p: eps_quantum_omega(x_p, 0.0, 1.0, 0.5),
+        lambda x_p: eps_quantum_omega(x_p, 0.1, 1.0 - 0.2j, 0.5),
+        lambda x_p: eps_classical_omega(x_p, 0.0, 1.0, 0.5),
+        lambda x_p: eps_classical_omega(x_p, 0.1, 1.0 - 0.2j, 0.5),
+        lambda x_p: eps_mermin_omega(x_p, 0.0, 1.0, 0.5),
+        lambda x_p: eps_mermin_omega(x_p, 0.1, 1.0 - 0.2j, 0.5),
+        lambda x_p: epsilon_static(x_p, 1.0, 0.5),
+        lambda x_p: epsilon_lindhard(x_p, 1.0, 0.5),
+        lambda x_p: epsilon_drude(x_p, 1.0, 0.1),
+    ], ids=["quantum-y0", "quantum", "classical-y0", "classical", "mermin-y0",
+            "mermin", "static", "lindhard", "drude"])
+    def test_rejected_with_plasma_params_message(self, fn):
+        with pytest.raises(ValueError) as raised:
+            PlasmaParams(-1.0)
+        assert str(raised.value) == "x_p must be finite and >= 0, got -1.0"
+        with pytest.raises(ValueError, match=r"^x_p must be finite and >= 0, got -1\.0$"):
+            fn(-1.0)
+        with pytest.raises(ValueError, match="^x_p must be finite and >= 0, got -inf$"):
+            fn(-math.inf)
+
+    @pytest.mark.parametrize("fn", [
+        lambda x_p: eps_quantum_omega(x_p, 0.1, 1.0, 0.5),
+        lambda x_p: eps_classical_omega(x_p, 0.1, 1.0, 0.5),
+        lambda x_p: eps_mermin_omega(x_p, 0.1, 1.0, 0.5),
+        lambda x_p: epsilon_static(x_p, 1.0, 0.5),
+        lambda x_p: epsilon_lindhard(x_p, 1.0, 0.5),
+    ], ids=["quantum", "classical", "mermin", "static", "lindhard"])
+    def test_negative_zero_is_vacuum(self, fn):
+        assert repr(fn(-0.0)) == repr(1.0 + 0j)
+
+    def test_static_was_the_value_at_the_magnitude(self):
+        # the reported point: 8.928148946544287 at x_p = 1 and at x_p = -1
+        assert epsilon_static(1.0, 1.0, 0.5) == 8.928148946544287
+        with pytest.raises(ValueError, match="^x_p must be finite and >= 0"):
+            epsilon_static(-1.0, 1.0, 0.5)
+
+
+def _forget_memos(monkeypatch):
+    monkeypatch.setattr(special_functions, "_d_last", (None, None, None))
+    monkeypatch.setattr(special_functions, "_lambda0_last", (None, None))
+
+
+class TestOneCheck:
+    # the BGK cores check q, x_p and x + iy once, in _prefactor's one range
+    # test, and call kernels that do not check again
+
+    def _counters(self, monkeypatch) -> dict:
+        counts = {}
+        for module in (dielectric, special_functions, dispersion):
+            for name in ("_check_q", "_check_finite", "_finite"):
+                inner = getattr(module, name, None)
+                if inner is None:
+                    continue
+
+                def counted(*args, _inner=inner, _key=(module.__name__, name)):
+                    counts[_key] = counts.get(_key, 0) + 1
+                    return _inner(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("core", [eps_quantum_omega, eps_mermin_omega])
+    @pytest.mark.parametrize("omega", [1.0, 1.0 + 0.3j, 1.0 - 0.3j, 30.0 - 0.1j])
+    def test_valid_call_makes_no_check_call(self, core, omega, monkeypatch):
+        _forget_memos(monkeypatch)
+        counts = self._counters(monkeypatch)
+        core(1.0, 0.1, omega, 0.5)
+        assert counts == {}
+
+    @pytest.mark.parametrize("omega", [1.0, 1.0 + 0.3j, 1.0 - 0.3j, 30.0 - 0.1j])
+    def test_classical_checks_only_in_its_traced_lambda0(self, omega, monkeypatch):
+        # the classical core calls lambda0 through dielectric's global name,
+        # which the span tracer wraps; lambda0 checks z on a memo miss
+        _forget_memos(monkeypatch)
+        counts = self._counters(monkeypatch)
+        eps_classical_omega(1.0, 0.1, omega, 0.5)
+        assert counts == {("qplasma.special_functions", "_check_finite"): 1}
+
+    @pytest.mark.parametrize("model", [ModelKind.QUANTUM, ModelKind.CLASSICAL,
+                                       ModelKind.MERMIN])
+    def test_one_solve_checks_q_once(self, model, monkeypatch):
+        # trace_branch's call: a guess and a slope, several evaluations
+        counts = self._counters(monkeypatch)
+        root = solve_root(PlasmaParams(1.0, 0.01), 0.3, model, guess=1.2 - 0.01j,
+                          slope=2.0 + 0j)
+        assert root.evaluations >= 2
+        q_checks = {key: n for key, n in counts.items() if key[1] == "_check_q"}
+        assert q_checks == {("qplasma.dispersion", "_check_q"): 1}
+
+    @pytest.mark.parametrize("core", [eps_quantum_omega, eps_classical_omega,
+                                      eps_mermin_omega])
+    def test_int_q_gives_the_float_bits(self, core, monkeypatch):
+        rng = random.Random(28)
+        for _ in range(100):
+            x_p, q = rng.uniform(0.3, 3.0), rng.randint(1, 11)
+            y = rng.choice([0.0, rng.uniform(1e-6, 0.5)])
+            omega = complex(rng.uniform(-3.0 * q, 3.0 * q), rng.uniform(-1.0, 1.0))
+            _forget_memos(monkeypatch)
+            as_float = core(x_p, y, omega, float(q))
+            _forget_memos(monkeypatch)
+            assert repr(core(x_p, y, omega, q)) == repr(as_float)
+
+
+    def test_numpy_q_at_the_public_surface_gives_the_float_bits(self, monkeypatch):
+        # QueryPoint and epsilon_lindhard hand the cores a float q: numpy
+        # scalar arithmetic would round differently
+        rng = random.Random(30)
+        for _ in range(100):
+            x_p, x, q = rng.uniform(0.3, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0)
+            params = PlasmaParams(x_p, rng.choice([0.0, rng.uniform(1e-4, 0.5)]))
+            for fn in (lambda q: epsilon_quantum(params, QueryPoint(x, q)),
+                       lambda q: epsilon_classical(params, QueryPoint(x, q)),
+                       lambda q: epsilon_mermin(params, QueryPoint(x, q)),
+                       lambda q: epsilon_lindhard(x_p, x, q)):
+                _forget_memos(monkeypatch)
+                as_float = fn(q)
+                _forget_memos(monkeypatch)
+                got = fn(np.float64(q))
+                assert type(got) is complex and repr(got) == repr(as_float)
 
 
 class TestEpsilonClassical:

@@ -574,3 +574,60 @@ class TestDegenerateSteps:
                           guess=seed, slope=1.0 + 0j)
         assert (root.omega, root.residual, root.iterations, root.evaluations) == (
             seed, 1e-13, 0, 2)
+
+
+class TestEpsRaises:
+    # where eps raises, the solve ends in a ConvergenceError naming the
+    # omega where it raised and the last point evaluated before it: at the
+    # spread start, before any point, that is the seed at |eps| = inf
+
+    SEED = 1.2 - 0.01j
+
+    def _solve(self, monkeypatch, raise_at: int, slope=None):
+        omegas = []
+
+        def stand_in(x_p, y, omega, q):
+            omegas.append(omega)
+            if len(omegas) == raise_at:
+                raise OverflowError("stand-in leaves range")
+            return (omega - 1.1) * (omega + 3.0)
+
+        monkeypatch.setattr(dispersion, "eps_quantum_omega", stand_in)
+        with pytest.raises(ConvergenceError) as raised:
+            solve_root(PlasmaParams(1.0, 0.01), 0.3, ModelKind.QUANTUM,
+                       guess=self.SEED, slope=slope)
+        return raised.value, omegas
+
+    @staticmethod
+    def _expected(at, last_omega, residual):
+        return (f"eps of quantum model raised OverflowError: stand-in leaves range "
+                f"at omega={at!r} (last omega={last_omega!r}, |eps|={residual:.3e})")
+
+    def test_at_the_spread_start(self, monkeypatch):
+        err, omegas = self._solve(monkeypatch, 1)
+        assert omegas == [self.SEED + 1e-3 * abs(self.SEED)]
+        assert (err.last_omega, err.residual) == (self.SEED, math.inf)
+        assert str(err) == self._expected(omegas[0], self.SEED, math.inf)
+
+    def test_at_the_seed(self, monkeypatch):
+        err, omegas = self._solve(monkeypatch, 2)
+        start = omegas[0]
+        residual = abs((start - 1.1) * (start + 3.0))
+        assert omegas[1] == self.SEED
+        assert (err.last_omega, err.residual) == (start, residual)
+        assert str(err) == self._expected(self.SEED, start, residual)
+
+    def test_at_the_seed_of_a_slope_start(self, monkeypatch):
+        err, omegas = self._solve(monkeypatch, 1, slope=4.0 + 0j)
+        assert omegas == [self.SEED]
+        assert (err.last_omega, err.residual) == (self.SEED, math.inf)
+        assert str(err) == self._expected(self.SEED, self.SEED, math.inf)
+
+    @pytest.mark.parametrize("raise_at", [3, 4])
+    def test_at_a_loop_step(self, monkeypatch, raise_at):
+        # the secant step, then the first Muller step
+        err, omegas = self._solve(monkeypatch, raise_at)
+        last = omegas[-2]
+        residual = abs((last - 1.1) * (last + 3.0))
+        assert (err.last_omega, err.residual) == (last, residual)
+        assert str(err) == self._expected(omegas[-1], last, residual)

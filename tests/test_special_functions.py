@@ -1188,6 +1188,43 @@ class TestDMemo:
         assert calls == (["_node_loop"] if x < 12 * q else ["_t_diff_tail", "_tail"])
 
 
+class TestUncheckedKernels:
+    # the private kernels behind the checked public names give the same
+    # bits, and _t_diff_over_q reads and fills t_diff_over_q's memo
+
+    @staticmethod
+    def _clear(monkeypatch):
+        monkeypatch.setattr(special_functions, "_d_last", (None, None, None))
+
+    def test_unchecked_d_is_the_checked_d(self, monkeypatch):
+        unchecked = special_functions._t_diff_over_q
+        rng = random.Random(28)
+        for z in _seeded_points(28, 300):
+            q = rng.choice((5e-324, 1e-6, 0.3, 2.0, 13.0))
+            self._clear(monkeypatch)
+            D = unchecked(z, q)
+            assert special_functions._d_last == (z, q, D)
+            assert t_diff_over_q(z, q) is D  # the memo's own object
+            self._clear(monkeypatch)
+            assert repr(t_diff_over_q(z, q)) == repr(D), (z, q)
+            assert unchecked(z, q) is special_functions._d_last[2]
+
+    def test_landau_difference_with_a_given_exp_is_the_same(self):
+        # the node loop hands lambda0's exp(-z^2) to D's Landau block below
+        # the axis; on both sides of |Re qz| = 1 the value is the same
+        add = special_functions._add_landau_diff
+        rng = random.Random(29)
+        sides = [0, 0]
+        for _ in range(400):
+            z = complex(rng.uniform(-12.0, 12.0), -rng.uniform(0.0, 6.0))
+            q = rng.choice((1e-3, 0.1, 0.5, 2.0, 8.0))
+            v = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            e = special_functions._exp_minus_z2(z)
+            assert repr(add(v, z, q, e)) == repr(add(v, z, q)), (v, z, q)
+            sides[abs((q * z).real) < 1.0] += 1
+        assert min(sides) > 50
+
+
 class TestNoSilentInfinities:
     # deep below the axis exp(-z^2) is representable up to Re(-z^2) = 708,
     # but the Landau term 2i sqrt(pi) z exp(-z^2) of lambda0, its difference
