@@ -110,8 +110,9 @@ class PlasmaParams(_Record):
             raise ValueError(f"x_p must be finite and >= 0, got {x_p!r}")
         if not (math.isfinite(y) and y >= 0):
             raise ValueError(f"y must be finite and >= 0, got {y!r}")
-        _set(self, "x_p", x_p)
-        _set(self, "y", y)
+        # floats: a numpy scalar would carry numpy's arithmetic and type into eps
+        _set_x_p(self, float(x_p))
+        _set_y(self, float(y))
 
     @property
     def quantum_parameter(self) -> float:
@@ -135,11 +136,35 @@ class QueryPoint(_Record):
             raise ValueError(f"x must be finite, got {x!r}")
         if not (math.isfinite(q) and q >= 0):
             raise ValueError(f"q must be finite and >= 0, got {q!r}")
-        _set(self, "x", x)
-        _set(self, "q", float(q))  # the cores do not convert q
+        _set_x(self, float(x))
+        _set_q(self, float(q))  # the cores do not convert q
 
     def z(self, y: float) -> complex:
         return complex(self.x, y) / _check_q(self.q)
+
+
+#: the setters of the two records' slots: a construction sets each field
+#: through its slot descriptor, past _Record.__setattr__ and a name lookup
+_set_x_p, _set_y = (getattr(PlasmaParams, name).__set__ for name in PlasmaParams.__slots__)
+_set_x, _set_q = (getattr(QueryPoint, name).__set__ for name in QueryPoint.__slots__)
+_new = object.__new__
+
+
+def _params(x_p: float, y: float) -> PlasmaParams:
+    # PlasmaParams(x_p, y) without its checks, for a caller that has made
+    # them: the fields its __init__ would store
+    params = _new(PlasmaParams)
+    _set_x_p(params, float(x_p))
+    _set_y(params, float(y))
+    return params
+
+
+def _point(x: float, q: float) -> QueryPoint:
+    # QueryPoint(x, q) without its checks, likewise
+    point = _new(QueryPoint)
+    _set_x(point, float(x))
+    _set_q(point, float(q))
+    return point
 
 
 def _finite(name: str, value) -> None:

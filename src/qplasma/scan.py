@@ -11,9 +11,11 @@ both byte-deterministic for identical specs.
 from __future__ import annotations
 
 import math
+import operator
 
 from . import __version__
-from .dielectric import ModelKind, PlasmaParams, QueryPoint, _Record, _set, evaluate
+from .dielectric import (ModelKind, PlasmaParams, QueryPoint, _params, _point, _Record, _set,
+                         evaluate)
 from .dispersion import gamma_asymptotic, omega_asymptotic, trace_branch
 
 _SWEEPABLE = ("x", "q", "y")
@@ -54,6 +56,8 @@ class ScanSpec(_Record):
         if sweep_var not in _SWEEPABLE:
             raise ValueError(f"sweep_var must be one of {_SWEEPABLE}, got {sweep_var!r}")
         lo, hi = sweep_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"sweep range must be finite, got [{lo!r}, {hi!r}]")
         if not lo < hi:
             raise ValueError(f"sweep range must satisfy lo < hi, got [{lo!r}, {hi!r}]")
         if not isinstance(n, int) or isinstance(n, bool):
@@ -73,7 +77,7 @@ class ScanSpec(_Record):
         else:
             inner = [lo + (hi - lo) * i / m for i in range(1, m)]
         g = (lo, *inner, hi)
-        if not all(u < v for u, v in zip(g, g[1:])):
+        if not all(map(operator.lt, g, g[1:])):
             raise ValueError(
                 f"sweep range [{lo!r}, {hi!r}] is too narrow for {n} "
                 "distinct grid points"
@@ -127,16 +131,22 @@ def run_scan(spec: ScanSpec) -> ScanTable:
     x_p, y = fixed["x_p"], fixed.get("y", 0.0)
     x, q = fixed.get("x", 0.0), fixed.get("q", 1.0)
     # what the sweep holds fixed is built once: the plasma state of an x or
-    # q sweep, the query point of a y sweep
+    # q sweep, the query point of a y sweep.  Of the swept records only the
+    # first is checked: the grid is finite and strictly increasing, so each
+    # record's rule (finite; q >= 0; y >= 0) holds at every grid point if
+    # and only if it holds at the first
     if var == "y":
         point = QueryPoint(x, q)
-        inputs = ((PlasmaParams(x_p, v), point) for v in grid)
+        inputs = [(PlasmaParams(x_p, grid[0]), point)]
+        inputs += [(_params(x_p, v), point) for v in grid[1:]]
     else:
         params = PlasmaParams(x_p, y)
         if var == "x":
-            inputs = ((params, QueryPoint(v, q)) for v in grid)
+            inputs = [(params, QueryPoint(grid[0], q))]
+            inputs += [(params, _point(v, q)) for v in grid[1:]]
         else:
-            inputs = ((params, QueryPoint(x, v)) for v in grid)
+            inputs = [(params, QueryPoint(x, grid[0]))]
+            inputs += [(params, _point(x, v)) for v in grid[1:]]
     rows = []
     for v, (params, point) in zip(grid, inputs):
         row = [v]

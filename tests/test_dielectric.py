@@ -87,6 +87,18 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             QueryPoint(x=1.0, q=0.0).z(0.1)
 
+    @pytest.mark.parametrize("make", [lambda v: PlasmaParams(v, v),
+                                      lambda v: QueryPoint(v, v)])
+    def test_records_store_floats_after_their_checks(self, make):
+        # numpy and int inputs are stored as the float they equal; a str is
+        # refused by the checks, not converted
+        for v in (np.float64(0.25), np.float32(0.25), 1, True):
+            record = make(v)
+            assert [type(f) for f in record._values()] == [float, float]
+            assert record._values() == (float(v), float(v))
+        with pytest.raises(TypeError):
+            make("0.25")
+
 
 @pytest.mark.parametrize("fn", [
     lambda q: t_diff_over_q(1 + 1j, q),
@@ -331,6 +343,31 @@ class TestOneCheck:
                 _forget_memos(monkeypatch)
                 got = fn(np.float64(q))
                 assert type(got) is complex and repr(got) == repr(as_float)
+
+    @pytest.mark.parametrize("field", ["x_p", "y", "x", "q"])
+    def test_numpy_fields_at_the_public_surface_give_the_float_bits(self, field,
+                                                                     monkeypatch):
+        # PlasmaParams and QueryPoint store floats: a numpy scalar in a record
+        # would carry numpy's scalar arithmetic and type into eps
+        rng = random.Random(f"numpy {field}")
+        for _ in range(50):
+            at = {"x_p": rng.uniform(0.3, 3.0), "y": rng.choice([0.0, rng.uniform(1e-4, 0.5)]),
+                  "x": rng.uniform(0.05, 3.0), "q": rng.uniform(0.05, 3.0)}
+            as_np = {**at, field: np.float64(at[field])}
+            for model in ModelKind:
+                if model is ModelKind.STATIC and at["y"] == 0.0:
+                    continue
+                results = []
+                for vals in (at, as_np):
+                    _forget_memos(monkeypatch)
+                    results.append(evaluate(model, PlasmaParams(vals["x_p"], vals["y"]),
+                                            QueryPoint(vals["x"], vals["q"])))
+                as_float, got = results
+                assert type(got) is complex and repr(got) == repr(as_float), (model, at)
+            params, point = PlasmaParams(as_np["x_p"], as_np["y"]), QueryPoint(as_np["x"],
+                                                                               as_np["q"])
+            for fn in (epsilon_quantum, epsilon_classical, epsilon_mermin):
+                assert type(fn(params, point)) is complex
 
 
 class TestEpsilonClassical:

@@ -72,3 +72,61 @@ def test_summary_on_planted_numbers():
 def test_one_pair_has_its_value_as_quartiles():
     line = pairs.summary([result(points_per_s=10.0)], [result(points_per_s=12.0)])[2]
     assert line.split()[2:] == ["10", "[10,", "10]", "12", "[12,", "12]", "+20.0%", "1/0/0"]
+
+
+def _claim(base_values, head_values, name="points_per_s"):
+    return pairs.verdict([result(**{name: v}) for v in base_values],
+                         [result(**{name: v}) for v in head_values], name)
+
+
+def test_claim_holds():
+    # head wins 9 of 10 pairs (one tie); the medians 101 and 111.5 differ
+    # by 10.5, the base's inclusive quartiles 100.25 and 102 by 1.75
+    base = [100.0, 101.0, 102.0, 103.0, 100.0, 101.0, 102.0, 103.0, 100.0, 101.0]
+    head = [110.0, 112.0, 113.0, 111.0, 112.0, 111.0, 112.0, 111.0, 100.0, 112.0]
+    assert _claim(base, head) == (
+        "claim points_per_s: holds, head wins 9/10 pairs (needs 9), median gain 10.5 "
+        "against base interquartile distance 1.75")
+
+
+def test_claim_on_a_lower_is_better_metric():
+    base = [2.0 + 0.01 * i for i in range(12)]
+    head = [1.5 + 0.01 * i for i in range(12)]
+    line = _claim(base, head, "request_p50_ms")
+    assert line.startswith("claim request_p50_ms: holds, head wins 12/12 pairs (needs 11)")
+    assert _claim(head, base, "request_p50_ms").startswith(
+        "claim request_p50_ms: does not hold, head wins 0/12")
+
+
+def test_claim_with_too_few_pairs_has_no_verdict():
+    assert _claim([100.0] * 9, [200.0] * 9) == (
+        "claim points_per_s: no verdict, 9 pairs (the rule needs at least 10)")
+
+
+def test_claim_with_too_few_wins_does_not_hold():
+    base = [100.0] * 10
+    head = [120.0] * 8 + [90.0] * 2
+    assert _claim(base, head).startswith("claim points_per_s: does not hold, head wins 8/10")
+
+
+def test_claim_within_the_base_spread_does_not_hold():
+    # head wins every pair, but its median gain 5 is inside the base's
+    # interquartile distance 40
+    base = [80.0, 120.0] * 5
+    head = [85.0, 125.0] * 5
+    assert _claim(base, head) == (
+        "claim points_per_s: does not hold, head wins 10/10 pairs (needs 9), median gain 5 "
+        "against base interquartile distance 40")
+
+
+def test_main_prints_the_claim_last(monkeypatch, capsys):
+    monkeypatch.setattr(pairs, "_tree", lambda arg, tmp: arg)
+    monkeypatch.setattr(pairs, "_stage", lambda tree, tmp: tree)
+    monkeypatch.setattr(pairs, "run", lambda root, *args: result(
+        points_per_s=2.0 if root == "head" else 1.0))
+    assert pairs.main(["base", "head", "--workload", "regimes", "--pairs", "10",
+                       "--claim", "points_per_s"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "claim points_per_s: holds, head wins 10/10 pairs")
+    assert pairs.main(["base", "head", "--workload", "regimes", "--pairs", "2"]) == 0
+    assert "claim" not in capsys.readouterr().out

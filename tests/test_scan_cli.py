@@ -54,6 +54,14 @@ class TestScanSpecValidation:
         ({"fixed": {"y": 0.0}}, "x_p"),
         ({"models": ()}, "at least one model"),
         ({"sweep_range": (9.999999999999998, 10.0), "n": 3}, "too narrow"),
+        # a non-finite end, at every n: n = 2 once built the grid [lo, hi]
+        ({"sweep_var": "q", "fixed": {"x_p": 1.0, "y": 0.0, "x": 1.0},
+          "sweep_range": (0.0, math.inf)}, re.escape("sweep range must be finite, got [0.0, inf]")),
+        ({"sweep_range": (0.5, math.inf)}, re.escape("must be finite, got [0.5, inf]")),
+        ({"sweep_range": (-math.inf, 1.0)}, re.escape("must be finite, got [-inf, 1.0]")),
+        ({"sweep_range": (-math.inf, 1.0), "n": 3}, "sweep range must be finite"),
+        ({"sweep_range": (0.5, math.inf), "n": 50, "scale": "log"}, "sweep range must be finite"),
+        ({"sweep_range": (0.5, math.nan)}, re.escape("must be finite, got [0.5, nan]")),
     ])
     def test_rejections(self, over, match):
         with pytest.raises(ValueError, match=match):
@@ -209,6 +217,65 @@ class TestRunScan:
         first, second = run_scan(spec), run_scan(spec)
         assert first == second and repr(first) == repr(second)
         assert [row[0] for row in first.rows] == spec.grid()
+
+    @pytest.mark.parametrize("sweep_var, sweep_range", [("x", (1, 3)), ("q", (1, 4)),
+                                                         ("y", (1, 2))])
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    def test_evaluate_receives_the_checked_records(self, sweep_var, sweep_range, scale,
+                                                   monkeypatch):
+        # only the first grid point goes through PlasmaParams or QueryPoint;
+        # every point's records still equal those constructors' records, with
+        # their float fields, here from int endpoints and int fixed values
+        seen = []
+
+        def recording(model, params, point):
+            seen.append((model, params, point))
+            return evaluate(model, params, point)
+
+        monkeypatch.setattr("qplasma.scan.evaluate", recording)
+        fixed = {"x_p": 2, "y": 1, "x": 3, "q": 2}
+        fixed.pop(sweep_var)
+        models = (ModelKind.QUANTUM, ModelKind.DRUDE)
+        spec = ScanSpec(models=models, fixed=fixed, sweep_var=sweep_var,
+                        sweep_range=sweep_range, n=5, scale=scale)
+        table = run_scan(spec)
+        expected = []
+        for v in spec.grid():
+            at = {**fixed, sweep_var: v}
+            records = PlasmaParams(at["x_p"], at["y"]), QueryPoint(at["x"], at["q"])
+            expected += [(model, *records) for model in models]
+        assert seen == expected
+        assert [repr(call) for call in seen] == [repr(call) for call in expected]
+        for _, params, point in seen:
+            assert (type(params), type(point)) == (PlasmaParams, QueryPoint)
+            assert {type(f) for f in (*params._values(), *point._values())} == {float}
+        assert [row[0] for row in table.rows] == spec.grid()
+
+    @pytest.mark.parametrize("fixed, sweep_var, sweep_range, error, message, calls", [
+        # the first point's record refuses it before any model runs
+        ({"x_p": 1.0, "y": 0.1, "x": 1.0}, "q", (-1, 1), ValueError,
+         "q must be finite and >= 0, got -1", 0),
+        # q = 0 is a valid QueryPoint, and the model refuses it
+        ({"x_p": 1.0, "y": 0.1, "x": 1.0}, "q", (0.0, 1.0), ScanError,
+         "evaluation of quantum failed at q=0.0", 1),
+        ({"x_p": 1.0, "x": 1.0, "q": 0.5}, "y", (-0.1, 1), ValueError,
+         "y must be finite and >= 0, got -0.1", 0),
+    ])
+    def test_error_order_at_the_first_point(self, fixed, sweep_var, sweep_range, error,
+                                            message, calls, monkeypatch):
+        seen = []
+
+        def recording(model, params, point):
+            seen.append(point)
+            return evaluate(model, params, point)
+
+        monkeypatch.setattr("qplasma.scan.evaluate", recording)
+        spec = ScanSpec(models=(ModelKind.QUANTUM,), fixed=fixed, sweep_var=sweep_var,
+                        sweep_range=sweep_range, n=3)
+        with pytest.raises(error, match=re.escape(message)) as info:
+            run_scan(spec)
+        assert type(info.value) is error
+        assert len(seen) == calls
 
     def test_unexpected_error_propagates_unwrapped(self, monkeypatch):
         # only the errors the models raise become ScanError; a programming
@@ -549,6 +616,13 @@ class TestCli:
         assert main(argv) == 1
         assert "q_end must be finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
+
+    def test_infinite_sweep_end_refused(self, tmp_path, capsys):
+        argv = ["--model", "quantum", "--xp", "1", "--y", "0.1", "--x", "1",
+                "--sweep", "q=0:inf:2", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 1
+        assert "error: sweep range must be finite, got [0.0, inf]" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     def test_roots_and_figure_exclusive(self):
         with pytest.raises(SystemExit) as err:

@@ -1,6 +1,7 @@
 """Alternating benchmark pairs of two trees of this repository.
 
     python tools/pairs.py BASE [HEAD] --workload W [--seed S] [--pairs N] [--seconds T]
+                          [--claim METRIC]
 
 BASE and HEAD are each a git revision or a checkout directory, as in
 tools/drift.py; HEAD defaults to the checkout this file is in.  Each side
@@ -13,8 +14,12 @@ first side alternates from pair to pair (BASE first in pair 1).
 For each end-to-end metric of BENCHMARK.json the report gives each side's
 median and quartiles over the pairs, the change of the medians in %, and
 the pairs HEAD wins, ties and loses in the metric's `better` direction,
-then the failed requests of each side.  The exit status is 0 whatever the
-numbers say, and 1 if a run printed no result.
+then the failed requests of each side.  With --claim METRIC it ends with
+one verdict line on that metric by the benchmark's rule for a claimed gain:
+at least 10 pairs, HEAD wins at least 9 in 10 of them (ties count for
+neither), and the medians differ in the better direction by more than
+BASE's interquartile distance.  The exit status is 0 whatever the numbers
+say, and 1 if a run printed no result.
 """
 
 import argparse
@@ -68,16 +73,22 @@ def _quartiles(values: list[float]) -> str:
     return f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
+def _sides(metric: dict, base: list[dict], head: list[dict]) -> tuple[list, list, int]:
+    # each side's values of one end-to-end metric, and the pairs HEAD wins
+    name, higher = metric["name"], metric["better"] == "higher"
+    b = [r["metrics"][name]["value"] for r in base]
+    h = [r["metrics"][name]["value"] for r in head]
+    return b, h, sum(y > x if higher else y < x for x, y in zip(b, h))
+
+
 def summary(base: list[dict], head: list[dict]) -> list[str]:
     """One line per end-to-end metric over the pairs (base[i], head[i]) of
     run results, and one for the failed requests."""
     lines = [f"{'metric':<16} {'better':<6} {'base median [q1, q3]':>34} "
              f"{'head median [q1, q3]':>34} {'change':>7}  wins/ties/losses"]
     for metric in END_TO_END:
-        name, higher = metric["name"], metric["better"] == "higher"
-        b = [r["metrics"][name]["value"] for r in base]
-        h = [r["metrics"][name]["value"] for r in head]
-        wins = sum(y > x if higher else y < x for x, y in zip(b, h))
+        name = metric["name"]
+        b, h, wins = _sides(metric, base, head)
         ties = sum(y == x for x, y in zip(b, h))
         bm, hm = statistics.median(b), statistics.median(h)
         change = f"{100.0 * (hm - bm) / bm:+.1f}%" if bm else "n/a"
@@ -89,6 +100,24 @@ def summary(base: list[dict], head: list[dict]) -> list[str]:
     return lines
 
 
+def verdict(base: list[dict], head: list[dict], name: str) -> str:
+    """Whether the pairs (base[i], head[i]) show a gain in the end-to-end
+    metric name: the module docstring's rule, as one line."""
+    metric = next(m for m in END_TO_END if m["name"] == name)
+    b, h, wins = _sides(metric, base, head)
+    if len(b) < 10:
+        return f"claim {name}: no verdict, {len(b)} pairs (the rule needs at least 10)"
+    needed = (9 * len(b) + 9) // 10  # 9 in 10, rounded up
+    q1, _, q3 = statistics.quantiles(b, n=4, method="inclusive")
+    gain = statistics.median(h) - statistics.median(b)
+    if metric["better"] == "lower":
+        gain = -gain
+    holds = wins >= needed and gain > q3 - q1
+    return (f"claim {name}: {'holds' if holds else 'does not hold'}, head wins "
+            f"{wins}/{len(b)} pairs (needs {needed}), median gain {gain:.6g} "
+            f"against base interquartile distance {q3 - q1:.6g}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision or checkout directory")
@@ -98,6 +127,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=4.0)
+    parser.add_argument("--claim", metavar="METRIC", choices=[m["name"] for m in END_TO_END],
+                        help="end with the verdict on a claimed gain in this metric")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -110,6 +141,8 @@ def main(argv=None) -> int:
     print(f"pairs {args.base} -> {args.head}: workload {args.workload}, seed {args.seed}, "
           f"{args.pairs} alternating pairs of {args.seconds:g} s")
     print("\n".join(summary(*results)))
+    if args.claim:
+        print(verdict(*results, args.claim))
     return 0
 
 
