@@ -172,6 +172,13 @@ def _finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _float(value) -> float:
+    # float(value) for a raw public argument; a str is refused with the
+    # records' TypeError (from math.isfinite), not converted
+    math.isfinite(value)
+    return float(value)
+
+
 def _prefactor(x_p: float, xy: complex, q: float) -> float:
     # x_p^2/q^2, and the cores' one check of q, x_p and x + iy.  Below q =
     # 1e-154 q^2 is subnormal, and where x_p/q or |z| = |x + iy|/q passes
@@ -256,6 +263,8 @@ def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> compl
         return 1.0 + 0j
     xy = omega + 1j * y
     pre = 2.0 * _prefactor(x_p, xy, q)
+    # the checked, memoised lambda0: bench/spans.py traces that name, and a
+    # quantum/classical overlay finds the quantum model's lambda0 there
     lam = lambda0(xy / q)
     return _bgk(pre, x_p, y, omega, q, lam, lam)
 
@@ -278,7 +287,9 @@ def _mermin_static_denominator(q: float) -> float:
     last_q, last = _d0_last
     if q == last_q:
         return last
-    val = 4.0 * dawson(0.5 * q) / q
+    # below the smallest normal q, q/2 rounds and 4 F(q/2)/q with it: D0 is
+    # its q -> 0 limit 2 to rounding there, as D is 2 lambda0
+    val = 4.0 * dawson(0.5 * q) / q if q >= _MIN_NORMAL else 2.0
     _d0_last = (q, val)
     return val
 
@@ -312,7 +323,7 @@ def epsilon_classical(params: PlasmaParams, point: QueryPoint) -> complex:
 def epsilon_lindhard(x_p: float, x: float, q: float) -> complex:
     """Collisionless (Landau-continued) permittivity: the quantum model at
     y = 0, 1 + (x_p^2/q^2) D(x/q, q)."""
-    return eps_quantum_omega(x_p, 0.0, x, float(q))  # the core does not convert q
+    return eps_quantum_omega(_float(x_p), 0.0, _float(x), _float(q))
 
 
 def epsilon_static(x_p: float, y: float, q: float) -> complex:
@@ -346,7 +357,7 @@ def epsilon_drude(x_p: float, x: float, y: float) -> complex:
     The static and long-wave limits do not commute, so x = 0 is rejected
     rather than silently mapped to the screening branch.
     """
-    x = float(x)
+    x = _float(x)
     if x == 0.0:
         raise ValueError(
             "drude limit is undefined at x = 0 (static and long-wave limits "
@@ -354,6 +365,7 @@ def epsilon_drude(x_p: float, x: float, y: float) -> complex:
         )
     if x_p < 0.0:  # x_p^2 hides the sign; nan and inf fail below
         raise ValueError(f"x_p must be finite and >= 0, got {x_p!r}")
+    x_p = float(x_p)  # a str failed the compare
     xy = complex(x, y)
     den = xy * x
     if abs(den) >= _MIN_NORMAL:  # a subnormal den keeps few bits, and 0 none

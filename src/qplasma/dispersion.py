@@ -92,13 +92,18 @@ def omega_asymptotic(k_over_kD: float, Q: float) -> float:
     sqrt(1 + 3 kappa^2 + 6 kappa^4 (1 + Q^2/24)), kappa = k/k_D.
 
     Q = 0 reproduces the classical Bohm-Gross form with its kappa^4 term.
+    Raises ValueError unless both are finite and >= 0, and OverflowError
+    naming them where a term of the formula leaves double range.
     """
-    if k_over_kD < 0:
-        raise ValueError(f"k/k_D must be >= 0, got {k_over_kD!r}")
-    if Q < 0:
-        raise ValueError(f"Q must be >= 0, got {Q!r}")
+    if not 0.0 <= k_over_kD < math.inf:
+        raise ValueError(f"k/k_D must be finite and >= 0, got {k_over_kD!r}")
+    if not 0.0 <= Q < math.inf:
+        raise ValueError(f"Q must be finite and >= 0, got {Q!r}")
     k2 = k_over_kD * k_over_kD
-    return math.sqrt(1.0 + 3.0 * k2 + 6.0 * k2 * k2 * (1.0 + Q * Q / 24.0))
+    val = math.sqrt(1.0 + 3.0 * k2 + 6.0 * k2 * k2 * (1.0 + Q * Q / 24.0))
+    if val < math.inf:  # nan where kappa^4 underflows and Q^2 overflows
+        return val
+    raise _leaves_range("omega_asymptotic", f"k/k_D={k_over_kD!r}, Q={Q!r}")
 
 
 def gamma_asymptotic(params: PlasmaParams, q: float,
@@ -110,24 +115,35 @@ def gamma_asymptotic(params: PlasmaParams, q: float,
     QF = (1 - q^2/4)(1 + q^2 z^2/6) with z = omega_k/(k v_T) taken real
     (weak-damping regime), or 1 when ``quantum_factors`` is False, which
     gives the classical collisional decrement; y = 0 then reduces it to the
-    Landau value.  Valid for k well below k_D.
+    Landau value.  Valid for k well below k_D.  Where the exponential
+    underflows, so does the Landau term, and the decrement is -y/2; where a
+    term of the formula leaves double range, OverflowError names x_p, y and q.
     """
     q = _check_q(q)
     if not params.x_p > 0.0:
         raise ValueError("gamma_asymptotic requires x_p > 0")
     kD = params.debye_wavenumber
     kappa = q / kD
-    ratio = 1.0 / kappa  # k_D/k
-    landau = (
-        _SQRT_PI_OVER_8 * params.x_p * ratio ** 3
-        * math.exp(-1.5 - 0.5 * ratio * ratio)
-    )
+    ratio = 1.0 / kappa if kappa else math.inf  # k_D/k; kappa may underflow
+    e = math.exp(-1.5 - 0.5 * ratio * ratio)
+    if not e:  # below q ~ 0.026 k_D; ratio ** 3 overflows from 1.8e-103 k_D
+        return -0.5 * params.y
+    landau = _SQRT_PI_OVER_8 * params.x_p * ratio ** 3 * e
     if quantum_factors:
-        Q = params.quantum_parameter
-        omega_k = params.x_p * omega_asymptotic(kappa, Q)
+        try:
+            omega_k = params.x_p * omega_asymptotic(kappa, params.quantum_parameter)
+        except (OverflowError, ValueError):  # kappa, Q or a term left double range
+            omega_k = math.inf
         z_real = omega_k / q
         landau *= (1.0 - 0.25 * q * q) * (1.0 + q * q * z_real * z_real / 6.0)
-    return -0.5 * params.y - landau
+    gamma = -0.5 * params.y - landau
+    if math.isfinite(gamma):
+        return gamma
+    raise _leaves_range("gamma_asymptotic", f"x_p={params.x_p!r}, y={params.y!r}, q={q!r}")
+
+
+def _leaves_range(what: str, where: str) -> OverflowError:
+    return OverflowError(f"a term of {what}'s formula leaves double range at {where}")
 
 
 _QUANTUM, _CLASSICAL, _MERMIN = ModelKind.QUANTUM, ModelKind.CLASSICAL, ModelKind.MERMIN

@@ -4,35 +4,56 @@ The workhorse is the Faddeeva function ``w(z) = exp(-z^2) erfc(-iz)``; the
 plasma dispersion function is its rescaling ``t(z) = i sqrt(pi) w(z)``, which
 for Im z > 0 equals the Hilbert-type integral of the Gaussian and elsewhere is
 the analytic (Landau) continuation from the upper half-plane.  All evaluators
-here are scalar, pure, and target ~1e-13 relative accuracy in double
-precision; against mpmath, w is within 2e-15 outside the Maclaurin strip,
-and below |z| = 12 lambda0 is within ~7e-15 and the kernel D = [t(z -
-q/2) - t(z + q/2)]/q within ~6e-15 (1e-14 next to the node rule's bound,
-see _node_loop, and 2.3e-14 where the rule refuses and D is the direct
-difference).  The slow quadrature cross-checks live in the test suite's
-``tests/oracle.py``.
+here are scalar and pure.  The slow quadrature cross-checks live in the
+test suite's ``tests/oracle.py``.
 
-Each public function checks its argument once (``_check_finite``; a wave
-number q by ``_check_q``, the package's one rule 0 < q < inf) and then
-works on private kernels that assume a finite complex argument: ``_w`` is w
-at finite z, and ``_node_loop`` sums w's trapezoid rule as partial
-fractions, giving D and lambda0 at one z from one loop over its nodes.
-lambda0, t_diff_over_q and t_diff_and_lambda0 call these directly rather
-than through faddeeva_w and plasma_t, whose checks and calls would repeat
-the one already made.  The models check their own q and x + iy, once, and
-call unchecked kernels the same way: the quantum and static models
-t_diff_and_lambda0's ``_t_diff_and_lambda0``, and Mermin t_diff_over_q's
-``_t_diff_over_q``, which shares its memo.  The classical model calls the
-checked lambda0: the benchmark's span tracer wraps that name, and its memo
-hit spares a quantum/classical overlay one node loop per point.  From
-|z| = 12 all of them sum one tail series by
-Horner over one table of its coefficients, to a length that one lookup on
-|z|^2 picks.  lambda0 and t_diff_over_q keep their last result (one-entry
-memos, which t_diff_and_lambda0 fills and reads neither), so the models
-evaluated one after the other at one point compute lambda0 and D once.
-Deep below the real axis exp(-z^2) and the Landau terms built from it can
-leave double range; there the functions raise OverflowError naming z (and
-q) instead of returning inf or nan.
+Each public function checks its argument once (a wave number q by
+``_check_q``, the package's one rule 0 < q < inf) and calls private
+kernels that take it as checked: ``_w`` is w at finite z, ``_node_loop``
+sums w's trapezoid rule as partial fractions (D and lambda0 at one z from
+one loop over its nodes), and from |z| = 12 one tail series is summed by
+Horner.  The models call the kernels too, after their own one check.
+lambda0 and t_diff_over_q keep their last result (one-entry memos, which
+t_diff_and_lambda0 fills), so models evaluated one after the other at one
+point compute each once.  Deep below the real axis, where a value leaves
+double range, the functions raise OverflowError naming z (and q).
+
+Accuracy: one cell per function and regime, for w, lambda0 = 1 + z t, the
+kernel D = [t(a) - t(b)]/q with a, b = z -+ q/2, and Dawson's F.  A bound is
+the worst relative error against mpmath over the cell's seeded sample,
+rounded up once; below the real axis the error is taken on max(|value|,
+(1 + |z| + q)^2 max |exp(-a^2)|, |exp(-b^2)|), the rounding that the
+Landau terms carry.  tests/test_accuracy.py holds each cell to its bound,
+and ``python tools/accuracy.py`` prints the measured worst.
+
+    cell              region                                          bound
+    w strip           Maclaurin series: |Re z| < 0.1, |z| <= 1.8      9e-15
+    w grid A          trapezoid, |z| < 12, (Re z/h) % 1 in [1/4, 3/4)  5e-16
+    w grid B          trapezoid, |z| < 12, the rest off the strip     7e-16
+    w tail            tail series, |z| from 12 to 1e4                 3e-16
+    w lower           Im z < 0, 2 exp(-z^2) - w(-z)                   5e-16
+    lambda0 grid A    node loop on grid A, |z| < 12                   7e-15
+    lambda0 grid B    node loop on grid B, |z| < 12                   8e-15
+    lambda0 tail      tail series, |z| from 12 to 1e4, below the      4e-16
+                      axis where exp(-z^2) < 2e-22
+    lambda0 lower     Im z < 0, |z| < 12                              2e-15
+    D disk            series difference, |z| + q/2 <= 0.5             4e-16
+    D node loop       |z| < 12, q < 12 where the node rule accepts,   2e-14
+                      half of them at h/8 (1 + 1e-3) from a node
+    D refusal         direct difference, a within h/8 of a node       3e-14
+    D tail            tail difference, |z| >= 12, q <= 0.9 |z|;      5e-16
+                      below the axis where exp(-z^2) < 2e-22
+    D q >= 12         direct difference, q >= 12 or q > 0.9 |z|       5e-16
+    D lower           Im z < 0, |z| < 12                              7e-16
+    D lower tail      Im z < 0, |z| >= 12 near Im z = -|Re z|         3e-14
+    D subnormal q     q < 2.2e-308, the limit 2 lambda0(z)            2e-15
+    D q 1e-8..1e-3    |z| < 12                                        7e-16
+    D q 1e-3..0.1     |z| < 12                                        5e-16
+    D q 0.1..2        |z| < 12                                        9e-16
+    D imaginary axis  z = iv, v from -3 to 12, q from 1e-8 to 11      6e-16
+    F series          |u| <= 1                                        3e-16
+    F sampling        1 < |u| < 10                                    4e-15
+    F asymptotic      |u| >= 10                                       4e-16
 """
 
 from __future__ import annotations
@@ -75,34 +96,20 @@ def _out_of_range(what: str, where: str) -> OverflowError:
 
 
 # ----------------------------------------------------------------------------
-# Faddeeva function.  Region split:
-#   |z| <= 1.8, |Re z| < 0.1      Maclaurin series (the strip along the
-#                                 imaginary axis)
-#   elsewhere |z| < 12, Im z >= 0 trapezoidal sampling of the defining
-#                                 integral plus residue correction for the
-#                                 poles inside the summation strip
-#   |z| >= 12, Im z >= 0          tail series (i/sqrt(pi))(1 + _tail(z^2))/z
-#                                 (12 is ASYMPTOTIC_SWITCH_Z, where lambda0
-#                                 and t_diff_over_q sum the same series)
-#   Im z < 0                      reflection w(z) = 2 exp(-z^2) - w(-z)
-# _w(z) makes this split for finite z; faddeeva_w is _w behind the one
-# _check_finite of its public call.  lambda0 and t_diff_over_q share the
-# tail, and below it, strip included, sum the trapezoid rule as partial
-# fractions (_node_loop below), free of the cancellation of 1 + z t and of
-# a difference of two t values.
-# The trapezoid step h = 0.5 puts the quadrature floor at exp(-pi^2/h^2)
-# ~ 7e-18.  Two node grids, A at t = k*h and B at t = (k + 1/2)*h; each z
-# takes the grid whose nodes lie at least h/4 from Re z, so neither a node
-# term nor the correction, whose poles sit on that grid's nodes, comes near
-# a pole.  The tables stop at t = 6.5: the omitted nodes, |t| >= 6.75,
-# weigh exp(-t^2) < exp(-45) and move D, lambda0 and w by at most ~2e-17
-# relative.
-# The trapezoid's error is ~6e-17 |w| absolute, under 1e-15 relative, but
-# near the imaginary axis Im w shrinks like Re z * |w|, so there its relative
-# error in Im w grows like 6e-17 / |Re z|.  The series' error in Im w
-# shrinks with Re z as well, so it keeps Im w accurate in the strip
-# |Re z| < 0.1; elsewhere its terms cancel up to ~100-fold towards |z| = 1.8
-# and it is the less accurate of the two.
+# Faddeeva function, by region (the table's w cells): the Maclaurin series in
+# the strip |Re z| < 0.1, |z| <= 1.8; elsewhere below |z| = 12 the trapezoid
+# rule of the defining integral, with a residue correction for the poles
+# inside the summation strip; from |z| = 12 (ASYMPTOTIC_SWITCH_Z) the tail
+# series (i/sqrt(pi))(1 + _tail(z^2))/z; below the axis the reflection
+# w(z) = 2 exp(-z^2) - w(-z).  _w makes the split for finite z.
+# The step h = 0.5 puts the quadrature floor at exp(-pi^2/h^2) ~ 7e-18.  Of
+# two node grids, A at t = k h and B at t = (k + 1/2) h, z takes the one
+# whose nodes lie at least h/4 from Re z, so no node term or correction,
+# whose poles sit on those nodes, comes near a pole.  The tables stop at
+# t = 6.5: the omitted nodes weigh exp(-t^2) < exp(-45).  Near the
+# imaginary axis Im w shrinks like Re z |w| but the trapezoid's absolute
+# error does not, so the strip keeps the series, whose terms cancel up to
+# ~100-fold towards |z| = 1.8.
 # ----------------------------------------------------------------------------
 
 _H = 0.5
@@ -221,17 +228,12 @@ def _exp_minus_z2(z: complex) -> complex:
 
 
 def faddeeva_w(z: complex) -> complex:
-    """Faddeeva function ``w(z) = exp(-z^2) erfc(-iz)``.
+    """Faddeeva function ``w(z) = exp(-z^2) erfc(-iz)``, entire in z.
 
-    Entire in z; relative accuracy ~1e-13 for |z| <= 1e4, from |z| =
-    ASYMPTOTIC_SWITCH_Z by the tail series that lambda0 and t_diff_over_q
-    also sum.  For Im z < 0 the reflection ``w(z) = 2 exp(-z^2) - w(-z)``
-    is used with the exponent assembled cancellation-free, so no
-    intermediate overflow occurs while the result is representable; where
-    exp(-z^2) dominates, rounding its exponent and phase costs ~|z|^2 ulps,
-    w's condition number.  Where the true value overflows double range
-    (deep lower half-plane) an OverflowError is raised instead of returning
-    infinities.
+    For Im z < 0 the reflection ``w(z) = 2 exp(-z^2) - w(-z)`` is used with
+    the exponent assembled cancellation-free, so nothing overflows while the
+    result is representable; where it is not (deep lower half-plane),
+    OverflowError is raised instead of returning infinities.
     """
     return _w(_check_finite(z))
 
@@ -358,24 +360,18 @@ _lambda0_last = (None, None)
 def lambda0(z: complex) -> complex:
     """Van Kampen dispersion function, ``1 + z t(z)``.
 
-    From |z| = ASYMPTOTIC_SWITCH_Z the tail series of faddeeva_w gives
-    ``-1/(2 z^2) - 3/(4 z^4) - ...`` directly: the literal ``1 + z t``
-    cancels ~2|z|^2-fold there, while the series is accurate to ~1e-15 from
-    |z| = 12 on.  Below |z| = 12 the trapezoid rule of faddeeva_w is summed
-    as partial fractions in which the leading 1 cancels exactly
-    (:func:`_node_loop`), except at z = 0, where lambda0 is exactly 1 (the
-    literal ``1 + z t``; the partial fractions give 1 + 2e-16).  For
-    Im z < 0 the tail and the partial fractions stand for lambda0(-z) and
-    the Landau continuation term ``2i sqrt(pi) z exp(-z^2)`` is added.
+    From |z| = ASYMPTOTIC_SWITCH_Z the tail series gives ``-1/(2 z^2) -
+    3/(4 z^4) - ...`` directly, where the literal ``1 + z t`` cancels
+    ~2|z|^2-fold; below it the trapezoid rule is summed as partial fractions
+    in which the leading 1 cancels exactly (:func:`_node_loop`), and
+    lambda0(0) is exactly 1.  For Im z < 0 these stand for lambda0(-z), and
+    the Landau term ``2i sqrt(pi) z exp(-z^2)`` is added; where it leaves
+    double range, OverflowError names z.
 
-    The last result is memoised (one entry, which
-    :func:`t_diff_and_lambda0` also fills): the quantum and classical
-    models, evaluated one after the other at the same (x, y, q), ask for
-    lambda0 at the same z, and the second call returns the first's value
-    instead of a second node loop.  z + 0j and z - 0j share the entry, and give the same
-    value.  Non-finite z raises every time; a raised call stores nothing.
-    Deep below the real axis, where the Landau term leaves double range,
-    OverflowError names z.
+    The last result is memoised (one entry, which t_diff_and_lambda0 also
+    fills), so the quantum and classical models at one point share one node
+    loop.  z + 0j and z - 0j share the entry and give the same value;
+    non-finite z raises every time, and a raised call stores nothing.
     """
     global _lambda0_last
     last_z, last = _lambda0_last
@@ -548,30 +544,24 @@ _d_last = (None, None, None)
 def t_diff_over_q(z: complex, q: float) -> complex:
     """[t(z - q/2) - t(z + q/2)] / q.
 
-    The direct difference cancels ~|z|/q-fold, so D is formed exact in q
-    by four forms on one split, with no switch on q.  From |z| =
-    ASYMPTOTIC_SWITCH_Z, for q <= 0.9 |z|, the tail series of t is
-    differenced exactly (:func:`_t_diff_tail`).  Below |z| = 12 with q < 12,
-    on the disk |z| + q/2 <= 0.5 the Maclaurin series of w is differenced
-    exactly (:func:`_t_diff_disk`), and everywhere else the trapezoid rule
-    is summed as partial fractions (:func:`_node_loop`) where z -+ q/2 keep
-    h/8 from the nodes of z's grid.  The direct difference is left where
-    the node rule refuses, for q > h/4 = 0.125, where it cancels at most
-    ~8|z|-fold and is within ~2.3e-14 of mpmath, and for q >= 12 > |z| and
-    q > 0.9 |z| >= 10.8, where it cancels nothing.  Below the smallest
-    normal double q (``sys.float_info.min``) q^2 underflows, and D is its
-    q -> 0 limit 2 lambda0(z) to rounding.  On the imaginary axis
-    t(-conj s) = -conj t(s) makes D real, and its imaginary part is set to 0.
-    Raises ValueError unless 0 < q < inf, and OverflowError naming z and q
-    where D leaves double range, deep below the real axis.
+    The direct difference cancels ~|z|/q-fold, so D is formed exact in q,
+    with no switch on q: from |z| = ASYMPTOTIC_SWITCH_Z, for q <= 0.9 |z|,
+    the tail series differenced exactly (:func:`_t_diff_tail`); below it,
+    for q < 12, the Maclaurin series differenced exactly on the disk |z| +
+    q/2 <= 0.5 (:func:`_t_diff_disk`), and elsewhere the partial fractions
+    (:func:`_node_loop`) where z -+ q/2 keep h/8 from the nodes of z's grid.
+    The direct difference is left where that rule refuses (q > h/4; it
+    cancels at most ~8|z|-fold there) and for q >= 12 > |z| or q > 0.9 |z|,
+    where it cancels nothing.  Below the smallest normal q, D is its limit
+    2 lambda0(z).  On the imaginary axis D is real.  Raises ValueError
+    unless 0 < q < inf, and OverflowError naming z and q where D leaves
+    double range, deep below the real axis.
 
-    The last result is memoised (one entry, which
-    :func:`t_diff_and_lambda0` also fills): the Mermin model, evaluated
-    after the quantum one at the same (x, y, q), asks for D at the same
-    (z, q) through the unchecked ``_t_diff_over_q``, and takes the quantum
-    model's value.  z + 0j and z - 0j share the entry,
-    and give the same value.  Non-finite z or q raises every time; a raised
-    call stores nothing.
+    The last result is memoised (one entry, which t_diff_and_lambda0 also
+    fills): Mermin, after the quantum model at one point, takes its D
+    through the unchecked ``_t_diff_over_q``.  z + 0j and z - 0j share the
+    entry; invalid z or q raises every time, and a raised call stores
+    nothing.
     """
     return _t_diff_over_q(_check_finite(z), _check_q(q))
 

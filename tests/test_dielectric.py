@@ -29,6 +29,7 @@ from qplasma.dielectric import (
 )
 from qplasma.dispersion import gamma_asymptotic, solve_root
 from qplasma.special_functions import (
+    _MIN_NORMAL,
     dawson,
     lambda0,
     plasma_t,
@@ -36,6 +37,7 @@ from qplasma.special_functions import (
     t_diff_over_q,
 )
 
+import mpref
 from conftest import assert_cclose
 from oracle import quad_epsilon_quantum
 from qplasma import dielectric, dispersion, special_functions
@@ -49,10 +51,6 @@ STATIC_LARGE_V = {
     0.142: 2000000.9999752075525,
     1.0: 2000000.9999994999185,
 }
-
-
-def _mp_t(z):
-    return 1j * mp.sqrt(mp.pi) * mp.exp(-z * z) * mp.erfc(-1j * z)
 
 
 def _fixed_z_points(z: complex, q: float, x_p: float = 1.0):
@@ -344,6 +342,31 @@ class TestOneCheck:
                 got = fn(np.float64(q))
                 assert type(got) is complex and repr(got) == repr(as_float)
 
+    def test_numpy_raw_arguments_to_drude_and_lindhard_give_the_float_bits(self, monkeypatch):
+        # epsilon_drude and epsilon_lindhard take raw numbers, not records:
+        # a numpy x_p, x or q is converted as the records convert it (numpy's
+        # complex division moved 123 of these 300 Drude values), and a str is
+        # refused with TypeError, not converted
+        rng = random.Random("numpy drude lindhard")
+        for _ in range(300):
+            x_p, x, y = rng.uniform(0.3, 3.0), rng.uniform(0.05, 3.0), rng.uniform(1e-4, 0.5)
+            got = epsilon_drude(np.float64(x_p), x, y)
+            assert type(got) is complex and repr(got) == repr(epsilon_drude(x_p, x, y))
+        for _ in range(50):
+            args = [rng.uniform(0.3, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0)]
+            _forget_memos(monkeypatch)
+            as_float = epsilon_lindhard(*args)
+            for i in range(3):
+                _forget_memos(monkeypatch)
+                got = epsilon_lindhard(*(np.float64(v) if j == i else v
+                                         for j, v in enumerate(args)))
+                assert type(got) is complex and repr(got) == repr(as_float), (i, args)
+        for i in range(3):
+            with pytest.raises(TypeError):
+                epsilon_drude(*("1.0" if j == i else 1.0 for j in range(3)))
+            with pytest.raises(TypeError):
+                epsilon_lindhard(*("1.0" if j == i else 0.5 for j in range(3)))
+
     @pytest.mark.parametrize("field", ["x_p", "y", "x", "q"])
     def test_numpy_fields_at_the_public_surface_give_the_float_bits(self, field,
                                                                      monkeypatch):
@@ -417,9 +440,7 @@ class TestEpsilonLindhard:
         # keeps it
         x_p, x, q = 0.9419874832407676, 1.146831683187969, 0.6056962518002704
         with mp.workdps(60):
-            x_p_, x_, q_ = mp.mpf(x_p), mp.mpf(x), mp.mpf(q)
-            z = x_ / q_
-            ref = complex(1 + (x_p_ / q_) ** 2 * (_mp_t(z - q_ / 2) - _mp_t(z + q_ / 2)) / q_)
+            ref = complex(mpref.eps(ModelKind.LINDHARD, x_p, 0.0, x, q))
         got = epsilon_lindhard(x_p, x, q)
         assert abs(got - ref) <= 1e-15 * max(abs(ref), abs(ref - 1.0))
 
@@ -554,6 +575,17 @@ class TestEpsilonMermin:
                     mermin_static_denominator(bad)
         assert dielectric._d0_last[0] == 3
 
+    @pytest.mark.parametrize("q", [5e-324, 1e-315, 1e-310, math.nextafter(_MIN_NORMAL, 0.0)])
+    def test_static_denominator_at_subnormal_q(self, q):
+        # q/2 rounds below the smallest normal q, and 4 F(q/2)/q with it (0.0
+        # at 5e-324, 1.9999999901 at 1e-315): D0 is its limit 2 there
+        assert mermin_static_denominator(q) == 2.0
+
+    def test_static_denominator_bits_at_normal_q(self):
+        # from the smallest normal q on D0 is 4 F(q/2)/q, as it always was
+        for q in (_MIN_NORMAL, 1e-300, 1e-8, 0.3, 2.0, 30.0):
+            assert repr(mermin_static_denominator(q)) == repr(4.0 * dawson(0.5 * q) / q)
+
     def test_small_q_static_denominator_limit(self):
         # D0 -> 2 as q -> 0, matching -t'(0)
         assert mermin_static_denominator(1e-6) == pytest.approx(2.0, rel=1e-10)
@@ -568,13 +600,7 @@ class TestEpsilonMermin:
                 x_p, y, x = 1.3, r * q * math.sin(th), r * q * math.cos(th)
                 got = epsilon_mermin(PlasmaParams(x_p, y), QueryPoint(x, q))
                 with mp.workdps(60):
-                    x_p, y, x, q_ = (mp.mpf(v) for v in (x_p, y, x, q))
-                    z = (x + 1j * y) / q_
-                    D = (_mp_t(z - q_ / 2) - _mp_t(z + q_ / 2)) / q_
-                    # D0 = 4 F(q/2)/q, F(u) = (sqrt(pi)/2) exp(-u^2) erfi(u)
-                    D0 = 2 * mp.sqrt(mp.pi) * mp.exp(-q_ * q_ / 4) * mp.erfi(q_ / 2) / q_
-                    ref = complex(1 + (x_p / q_) ** 2 * (x + 1j * y) * D
-                                  / (x + 1j * y * D / D0))
+                    ref = complex(mpref.eps(ModelKind.MERMIN, x_p, y, x, q))
                 assert abs(got - ref) <= 1e-13 * max(abs(ref), abs(ref - 1.0))
 
 
@@ -699,12 +725,8 @@ class TestComplexFrequencyCore:
         # in q; the Taylor form on the t_derivatives recurrence was off by
         # 7.6e-11 and 1.3e-6 here
         with mp.workdps(60):
-            y_, q_ = mp.mpf(y), mp.mpf(q)
-            z = 1j * y_ / q_
-            D = (_mp_t(z - q_ / 2) - _mp_t(z + q_ / 2)) / q_
-            D0 = 2 * mp.sqrt(mp.pi) * mp.exp(-q_ * q_ / 4) * mp.erfi(q_ / 2) / q_
-            quantum = complex(1 + D / (q_ * q_ * (1 + z * _mp_t(z))))
-            mermin = complex(1 + D0 / (q_ * q_))
+            quantum, mermin = (complex(mpref.eps(model, 1.0, y, 0.0, q))
+                               for model in (ModelKind.QUANTUM, ModelKind.MERMIN))
         for got, ref in ((eps_quantum_omega(1.0, y, 0.0, q), quantum),
                          (epsilon_static(1.0, y, q), quantum),
                          (epsilon_mermin(PlasmaParams(1.0, y), QueryPoint(0.0, q)), mermin)):

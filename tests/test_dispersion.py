@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -19,6 +20,8 @@ from qplasma.dispersion import (
     solve_root,
     trace_branch,
 )
+
+import mpref
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,25 +42,6 @@ def count_eps_calls(monkeypatch) -> list[int]:
 
         monkeypatch.setattr(dispersion, name, counted)
     return calls
-
-
-def _mp_eps(model: ModelKind, x_p: float, y: float, omega, q: float):
-    """The solvable models' eps(omega, q) in mpmath, from their closed forms."""
-    def t(s):
-        return 1j * mp.sqrt(mp.pi) * mp.exp(-s * s) * mp.erfc(-1j * s)
-
-    x_p, y, q = mp.mpf(x_p), mp.mpf(y), mp.mpf(q)
-    xy = omega + 1j * y
-    z = xy / q
-    pre = x_p * x_p / (q * q)
-    lam = 1 + z * t(z)
-    if model is ModelKind.CLASSICAL:
-        return 1 + 2 * pre * xy * lam / (omega + 1j * y * lam)
-    D = (t(z - q / 2) - t(z + q / 2)) / q
-    if model is ModelKind.QUANTUM:
-        return 1 + pre * xy * D / (omega + 1j * y * lam)
-    D0 = 2 * mp.sqrt(mp.pi) * mp.exp(-q * q / 4) * mp.erfi(q / 2) / q
-    return 1 + pre * xy * D / (omega + 1j * y * D / D0)
 
 
 class TestOmegaAsymptotic:
@@ -82,6 +66,22 @@ class TestOmegaAsymptotic:
             omega_asymptotic(-0.1, 0.0)
         with pytest.raises(ValueError):
             omega_asymptotic(0.1, -1.0)
+
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan),
+                                      (0.1, math.inf), (-math.inf, 0.0)])
+    def test_nonfinite_inputs_rejected(self, args):
+        # nan and inf returned nan and inf
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            omega_asymptotic(*args)
+
+    @pytest.mark.parametrize("args", [(1e200, 0.0), (9e153, 0.0), (8.5e153, 0.0),
+                                      (1e100, 1e200), (0.0, 1e200), (1e-200, 1e200)])
+    def test_out_of_range_raises_naming_the_arguments(self, args):
+        # kappa^4 or Q^2 leaves double range (0 * inf where kappa^4
+        # underflows); 1e200 returned inf, (1e-200, 1e200) nan
+        with pytest.raises(OverflowError, match=re.escape(f"k/k_D={args[0]!r}, Q={args[1]!r}")):
+            omega_asymptotic(*args)
 
 
 class TestGammaAsymptotic:
@@ -115,6 +115,24 @@ class TestGammaAsymptotic:
         # factors (1 - q^2/4)(1 + q^2 z^2/6) -> 1 as q -> 0 at fixed kappa
         # is not meaningful here; instead check they are O(q^2) close
         assert abs(quantum - classical) <= abs(classical) * 2.0
+
+    @pytest.mark.parametrize("q", [1e-110, 1e-200, 5e-324])
+    def test_tiny_q_is_the_collisional_floor(self, q):
+        # below q ~ 1.8e-103 k_D, (k_D/k)^3 overflowed and raised a bare
+        # OverflowError; the Landau term underflows there, and so does its
+        # quantum factor's 0 * inf
+        for quantum_factors in (True, False):
+            assert gamma_asymptotic(PlasmaParams(1.0, 0.1), q, quantum_factors) == -0.05
+            # q/k_D underflows to 0 here at 5e-324, and 1/kappa divided by 0
+            assert gamma_asymptotic(PlasmaParams(100.0, 0.1), q, quantum_factors) == -0.05
+
+    @pytest.mark.parametrize("x_p, q", [(1.0, 1e100), (1.0, 1e200), (5e-324, 1.0), (1e308, 1e307)])
+    def test_out_of_range_raises_naming_the_arguments(self, x_p, q):
+        # a term of the formula leaves double range: omega_k's kappa^4, k/k_D
+        # itself at x_p = 5e-324 and Q = 2 x_p at 1e308; these returned inf
+        # or nan (0 * inf in the quantum factor)
+        with pytest.raises(OverflowError, match=re.escape(f"x_p={x_p!r}, y=0.1, q={q!r}")):
+            gamma_asymptotic(PlasmaParams(x_p, 0.1), q)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -321,6 +339,19 @@ class TestSolveRoot:
         assert abs(rc.omega - rq.omega) <= 1e-6
 
 
+    def test_tiny_q_cold_start(self):
+        # default_guess's decrement raised OverflowError below q ~ 1.8e-103
+        # k_D; at q = 1e-100 the same solve converged
+        params = PlasmaParams(1.0, 0.1)
+        for q in (1e-100, 1e-110, 1e-150):
+            root = solve_root(params, q, ModelKind.QUANTUM)
+            assert root.residual <= 1e-12
+            # the long-wave root of omega (omega + i y) = x_p^2
+            assert root.omega == pytest.approx(math.sqrt(1.0 - 0.0025) - 0.05j, rel=1e-12)
+        roots = trace_branch(params, 1e-120, 1e-110, 3, ModelKind.CLASSICAL)
+        assert len(roots) == 3 and roots[-1].q == 1e-110
+
+
 class TestTraceBranch:
     def test_degenerate_two_point_trace(self):
         params = PlasmaParams(x_p=1.0, y=0.01)
@@ -436,7 +467,7 @@ class TestTraceBranch:
         for root in roots:
             with mp.workdps(40):
                 ref = mp.findroot(
-                    lambda w: _mp_eps(model, params.x_p, params.y, w, root.q),
+                    lambda w: mpref.eps(model, params.x_p, params.y, w, root.q),
                     mp.mpc(root.omega), tol=mp.mpf(10) ** -35)
             ref = complex(ref)
             assert abs(root.omega - ref) <= 5e-15 * abs(ref)
