@@ -37,6 +37,7 @@ forms pre, K and M.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from enum import Enum
 
@@ -269,29 +270,20 @@ def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> compl
     return _bgk(pre, x_p, y, omega, q, lam, lam)
 
 
-#: (q, D0(q)) of the last mermin_static_denominator call: D0 is constant
-#: along every root solve and every x or y sweep
-_d0_last = (None, None)
-
-
 def mermin_static_denominator(q: float) -> float:
     """D0(q) = [t(-q/2) - t(q/2)]/q = 4 F(q/2)/q (Dawson F), entering
     Mermin's number-conserving correction; D0 -> 2 as q -> 0.  The last
-    result is memoised (one entry)."""
+    result is kept (one entry)."""
     return _mermin_static_denominator(_check_q(q))
 
 
+# D0 is constant along every root solve and every x or y sweep
+@functools.lru_cache(maxsize=1)
 def _mermin_static_denominator(q: float) -> float:
-    # mermin_static_denominator at 0 < q < inf, through the same memo
-    global _d0_last
-    last_q, last = _d0_last
-    if q == last_q:
-        return last
-    # below the smallest normal q, q/2 rounds and 4 F(q/2)/q with it: D0 is
-    # its q -> 0 limit 2 to rounding there, as D is 2 lambda0
-    val = 4.0 * dawson(0.5 * q) / q if q >= _MIN_NORMAL else 2.0
-    _d0_last = (q, val)
-    return val
+    # mermin_static_denominator at 0 < q < inf.  Below the smallest normal
+    # q, q/2 rounds and 4 F(q/2)/q with it: D0 is its q -> 0 limit 2 to
+    # rounding there, as D is 2 lambda0
+    return 4.0 * dawson(0.5 * q) / q if q >= _MIN_NORMAL else 2.0
 
 
 def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float) -> complex:

@@ -13,10 +13,10 @@ kernels that take it as checked: ``_w`` is w at finite z, ``_node_loop``
 sums w's trapezoid rule as partial fractions (D and lambda0 at one z from
 one loop over its nodes), and from |z| = 12 one tail series is summed by
 Horner.  The models call the kernels too, after their own one check.
-lambda0 and t_diff_over_q keep their last result (one-entry memos, which
-t_diff_and_lambda0 fills), so models evaluated one after the other at one
-point compute each once.  Deep below the real axis, where a value leaves
-double range, the functions raise OverflowError naming z (and q).
+t_diff_and_lambda0 keeps its last (z, q, D, lambda0), which lambda0 and
+t_diff_over_q read, so models evaluated one after the other at one point
+share it.  Deep below the real axis, where a value leaves double range,
+the functions raise OverflowError naming z (and q).
 
 Accuracy: one cell per function and regime, for w, lambda0 = 1 + z t, the
 kernel D = [t(a) - t(b)]/q with a, b = z -+ q/2, and Dawson's F.  A bound is
@@ -352,11 +352,6 @@ def plasma_t(z: complex) -> complex:
     return _I_SQRT_PI * faddeeva_w(z)
 
 
-#: (z, lambda0(z)) of the last lambda0 evaluated, by lambda0 or by
-#: t_diff_and_lambda0: the one-entry memo
-_lambda0_last = (None, None)
-
-
 def lambda0(z: complex) -> complex:
     """Van Kampen dispersion function, ``1 + z t(z)``.
 
@@ -366,21 +361,13 @@ def lambda0(z: complex) -> complex:
     in which the leading 1 cancels exactly (:func:`_node_loop`), and
     lambda0(0) is exactly 1.  For Im z < 0 these stand for lambda0(-z), and
     the Landau term ``2i sqrt(pi) z exp(-z^2)`` is added; where it leaves
-    double range, OverflowError names z.
-
-    The last result is memoised (one entry, which t_diff_and_lambda0 also
-    fills), so the quantum and classical models at one point share one node
-    loop.  z + 0j and z - 0j share the entry and give the same value;
-    non-finite z raises every time, and a raised call stores nothing.
+    double range, OverflowError names z.  Reads the entry of
+    t_diff_and_lambda0 (z + 0j and z - 0j match) and stores nothing.
     """
-    global _lambda0_last
-    last_z, last = _lambda0_last
+    last_z, _, _, last = _pair_last
     if z == last_z:
         return last
-    z = _check_finite(z)
-    val = _lambda0(z)
-    _lambda0_last = (z, val)
-    return val
+    return _lambda0(_check_finite(z))
 
 
 def _lambda0(z: complex) -> complex:
@@ -473,7 +460,7 @@ def t_derivatives(z: complex, n: int) -> list[complex]:
     if n not in (0, 1):
         raise ValueError(f"derivative order must be 0 or 1, got {n}")
     z = _check_finite(z)
-    t = plasma_t(z)
+    t = _I_SQRT_PI * _w(z)
     if n == 0:
         return [t]
     dt = -2.0 * _lambda0(z)
@@ -536,11 +523,6 @@ def _t_diff_out_of_range(z: complex, q: float) -> OverflowError:
     return _out_of_range("[t(z - q/2) - t(z + q/2)]/q", f"z={z!r}, q={q!r}")
 
 
-#: (z, q, D(z, q)) of the last D evaluated, by t_diff_over_q or by
-#: t_diff_and_lambda0: the one-entry memo
-_d_last = (None, None, None)
-
-
 def t_diff_over_q(z: complex, q: float) -> complex:
     """[t(z - q/2) - t(z + q/2)] / q.
 
@@ -555,27 +537,19 @@ def t_diff_over_q(z: complex, q: float) -> complex:
     where it cancels nothing.  Below the smallest normal q, D is its limit
     2 lambda0(z).  On the imaginary axis D is real.  Raises ValueError
     unless 0 < q < inf, and OverflowError naming z and q where D leaves
-    double range, deep below the real axis.
-
-    The last result is memoised (one entry, which t_diff_and_lambda0 also
-    fills): Mermin, after the quantum model at one point, takes its D
-    through the unchecked ``_t_diff_over_q``.  z + 0j and z - 0j share the
-    entry; invalid z or q raises every time, and a raised call stores
-    nothing.
+    double range, deep below the real axis.  Reads the entry of
+    t_diff_and_lambda0 (z + 0j and z - 0j match) and stores nothing.
     """
     return _t_diff_over_q(_check_finite(z), _check_q(q))
 
 
 def _t_diff_over_q(z: complex, q: float) -> complex:
     # t_diff_over_q at finite complex z and 0 < q < inf, for callers that
-    # have checked both; it reads and fills the memo
-    global _d_last
-    last_z, last_q, last = _d_last
+    # have checked both
+    last_z, last_q, last, _ = _pair_last
     if z == last_z and q == last_q:
         return last
-    D = _t_diff(z, q, False)[0]
-    _d_last = (z, q, D)
-    return D
+    return _t_diff(z, q, False)[0]
 
 
 def _t_diff_disk(z: complex, q: float) -> complex:
@@ -591,9 +565,9 @@ def _t_diff_disk(z: complex, q: float) -> complex:
 
 def _t_diff(z: complex, q: float, with_lambda0: bool):
     # (D, lambda0) at finite z and q > 0 by t_diff_over_q's region split;
-    # lambda0 comes from the node loop when with_lambda0 is set and z != 0
-    # (lambda0(0) is exactly 1), or with D's q -> 0 limit, and is None
-    # everywhere else
+    # with with_lambda0 set, lambda0 comes from D's node loop where that
+    # runs at z != 0 (lambda0(0) is exactly 1) and from _lambda0 elsewhere;
+    # without it, lambda0 is None except beside D's q -> 0 limit
     az = abs(z)
     D = lam = None
     if q < _MIN_NORMAL:
@@ -619,6 +593,8 @@ def _t_diff(z: complex, q: float, with_lambda0: bool):
         raise _t_diff_out_of_range(z, q)
     if z.real == 0.0:
         D = complex(D.real, 0.0)
+    if with_lambda0 and lam is None:
+        lam = _lambda0(z)
     return D, lam
 
 
@@ -626,22 +602,21 @@ def t_diff_and_lambda0(z: complex, q: float) -> tuple[complex, complex]:
     """``(t_diff_over_q(z, q), lambda0(z))``, bit for bit, from one call.
 
     Where t_diff_over_q sums its partial fractions (:func:`_node_loop`) at
-    z != 0, lambda0's sum over the same nodes runs in the same loop.  D and
-    lambda0 are stored in the memos of t_diff_over_q and lambda0, and read
-    from neither: the quantum and static models call its kernel first at a
-    point, and where lambda0 is already held, the same loop gives it at
-    little cost.
+    z != 0, lambda0's sum over the same nodes runs in the same loop.  It
+    alone writes the one entry (z, q, D, lambda0) that lambda0 and
+    t_diff_over_q read; it never reads it, and a raised call stores nothing.
     """
     return _t_diff_and_lambda0(_check_finite(z), _check_q(q))
+
+
+#: (z, q, D(z, q), lambda0(z)) of the last t_diff_and_lambda0 call
+_pair_last = (None, None, None, None)
 
 
 def _t_diff_and_lambda0(z: complex, q: float) -> tuple[complex, complex]:
     # t_diff_and_lambda0 at finite complex z and 0 < q < inf, for callers
     # that have checked both
-    global _d_last, _lambda0_last
+    global _pair_last
     D, lam = _t_diff(z, q, True)
-    if lam is None:
-        lam = _lambda0(z)
-    _lambda0_last = (z, lam)
-    _d_last = (z, q, D)
+    _pair_last = (z, q, D, lam)
     return D, lam

@@ -11,6 +11,8 @@ import cmath
 import math
 import random
 import re
+import sys
+import threading
 
 import mpmath as mp
 import pytest
@@ -322,19 +324,27 @@ class TestTDerivatives:
         assert abs(t_derivatives(3j, 1)[1] - fd) <= 1e-8 * abs(fd)
 
     def test_one_faddeeva_call_below_the_tail(self, monkeypatch):
-        # below |z| = 12, t_derivatives evaluates w once through plasma_t
-        # and takes t' = -2 lambda0
-        calls = []
+        # below |z| = 12, t_derivatives checks z once, evaluates w once (at
+        # -z too below the axis, by the reflection) and takes t' = -2 lambda0
+        calls, checks = [], []
+        inner_w, inner_check = special_functions._w, special_functions._check_finite
 
         def counting(z):
             calls.append(z)
-            return faddeeva_w(z)
+            return inner_w(z)
 
-        monkeypatch.setattr(special_functions, "faddeeva_w", counting)
+        def counting_check(*args):
+            checks.append(args)
+            return inner_check(*args)
+
+        monkeypatch.setattr(special_functions, "_w", counting)
+        monkeypatch.setattr(special_functions, "_check_finite", counting_check)
         for z in (2j, 1 + 1j, 5 - 0.2j, -3 + 0.01j, 11.9 + 0.5j, 0.05 + 1.7j):
             calls.clear()
+            checks.clear()
             got = t_derivatives(z, 1)
-            assert len(calls) == 1
+            assert calls == ([z, -z] if z.imag < 0.0 else [z])
+            assert len(checks) == 1
             assert got == [plasma_t(z), -2.0 * lambda0(z)]
 
     def test_tail_orders_underflow_where_z_squared_overflows(self):
@@ -592,7 +602,7 @@ class TestFlatKernels:
     # private kernels; where they keep the literal forms, those must equal
     # the public composition bit for bit
 
-    def test_lambda0_is_exactly_one_at_zero(self, monkeypatch):
+    def test_lambda0_is_exactly_one_at_zero(self):
         # the one point where lambda0 keeps the literal 1 + z t: the node
         # loop gives 1 + 2e-16 there.  Elsewhere below |z| = 12, the disk
         # |z| <= 0.5 included, lambda0 sums partial fractions, held to
@@ -603,7 +613,6 @@ class TestFlatKernels:
         for z in (0j, -0j, complex(-0.0, -0.0), complex(0.0, -0.0)):
             assert repr(special_functions._lambda0(z)) == "(1+0j)", z
             for q in (5e-324, 0.5, 2.0, 13.0):
-                monkeypatch.setattr(special_functions, "_lambda0_last", (None, None))
                 assert repr(t_diff_and_lambda0(z, q)[1]) == "(1+0j)", (z, q)
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -855,246 +864,207 @@ class TestNodeLoop:
     def test_t_diff_and_lambda0_is_the_pair_bit_for_bit(self, seed, monkeypatch):
         raw = special_functions._lambda0
         for z, q in self._property_points(seed):
+            monkeypatch.setattr(special_functions, "_pair_last", (None, None, None, None))
             ref = (repr(t_diff_over_q(z, q)), repr(raw(z)))
-            monkeypatch.setattr(special_functions, "_lambda0_last", (None, None))
             assert tuple(map(repr, t_diff_and_lambda0(z, q))) == ref, (z, q)
-            assert repr(lambda0(z)) == ref[1]  # filled by the call above
-            assert tuple(map(repr, t_diff_and_lambda0(z, q))) == ref, (z, q)  # memo hit
-            monkeypatch.setattr(special_functions, "_lambda0_last", (None, None))
-            assert repr(lambda0(z)) == ref[1]
-            assert tuple(map(repr, t_diff_and_lambda0(z, q))) == ref, (z, q)
+            # both read from the entry the call above stored
+            assert (repr(t_diff_over_q(z, q)), repr(lambda0(z))) == ref, (z, q)
 
     def test_t_derivatives_first_order_is_minus_two_lambda0(self):
         for z in _seeded_points(4, 200):
             assert repr(t_derivatives(z, 1)[1]) == repr(-2.0 * lambda0(z)), z
 
 
-class TestLambda0Memo:
-    # lambda0 keeps its last result, and t_diff_and_lambda0 stores its
-    # lambda0 there, so that the classical model, evaluated after the
-    # quantum one at the same point, reuses the quantum model's lambda0
+class TestPairEntry:
+    # t_diff_and_lambda0 keeps its last (z, q, D, lambda0) in one entry,
+    # which lambda0 and t_diff_over_q read and never write: the classical
+    # and Mermin models, evaluated after the quantum one at one point, take
+    # the quantum model's lambda0 and D from it
 
     @staticmethod
     def _clear(monkeypatch):
-        # both memos: a D left by an earlier call would skip a node loop
-        monkeypatch.setattr(special_functions, "_lambda0_last", (None, None))
-        monkeypatch.setattr(special_functions, "_d_last", (None, None, None))
-
-    def test_equals_unmemoised_including_signed_zeros(self, monkeypatch):
-        raw = special_functions._lambda0
-        rng = random.Random(7)
-        xs = [0.0, 0.5, 11.99, 12.0, 30.0, 1e150]
-        xs += [rng.uniform(-20.0, 20.0) for _ in range(300)]
-        for x in xs + [-x for x in xs]:
-            # x + 0j and x - 0j are one memo key: each must give the other's
-            # value bit for bit, in either order, whichever call filled it
-            for a, b in ((0.0, -0.0), (-0.0, 0.0)):
-                for fill in (lambda0, lambda z: t_diff_and_lambda0(z, 0.5)):
-                    self._clear(monkeypatch)
-                    fill(complex(x, a))
-                    for y in (a, b):
-                        z = complex(x, y)
-                        assert repr(lambda0(z)) == repr(raw(z)), z
-        for z in _seeded_points(3):
-            assert repr(lambda0(z)) == repr(raw(z)), z
-
-    def test_interleaved_calls_are_never_stale(self):
-        raw = special_functions._lambda0
-        zs = [1 + 1j, 2 - 0.5j, 1 + 1j, 1 + 1j, 20j, 2 - 0.5j, 0.05 + 0.3j, 1 + 1j,
-              3.25 + 0.25j, 5 - 0.2j, 3.25 + 0.25j]
-        for i, z in enumerate(zs):
-            if i % 3 == 1:
-                got = t_diff_and_lambda0(z, 0.4)[1]
-            else:
-                got = lambda0(z)
-            assert repr(got) == repr(raw(z)), z
-            assert special_functions._lambda0_last == (z, got)
-
-    @pytest.mark.parametrize("z", [math.nan, complex(math.nan, 1.0), math.inf,
-                                   complex(1.0, -math.inf)])
-    def test_nonfinite_raises_on_every_call_and_is_never_cached(self, z, monkeypatch):
-        lambda0(1 + 1j)
-        before = special_functions._lambda0_last
-        for _ in range(3):
-            with pytest.raises(ValueError):
-                lambda0(z)  # the same object each time
-            with pytest.raises(ValueError):
-                t_diff_and_lambda0(z, 0.5)
-        assert special_functions._lambda0_last is before
-
-        def unreachable(z):
-            raise AssertionError("memo miss")
-
-        # 1 + 1j is still the memo's entry, so no evaluation runs
-        monkeypatch.setattr(special_functions, "_lambda0", unreachable)
-        assert repr(lambda0(1 + 1j)) == repr(before[1])
-
-    def test_overlay_row_runs_one_node_loop(self, monkeypatch):
-        from qplasma.dielectric import eps_classical_omega, eps_quantum_omega
-
-        loops, ws = [], []
-        inner_loop, inner_w = special_functions._node_loop, special_functions._w
-
-        def counting_loop(z, q, with_lambda0):
-            loops.append((q, with_lambda0))
-            return inner_loop(z, q, with_lambda0)
-
-        def counting_w(z):
-            ws.append(z)
-            return inner_w(z)
-
-        monkeypatch.setattr(special_functions, "_node_loop", counting_loop)
-        monkeypatch.setattr(special_functions, "_w", counting_w)
-        x_p, y, x, q = 1.0, 0.1, 1.3, 0.4  # z = 3.25 + 0.25i, node loop region
-        for memo in (True, False):
-            self._clear(monkeypatch)
-            loops.clear()
-            eps_quantum_omega(x_p, y, x, q)
-            if not memo:
-                self._clear(monkeypatch)
-            eps_classical_omega(x_p, y, x, q)
-            # D and lambda0 from one loop, shared by both models; without
-            # the memo the classical model runs lambda0's loop alone
-            assert loops == ([(q, True)] if memo else [(q, True), (0.0, True)])
-            assert ws == []
-
-
-class TestDMemo:
-    # t_diff_over_q keeps its last (z, q, D), and t_diff_and_lambda0 stores
-    # its D there, so that the Mermin model, evaluated after the quantum one
-    # at the same point, reuses the quantum model's D
+        monkeypatch.setattr(special_functions, "_pair_last", (None, None, None, None))
 
     @staticmethod
-    def _clear(monkeypatch):
-        monkeypatch.setattr(special_functions, "_lambda0_last", (None, None))
-        monkeypatch.setattr(special_functions, "_d_last", (None, None, None))
-
-    @staticmethod
-    def _raw(z, q):
+    def _raw_d(z, q):
         return special_functions._t_diff(complex(z), q, False)[0]
 
-    def test_equals_unmemoised_including_signed_zeros(self, monkeypatch):
+    @staticmethod
+    def _unreachable(*args):
+        raise AssertionError("entry miss")
+
+    def test_reads_equal_the_unmemoised_values_including_signed_zeros(self, monkeypatch):
+        raw_lambda0 = special_functions._lambda0
         rng = random.Random(8)
         xs = [0.0, 0.3, 11.99, 12.0, 30.0, 1e150]
         xs += [rng.uniform(-20.0, 20.0) for _ in range(150)]
         for x in xs + [-x for x in xs]:
             q = rng.choice((5e-324, 1e-6, 0.3, 2.0, 13.0))
-            # x + 0j and x - 0j are one memo key: each must give the other's
-            # value bit for bit, in either order, whichever call filled it
+            raw = {y: (repr(self._raw_d(complex(x, y), q)), repr(raw_lambda0(complex(x, y))))
+                   for y in (0.0, -0.0)}
+            # x + 0j and x - 0j match one entry: each must read the other's
+            # values bit for bit, in either order, with no kernel run
             for a, b in ((0.0, -0.0), (-0.0, 0.0)):
-                for fill in (t_diff_over_q, t_diff_and_lambda0):
-                    self._clear(monkeypatch)
-                    fill(complex(x, a), q)
+                self._clear(monkeypatch)
+                t_diff_and_lambda0(complex(x, a), q)
+                with monkeypatch.context() as m:
+                    m.setattr(special_functions, "_t_diff", self._unreachable)
+                    m.setattr(special_functions, "_lambda0", self._unreachable)
                     for y in (a, b):
                         z = complex(x, y)
-                        assert repr(t_diff_over_q(z, q)) == repr(self._raw(z, q)), (z, q)
+                        got = (repr(t_diff_over_q(z, q)), repr(lambda0(z)))
+                        assert got == raw[y], (z, q)
         for z in _seeded_points(5, 200):
-            assert repr(t_diff_over_q(z, 0.4)) == repr(self._raw(z, 0.4)), z
+            # read past the entry (another q), then from it
+            ref = repr(self._raw_d(z, 0.4)), repr(raw_lambda0(z))
+            assert (repr(t_diff_over_q(z, 0.4)), repr(lambda0(z))) == ref, z
+            t_diff_and_lambda0(z, 0.4)
+            assert (repr(t_diff_over_q(z, 0.4)), repr(lambda0(z))) == ref, z
 
     def test_interleaved_calls_are_never_stale(self):
         raw_lambda0 = special_functions._lambda0
         calls = [(1 + 1j, 0.4), (1 + 1j, 0.5), (2 - 0.5j, 0.4), (2 - 0.5j, 0.4), (20j, 1.0),
                  (1 + 1j, 0.4), (20j, 1.0), (20j, 2.0), (30 + 1j, 2.0), (3.25 + 0.25j, 0.4),
                  (3.25 + 0.25j, 0.4), (0.05 + 0.3j, 0.1), (30 + 1j, 2.0), (3.25 + 0.25j, 0.4)]
+        stored = special_functions._pair_last
         for i, (z, q) in enumerate(calls):
+            zl = z + 1 if i % 3 == 2 else z  # every third lambda0 off D's point
             if i % 3 == 0:
                 got, lam = t_diff_and_lambda0(z, q)
-                assert repr(lam) == repr(raw_lambda0(z)), z
-            elif i % 3 == 1:
-                got = t_diff_over_q(z, q)
+                stored = (z, q, got, lam)
             else:
-                lambda0(z + 1)  # lambda0 alone leaves D's memo as it was
-                got = t_diff_over_q(z, q)
-            assert repr(got) == repr(self._raw(z, q)), (z, q)
-            assert special_functions._d_last == (z, q, got)
+                got, lam = t_diff_over_q(z, q), lambda0(zl)
+            assert repr(got) == repr(self._raw_d(z, q)), (z, q)
+            assert repr(lam) == repr(raw_lambda0(zl)), zl
+            assert special_functions._pair_last == stored
+
+    def test_readers_never_store(self, monkeypatch):
+        t_diff_and_lambda0(1 + 1j, 0.5)
+        before = special_functions._pair_last
+        rng = random.Random(9)
+        for z in _seeded_points(9, 100):
+            q = rng.choice((5e-324, 1e-6, 0.3, 2.0, 13.0))
+            lambda0(z)
+            t_diff_over_q(z, q)
+            special_functions._t_diff_over_q(z, q)
+            t_derivatives(z, 1)
+        assert special_functions._pair_last is before
+        # (1 + 1j, 0.5) is still the entry, so no evaluation runs
+        monkeypatch.setattr(special_functions, "_t_diff", self._unreachable)
+        monkeypatch.setattr(special_functions, "_lambda0", self._unreachable)
+        assert t_diff_over_q(1 + 1j, 0.5) is before[2]
+        assert lambda0(1 + 1j) is before[3]
 
     @pytest.mark.parametrize("z, q", [(math.nan, 0.5), (complex(math.nan, 1.0), 0.5),
                                       (math.inf, 0.5), (complex(1.0, -math.inf), 0.5),
                                       (1 + 1j, math.nan), (1 + 1j, math.inf), (1 + 1j, 0.0)])
-    def test_invalid_raises_on_every_call_and_is_never_cached(self, z, q, monkeypatch):
-        t_diff_over_q(1 + 1j, 0.5)
-        before = special_functions._d_last
-        for _ in range(3):
-            with pytest.raises(ValueError):
-                t_diff_over_q(z, q)  # the same objects each time
-            with pytest.raises(ValueError):
-                t_diff_and_lambda0(z, q)
-        assert special_functions._d_last is before
-
-        def unreachable(*args):
-            raise AssertionError("memo miss")
-
-        # (1 + 1j, 0.5) is still the memo's entry, so no evaluation runs
-        monkeypatch.setattr(special_functions, "_t_diff", unreachable)
-        assert repr(t_diff_over_q(1 + 1j, 0.5)) == repr(before[2])
-
-    def test_raised_call_stores_nothing(self):
+    def test_invalid_raises_on_every_call_and_is_never_cached(self, z, q):
         t_diff_and_lambda0(1 + 1j, 0.5)
-        before = (special_functions._d_last, special_functions._lambda0_last)
-        for z, q in TestNoSilentInfinities.D_REPROS + TestNoSilentInfinities.SHIFTED_REPROS:
-            for fn in (t_diff_over_q, t_diff_and_lambda0):
-                with pytest.raises(OverflowError):
-                    fn(z, q)
-        assert (special_functions._d_last, special_functions._lambda0_last) == before
-        # D is finite here, ~6e305, but lambda0 leaves double range: with D
-        # memoised or not, the raised call stores neither
-        z, q = TestNoSilentInfinities.LAMBDA0_REPRO, 10.0
-        with pytest.raises(OverflowError):
-            t_diff_and_lambda0(z, q)
-        assert (special_functions._d_last, special_functions._lambda0_last) == before
-        D = t_diff_over_q(z, q)
-        assert cmath.isfinite(D)
-        with pytest.raises(OverflowError):
-            t_diff_and_lambda0(z, q)
-        assert special_functions._d_last == (z, q, D)
-        assert special_functions._lambda0_last == before[1]
+        before = special_functions._pair_last
+        fns = [t_diff_over_q, t_diff_and_lambda0]
+        if not cmath.isfinite(z):
+            fns.append(lambda z, q: lambda0(z))
+        for _ in range(3):
+            for fn in fns:
+                with pytest.raises(ValueError):
+                    fn(z, q)  # the same objects each time
+        assert special_functions._pair_last is before
 
-    @pytest.mark.parametrize("x, q", [(1.3, 0.4), (13.0, 0.5)])
-    def test_overlay_row_runs_one_d_evaluation(self, x, q, monkeypatch):
-        # the quantum, classical and Mermin models at one point: one node
-        # loop (z = 3.25 + 0.25i) or one tail difference and one tail (z =
-        # 26 + 0.2i) for all three
-        from qplasma.dielectric import eps_classical_omega, eps_mermin_omega, eps_quantum_omega
+    def test_raised_fused_call_stores_nothing(self):
+        t_diff_and_lambda0(1 + 1j, 0.5)
+        before = special_functions._pair_last
+        for z, q in TestNoSilentInfinities.D_REPROS + TestNoSilentInfinities.SHIFTED_REPROS:
+            with pytest.raises(OverflowError):
+                t_diff_and_lambda0(z, q)
+        # D is finite here, ~6e305, but lambda0 leaves double range
+        z, q = TestNoSilentInfinities.LAMBDA0_REPRO, 10.0
+        assert cmath.isfinite(t_diff_over_q(z, q))
+        with pytest.raises(OverflowError):
+            t_diff_and_lambda0(z, q)
+        assert special_functions._pair_last is before
+
+    KERNELS = ("_t_diff", "_node_loop", "_t_diff_tail", "_t_diff_disk", "_tail", "_w",
+               "_lambda0", "_exp_minus_z2", "_add_landau_diff", "_dawson_series",
+               "_dawson_sampling", "_dawson_asymptotic")
+
+    @pytest.mark.parametrize("omega, q", [(1.3, 0.4), (13.0, 0.5), (1.3 - 0.3j, 0.4),
+                                          (13.0 - 0.3j, 0.5)],
+                             ids=["node-loop", "tail", "node-loop-lower", "tail-lower"])
+    def test_overlay_row_makes_one_fused_call(self, omega, q, monkeypatch):
+        # the quantum, classical and Mermin models at one point (z = 3.25 +
+        # 0.25i, 26 + 0.2i, 3.25 - 0.5i or 26 - 0.4i): the kernel calls of
+        # one fused _t_diff and no other; D0 is held, as along a sweep
+        from qplasma.dielectric import (eps_classical_omega, eps_mermin_omega,
+                                        eps_quantum_omega, mermin_static_denominator)
 
         calls = []
-
-        def counting(name):
-            inner = getattr(special_functions, name)
-
-            def wrapper(*args):
-                calls.append(name)
-                return inner(*args)
+        for name in self.KERNELS:
+            def wrapper(*args, _inner=getattr(special_functions, name), _name=name):
+                calls.append((_name, args))
+                return _inner(*args)
             monkeypatch.setattr(special_functions, name, wrapper)
-
-        for name in ("_node_loop", "_t_diff_tail", "_tail", "_w"):
-            counting(name)
-        self._clear(monkeypatch)
         x_p, y = 1.0, 0.1
+        z = (omega + 1j * y) / q
+        special_functions._t_diff(z, q, True)
+        one = [name for name, _ in calls]
+        assert one.count("_t_diff") == 1
+        assert ("_node_loop" if abs(z) < 12.0 else "_t_diff_tail") in one
+        mermin_static_denominator(q)
+        self._clear(monkeypatch)
+        calls.clear()
         for core in (eps_quantum_omega, eps_classical_omega, eps_mermin_omega):
-            core(x_p, y, x, q)
-        assert calls == (["_node_loop"] if x < 12 * q else ["_t_diff_tail", "_tail"])
+            core(x_p, y, omega, q)
+        assert calls[0] == ("_t_diff", (z, q, True))
+        assert [name for name, _ in calls] == one
+        # without the entry the classical model runs lambda0's own kernel
+        self._clear(monkeypatch)
+        calls.clear()
+        eps_classical_omega(x_p, y, omega, q)
+        assert [name for name, _ in calls][0] == "_lambda0"
+
+    def test_concurrent_rows_read_no_other_points_values(self):
+        # four threads evaluate overlay rows at two points in turn under a
+        # short switch interval, so they often meet at one point: an entry
+        # whose (z, q) a thread could read beside the other point's D or
+        # lambda0 would change an eps
+        from qplasma.dielectric import eps_classical_omega, eps_mermin_omega, eps_quantum_omega
+
+        cores = (eps_quantum_omega, eps_classical_omega, eps_mermin_omega)
+        row = [(1.0, 0.1, 1.3, 0.4), (1.0, 0.1, 1.7, 0.4)] * 150
+        want = [[core(*p) for core in cores] for p in row]
+        got = [None] * 4
+
+        def run(k):
+            got[k] = [[core(*p) for core in cores] for p in row]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * len(got)
 
 
 class TestUncheckedKernels:
     # the private kernels behind the checked public names give the same
-    # bits, and _t_diff_over_q reads and fills t_diff_over_q's memo
-
-    @staticmethod
-    def _clear(monkeypatch):
-        monkeypatch.setattr(special_functions, "_d_last", (None, None, None))
+    # bits, and _t_diff_over_q reads t_diff_and_lambda0's entry
 
     def test_unchecked_d_is_the_checked_d(self, monkeypatch):
         unchecked = special_functions._t_diff_over_q
         rng = random.Random(28)
         for z in _seeded_points(28, 300):
             q = rng.choice((5e-324, 1e-6, 0.3, 2.0, 13.0))
-            self._clear(monkeypatch)
+            monkeypatch.setattr(special_functions, "_pair_last", (None, None, None, None))
             D = unchecked(z, q)
-            assert special_functions._d_last == (z, q, D)
-            assert t_diff_over_q(z, q) is D  # the memo's own object
-            self._clear(monkeypatch)
             assert repr(t_diff_over_q(z, q)) == repr(D), (z, q)
-            assert unchecked(z, q) is special_functions._d_last[2]
+            D = t_diff_and_lambda0(z, q)[0]
+            assert unchecked(z, q) is D and t_diff_over_q(z, q) is D  # the entry's own
 
     def test_landau_difference_with_a_given_exp_is_the_same(self):
         # the node loop hands lambda0's exp(-z^2) to D's Landau block below
@@ -1157,8 +1127,8 @@ class TestNoSilentInfinities:
 
     def test_repros_raise_naming_z_and_q(self):
         z = self.LAMBDA0_REPRO
-        lambda0(1 + 1j)
-        before = special_functions._lambda0_last
+        t_diff_and_lambda0(1 + 1j, 0.5)
+        before = special_functions._pair_last
         for fn in (lambda0, lambda z: t_derivatives(z, 1)):
             with pytest.raises(OverflowError, match=re.escape(f"at z={z!r};")):
                 fn(z)
@@ -1166,4 +1136,4 @@ class TestNoSilentInfinities:
             for fn in (t_diff_over_q, t_diff_and_lambda0):
                 with pytest.raises(OverflowError, match=re.escape(f"at z={z!r}, q={q!r};")):
                     fn(z, q)
-        assert special_functions._lambda0_last is before  # a raised call stores nothing
+        assert special_functions._pair_last is before  # a raised call stores nothing
