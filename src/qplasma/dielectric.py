@@ -7,10 +7,10 @@ so the dispersion solver can continue them off the real axis; the public
 operations expose the physical real-frequency surface.  Each returns a
 finite eps or raises OverflowError naming its arguments: one
 cmath.isfinite per call, and where the plain form is not finite, the O(1)
-ratio formed before the prefactor multiplies it.  The three BGK cores
-check their arguments once, in _prefactor's one range test: 0 < q < inf,
-x_p >= 0 and finite, x + iy finite.  What fails it raises ValueError
-naming the argument, or OverflowError where only the range is at fault.
+ratio formed before the prefactor multiplies it.  The BGK evaluator
+checks its arguments once, in one range test: 0 < q < inf, x_p >= 0 and
+finite, x + iy finite.  What fails it raises ValueError naming the
+argument, or OverflowError where only the range is at fault.
 
 Normalization note (re-derivation of the classical form): with
 omega -> x, nu -> y, omega_p -> x_p in units of k_T v_T and k -> q in units
@@ -30,8 +30,10 @@ limit (classical) and Mermin's are one BGK form,
     classical   2 x_p^2/q^2  lambda0(z) lambda0(z)
     mermin      x_p^2/q^2    D(z,q)     D(z,q)/D0(q)
 
-written once (_bgk): at y = 0 eps = 1 + pre K, and each model's core only
-forms pre, K and M.
+evaluated by one function, _eps_bgk(model, x_p, y, omega, q): one range
+test, z formed once, the model's kernels for pre, K and M, and at y = 0
+eps = 1 + pre K.  The three eps_*_omega cores, the public functions and
+evaluate's table all call it.
 """
 
 from __future__ import annotations
@@ -181,7 +183,8 @@ def _float(value) -> float:
 
 
 def _prefactor(x_p: float, xy: complex, q: float) -> float:
-    # x_p^2/q^2, and the cores' one check of q, x_p and x + iy.  Below q =
+    # x_p^2/q^2, and the one check of q, x_p and x + iy (_eps_bgk makes
+    # the range test inline and calls this where it fails).  Below q =
     # 1e-154 q^2 is subnormal, and where x_p/q or |z| = |x + iy|/q passes
     # 1e154, x_p^2/q^2 or z^2 in lambda0's tail overflows: fail loudly there
     # rather than return nan or lost digits.  A q outside 0 < q < inf, an
@@ -206,7 +209,7 @@ def _rescaled(pre: float, ratio: complex, x_p: float, xy: complex, q: float) -> 
     # eps = 1 + pre * ratio where a model's plain form pre * xy * K / den
     # was not finite: with the O(1) ratio xy K / den formed first, pre * xy
     # no longer overflows.  Still not finite, eps itself is not
-    # representable (_prefactor has checked x_p)
+    # representable (the range test has checked x_p)
     eps = 1.0 + pre * ratio
     if cmath.isfinite(eps):
         return eps
@@ -217,13 +220,33 @@ def _rescaled(pre: float, ratio: complex, x_p: float, xy: complex, q: float) -> 
 #: scaled by _BGK_SCALE, those inputs lie in [2^-474, 1)
 _BGK_TINY = 2.0 ** -600
 _BGK_SCALE = 2.0 ** 600
+_QUANTUM, _CLASSICAL, _MERMIN = ModelKind.QUANTUM, ModelKind.CLASSICAL, ModelKind.MERMIN
 
 
-def _bgk(pre: float, x_p: float, y: float, omega: complex, q: float,
-         K: complex, M: complex | None) -> complex:
-    # eps = 1 + pre * xy * K / (omega + iy M), xy = omega + iy: the one form
-    # of the three BGK models (see the module docstring), in four rungs
+def _eps_bgk(model: ModelKind, x_p: float, y: float, omega: complex, q: float) -> complex:
+    # eps = 1 + pre * xy * K / (omega + iy M), xy = omega + iy: the one
+    # evaluator of the three BGK models (see the module docstring), at
+    # (possibly complex) frequency omega, in four rungs after the kernels
+    if x_p == 0.0:
+        _check_q(q)
+        return 1.0 + 0j
     xy = omega + 1j * y
+    bound = 1e154 * q
+    if abs(xy) <= bound and 0.0 <= x_p <= bound and 1.0 <= bound < math.inf:
+        pre = x_p * x_p / (q * q)
+    else:
+        pre = _prefactor(x_p, xy, q)
+    z = xy / q  # finite: the range test checked x + iy
+    if model is _QUANTUM:  # at y = 0, the traced t_diff_over_q, and no M
+        K, M = _t_diff_and_lambda0(z, q) if y else (t_diff_over_q(z, q), None)
+    elif model is _CLASSICAL:
+        pre = 2.0 * pre
+        # the checked, memoised lambda0: bench/spans.py traces that name, and
+        # a quantum/classical overlay finds the quantum model's lambda0 there
+        K = M = lambda0(z)
+    else:
+        K = _t_diff_over_q(z, q)
+        M = K / _mermin_static_denominator(q) if y else None  # y = 0 reads no M
     if y == 0.0:
         # the BGK factor xy/(omega + iy M) is exactly 1: collisionless, and
         # M is not read
@@ -246,28 +269,12 @@ def _bgk(pre: float, x_p: float, y: float, omega: complex, q: float,
 
 def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     """Quantum-model permittivity at (possibly complex) frequency omega."""
-    if x_p == 0.0:
-        _check_q(q)
-        return 1.0 + 0j
-    xy = omega + 1j * y
-    pre = _prefactor(x_p, xy, q)
-    if y == 0.0:
-        return _bgk(pre, x_p, y, omega, q, t_diff_over_q(xy / q, q), None)
-    # xy / q is finite: _prefactor checked x + iy
-    return _bgk(pre, x_p, y, omega, q, *_t_diff_and_lambda0(xy / q, q))
+    return _eps_bgk(_QUANTUM, x_p, y, omega, q)
 
 
 def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     """Classical-model permittivity at (possibly complex) frequency omega."""
-    if x_p == 0.0:
-        _check_q(q)
-        return 1.0 + 0j
-    xy = omega + 1j * y
-    pre = 2.0 * _prefactor(x_p, xy, q)
-    # the checked, memoised lambda0: bench/spans.py traces that name, and a
-    # quantum/classical overlay finds the quantum model's lambda0 there
-    lam = lambda0(xy / q)
-    return _bgk(pre, x_p, y, omega, q, lam, lam)
+    return _eps_bgk(_CLASSICAL, x_p, y, omega, q)
 
 
 def mermin_static_denominator(q: float) -> float:
@@ -282,20 +289,14 @@ def mermin_static_denominator(q: float) -> float:
 def _mermin_static_denominator(q: float) -> float:
     # mermin_static_denominator at 0 < q < inf.  Below the smallest normal
     # q, q/2 rounds and 4 F(q/2)/q with it: D0 is its q -> 0 limit 2 to
-    # rounding there, as D is 2 lambda0
-    return 4.0 * dawson(0.5 * q) / q if q >= _MIN_NORMAL else 2.0
+    # rounding there, as D is 2 lambda0.  A float is stored: a numpy q
+    # equals its float, and would hand its type to every later hit
+    return 4.0 * dawson(0.5 * q) / float(q) if q >= _MIN_NORMAL else 2.0
 
 
 def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
     """Mermin-model permittivity at (possibly complex) frequency omega."""
-    if x_p == 0.0:
-        _check_q(q)
-        return 1.0 + 0j
-    xy = omega + 1j * y
-    pre = _prefactor(x_p, xy, q)
-    D = _t_diff_over_q(xy / q, q)  # xy / q is finite: _prefactor checked x + iy
-    M = D / _mermin_static_denominator(q) if y else None  # y = 0 reads no M
-    return _bgk(pre, x_p, y, omega, q, D, M)
+    return _eps_bgk(_MERMIN, x_p, y, omega, q)
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +305,18 @@ def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
 
 def epsilon_quantum(params: PlasmaParams, point: QueryPoint) -> complex:
     """Quantum longitudinal permittivity (coordinate-space BGK model)."""
-    return eps_quantum_omega(params.x_p, params.y, point.x, point.q)
+    return _eps_bgk(_QUANTUM, params.x_p, params.y, point.x, point.q)
 
 
 def epsilon_classical(params: PlasmaParams, point: QueryPoint) -> complex:
     """Classical (BGK) longitudinal permittivity; no quantum recoil."""
-    return eps_classical_omega(params.x_p, params.y, point.x, point.q)
+    return _eps_bgk(_CLASSICAL, params.x_p, params.y, point.x, point.q)
 
 
 def epsilon_lindhard(x_p: float, x: float, q: float) -> complex:
     """Collisionless (Landau-continued) permittivity: the quantum model at
     y = 0, 1 + (x_p^2/q^2) D(x/q, q)."""
-    return eps_quantum_omega(_float(x_p), 0.0, _float(x), _float(q))
+    return _eps_bgk(_QUANTUM, _float(x_p), 0.0, _float(x), _float(q))
 
 
 def epsilon_static(x_p: float, y: float, q: float) -> complex:
@@ -378,15 +379,14 @@ def epsilon_drude(x_p: float, x: float, y: float) -> complex:
 
 def epsilon_mermin(params: PlasmaParams, point: QueryPoint) -> complex:
     """Mermin (momentum-space RTA) permittivity in the same variables."""
-    return eps_mermin_omega(params.x_p, params.y, point.x, point.q)
+    return _eps_bgk(_MERMIN, params.x_p, params.y, point.x, point.q)
 
 
-#: model -> its eps(x_p, y, x, q), the complex-frequency core where it has one
+#: model -> its eps(x_p, y, x, q): the one BGK evaluator, bound to the model,
+#: where it has one
 _CORES = {
-    ModelKind.QUANTUM: eps_quantum_omega,
-    ModelKind.CLASSICAL: eps_classical_omega,
-    ModelKind.MERMIN: eps_mermin_omega,
-    ModelKind.LINDHARD: lambda x_p, y, x, q: eps_quantum_omega(x_p, 0.0, x, q),
+    **{model: functools.partial(_eps_bgk, model) for model in (_QUANTUM, _CLASSICAL, _MERMIN)},
+    ModelKind.LINDHARD: lambda x_p, y, x, q: _eps_bgk(_QUANTUM, x_p, 0.0, x, q),
     ModelKind.STATIC: lambda x_p, y, x, q: epsilon_static(x_p, y, q),
     ModelKind.DRUDE: lambda x_p, y, x, q: epsilon_drude(x_p, x, y),
 }
@@ -394,8 +394,8 @@ _CORES = {
 
 def evaluate(model: ModelKind, params: PlasmaParams, point: QueryPoint) -> complex:
     """Dispatch a permittivity model on (params, point); model is a
-    ModelKind or its value.  The model's core is called on (x_p, y, x, q)
-    straight from the table, and its value is the public epsilon_*
+    ModelKind or its value.  The model's evaluator is called on (x_p, y,
+    x, q) straight from the table, and its value is the public epsilon_*
     function's, bit for bit."""
     try:
         core = _CORES[model]  # a str ModelKind hashes and compares as its value

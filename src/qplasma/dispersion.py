@@ -11,6 +11,9 @@ import cmath
 import math
 
 from .dielectric import (
+    _CLASSICAL,
+    _MERMIN,
+    _QUANTUM,
     ModelKind,
     PlasmaParams,
     _finite,
@@ -146,7 +149,6 @@ def _leaves_range(what: str, where: str) -> OverflowError:
     return OverflowError(f"a term of {what}'s formula leaves double range at {where}")
 
 
-_QUANTUM, _CLASSICAL, _MERMIN = ModelKind.QUANTUM, ModelKind.CLASSICAL, ModelKind.MERMIN
 _SOLVABLE = (_QUANTUM, _CLASSICAL, _MERMIN)
 
 

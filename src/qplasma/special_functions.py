@@ -139,8 +139,14 @@ _MINUS_H_OVER_SQRT_PI = complex(-_H / SQRT_PI)
 _MINUS_2PI_I_OVER_H = -2j * math.pi / _H
 _TWO_PI_I = 2j * math.pi
 # (sigma, 2 sigma i sqrt(pi)) of c(s) on grids A and B
-_POLES_A = (-1 + 0j, -_TWO_I_SQRT_PI)
-_POLES_B = (1 + 0j, _TWO_I_SQRT_PI)
+_POLES_A, _POLES_B = (-1 + 0j, -_TWO_I_SQRT_PI), (1 + 0j, _TWO_I_SQRT_PI)
+# _w_trapezoid's (nodes, sigma) on grids A and B, and the constant factors
+# of its rule, its pole correction and _w's tail, each product in the
+# operand order of its formula, whose roundings the values carry
+_TRAPEZOID_A, _TRAPEZOID_B = (_NODES_A, _POLES_A[0]), (_NODES_B, _POLES_B[0])
+_I_H_OVER_PI = 1j * _INV_PI * _H
+_MINUS_2PI_I = -2j * math.pi
+_I_OVER_SQRT_PI = 1j / SQRT_PI
 
 
 def _w_series(z: complex, az: float) -> complex:
@@ -187,7 +193,7 @@ def _tail(z2: complex) -> complex:
 
 def _w_trapezoid(z: complex) -> complex:
     on_a = 0.25 <= (z.real / _H) % 1.0 < 0.75
-    nodes, (sigma, _) = (_NODES_A, _POLES_A) if on_a else (_NODES_B, _POLES_B)
+    nodes, sigma = _TRAPEZOID_A if on_a else _TRAPEZOID_B
     z2 = z * z
     acc = 0j
     for t2, wt, _ in nodes:
@@ -195,11 +201,11 @@ def _w_trapezoid(z: complex) -> complex:
     acc *= z
     if on_a:
         acc += 1.0 / z
-    w = (1j * _INV_PI * _H) * acc
+    w = _I_H_OVER_PI * acc
     if z.imag >= _PI_OVER_H:
         # poles outside the summation strip; plain trapezoid already exact
         return w
-    e = cmath.exp(-2j * math.pi * z / _H)
+    e = cmath.exp(_MINUS_2PI_I * z / _H)
     return w + sigma * 2.0 * cmath.exp(-z2) / (e + sigma)
 
 
@@ -212,7 +218,7 @@ def _w(z: complex) -> complex:
         return _w_series(z, az)
     if az < ASYMPTOTIC_SWITCH_Z:
         return _w_trapezoid(z)
-    return (1j / SQRT_PI) * (1.0 + _tail(z * z)) / z
+    return _I_OVER_SQRT_PI * (1.0 + _tail(z * z)) / z
 
 
 def _exp_minus_z2(z: complex) -> complex:

@@ -29,7 +29,7 @@ from qplasma.dielectric import (
     evaluate,
     mermin_static_denominator,
 )
-from qplasma.dispersion import gamma_asymptotic, solve_root
+from qplasma.dispersion import gamma_asymptotic, solve_root, trace_branch
 from qplasma.special_functions import (
     _MIN_NORMAL,
     dawson,
@@ -266,8 +266,8 @@ def _forget_pair(monkeypatch):
 
 
 class TestOneCheck:
-    # the BGK cores check q, x_p and x + iy once, in _prefactor's one range
-    # test, and call kernels that do not check again
+    # the BGK evaluator checks q, x_p and x + iy once, in its one range
+    # test, and calls kernels that do not check again
 
     def _counters(self, monkeypatch) -> dict:
         counts = {}
@@ -583,6 +583,18 @@ class TestEpsilonMermin:
         assert cached.cache_info()[:2] == (3, 5) and len(calls) == 5
         cached.cache_clear()  # forget the value computed through the counter
 
+    def test_static_denominator_stores_a_float(self):
+        # the Mermin core hands D0's cache its raw q; a numpy q equals its
+        # float and shares its entry, so a stored numpy D0 came back from
+        # the public function at the float q
+        cached = dielectric._mermin_static_denominator
+        cached.cache_clear()
+        eps_mermin_omega(1.0, 0.1, 1.0, np.float64(0.37))
+        got = mermin_static_denominator(0.37)
+        assert cached.cache_info()[:2] == (1, 1)
+        assert type(got) is float and repr(got) == repr(4.0 * dawson(0.5 * 0.37) / 0.37)
+        cached.cache_clear()
+
     @pytest.mark.parametrize("q", [5e-324, 1e-315, 1e-310, math.nextafter(_MIN_NORMAL, 0.0)])
     def test_static_denominator_at_subnormal_q(self, q):
         # q/2 rounds below the smallest normal q, and 4 F(q/2)/q with it (0.0
@@ -642,8 +654,8 @@ class TestEvaluate:
             assert repr(evaluate(model, params, point)) == repr(evaluate(model.value, params, point))
 
     def test_each_model_gives_its_public_functions_bits(self):
-        # evaluate calls each model's core straight from its table; the
-        # public functions are the API, and the two agree bit for bit
+        # evaluate calls each model's evaluator straight from its table;
+        # the public functions are the API, and the two agree bit for bit
         public = {
             ModelKind.QUANTUM: epsilon_quantum,
             ModelKind.CLASSICAL: epsilon_classical,
@@ -754,6 +766,68 @@ class TestSumRules:
             kk = 2.0 / math.pi * self._integral(
                 lambda x: eps(x_p, y, x, q).imag / x if x > 0.0 else 0.0)
             assert abs(kk - static) <= self.KRAMERS_KRONIG_BOUND * abs(static), (x_p, y, q)
+
+
+class TestModelIdentities:
+    # exact identities of the three BGK models, each held to its measured
+    # worst over its seeded cases, rounded up once
+    CORES = {"quantum": eps_quantum_omega, "classical": eps_classical_omega,
+             "mermin": eps_mermin_omega}
+    STATIC_MERMIN_BOUND = 6e-16      # measured 5.3e-16
+    STATIC_CLASSICAL_BOUND = 3e-16   # measured 2.6e-16
+    CAUCHY_BOUND = 3e-15             # measured 2.2e-15
+    WINDING_BOUND = 9e-16            # measured 8.9e-16
+    WINDING_STEP = 0.04              # measured 0.034 rad
+
+    def test_static_limits(self):
+        # at x = 0, y > 0 the BGK factor of Mermin's model is D0(q), and
+        # classical's is 1: Mermin is the collisionless static 1 + (x_p/q)^2
+        # D0(q) and classical is Debye's 1 + 2 x_p^2/q^2.  y spans the
+        # subnormal-product rung (below 2^-600) to y = 10, q from 1e-3 to 5
+        rng = random.Random("static limits")
+        for i in range(300):
+            x_p, q = rng.uniform(0.3, 3.0), 10.0 ** rng.uniform(-3.0, 0.7)
+            y = 10.0 ** (rng.uniform(-6.0, 1.0) if i % 10 else rng.uniform(-300.0, -200.0))
+            mermin = 1.0 + (x_p / q) ** 2 * mermin_static_denominator(q)
+            got = eps_mermin_omega(x_p, y, 0.0, q)
+            assert abs(got - mermin) <= self.STATIC_MERMIN_BOUND * mermin, (x_p, y, q)
+            debye = 1.0 + 2.0 * x_p * x_p / (q * q)
+            got = eps_classical_omega(x_p, y, 0.0, q)
+            assert abs(got - debye) <= self.STATIC_CLASSICAL_BOUND * debye, (x_p, y, q)
+
+    @pytest.mark.parametrize("model", list(CORES))
+    def test_cauchy_mean_across_the_axis(self, model):
+        # eps is analytic in omega across the real axis, the Landau
+        # continuation joining the lower half-plane to the upper: its mean on
+        # a 128-point circle of radius 0.3 about omega = 1, which crosses the
+        # axis, is eps(1), to the rounding of the largest |eps| summed
+        eps = self.CORES[model]
+        for x_p, y, q in ((1.0, 0.1, 0.5), (1.0, 0.3, 1.0), (2.0, 0.5, 2.0), (1.0, 1e-4, 0.3)):
+            values = [eps(x_p, y, 1.0 + 0.3 * cmath.exp(2j * math.pi * k / 128), q)
+                      for k in range(128)]
+            err = abs(sum(values) / 128 - eps(x_p, y, 1.0, q))
+            assert err <= self.CAUCHY_BOUND * max(map(abs, values)), (x_p, y, q)
+
+    @pytest.mark.parametrize("model", list(CORES))
+    def test_winding_number_about_branch_roots(self, model):
+        # each root of a traced branch is a simple zero: eps winds once on a
+        # 256-point circle of radius 0.05 |omega| about it, each step turning
+        # its phase by far less than pi, so no turn is missed
+        eps = self.CORES[model]
+        rng = random.Random("winding")
+        for _ in range(3):
+            x_p, y = 10.0 ** rng.uniform(math.log10(0.3), 1.0), 10.0 ** rng.uniform(-8.0, -1.0)
+            lo = rng.uniform(0.05, 0.2)
+            k_d = math.sqrt(2.0) * x_p
+            roots = trace_branch(PlasmaParams(x_p, y), lo * k_d,
+                                 (lo + rng.uniform(0.2, 0.5)) * k_d, 3, ModelKind(model))
+            for root in roots:
+                circle = [eps(x_p, y, root.omega + 0.05 * abs(root.omega)
+                              * cmath.exp(2j * math.pi * k / 256), root.q) for k in range(257)]
+                steps = [cmath.phase(b / a) for a, b in zip(circle, circle[1:])]
+                assert max(map(abs, steps)) <= self.WINDING_STEP, (x_p, y, root)
+                winding = sum(steps) / (2.0 * math.pi)
+                assert abs(winding - 1.0) <= self.WINDING_BOUND, (x_p, y, root)
 
 
 class TestComplexFrequencyCore:
