@@ -25,15 +25,18 @@ limit (classical) and Mermin's are one BGK form,
 
     eps = 1 + pre (x+iy) K / (x + i y M)
 
-    model       pre          K          M
+    model       pre          K          M             at
     quantum     x_p^2/q^2    D(z,q)     lambda0(z)
     classical   2 x_p^2/q^2  lambda0(z) lambda0(z)
     mermin      x_p^2/q^2    D(z,q)     D(z,q)/D0(q)
+    static      x_p^2/q^2    D(z,q)     lambda0(z)    x = 0 (real part)
 
 evaluated by one function, _eps_bgk(model, x_p, y, omega, q): one range
-test, z formed once, the model's kernels for pre, K and M, and at y = 0
-eps = 1 + pre K.  The three eps_*_omega cores, the public functions and
-evaluate's table all call it.
+test, z formed once, the model's kernels for pre, K and M, then at y = 0
+eps = 1 + pre K and at omega = 0 eps = 1 + pre K/M, where the BGK factor
+xy/(omega + iy M) is exactly 1 and 1/M.  The three eps_*_omega cores, the
+public functions (static as the quantum model at x = 0) and evaluate's
+table all call it.
 """
 
 from __future__ import annotations
@@ -182,33 +185,10 @@ def _float(value) -> float:
     return float(value)
 
 
-def _prefactor(x_p: float, xy: complex, q: float) -> float:
-    # x_p^2/q^2, and the one check of q, x_p and x + iy (_eps_bgk makes
-    # the range test inline and calls this where it fails).  Below q =
-    # 1e-154 q^2 is subnormal, and where x_p/q or |z| = |x + iy|/q passes
-    # 1e154, x_p^2/q^2 or z^2 in lambda0's tail overflows: fail loudly there
-    # rather than return nan or lost digits.  A q outside 0 < q < inf, an
-    # x + iy or x_p that is not finite and a negative x_p fail the same test
-    # (every compare with nan is false) and are told apart after it
-    bound = 1e154 * q
-    if not (abs(xy) <= bound and 0.0 <= x_p <= bound and 1.0 <= bound < math.inf):
-        q = _check_q(q)
-        _finite("x + iy", xy)
-        if x_p < 0.0:
-            raise ValueError(f"x_p must be finite and >= 0, got {x_p!r}")
-        _finite("x_p", x_p)
-        if not max(abs(xy), 1.0, x_p) <= bound:  # not where only 1e154 q is inf
-            raise OverflowError(
-                f"q={q!r} is too small at x_p={x_p!r}, x + iy={xy!r}: q^2, "
-                "x_p^2/q^2 or z^2 = ((x + iy)/q)^2 leaves double range"
-            )
-    return x_p * x_p / (q * q)
-
-
 def _rescaled(pre: float, ratio: complex, x_p: float, xy: complex, q: float) -> complex:
     # eps = 1 + pre * ratio where a model's plain form pre * xy * K / den
-    # was not finite: with the O(1) ratio xy K / den formed first, pre * xy
-    # no longer overflows.  Still not finite, eps itself is not
+    # (pre * K / M at omega = 0) was not finite: with the O(1) ratio formed
+    # first, pre * xy no longer overflows.  Still not finite, eps itself is not
     # representable (the range test has checked x_p)
     eps = 1.0 + pre * ratio
     if cmath.isfinite(eps):
@@ -226,16 +206,30 @@ _QUANTUM, _CLASSICAL, _MERMIN = ModelKind.QUANTUM, ModelKind.CLASSICAL, ModelKin
 def _eps_bgk(model: ModelKind, x_p: float, y: float, omega: complex, q: float) -> complex:
     # eps = 1 + pre * xy * K / (omega + iy M), xy = omega + iy: the one
     # evaluator of the three BGK models (see the module docstring), at
-    # (possibly complex) frequency omega, in four rungs after the kernels
+    # (possibly complex) frequency omega, in five rungs after the kernels
     if x_p == 0.0:
         _check_q(q)
         return 1.0 + 0j
     xy = omega + 1j * y
+    # the one check of q, x_p and x + iy.  Below q = 1e-154 q^2 is
+    # subnormal, and where x_p/q or |z| = |x + iy|/q passes 1e154, x_p^2/q^2
+    # or z^2 in lambda0's tail overflows: fail loudly there rather than
+    # return nan or lost digits.  A q outside 0 < q < inf, an x + iy or x_p
+    # that is not finite and a negative x_p fail the same test (every
+    # compare with nan is false) and are told apart after it
     bound = 1e154 * q
-    if abs(xy) <= bound and 0.0 <= x_p <= bound and 1.0 <= bound < math.inf:
-        pre = x_p * x_p / (q * q)
-    else:
-        pre = _prefactor(x_p, xy, q)
+    if not (abs(xy) <= bound and 0.0 <= x_p <= bound and 1.0 <= bound < math.inf):
+        q = _check_q(q)
+        _finite("x + iy", xy)
+        if x_p < 0.0:
+            raise ValueError(f"x_p must be finite and >= 0, got {x_p!r}")
+        _finite("x_p", x_p)
+        if not max(abs(xy), 1.0, x_p) <= bound:  # not where only 1e154 q is inf
+            raise OverflowError(
+                f"q={q!r} is too small at x_p={x_p!r}, x + iy={xy!r}: q^2, "
+                "x_p^2/q^2 or z^2 = ((x + iy)/q)^2 leaves double range"
+            )
+    pre = x_p * x_p / (q * q)
     z = xy / q  # finite: the range test checked x + iy
     if model is _QUANTUM:  # at y = 0, the traced t_diff_over_q, and no M
         K, M = _t_diff_and_lambda0(z, q) if y else (t_diff_over_q(z, q), None)
@@ -252,6 +246,11 @@ def _eps_bgk(model: ModelKind, x_p: float, y: float, omega: complex, q: float) -
         # M is not read
         eps = 1.0 + pre * K
         return eps if cmath.isfinite(eps) else _rescaled(pre, K, x_p, xy, q)
+    if omega == 0.0:
+        # static: the BGK factor is exactly 1/M, and (pre K)/M involves no
+        # product of y, however small y is
+        eps = 1.0 + pre * K / M
+        return eps if cmath.isfinite(eps) else _rescaled(pre, K / M, x_p, xy, q)
     if y < _BGK_TINY and abs(omega) < _BGK_TINY:
         # xy K and the division by the denominator would round subnormal
         # products.  The ratio is homogeneous of degree 0 in (omega, y), so
@@ -320,28 +319,17 @@ def epsilon_lindhard(x_p: float, x: float, q: float) -> complex:
 
 
 def epsilon_static(x_p: float, y: float, q: float) -> complex:
-    """Zero-frequency (screening) permittivity; exactly real by construction.
+    """Zero-frequency (screening) permittivity: the quantum model's real
+    part at x = 0, 1 + (x_p^2/q^2) D(iv, q)/lambda0(iv) with v = y/q.
 
-    At x = 0 the argument is z = iy/q, and the reflection symmetry
-    t(-conj z) = -conj t(z) makes both the kernel and lambda0 real:
-    D(iv, q) = -2 Re t(q/2 + iv)/q and lambda0(iv) = 1 - sqrt(pi) v w(iv).
-    Only the real parts enter.  Both come from one
-    :func:`t_diff_and_lambda0` call, whose partial-fraction and tail forms
-    avoid the underflow and cancellation of the literal ones.
+    On the imaginary axis the reflection symmetry t(-conj z) = -conj t(z)
+    makes D and lambda0 real, so eps is real; y > 0 is required.
     """
     q = _check_q(q)
     y = float(y)
     if not y > 0.0:
         raise ValueError(f"static limit requires y > 0, got {y!r}")
-    if x_p == 0.0:
-        return 1.0 + 0j
-    pre = _prefactor(x_p, complex(0.0, y), q)
-    v = y / q
-    kernel, lam = _t_diff_and_lambda0(complex(0.0, v), q)
-    eps = 1.0 + pre * kernel.real / lam.real
-    if not math.isfinite(eps):
-        eps = _rescaled(pre, kernel.real / lam.real, x_p, complex(0.0, y), q)
-    return complex(eps, 0.0)
+    return complex(_eps_bgk(_QUANTUM, x_p, y, 0.0, q).real, 0.0)
 
 
 def epsilon_drude(x_p: float, x: float, y: float) -> complex:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 from .dielectric import (
     _CLASSICAL,
@@ -341,8 +342,8 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
     seeded with the previous root and start from two points.  The whole
     branch may spend _SOLVES_PER_STEP solves per grid step; when they run
     out, BranchLossError names the q of the last failed solve.  Raises
-    ValueError unless n_points is an integer >= 2 and
-    0 < q_start < q_end < inf.
+    ValueError unless n_points is an integer >= 2, 0 < q_start < q_end < inf
+    and the grid's n_points q values are distinct.
     """
     _finite("q_start", q_start)
     _finite("q_end", q_end)
@@ -357,6 +358,11 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
     # ScanSpec.grid's rule: q_end exactly, which the formula can miss by an ulp
     qs = [q_start + (q_end - q_start) * i / (n_points - 1) for i in range(n_points - 1)]
     qs += [q_end]
+    if not all(map(operator.lt, qs, qs[1:])):
+        raise ValueError(
+            f"q range [{q_start!r}, {q_end!r}] is too narrow for {n_points} "
+            "distinct grid points"
+        )
     prev = solve_root(params, qs[0], model)
     roots = [prev]
     budget = _SOLVES_PER_STEP * (n_points - 1)

@@ -496,6 +496,24 @@ class TestTraceBranch:
         with pytest.raises(ValueError, match="^n_points must be an integer"):
             trace_branch(PlasmaParams(1.0, 0.01), 0.2, 0.5, n_points, ModelKind.CLASSICAL)
 
+    @pytest.mark.parametrize("q_end, n_points", [
+        (math.nextafter(0.3, 1.0), 5),  # the grid held 0.3 twice
+        (math.nextafter(math.nextafter(0.3, 1.0), 1.0), 4),
+    ])
+    def test_range_too_narrow_for_distinct_points_rejected(self, q_end, n_points, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved on a grid with repeated q")
+
+        monkeypatch.setattr(dispersion, "solve_root", no_solve)
+        with pytest.raises(ValueError, match=re.escape(
+                f"q range [0.3, {q_end!r}] is too narrow for {n_points} distinct grid points")):
+            trace_branch(PlasmaParams(1.0, 0.01), 0.3, q_end, n_points, ModelKind.QUANTUM)
+
+    def test_adjacent_floats_hold_two_points(self):
+        q_end = math.nextafter(0.3, 1.0)
+        roots = trace_branch(PlasmaParams(1.0, 0.01), 0.3, q_end, 2, ModelKind.QUANTUM)
+        assert [r.q for r in roots] == [0.3, q_end]
+
 
 class TestExtrapolate:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])

@@ -1,4 +1,4 @@
-"""tools/drift.py: the figure and root values of two trees, compared."""
+"""tools/drift.py: the figure, model and root values of two trees, compared."""
 
 import importlib.util
 import pathlib
@@ -21,10 +21,18 @@ def test_checkout_against_itself_is_identical(capsys):
     rows = {tuple(line.split()[:2]): line.split()[2:]
             for line in capsys.readouterr().out.splitlines()[2:-1]}
     # 20 points per scan: figures 1-4 are three quantum scans each, 5-14
-    # one quantum and classical overlay each
+    # one quantum and classical overlay each.  The model grid: 3 x_p, 3 y,
+    # 4 x (x = 0 among them) and 4 q for the BGK models; y = 0 for
+    # Lindhard's; x = 0 only for static; x != 0 and one q for Drude's
     assert rows == {
         ("figures", "quantum"): ["440", "0", "0", "0", "0.00e+00"],
         ("figures", "classical"): ["200", "0", "0", "0", "0.00e+00"],
+        ("models", "quantum"): ["144", "0", "0", "0", "0.00e+00"],
+        ("models", "classical"): ["144", "0", "0", "0", "0.00e+00"],
+        ("models", "mermin"): ["144", "0", "0", "0", "0.00e+00"],
+        ("models", "lindhard_collisionless"): ["48", "0", "0", "0", "0.00e+00"],
+        ("models", "static"): ["36", "0", "0", "0", "0.00e+00"],
+        ("models", "drude"): ["27", "0", "0", "0", "0.00e+00"],
         ("roots", "quantum"): ["41", "0", "0", "0", "0.00e+00"],
         ("roots", "classical"): ["41", "0", "0", "0", "0.00e+00"],
         ("roots", "mermin"): ["41", "0", "0", "0", "0.00e+00"],

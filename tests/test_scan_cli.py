@@ -617,6 +617,14 @@ class TestCli:
         assert "q_end must be finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
 
+    def test_roots_sweep_too_narrow_exits_1(self, tmp_path, capsys):
+        # 0.3 and the next float hold no 5 distinct q values
+        argv = ROOTS[:-1] + ["q=0.3:0.30000000000000004:5", "--out", str(tmp_path / "b.csv")]
+        assert main(argv) == 1
+        assert ("q range [0.3, 0.30000000000000004] is too narrow for 5 distinct grid "
+                "points") in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
     def test_infinite_sweep_end_refused(self, tmp_path, capsys):
         argv = ["--model", "quantum", "--xp", "1", "--y", "0.1", "--x", "1",
                 "--sweep", "q=0:inf:2", "--out", str(tmp_path / "s.csv")]

@@ -1,4 +1,5 @@
-"""Drift of the figure and root values between two trees of this repository.
+"""Drift of the figure, model and root values between two trees of this
+repository.
 
     python tools/drift.py BASE [HEAD] [--n N]
 
@@ -6,8 +7,10 @@ BASE and HEAD are each a git revision or a checkout directory; HEAD
 defaults to the checkout this file is in.  A revision's src/ is exported
 with `git archive` into a temporary directory.  A child process per tree
 imports that tree's qplasma (checking qplasma.__file__), evaluates the 14
-figure presets at N grid points (default 400, as the CLI) and the CI's
-dispersion table (quantum, classical and Mermin at x_p = 1, y = 1e-3,
+figure presets at N grid points (default 400, as the CLI), each of the six
+models through `evaluate` on a fixed grid (x = 0 included for the BGK
+models, where the static model is the quantum one) and the CI's dispersion
+table (quantum, classical and Mermin at x_p = 1, y = 1e-3,
 q = 0.1414:0.7071:41), and hands every value back.
 
 Per section and model the report counts identical and moved values and
@@ -34,13 +37,13 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 #: the child: argv = (src directory, n); prints {key: [section, model,
 #: [x_p, y, x, q], re, im]} as JSON, whose floats round-trip exactly
 _CHILD = r"""
-import json, os, sys
+import itertools, json, os, sys
 src, n = sys.argv[1], int(sys.argv[2])
 sys.path.insert(0, src)
 import qplasma
 if not os.path.abspath(qplasma.__file__).startswith(os.path.join(src, "")):
     sys.exit(f"imported {qplasma.__file__}, not the qplasma under {src}")
-from qplasma.dielectric import ModelKind, PlasmaParams
+from qplasma.dielectric import ModelKind, PlasmaParams, QueryPoint, evaluate
 from qplasma.scan import FIGURE_IDS, figure_preset, run_roots, run_scan
 out = {}
 for k in FIGURE_IDS:
@@ -51,6 +54,15 @@ for k in FIGURE_IDS:
             for j, model in enumerate(spec.models):
                 out[f"figure {k}/{i} {model.value} {spec.sweep_var}={row[0]!r}"] = [
                     "figures", model.value, inputs, row[1 + 2 * j], row[2 + 2 * j]]
+for model in ModelKind:
+    ys = (0.0,) if model is ModelKind.LINDHARD else (1e-3, 0.1, 1.0)
+    xs = ((0.0,) if model is ModelKind.STATIC
+          else (0.3, 1.0, 3.0) if model is ModelKind.DRUDE else (0.0, 0.3, 1.0, 3.0))
+    qs = (1.0,) if model is ModelKind.DRUDE else (0.01, 0.3, 1.0, 3.0)
+    for x_p, y, x, q in itertools.product((0.3, 1.0, 3.0), ys, xs, qs):
+        eps = evaluate(model, PlasmaParams(x_p, y), QueryPoint(x, q))
+        out[f"models {model.value} {x_p!r} {y!r} {x!r} {q!r}"] = [
+            "models", model.value, [x_p, y, x, q], eps.real, eps.imag]
 models = (ModelKind.QUANTUM, ModelKind.CLASSICAL, ModelKind.MERMIN)
 _, rows = run_roots(PlasmaParams(1.0, 1e-3), models, (0.1414, 0.7071), 41)
 for row in rows:
@@ -142,12 +154,12 @@ def compare(base: dict, head: dict, reference=None) -> dict:
 
 
 def report(stats: dict, unmatched: int) -> list[str]:
-    lines = [f"{'section':<8} {'model':<10} {'identical':>9} {'moved':>6} "
+    lines = [f"{'section':<8} {'model':<22} {'identical':>9} {'moved':>6} "
              f"{'nearer':>6} {'farther':>7} {'worst_move':>10}"]
     for (section, model), s in sorted(stats.items()):
-        lines.append(f"{section:<8} {model:<10} {s['identical']:>9} {s['moved']:>6} "
+        lines.append(f"{section:<8} {model:<22} {s['identical']:>9} {s['moved']:>6} "
                      f"{s['nearer']:>6} {s['farther']:>7} {s['worst']:>10.2e}")
-    lines.append("worst_move: |d eps|/max(|eps|, |eps - 1|) for figures, "
+    lines.append("worst_move: |d eps|/max(|eps|, |eps - 1|) for figures and models, "
                  "|d omega|/|omega| for roots")
     if unmatched:
         lines.append(f"{unmatched} values are in one tree only")
@@ -166,7 +178,7 @@ def main(argv=None) -> int:
     moved = any(not _identical(base[k], head[k]) for k in base.keys() & head.keys())
     reference = load_reference() if moved else None
     print(f"drift {args.base} -> {args.head}: 14 figure presets at n={args.n}, "
-          "41-point roots table")
+          "six models on a fixed grid, 41-point roots table")
     print("\n".join(report(compare(base, head, reference), len(base.keys() ^ head.keys()))))
     return 0
 
