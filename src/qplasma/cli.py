@@ -1,5 +1,6 @@
 """Command-line front end for parameter sweeps, dispersion roots and figure
-presets."""
+presets.  Figures and sweeps share one write path: run_scan, write_output
+per CSV, then write_plot_script under --plot-script."""
 
 from __future__ import annotations
 

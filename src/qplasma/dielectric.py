@@ -326,7 +326,7 @@ def epsilon_static(x_p: float, y: float, q: float) -> complex:
     makes D and lambda0 real, so eps is real; y > 0 is required.
     """
     q = _check_q(q)
-    y = float(y)
+    y = _float(y)
     if not y > 0.0:
         raise ValueError(f"static limit requires y > 0, got {y!r}")
     return complex(_eps_bgk(_QUANTUM, x_p, y, 0.0, q).real, 0.0)
@@ -370,8 +370,8 @@ def epsilon_mermin(params: PlasmaParams, point: QueryPoint) -> complex:
     return _eps_bgk(_MERMIN, params.x_p, params.y, point.x, point.q)
 
 
-#: model -> its eps(x_p, y, x, q): the one BGK evaluator, bound to the model,
-#: where it has one
+#: model -> its eps(x_p, y, x, q): the one BGK evaluator, bound to the model
+#: by functools.partial (no Python frame in between), where it has one
 _CORES = {
     **{model: functools.partial(_eps_bgk, model) for model in (_QUANTUM, _CLASSICAL, _MERMIN)},
     ModelKind.LINDHARD: lambda x_p, y, x, q: _eps_bgk(_QUANTUM, x_p, 0.0, x, q),

@@ -326,9 +326,37 @@ def _extrapolate(roots: list[DispersionRoot]) -> tuple[complex, complex | None]:
     return seed, slope
 
 
+def _sweep_grid(lo: float, hi: float, n: int, scale: str, n_name: str,
+                range_name: str) -> tuple[float, ...]:
+    # ScanSpec's and trace_branch's n points over finite lo < hi, each
+    # message naming the caller's n and range; the ends are lo and hi exactly,
+    # which the rounding of lo + (hi - lo) and of exp(log hi) would move
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{n_name} must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError(f"{n_name} must be >= 2, got {n!r}")
+    if scale not in ("linear", "log"):
+        raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
+    if scale == "log" and not lo > 0:
+        raise ValueError("log scale requires lo > 0")
+    m = n - 1
+    if scale == "log":
+        llo, lhi = math.log(lo), math.log(hi)
+        inner = [math.exp(llo + (lhi - llo) * i / m) for i in range(1, m)]
+    else:
+        inner = [lo + (hi - lo) * i / m for i in range(1, m)]
+    grid = (lo, *inner, hi)
+    if not all(map(operator.lt, grid, grid[1:])):
+        raise ValueError(
+            f"{range_name} [{lo!r}, {hi!r}] is too narrow for {n} distinct grid points")
+    return grid
+
+
 def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
                  n_points: int, model: ModelKind) -> list[DispersionRoot]:
-    """Continue a dispersion branch from q_start to q_end on n_points.
+    """Continue a dispersion branch from q_start to q_end on n_points: the
+    grid of ScanSpec's linear sweep over (q_start, q_end), from the same
+    function, q_start and q_end exact.
 
     Each grid point is seeded by polynomial extrapolation through the last
     m = min(6, accepted) roots on the uniform grid, sum_{j=1..m} (-1)^(j+1)
@@ -349,20 +377,8 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
     _finite("q_end", q_end)
     if not (0.0 < q_start < q_end):
         raise ValueError(f"need 0 < q_start < q_end, got {q_start!r}, {q_end!r}")
-    if not isinstance(n_points, int) or isinstance(n_points, bool):
-        raise ValueError(f"n_points must be an integer, got {n_points!r}")
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points!r}")
+    qs = _sweep_grid(q_start, q_end, n_points, "linear", "n_points", "q range")
     model = ModelKind(model)
-
-    # ScanSpec.grid's rule: q_end exactly, which the formula can miss by an ulp
-    qs = [q_start + (q_end - q_start) * i / (n_points - 1) for i in range(n_points - 1)]
-    qs += [q_end]
-    if not all(map(operator.lt, qs, qs[1:])):
-        raise ValueError(
-            f"q range [{q_start!r}, {q_end!r}] is too narrow for {n_points} "
-            "distinct grid points"
-        )
     prev = solve_root(params, qs[0], model)
     roots = [prev]
     budget = _SOLVES_PER_STEP * (n_points - 1)

@@ -11,12 +11,11 @@ both byte-deterministic for identical specs.
 from __future__ import annotations
 
 import math
-import operator
 
 from . import __version__
 from .dielectric import (ModelKind, PlasmaParams, QueryPoint, _params, _point, _Record, _set,
                          evaluate)
-from .dispersion import gamma_asymptotic, omega_asymptotic, trace_branch
+from .dispersion import _sweep_grid, gamma_asymptotic, omega_asymptotic, trace_branch
 
 _SWEEPABLE = ("x", "q", "y")
 _PARAM_KEYS = ("x_p", "y", "x", "q")
@@ -37,6 +36,9 @@ class ScanError(RuntimeError):
 
 
 class ScanSpec(_Record):
+    """n points of sweep_var over sweep_range for the models, the rest fixed;
+    the grid, built once here, is trace_branch's too (_sweep_grid)."""
+
     __match_args__ = ("models", "fixed", "sweep_var", "sweep_range", "n", "scale")
     __slots__ = (*__match_args__, "_grid")
 
@@ -60,29 +62,7 @@ class ScanSpec(_Record):
             raise ValueError(f"sweep range must be finite, got [{lo!r}, {hi!r}]")
         if not lo < hi:
             raise ValueError(f"sweep range must satisfy lo < hi, got [{lo!r}, {hi!r}]")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f"grid size n must be an integer, got {n!r}")
-        if n < 2:
-            raise ValueError(f"grid size n must be >= 2, got {n!r}")
-        if scale not in ("linear", "log"):
-            raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
-        if scale == "log" and not lo > 0:
-            raise ValueError("log scale requires lo > 0")
-        # the endpoints are the requested values exactly; the rounding of
-        # lo + (hi - lo) and of exp(log hi) would move them by an ulp
-        m = n - 1
-        if scale == "log":
-            llo, lhi = math.log(lo), math.log(hi)
-            inner = [math.exp(llo + (lhi - llo) * i / m) for i in range(1, m)]
-        else:
-            inner = [lo + (hi - lo) * i / m for i in range(1, m)]
-        g = (lo, *inner, hi)
-        if not all(map(operator.lt, g, g[1:])):
-            raise ValueError(
-                f"sweep range [{lo!r}, {hi!r}] is too narrow for {n} "
-                "distinct grid points"
-            )
-        _set(self, "_grid", g)
+        _set(self, "_grid", _sweep_grid(lo, hi, n, scale, "grid size n", "sweep range"))
         self.validate()
 
     def validate(self) -> tuple[float, ...]:
@@ -96,7 +76,7 @@ class ScanSpec(_Record):
         for key, val in fixed.items():
             if key not in _PARAM_KEYS:
                 raise ValueError(f"unknown fixed parameter {key!r}")
-            if not math.isfinite(float(val)):
+            if not math.isfinite(val):
                 raise ValueError(f"fixed parameter {key}={val!r} must be finite")
         available = set(fixed) | {sweep_var, "x_p"}
         for model in self.models:
@@ -172,6 +152,8 @@ def run_roots(params: PlasmaParams, models: tuple[ModelKind, ...],
     """Trace one dispersion branch per model over n linear q points and
     return (columns, rows): q, k/k_D, Re and Im omega per model, and the
     long-wave omega_asymptotic and gamma_asymptotic."""
+    if not models:
+        raise ValueError("at least one model is required")
     branches = [trace_branch(params, *q_range, n, model) for model in models]
     columns = ["q", "kappa"]
     for model in models:
@@ -239,19 +221,14 @@ def figure_part(fig_id: int) -> str:
 # Output
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_output(table: ScanTable, path: str) -> list[str]:
     """Write the table as CSV at path: a commented header from table.spec
     and 17-significant-digit rows.  Returns the written paths, [path]."""
     if not table.rows:
         raise ValueError("refusing to write an empty table")
     spec = table.spec
-    lo, hi = spec.sweep_range
-    note = (f"sweep: {spec.sweep_var} from {_fmt(lo)} to {_fmt(hi)}, "
-            f"n={spec.n}, scale={spec.scale}")
+    note = "sweep: %s from %.17g to %.17g, n=%s, scale=%s" % (
+        spec.sweep_var, *spec.sweep_range, spec.n, spec.scale)
     write_csv(path, spec.models, spec.fixed, table.columns, table.rows, [note])
     return [path]
 
@@ -261,11 +238,11 @@ def write_csv(path: str, models: tuple[ModelKind, ...], fixed: dict[str, float],
     """Write a CSV: a commented header (models, fixed parameters, notes and
     the tool version), the column line and 17-significant-digit rows."""
     lines = [f"# model: {','.join(m.value for m in models)}"]
-    lines += [f"# {key}: {_fmt(fixed[key])}" for key in sorted(fixed)]
+    lines += ["# %s: %.17g" % (key, fixed[key]) for key in sorted(fixed)]
     lines += [f"# {note}" for note in notes]
     lines.append(f"# tool: qplasma {__version__}")
     lines.append(",".join(columns))
-    # one %-format per row: "%.17g" % v gives the bytes of _fmt(v)
+    # one %-format per row, "%.17g" per value as in the header above
     template = ",".join(["%.17g"] * len(columns))
     lines += [template % tuple(row) for row in rows]
     with open(path, "w", encoding="utf-8") as fh:

@@ -76,18 +76,18 @@ ASYMPTOTIC_SWITCH_Z = 12.0
 
 
 def _check_finite(z: complex, name: str = "z") -> complex:
-    z = complex(z)
+    # z is tested before it is converted: complex() would parse a str
     if not cmath.isfinite(z):
-        raise ValueError(f"{name} must be finite, got {z!r}")
-    return z
+        raise ValueError(f"{name} must be finite, got {complex(z)!r}")
+    return complex(z)
 
 
 def _check_q(q: float) -> float:
-    # the package's one rule for a wave number q
-    q = float(q)
+    # the package's one rule for a wave number q; q is compared before it
+    # is converted, so a str raises TypeError rather than parse
     if not 0.0 < q < math.inf:
-        raise ValueError(f"q must be finite and > 0, got {q!r}")
-    return q
+        raise ValueError(f"q must be finite and > 0, got {float(q)!r}")
+    return float(q)
 
 
 def _out_of_range(what: str, where: str) -> OverflowError:
@@ -442,9 +442,9 @@ def _dawson_asymptotic(u: float) -> float:
 
 def dawson(u: float) -> float:
     """Dawson integral F(u); odd, peaks at ~0.5410442246 near u ~ 0.9241."""
+    if not math.isfinite(u):  # before float(u), which would parse a str
+        raise ValueError(f"u must be finite, got {float(u)!r}")
     u = float(u)
-    if not math.isfinite(u):
-        raise ValueError(f"u must be finite, got {u!r}")
     a = abs(u)
     if a <= 1.0:
         return _dawson_series(u)

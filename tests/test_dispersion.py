@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import re
 
 import mpmath as mp
@@ -9,6 +10,7 @@ import pytest
 
 import qplasma.dispersion as dispersion
 from qplasma.dielectric import ModelKind, PlasmaParams
+from qplasma.scan import ScanSpec
 from qplasma.dispersion import (
     BranchLossError,
     ConvergenceError,
@@ -513,6 +515,53 @@ class TestTraceBranch:
         q_end = math.nextafter(0.3, 1.0)
         roots = trace_branch(PlasmaParams(1.0, 0.01), 0.3, q_end, 2, ModelKind.QUANTUM)
         assert [r.q for r in roots] == [0.3, q_end]
+
+    def test_grid_is_scan_specs_q_sweep(self, monkeypatch):
+        # the root q values are ScanSpec's linear q grid over the same range,
+        # bit for bit, and both refuse the same ranges with their own words:
+        # seeded wide ranges, 2-point grids, and for each n the narrowest
+        # range that holds n distinct points beside the one a float narrower
+        def spec(q_start, q_end, n):
+            return ScanSpec(models=(ModelKind.QUANTUM,), fixed={"x_p": 1.0, "y": 0.01, "x": 1.0},
+                            sweep_var="q", sweep_range=(q_start, q_end), n=n)
+
+        def accepts(q_start, q_end, n):
+            try:
+                spec(q_start, q_end, n)
+            except ValueError:
+                return False
+            return True
+
+        # every solve converges at once on the grid point it is given
+        monkeypatch.setattr(dispersion, "solve_root", lambda params, q, model, **kwargs:
+                            DispersionRoot(q, 1.0 + 0j, 0.0, 0, 1, 1.0 + 0j))
+        rng = random.Random("trace_branch grid")
+        cases = []
+        for _ in range(60):
+            q_start, n = 10.0 ** rng.uniform(-3.0, 1.0), rng.choice((2, 3, 4, 7, 41))
+            cases.append((q_start, q_start * (1.0 + 10.0 ** rng.uniform(-12.0, 1.0)), n))
+            cases.append((q_start, math.nextafter(q_start, math.inf), 2))
+            q_end = math.nextafter(q_start, math.inf)
+            while not accepts(q_start, q_end, n):
+                q_end = math.nextafter(q_end, math.inf)
+            if math.nextafter(q_end, 0.0) > q_start:
+                cases += [(q_start, q_end, n), (q_start, math.nextafter(q_end, 0.0), n)]
+        refused = 0
+        for q_start, q_end, n in cases:
+            try:
+                grid = spec(q_start, q_end, n).grid()
+            except ValueError as exc:
+                assert str(exc) == (f"sweep range [{q_start!r}, {q_end!r}] is too narrow "
+                                    f"for {n} distinct grid points")
+                with pytest.raises(ValueError, match=re.escape(
+                        f"q range [{q_start!r}, {q_end!r}] is too narrow for {n} "
+                        "distinct grid points")):
+                    trace_branch(PlasmaParams(1.0, 0.01), q_start, q_end, n, ModelKind.QUANTUM)
+                refused += 1
+                continue
+            roots = trace_branch(PlasmaParams(1.0, 0.01), q_start, q_end, n, ModelKind.QUANTUM)
+            assert [r.q for r in roots] == grid
+        assert 40 <= refused <= len(cases) - 100
 
 
 class TestExtrapolate:

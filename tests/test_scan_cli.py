@@ -124,6 +124,14 @@ class TestRunScan:
         assert table.columns == ("x", "re_eps_drude", "im_eps_drude")
         assert table.rows == ((1.0, 0.0, 0.0), (2.0, 0.75, 0.0))
 
+    def test_run_roots_without_models_rejected(self, monkeypatch):
+        # as ScanSpec refuses no models; it wrote a header with no rows
+        from qplasma import scan
+
+        monkeypatch.setattr(scan, "trace_branch", None)  # nothing is traced
+        with pytest.raises(ValueError, match="^at least one model is required$"):
+            scan.run_roots(PlasmaParams(1.0, 0.01), (), (0.2, 0.5), 5)
+
     def test_static_sweep_imaginary_column_is_zero(self):
         spec = ScanSpec(models=(ModelKind.STATIC,), fixed={"x_p": 1.0, "y": 0.1},
                         sweep_var="q", sweep_range=(0.1, 2.0), n=16)
@@ -624,6 +632,12 @@ class TestCli:
         assert ("q range [0.3, 0.30000000000000004] is too narrow for 5 distinct grid "
                 "points") in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
+
+    def test_roots_without_models_exits_1(self, tmp_path, capsys):
+        argv = ["--roots", "--model", ","] + ROOTS[3:] + ["--out", str(tmp_path / "b.csv")]
+        assert main(argv) == 1
+        assert "error: at least one model is required" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     def test_infinite_sweep_end_refused(self, tmp_path, capsys):
         argv = ["--model", "quantum", "--xp", "1", "--y", "0.1", "--x", "1",
