@@ -92,6 +92,8 @@ def _write_scans(args, specs, csv_paths, part: str, script_path: str) -> int:
 
 
 def _run_figure(args) -> int:
+    if (args.model, args.xp, args.y, args.x, args.q, args.sweep) != (None,) * 6:
+        raise ValueError("--figure takes no --model, --xp, --y, --x, --q or --sweep")
     fig_id = args.figure
     specs = figure_preset(fig_id, n=args.n)
     out_dir = args.out or "."

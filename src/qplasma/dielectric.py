@@ -50,7 +50,7 @@ from .special_functions import (
     _MIN_NORMAL,
     _check_q,
     _out_of_range,
-    _t_diff_and_lambda0,
+    _t_diff,
     _t_diff_over_q,
     dawson,
     faddeeva_w,  # noqa: F401  bench/spans.py wraps this name; --trace 1 needs it
@@ -156,17 +156,9 @@ _set_x, _set_q = (getattr(QueryPoint, name).__set__ for name in QueryPoint.__slo
 _new = object.__new__
 
 
-def _params(x_p: float, y: float) -> PlasmaParams:
-    # PlasmaParams(x_p, y) without its checks, for a caller that has made
-    # them: the fields its __init__ would store
-    params = _new(PlasmaParams)
-    _set_x_p(params, float(x_p))
-    _set_y(params, float(y))
-    return params
-
-
 def _point(x: float, q: float) -> QueryPoint:
-    # QueryPoint(x, q) without its checks, likewise
+    # QueryPoint(x, q) without its checks, for a caller that has made them:
+    # the fields its __init__ would store
     point = _new(QueryPoint)
     _set_x(point, float(x))
     _set_q(point, float(q))
@@ -232,7 +224,7 @@ def _eps_bgk(model: ModelKind, x_p: float, y: float, omega: complex, q: float) -
     pre = x_p * x_p / (q * q)
     z = xy / q  # finite: the range test checked x + iy
     if model is _QUANTUM:  # at y = 0, the traced t_diff_over_q, and no M
-        K, M = _t_diff_and_lambda0(z, q) if y else (t_diff_over_q(z, q), None)
+        K, M = _t_diff(z, q, True) if y else (t_diff_over_q(z, q), None)
     elif model is _CLASSICAL:
         pre = 2.0 * pre
         # the checked, memoised lambda0: bench/spans.py traces that name, and
@@ -263,16 +255,20 @@ def _eps_bgk(model: ModelKind, x_p: float, y: float, omega: complex, q: float) -
 
 
 # ---------------------------------------------------------------------------
-# Complex-frequency cores (used by the public surface and the root solver)
+# Complex-frequency cores: the root solver's and bench/spans.py's entry per
+# eps evaluation.  They take numbers and check no type, so a str is refused
+# only by the arithmetic it meets; the records and public functions check it
 # ---------------------------------------------------------------------------
 
 def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
-    """Quantum-model permittivity at (possibly complex) frequency omega."""
+    """Quantum-model permittivity at (possibly complex) frequency omega;
+    takes numbers and checks no type."""
     return _eps_bgk(_QUANTUM, x_p, y, omega, q)
 
 
 def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
-    """Classical-model permittivity at (possibly complex) frequency omega."""
+    """Classical-model permittivity at (possibly complex) frequency omega;
+    takes numbers and checks no type."""
     return _eps_bgk(_CLASSICAL, x_p, y, omega, q)
 
 
@@ -294,7 +290,8 @@ def _mermin_static_denominator(q: float) -> float:
 
 
 def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
-    """Mermin-model permittivity at (possibly complex) frequency omega."""
+    """Mermin-model permittivity at (possibly complex) frequency omega;
+    takes numbers and checks no type."""
     return _eps_bgk(_MERMIN, x_p, y, omega, q)
 
 

@@ -153,6 +153,15 @@ def _leaves_range(what: str, where: str) -> OverflowError:
 _SOLVABLE = (_QUANTUM, _CLASSICAL, _MERMIN)
 
 
+def _solvable(model) -> ModelKind:
+    # model as a ModelKind, refused unless solve_root can solve it
+    model = ModelKind(model)
+    if model not in _SOLVABLE:
+        raise ValueError(
+            f"solve_root supports {[m.value for m in _SOLVABLE]}, got {model.value!r}")
+    return model
+
+
 def _eps_core(model: ModelKind):
     # the model's eps(x_p, y, omega, q), read from the module globals at call
     # time: a wrapper set on those names is what the solver then calls
@@ -237,10 +246,7 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
     """
     q = _check_q(q)
     if model is not _QUANTUM and model is not _CLASSICAL and model is not _MERMIN:
-        model = ModelKind(model)
-        if model not in _SOLVABLE:
-            raise ValueError(
-                f"solve_root supports {[m.value for m in _SOLVABLE]}, got {model.value!r}")
+        model = _solvable(model)
     if guess is not None:
         _finite("guess", guess)
     if slope is not None:

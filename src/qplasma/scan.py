@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 
 from . import __version__
-from .dielectric import (ModelKind, PlasmaParams, QueryPoint, _params, _point, _Record, _set,
-                         evaluate)
-from .dispersion import _sweep_grid, gamma_asymptotic, omega_asymptotic, trace_branch
+from .dielectric import ModelKind, PlasmaParams, QueryPoint, _point, _Record, _set, evaluate
+from .dispersion import _solvable, _sweep_grid, gamma_asymptotic, omega_asymptotic, trace_branch
 
 _SWEEPABLE = ("x", "q", "y")
 _PARAM_KEYS = ("x_p", "y", "x", "q")
@@ -29,6 +28,18 @@ _REQUIRED = {
     ModelKind.STATIC: ("x_p", "y", "q"),
     ModelKind.DRUDE: ("x_p", "y", "x"),
 }
+
+
+def _models(models) -> tuple[ModelKind, ...]:
+    # one model, or a tuple or list of them, as ModelKinds: at least one, and
+    # none twice
+    models = tuple(map(ModelKind, models if isinstance(models, (tuple, list)) else (models,)))
+    if not models:
+        raise ValueError("at least one model is required")
+    for i, model in enumerate(models):
+        if model in models[:i]:
+            raise ValueError(f"model {model.value!r} is given twice")
+    return models
 
 
 class ScanError(RuntimeError):
@@ -45,16 +56,12 @@ class ScanSpec(_Record):
     def __init__(self, models: tuple[ModelKind, ...], fixed: dict[str, float],
                  sweep_var: str, sweep_range: tuple[float, float], n: int,
                  scale: str = "linear"):
-        _set(self, "models", tuple(ModelKind(m) for m in (
-            models if isinstance(models, (tuple, list)) else (models,)
-        )))
+        _set(self, "models", _models(models))
         _set(self, "fixed", dict(fixed))
         _set(self, "sweep_var", sweep_var)
         _set(self, "sweep_range", sweep_range)
         _set(self, "n", n)
         _set(self, "scale", scale)
-        if not self.models:
-            raise ValueError("at least one model is required")
         if sweep_var not in _SWEEPABLE:
             raise ValueError(f"sweep_var must be one of {_SWEEPABLE}, got {sweep_var!r}")
         lo, hi = sweep_range
@@ -111,14 +118,13 @@ def run_scan(spec: ScanSpec) -> ScanTable:
     x_p, y = fixed["x_p"], fixed.get("y", 0.0)
     x, q = fixed.get("x", 0.0), fixed.get("q", 1.0)
     # what the sweep holds fixed is built once: the plasma state of an x or
-    # q sweep, the query point of a y sweep.  Of the swept records only the
-    # first is checked: the grid is finite and strictly increasing, so each
-    # record's rule (finite; q >= 0; y >= 0) holds at every grid point if
-    # and only if it holds at the first
+    # q sweep, the query point of a y sweep.  Of the swept query points only
+    # the first is checked: the grid is finite and strictly increasing, so
+    # the rule (finite; q >= 0) holds at every grid point if and only if it
+    # holds at the first
     if var == "y":
         point = QueryPoint(x, q)
-        inputs = [(PlasmaParams(x_p, grid[0]), point)]
-        inputs += [(_params(x_p, v), point) for v in grid[1:]]
+        inputs = [(PlasmaParams(x_p, v), point) for v in grid]
     else:
         params = PlasmaParams(x_p, y)
         if var == "x":
@@ -151,9 +157,10 @@ def run_roots(params: PlasmaParams, models: tuple[ModelKind, ...],
               q_range: tuple[float, float], n: int) -> tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]:
     """Trace one dispersion branch per model over n linear q points and
     return (columns, rows): q, k/k_D, Re and Im omega per model, and the
-    long-wave omega_asymptotic and gamma_asymptotic."""
-    if not models:
-        raise ValueError("at least one model is required")
+    long-wave omega_asymptotic and gamma_asymptotic.  models is one model,
+    or a tuple or list of distinct ones that solve_root solves, all checked
+    before any branch is traced."""
+    models = tuple(map(_solvable, _models(models)))
     branches = [trace_branch(params, *q_range, n, model) for model in models]
     columns = ["q", "kappa"]
     for model in models:

@@ -4,8 +4,8 @@ The workhorse is the Faddeeva function ``w(z) = exp(-z^2) erfc(-iz)``; the
 plasma dispersion function is its rescaling ``t(z) = i sqrt(pi) w(z)``, which
 for Im z > 0 equals the Hilbert-type integral of the Gaussian and elsewhere is
 the analytic (Landau) continuation from the upper half-plane.  All evaluators
-here are scalar and pure.  The slow quadrature cross-checks live in the
-test suite's ``tests/oracle.py``.
+here are scalar, and pure but for the pair entry below.  The slow quadrature
+cross-checks live in the test suite's ``tests/oracle.py``.
 
 Each public function checks its argument once (a wave number q by
 ``_check_q``, the package's one rule 0 < q < inf) and calls private
@@ -13,10 +13,10 @@ kernels that take it as checked: ``_w`` is w at finite z, ``_node_loop``
 sums w's trapezoid rule as partial fractions (D and lambda0 at one z from
 one loop over its nodes), and from |z| = 12 one tail series is summed by
 Horner.  The models call the kernels too, after their own one check.
-t_diff_and_lambda0 keeps its last (z, q, D, lambda0), which lambda0 and
-t_diff_over_q read, so models evaluated one after the other at one point
-share it.  Deep below the real axis, where a value leaves double range,
-the functions raise OverflowError naming z (and q).
+``_t_diff``'s with_lambda0 path keeps its last (z, q, D, lambda0), the pair
+entry, which lambda0 and t_diff_over_q read, so models evaluated one after
+the other at one point share it.  Deep below the real axis, where a value
+leaves double range, the functions raise OverflowError naming z (and q).
 
 Accuracy: one cell per function and regime, for w, lambda0 = 1 + z t, the
 kernel D = [t(a) - t(b)]/q with a, b = z -+ q/2, and Dawson's F.  A bound is
@@ -140,10 +140,9 @@ _MINUS_2PI_I_OVER_H = -2j * math.pi / _H
 _TWO_PI_I = 2j * math.pi
 # (sigma, 2 sigma i sqrt(pi)) of c(s) on grids A and B
 _POLES_A, _POLES_B = (-1 + 0j, -_TWO_I_SQRT_PI), (1 + 0j, _TWO_I_SQRT_PI)
-# _w_trapezoid's (nodes, sigma) on grids A and B, and the constant factors
-# of its rule, its pole correction and _w's tail, each product in the
-# operand order of its formula, whose roundings the values carry
-_TRAPEZOID_A, _TRAPEZOID_B = (_NODES_A, _POLES_A[0]), (_NODES_B, _POLES_B[0])
+# the constant factors of _w_trapezoid's rule, its pole correction and _w's
+# tail, each product in the operand order of its formula, whose roundings
+# the values carry
 _I_H_OVER_PI = 1j * _INV_PI * _H
 _MINUS_2PI_I = -2j * math.pi
 _I_OVER_SQRT_PI = 1j / SQRT_PI
@@ -193,7 +192,7 @@ def _tail(z2: complex) -> complex:
 
 def _w_trapezoid(z: complex) -> complex:
     on_a = 0.25 <= (z.real / _H) % 1.0 < 0.75
-    nodes, sigma = _TRAPEZOID_A if on_a else _TRAPEZOID_B
+    nodes, sigma = (_NODES_A, _POLES_A[0]) if on_a else (_NODES_B, _POLES_B[0])
     z2 = z * z
     acc = 0j
     for t2, wt, _ in nodes:
@@ -367,8 +366,8 @@ def lambda0(z: complex) -> complex:
     in which the leading 1 cancels exactly (:func:`_node_loop`), and
     lambda0(0) is exactly 1.  For Im z < 0 these stand for lambda0(-z), and
     the Landau term ``2i sqrt(pi) z exp(-z^2)`` is added; where it leaves
-    double range, OverflowError names z.  Reads the entry of
-    t_diff_and_lambda0 (z + 0j and z - 0j match) and stores nothing.
+    double range, OverflowError names z.  Reads the pair entry (z + 0j and
+    z - 0j match) and stores nothing.
     """
     last_z, _, _, last = _pair_last
     if z == last_z:
@@ -543,8 +542,8 @@ def t_diff_over_q(z: complex, q: float) -> complex:
     where it cancels nothing.  Below the smallest normal q, D is its limit
     2 lambda0(z).  On the imaginary axis D is real.  Raises ValueError
     unless 0 < q < inf, and OverflowError naming z and q where D leaves
-    double range, deep below the real axis.  Reads the entry of
-    t_diff_and_lambda0 (z + 0j and z - 0j match) and stores nothing.
+    double range, deep below the real axis.  Reads the pair entry (z + 0j
+    and z - 0j match) and stores nothing.
     """
     return _t_diff_over_q(_check_finite(z), _check_q(q))
 
@@ -569,11 +568,17 @@ def _t_diff_disk(z: complex, q: float) -> complex:
     return SQRT_PI * dd
 
 
+#: (z, q, D(z, q), lambda0(z)) of the last _t_diff call with with_lambda0
+_pair_last = (None, None, None, None)
+
+
 def _t_diff(z: complex, q: float, with_lambda0: bool):
-    # (D, lambda0) at finite z and q > 0 by t_diff_over_q's region split;
-    # with with_lambda0 set, lambda0 comes from D's node loop where that
-    # runs at z != 0 (lambda0(0) is exactly 1) and from _lambda0 elsewhere;
-    # without it, lambda0 is None except beside D's q -> 0 limit
+    # (D, lambda0) at finite z and q > 0 by t_diff_over_q's region split.
+    # with_lambda0 takes lambda0 from D's node loop where that runs at z != 0
+    # (lambda0(0) is exactly 1), from _lambda0 elsewhere, and stores the pair
+    # entry after the last raise; without it, nothing is stored and lambda0
+    # is None except beside D's q -> 0 limit
+    global _pair_last
     az = abs(z)
     D = lam = None
     if q < _MIN_NORMAL:
@@ -599,8 +604,10 @@ def _t_diff(z: complex, q: float, with_lambda0: bool):
         raise _t_diff_out_of_range(z, q)
     if z.real == 0.0:
         D = complex(D.real, 0.0)
-    if with_lambda0 and lam is None:
-        lam = _lambda0(z)
+    if with_lambda0:
+        if lam is None:
+            lam = _lambda0(z)
+        _pair_last = (z, q, D, lam)
     return D, lam
 
 
@@ -608,21 +615,9 @@ def t_diff_and_lambda0(z: complex, q: float) -> tuple[complex, complex]:
     """``(t_diff_over_q(z, q), lambda0(z))``, bit for bit, from one call.
 
     Where t_diff_over_q sums its partial fractions (:func:`_node_loop`) at
-    z != 0, lambda0's sum over the same nodes runs in the same loop.  It
-    alone writes the one entry (z, q, D, lambda0) that lambda0 and
+    z != 0, lambda0's sum over the same nodes runs in the same loop.  Its
+    call, ``_t_diff``'s with_lambda0 path, is the quantum model's at y > 0
+    too, and alone writes the pair entry (z, q, D, lambda0) that lambda0 and
     t_diff_over_q read; it never reads it, and a raised call stores nothing.
     """
-    return _t_diff_and_lambda0(_check_finite(z), _check_q(q))
-
-
-#: (z, q, D(z, q), lambda0(z)) of the last t_diff_and_lambda0 call
-_pair_last = (None, None, None, None)
-
-
-def _t_diff_and_lambda0(z: complex, q: float) -> tuple[complex, complex]:
-    # t_diff_and_lambda0 at finite complex z and 0 < q < inf, for callers
-    # that have checked both
-    global _pair_last
-    D, lam = _t_diff(z, q, True)
-    _pair_last = (z, q, D, lam)
-    return D, lam
+    return _t_diff(_check_finite(z), _check_q(q), True)

@@ -241,6 +241,21 @@ class TestEpsilonQuantum:
         val = epsilon_quantum(PlasmaParams(x_p, y), QueryPoint(x, q))
         assert math.isfinite(val.real) and math.isfinite(val.imag)
 
+    def test_against_mpmath(self):
+        # TestEpsilonClassical's sampler and error measure; measured worst
+        # 5.1e-15 at z ~ -0.02 + 6.35i, lambda0's error near Im z = pi/h
+        # (1,500 states read 8.4e-15 at z ~ -1.15 + 0.0036i, q = 0.146, in
+        # the node loop next to the node rule's bound)
+        rng = random.Random("quantum mpmath")
+        for _ in range(150):
+            x_p, q = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, 0.7)
+            x = rng.choice((-1.0, 1.0)) * q * 10.0 ** rng.uniform(-2.0, 1.5)
+            y = q * 10.0 ** rng.uniform(-3.0, 1.0)
+            with mp.workdps(40):
+                ref = complex(mpref.eps(ModelKind.QUANTUM, x_p, y, x, q))
+            err = abs(epsilon_quantum(PlasmaParams(x_p, y), QueryPoint(x, q)) - ref)
+            assert err <= 6e-15 * max(abs(ref), abs(ref - 1.0)), (x_p, y, x, q)
+
 
 class TestNonFiniteFrequency:
     # a non-finite omega must raise ValueError, never come back as nan: a nan
@@ -678,6 +693,21 @@ class TestEpsilonMermin:
         assert_cclose(em, MERMIN_GOLDEN, rtol=5e-13)
         gap = abs(em - epsilon_quantum(params, point))
         assert gap == pytest.approx(MERMIN_QUANTUM_GAP, rel=1e-5)
+
+    def test_against_mpmath(self):
+        # TestEpsilonClassical's sampler and error measure; measured worst
+        # 4.3e-15 (1,500 states read 8.7e-15 at z ~ -8.64 + 0.049i, q = 0.230,
+        # where D's node rule refuses and the direct difference carries its
+        # error)
+        rng = random.Random("mermin mpmath")
+        for _ in range(150):
+            x_p, q = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, 0.7)
+            x = rng.choice((-1.0, 1.0)) * q * 10.0 ** rng.uniform(-2.0, 1.5)
+            y = q * 10.0 ** rng.uniform(-3.0, 1.0)
+            with mp.workdps(40):
+                ref = complex(mpref.eps(ModelKind.MERMIN, x_p, y, x, q))
+            err = abs(epsilon_mermin(PlasmaParams(x_p, y), QueryPoint(x, q)) - ref)
+            assert err <= 5e-15 * max(abs(ref), abs(ref - 1.0)), (x_p, y, x, q)
 
     def test_static_denominator_variants(self):
         q = 0.5

@@ -72,6 +72,15 @@ class TestScanSpecValidation:
         with pytest.raises(ValueError, match="must be an integer"):
             drude_spec(n=n)
 
+    def test_repeated_model_rejected(self):
+        # two identical column pairs under one name, once written
+        with pytest.raises(ValueError, match="^model 'drude' is given twice$"):
+            drude_spec(models=(ModelKind.DRUDE, "drude"))
+
+    @pytest.mark.parametrize("models", ["drude", ["drude"], ("drude",), [ModelKind.DRUDE]])
+    def test_model_values_accepted(self, models):
+        assert drude_spec(models=models).models == (ModelKind.DRUDE,)
+
     def test_model_variable_requirements(self):
         # quantum needs q; not provided fixed or swept
         with pytest.raises(ValueError, match="needs"):
@@ -131,6 +140,29 @@ class TestRunScan:
         monkeypatch.setattr(scan, "trace_branch", None)  # nothing is traced
         with pytest.raises(ValueError, match="^at least one model is required$"):
             scan.run_roots(PlasmaParams(1.0, 0.01), (), (0.2, 0.5), 5)
+
+    @pytest.mark.parametrize("models", ["quantum", ("quantum",), ["quantum"]])
+    def test_run_roots_takes_model_values(self, models):
+        # a value, not only a ModelKind, names its columns
+        from qplasma.scan import run_roots
+
+        params = PlasmaParams(1.0, 1e-3)
+        got = run_roots(params, models, (0.2, 0.3), 3)
+        assert got == run_roots(params, (ModelKind.QUANTUM,), (0.2, 0.3), 3)
+        assert got[0][2:4] == ("re_omega_quantum", "im_omega_quantum")
+
+    @pytest.mark.parametrize("models, match", [
+        (("quantum", ModelKind.QUANTUM), "^model 'quantum' is given twice$"),
+        ((ModelKind.QUANTUM, "static"),
+         re.escape("solve_root supports ['quantum', 'classical', 'mermin'], got 'static'")),
+        ("q", "'q' is not a valid ModelKind"),
+    ])
+    def test_run_roots_refuses_models_before_tracing(self, models, match, monkeypatch):
+        from qplasma import scan
+
+        monkeypatch.setattr(scan, "trace_branch", None)  # nothing is traced
+        with pytest.raises(ValueError, match=match):
+            scan.run_roots(PlasmaParams(1.0, 0.01), models, (0.2, 0.5), 5)
 
     def test_static_sweep_imaginary_column_is_zero(self):
         spec = ScanSpec(models=(ModelKind.STATIC,), fixed={"x_p": 1.0, "y": 0.1},
@@ -638,6 +670,26 @@ class TestCli:
         assert main(argv) == 1
         assert "error: at least one model is required" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "quantum,quantum", "--xp", "1", "--y", "0.1", "--x", "1",
+         "--sweep", "q=0.1:1:4"],
+        ["--roots", "--model", "quantum,quantum"] + ROOTS[3:],
+    ], ids=["sweep", "roots"])
+    def test_repeated_model_exits_1(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 1
+        assert "error: model 'quantum' is given twice" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("flag", [["--model", "drude"], ["--xp", "7"], ["--y", "0.1"],
+                                      ["--x", "1"], ["--q", "1"], ["--sweep", "x=0:1:3"]])
+    def test_figure_refuses_the_flags_it_does_not_read(self, flag, tmp_path, capsys):
+        # the preset's own parameters were written, whatever the flags said
+        out = tmp_path / "d"
+        assert main(["--figure", "5", "--n", "3", *flag, "--out", str(out)]) == 1
+        assert ("error: --figure takes no --model, --xp, --y, --x, --q or --sweep"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_infinite_sweep_end_refused(self, tmp_path, capsys):
         argv = ["--model", "quantum", "--xp", "1", "--y", "0.1", "--x", "1",
