@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--roots", action="store_true",
                       help="trace the dispersion roots omega(q) of each model "
                            "(quantum, classical, mermin) over a linear q sweep")
-    p.add_argument("--n", type=int, default=400, help="grid size for presets")
+    p.add_argument("--n", type=int, default=None,
+                   help="grid size of a --figure preset (default 400)")
     p.add_argument("--out", default=None,
                    help="CSV path for sweeps, output directory for figures")
     p.add_argument("--plot-script", action="store_true",
@@ -95,7 +96,7 @@ def _run_figure(args) -> int:
     if (args.model, args.xp, args.y, args.x, args.q, args.sweep) != (None,) * 6:
         raise ValueError("--figure takes no --model, --xp, --y, --x, --q or --sweep")
     fig_id = args.figure
-    specs = figure_preset(fig_id, n=args.n)
+    specs = figure_preset(fig_id, n=400 if args.n is None else args.n)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, f"fig{fig_id:02d}")
@@ -113,6 +114,8 @@ def _run_sweep(args) -> int:
         raise ValueError("--model is required with --sweep")
     if args.out is None:
         raise ValueError("--out is required with --sweep")
+    if args.n is not None:
+        raise ValueError("--sweep takes no --n: VAR=LO:HI:N sets its grid size")
     var, rng, n, scale = args.sweep
     fixed = {}
     for key, val in (("x_p", args.xp), ("y", args.y), ("x", args.x), ("q", args.q)):
@@ -127,8 +130,8 @@ def _run_sweep(args) -> int:
 def _run_roots(args) -> int:
     if None in (args.model, args.xp, args.y, args.sweep, args.out):
         raise ValueError("--roots needs --model, --xp, --y, --sweep q=LO:HI:N and --out")
-    if args.x is not None or args.q is not None or args.plot_script:
-        raise ValueError("--roots takes no --x, --q or --plot-script")
+    if args.x is not None or args.q is not None or args.n is not None or args.plot_script:
+        raise ValueError("--roots takes no --x, --q, --n or --plot-script")
     var, rng, n, scale = args.sweep
     if var != "q" or scale != "linear":
         raise ValueError(f"--roots needs a linear sweep in q, got a {scale} sweep in {var}")

@@ -12,8 +12,9 @@ exp(-z^2) carries ~|z|^2 of the argument's rounding.  Where q (2|z| + 4)
 and what that leaves out is below 1e-23 of D; on the imaginary axis the two
 t values are mirror images, and D is -2 Re t(z + q/2)/q.  ``eps`` is a
 model's permittivity in mpmath numbers, at the caller's precision, for
-``mpmath.findroot``.  ``lower_scale`` is the scale on which values below
-the real axis are compared.  Nothing here imports qplasma.
+``mpmath.findroot``: the quantum, classical, Mermin, static, collisionless
+and Drude models.  ``lower_scale`` is the scale on which values below the
+real axis are compared.  Nothing here imports qplasma.
 """
 
 from __future__ import annotations
@@ -80,11 +81,14 @@ def dawson(u: float) -> float:
 
 
 def eps(model: str, x_p, y, omega, q):
-    """The permittivity of the quantum, classical, Mermin or collisionless
-    model (a ModelKind value) at complex frequency omega, in mpmath numbers
-    at the working precision."""
+    """The permittivity of a model (a ModelKind value) at complex frequency
+    omega, in mpmath numbers at the working precision.  Static screening
+    is the quantum form, which its callers take at omega = 0; Drude's is
+    1 - x_p^2/((x + iy) x)."""
     x_p, y, q, omega = mp.mpf(x_p), mp.mpf(y), mp.mpf(q), mp.mpc(omega)
     xy = omega + 1j * y
+    if model == "drude":
+        return 1 - x_p * x_p / (xy * omega)
     z = xy / q
     pre = x_p * x_p / (q * q)
     lam = 1 + z * _t(z)
@@ -93,7 +97,7 @@ def eps(model: str, x_p, y, omega, q):
     D = (_t(z - q / 2) - _t(z + q / 2)) / q
     if model == "lindhard_collisionless":
         return 1 + pre * D
-    if model == "quantum":
+    if model in ("quantum", "static"):
         return 1 + pre * xy * D / (omega + 1j * y * lam)
     if model == "mermin":
         D0 = 2 * mp.sqrt(mp.pi) * mp.exp(-q * q / 4) * mp.erfi(q / 2) / q

@@ -1,12 +1,16 @@
-"""The accuracy table of qplasma.special_functions, enforced.
+"""The one accuracy table, enforced: the tables in the docstrings of
+qplasma.special_functions and qplasma.dielectric.
 
-One cell per (function, regime) of the table in that module's docstring.
-Each cell draws a fixed seeded sample of its regime, points just past each
-switch into it included, evaluates the public function and the mpmath
-reference (tests/mpref.py), and asserts that the worst error is at most
-the cell's bound.  The error is |got - ref|/|ref|; below the real axis, for
-w, lambda0 and D, it is taken on max(|ref|, mpref.lower_scale), the size of
-the rounding that the Landau terms carry.
+One cell per (function, regime) of the special_functions table and per
+model of the dielectric one.  Each cell draws a fixed seeded sample of its
+regime, points just past each switch into it and pinned edge points
+included, evaluates the public function (a model through ``evaluate``) and
+the mpmath reference (tests/mpref.py), and asserts that the worst error is
+at most the cell's bound.  The error is |got - ref|/|ref|; below the real
+axis, for w, lambda0 and D, it is taken on max(|ref|, mpref.lower_scale),
+the size of the rounding that the Landau terms carry, and for eps on
+max(|ref|, |ref - 1|), with ref at 40 digits beyond those its closed form
+cancels.
 
     python tools/accuracy.py    # prints every cell: points, worst, bound
 """
@@ -20,10 +24,12 @@ import pathlib
 import random
 import re
 
+import mpmath as mp
 import pytest
 
 import mpref
-from qplasma import special_functions as sf
+from qplasma import dielectric, special_functions as sf
+from qplasma.dielectric import ModelKind, PlasmaParams, QueryPoint, evaluate
 
 H = 0.5  # the trapezoid step: nodes at t = k h (grid A) and (k + 1/2) h (grid B)
 POLE_Y = math.pi / H  # from Im z = pi/h on the pole correction is 0
@@ -303,6 +309,47 @@ def _f_range(lo, hi, edges):
                            for _ in range(n)] + edges
 
 
+# -- eps -------------------------------------------------------------------
+
+def _eps_states(rng, n, with_x, v_range):
+    # n states (x_p, y, x, q): x_p from 0.1 to 10 and q from 1e-3 to 5; x/q
+    # of either sign from 1e-2 to ~30, or x = 0; y/q over 10^v_range, or y = 0
+    states = []
+    for _ in range(n):
+        x_p, q = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, 0.7)
+        x = rng.choice((-1.0, 1.0)) * q * 10.0 ** rng.uniform(-2.0, 1.5) if with_x else 0.0
+        y = q * 10.0 ** rng.uniform(*v_range) if v_range else 0.0
+        states.append((x_p, y, x, q))
+    return states
+
+
+def _eps(seed, with_x=True, v_range=(-3.0, 1.0), edges=()):
+    # each cell keeps the seed of the test it replaced: no sample is redrawn
+    return lambda rng, n: _eps_states(random.Random(seed), n, with_x, v_range) + list(edges)
+
+
+#: x = 0 and |z| = y/q >= 12, where D takes the tail series differenced
+#: exactly in q (a Taylor form on the t_derivatives recurrence was off by
+#: 7.6e-11 and 1.3e-6 here)
+EPS_IMAGINARY_TAIL = [(1.0, 100.0, 0.0, 0.1), (1.0, 925.47, 0.0, 1.8937e-6)]
+#: |z| from 50 to 1e3 at q from 1e-8 to 1e-4: D's tail series differenced
+#: exactly in q, and lambda0's tail series
+EPS_LONG_WAVE = [(1.3, r * q * math.sin(th), r * q * math.cos(th), q)
+                 for q in (1e-8, 1e-6, 1e-5, 1e-4) for r in (50.0, 70.0, 100.0, 1e3)
+                 for th in map(math.radians, (0, 10, 45, 80, 135))]
+
+
+def _eps_fns(model: ModelKind):
+    # eps at a state (x_p, y, x, q), and mpref's at 40 digits beyond those
+    # that lambda0 = 1 + z t, the phase of exp(-z^2) and the difference of
+    # two t values cancel, counted as mpref.t_diff counts them
+    def ref(x_p, y, x, q):
+        r = abs(complex(x, y)) / q
+        with mp.workdps(40 + 3 * mpref._digits(r + q) + mpref._digits((1.0 + r) / q)):
+            return complex(mpref.eps(model, x_p, y, x, q))
+    return lambda x_p, y, x, q: evaluate(model, PlasmaParams(x_p, y), QueryPoint(x, q)), ref
+
+
 #: (cell, draw, random points); each cell's fixed edge points come on top
 CELLS = [
     ("w strip", _w_strip, 60),
@@ -329,6 +376,12 @@ CELLS = [
     ("F series", _f_series, 310),
     ("F sampling", _f_range(1.0, 10.0, [math.nextafter(1.0, 2.0), 9.99]), 40),
     ("F asymptotic", _f_range(10.0, 1e6, [10.0, -10.0]), 40),
+    ("eps quantum", _eps("quantum mpmath", edges=EPS_IMAGINARY_TAIL), 150),
+    ("eps classical", _eps("classical mpmath"), 150),
+    ("eps Mermin", _eps("mermin mpmath", edges=EPS_LONG_WAVE + EPS_IMAGINARY_TAIL), 150),
+    ("eps Lindhard", _eps("lindhard mpmath", v_range=None), 150),
+    ("eps static", _eps("static mpmath", False, (-3.0, 2.0), EPS_IMAGINARY_TAIL), 150),
+    ("eps Drude", _eps("drude"), 150),
 ]
 
 _FUNCTIONS = {
@@ -341,7 +394,8 @@ _FUNCTIONS = {
 
 def measure(name: str, draw, n: int) -> tuple[int, float, tuple]:
     """(points, worst error, its arguments) over a cell's sample."""
-    fn, ref_fn = _FUNCTIONS[name.split()[0]]
+    kind, model = name.split()[:2]
+    fn, ref_fn = _eps_fns(ModelKind[model.upper()]) if kind == "eps" else _FUNCTIONS[kind]
     worst, at = 0.0, ()
     points = _args(draw(random.Random(name), n))
     for args in points:
@@ -349,21 +403,26 @@ def measure(name: str, draw, n: int) -> tuple[int, float, tuple]:
         scale = abs(ref)
         if isinstance(args[0], complex):
             scale = max(scale, mpref.lower_scale(*args))
+        elif kind == "eps":
+            scale = max(scale, abs(ref - 1.0))
         err = abs(got - ref) / scale
         if err > worst:
             worst, at = err, args
     return len(points), worst, at
 
 
-def table() -> dict[str, float]:
-    """{cell: bound} from the table in the special_functions docstring."""
+def table(*modules) -> dict[str, float]:
+    """{cell: bound} from the tables in the docstrings of modules, by
+    default special_functions' and then dielectric's."""
     rows = (re.fullmatch(r"    (\S+ .+?)  +.+  +(\de-\d\d)", line)
-            for line in sf.__doc__.splitlines())
+            for module in modules or (sf, dielectric) for line in module.__doc__.splitlines())
     return {m[1]: float(m[2]) for m in rows if m}
 
 
 def test_one_cell_per_table_row():
-    assert list(table()) == [name for name, _, _ in CELLS]
+    names = [name for name, _, _ in CELLS]
+    assert list(table()) == names
+    assert list(table(dielectric)) == [name for name in names if name.startswith("eps ")]
 
 
 @pytest.mark.parametrize("name, draw, n", CELLS, ids=[name for name, _, _ in CELLS])
@@ -375,12 +434,15 @@ def test_cell(name, draw, n):
 
 def test_tool_prints_the_cells(monkeypatch, capsys):
     # tools/accuracy.py reads this module's cell list; here one small cell
+    # of each table
     path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "accuracy.py"
     spec = importlib.util.spec_from_file_location("accuracy_tool", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    monkeypatch.setattr(tool.test_accuracy, "CELLS", [("D disk", _d_disk, 3)])
+    monkeypatch.setattr(tool.test_accuracy, "CELLS",
+                        [("D disk", _d_disk, 3), ("eps Drude", _eps("drude"), 3)])
     tool.main()
-    header, row = capsys.readouterr().out.splitlines()
+    header, disk, drude = capsys.readouterr().out.splitlines()
     assert header.split()[:4] == ["cell", "points", "worst", "bound"]
-    assert row.startswith("D disk") and row.split()[2:5:2] == ["3", "4e-16"]
+    assert disk.startswith("D disk") and disk.split()[2:5:2] == ["3", "4e-16"]
+    assert drude.startswith("eps Drude") and drude.split()[2:5:2] == ["3", "3e-16"]

@@ -241,21 +241,6 @@ class TestEpsilonQuantum:
         val = epsilon_quantum(PlasmaParams(x_p, y), QueryPoint(x, q))
         assert math.isfinite(val.real) and math.isfinite(val.imag)
 
-    def test_against_mpmath(self):
-        # TestEpsilonClassical's sampler and error measure; measured worst
-        # 5.1e-15 at z ~ -0.02 + 6.35i, lambda0's error near Im z = pi/h
-        # (1,500 states read 8.4e-15 at z ~ -1.15 + 0.0036i, q = 0.146, in
-        # the node loop next to the node rule's bound)
-        rng = random.Random("quantum mpmath")
-        for _ in range(150):
-            x_p, q = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, 0.7)
-            x = rng.choice((-1.0, 1.0)) * q * 10.0 ** rng.uniform(-2.0, 1.5)
-            y = q * 10.0 ** rng.uniform(-3.0, 1.0)
-            with mp.workdps(40):
-                ref = complex(mpref.eps(ModelKind.QUANTUM, x_p, y, x, q))
-            err = abs(epsilon_quantum(PlasmaParams(x_p, y), QueryPoint(x, q)) - ref)
-            assert err <= 6e-15 * max(abs(ref), abs(ref - 1.0)), (x_p, y, x, q)
-
 
 class TestNonFiniteFrequency:
     # a non-finite omega must raise ValueError, never come back as nan: a nan
@@ -342,6 +327,19 @@ class TestNegativePlasmaFrequency:
         assert epsilon_static(1.0, 1.0, 0.5) == 8.928148946544287
         with pytest.raises(ValueError, match="^x_p must be finite and >= 0"):
             epsilon_static(-1.0, 1.0, 0.5)
+
+
+class TestNegativeCollisionFrequency:
+    # Drude takes a raw y: a negative one gave a value (0.2 - 0.4j at x_p =
+    # x = 1, y = -0.5), where PlasmaParams and epsilon_static refuse it
+
+    @pytest.mark.parametrize("y", [-0.5, -5e-324, -math.inf])
+    def test_drude_rejected_with_plasma_params_message(self, y):
+        message = f"^y must be finite and >= 0, got {re.escape(repr(y))}$"
+        with pytest.raises(ValueError, match=message):
+            PlasmaParams(1.0, y)
+        with pytest.raises(ValueError, match=message):
+            epsilon_drude(1.0, 1.0, y)
 
 
 def _forget_pair(monkeypatch):
@@ -496,21 +494,6 @@ class TestEpsilonClassical:
         dc = epsilon_classical(params, point)
         assert abs(dq - dc) / abs(dc - 1.0) <= 1e-4
 
-    def test_against_mpmath(self):
-        # on max(|eps|, |eps - 1|), over 150 seeded states with x/q and y/q
-        # from 1e-2 and 1e-3 to ~30 and 10, x of either sign and q from 1e-3
-        # to 5; measured worst 2.6e-15 (1,500 states read 5.6e-15 at
-        # z ~ -0.22 + 6.20i, lambda0's error near Im z = pi/h)
-        rng = random.Random("classical mpmath")
-        for _ in range(150):
-            x_p, q = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, 0.7)
-            x = rng.choice((-1.0, 1.0)) * q * 10.0 ** rng.uniform(-2.0, 1.5)
-            y = q * 10.0 ** rng.uniform(-3.0, 1.0)
-            with mp.workdps(40):
-                ref = complex(mpref.eps(ModelKind.CLASSICAL, x_p, y, x, q))
-            err = abs(epsilon_classical(PlasmaParams(x_p, y), QueryPoint(x, q)) - ref)
-            assert err <= 3e-15 * max(abs(ref), abs(ref - 1.0)), (x_p, y, x, q)
-
 
 class TestEpsilonLindhard:
     def test_equals_collisionless_quantum(self):
@@ -543,20 +526,6 @@ class TestEpsilonLindhard:
             ref = complex(mpref.eps(ModelKind.LINDHARD, x_p, 0.0, x, q))
         got = epsilon_lindhard(x_p, x, q)
         assert abs(got - ref) <= 1e-15 * max(abs(ref), abs(ref - 1.0))
-
-    def test_against_mpmath(self):
-        # on max(|eps|, |eps - 1|), over 150 seeded states with x/q from 1e-2
-        # to ~30, of either sign, and q from 1e-3 to 5; measured worst 5.8e-15
-        # (1,500 states read 1.1e-14 at x/q = -4.87, q = 0.15, where D's node
-        # rule refuses and the direct difference carries its error)
-        rng = random.Random("lindhard mpmath")
-        for _ in range(150):
-            x_p, q = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, 0.7)
-            x = rng.choice((-1.0, 1.0)) * q * 10.0 ** rng.uniform(-2.0, 1.5)
-            with mp.workdps(40):
-                ref = complex(mpref.eps(ModelKind.LINDHARD, x_p, 0.0, x, q))
-            err = abs(epsilon_lindhard(x_p, x, q) - ref)
-            assert err <= 6e-15 * max(abs(ref), abs(ref - 1.0)), (x_p, x, q)
 
     def test_bad_form_and_domain(self):
         with pytest.raises(ValueError):
@@ -601,19 +570,6 @@ class TestEpsilonStatic:
         for y in (0.01, 0.1, 1.0):
             for q in (0.1, 0.5, 1.0, 2.0):
                 assert epsilon_static(1.0, y, q).real > 1.0
-
-    def test_against_mpmath(self):
-        # on max(|eps|, |eps - 1|), over 150 seeded states with v = y/q from
-        # 1e-3 to 100 and q from 1e-3 to 5; measured worst 4.9e-15, at v ~ 6.6
-        # where lambda0(iv) carries its error near Im z = pi/h
-        rng = random.Random("static mpmath")
-        for _ in range(150):
-            x_p, q = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, 0.7)
-            y = 10.0 ** rng.uniform(-3.0, 2.0) * q
-            with mp.workdps(40):
-                ref = complex(mpref.eps(ModelKind.QUANTUM, x_p, y, 0.0, q))
-            err = abs(epsilon_static(x_p, y, q) - ref)
-            assert err <= 5e-15 * max(abs(ref), abs(ref - 1.0)), (x_p, y, q)
 
     def test_large_v_frozen_mpmath(self):
         # the literal lambda0(iv) = 1 - sqrt(pi) v w(iv) loses ~2 v^2 ulps here
@@ -694,21 +650,6 @@ class TestEpsilonMermin:
         gap = abs(em - epsilon_quantum(params, point))
         assert gap == pytest.approx(MERMIN_QUANTUM_GAP, rel=1e-5)
 
-    def test_against_mpmath(self):
-        # TestEpsilonClassical's sampler and error measure; measured worst
-        # 4.3e-15 (1,500 states read 8.7e-15 at z ~ -8.64 + 0.049i, q = 0.230,
-        # where D's node rule refuses and the direct difference carries its
-        # error)
-        rng = random.Random("mermin mpmath")
-        for _ in range(150):
-            x_p, q = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, 0.7)
-            x = rng.choice((-1.0, 1.0)) * q * 10.0 ** rng.uniform(-2.0, 1.5)
-            y = q * 10.0 ** rng.uniform(-3.0, 1.0)
-            with mp.workdps(40):
-                ref = complex(mpref.eps(ModelKind.MERMIN, x_p, y, x, q))
-            err = abs(epsilon_mermin(PlasmaParams(x_p, y), QueryPoint(x, q)) - ref)
-            assert err <= 5e-15 * max(abs(ref), abs(ref - 1.0)), (x_p, y, x, q)
-
     def test_static_denominator_variants(self):
         q = 0.5
         assert mermin_static_denominator(q) == pytest.approx(4 * dawson(0.25) / q)
@@ -767,19 +708,6 @@ class TestEpsilonMermin:
     def test_small_q_static_denominator_limit(self):
         # D0 -> 2 as q -> 0, matching -t'(0)
         assert mermin_static_denominator(1e-6) == pytest.approx(2.0, rel=1e-10)
-
-    @pytest.mark.parametrize("q", [1e-8, 1e-6, 1e-5, 1e-4])
-    def test_long_wave_against_live_mpmath(self, q):
-        # |z| >= 50: D takes the tail series differenced exactly in q, and
-        # lambda0 its tail series
-        for r in (50.0, 70.0, 100.0, 1e3):
-            for deg in (0, 10, 45, 80, 135):
-                th = math.radians(deg)
-                x_p, y, x = 1.3, r * q * math.sin(th), r * q * math.cos(th)
-                got = epsilon_mermin(PlasmaParams(x_p, y), QueryPoint(x, q))
-                with mp.workdps(60):
-                    ref = complex(mpref.eps(ModelKind.MERMIN, x_p, y, x, q))
-                assert abs(got - ref) <= 1e-13 * max(abs(ref), abs(ref - 1.0))
 
 
 class TestConductivity:
@@ -1010,19 +938,6 @@ class TestComplexFrequencyCore:
         # here x_p^2/q^2 is finite but z^2 = (10/q)^2 is not
         with pytest.raises(OverflowError, match="q=1e-154"):
             evaluate(model, PlasmaParams(1.0, 0.1), QueryPoint(10.0, 1e-154))
-
-    @pytest.mark.parametrize("y, q", [(100.0, 0.1), (925.47, 1.8937e-6)])
-    def test_large_z_taylor_against_live_mpmath(self, y, q):
-        # x = 0, |z| = y/q >= 12: D takes the tail series differenced exactly
-        # in q; the Taylor form on the t_derivatives recurrence was off by
-        # 7.6e-11 and 1.3e-6 here
-        with mp.workdps(60):
-            quantum, mermin = (complex(mpref.eps(model, 1.0, y, 0.0, q))
-                               for model in (ModelKind.QUANTUM, ModelKind.MERMIN))
-        for got, ref in ((eps_quantum_omega(1.0, y, 0.0, q), quantum),
-                         (epsilon_static(1.0, y, q), quantum),
-                         (epsilon_mermin(PlasmaParams(1.0, y), QueryPoint(0.0, q)), mermin)):
-            assert abs(got - ref) <= 1e-13 * max(abs(ref), abs(ref - 1.0))
 
     def test_analytic_off_axis(self):
         # Cauchy-Riemann smoke test: central differences along the two axes

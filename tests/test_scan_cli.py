@@ -681,6 +681,17 @@ class TestCli:
         assert "error: model 'quantum' is given twice" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--model", "drude", "--xp", "1", "--y", "0", "--sweep", "x=1:2:4", "--n", "7"],
+         "--sweep takes no --n: VAR=LO:HI:N sets its grid size"),
+        (ROOTS + ["--n", "9"], "--roots takes no --x, --q, --n or --plot-script"),
+    ], ids=["sweep", "roots"])
+    def test_n_refused_outside_figure(self, argv, message, tmp_path, capsys):
+        # --n sizes a figure preset only: the sweep's own N was written
+        assert main(argv + ["--out", str(tmp_path / "n.csv")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     @pytest.mark.parametrize("flag", [["--model", "drude"], ["--xp", "7"], ["--y", "0.1"],
                                       ["--x", "1"], ["--q", "1"], ["--sweep", "x=0:1:3"]])
     def test_figure_refuses_the_flags_it_does_not_read(self, flag, tmp_path, capsys):
