@@ -38,9 +38,11 @@ and ``python tools/accuracy.py`` prints the measured worst.
                       axis where exp(-z^2) < 2e-22
     lambda0 lower     Im z < 0, |z| < 12                              2e-15
     D disk            series difference, |z| + q/2 <= 0.5             4e-16
-    D node loop       |z| < 12, q < 12 where the node rule accepts,   2e-14
-                      half of them at h/8 (1 + 1e-3) from a node
-    D refusal         direct difference, a within h/8 of a node       3e-14
+    D node loop       |z| < 12, q < 12 where z's grid accepts, half   2e-14
+                      of them at h/8 (1 + 1e-3) from a node
+    D other grid      node loop on the other grid where z's refuses,  9e-16
+                      half of them at h/4 (1 + 1e-3) from its node
+    D refusal         direct difference where both grids refuse       3e-14
     D tail            tail difference, |z| >= 12, q <= 0.9 |z|;      5e-16
                       below the axis where exp(-z^2) < 2e-22
     D q >= 12         direct difference, q >= 12 or q > 0.9 |z|       5e-16
@@ -262,51 +264,68 @@ def faddeeva_w(z: complex) -> complex:
 #   f(a) g(b) - f(b) g(a) = 2 exp(-z^2 - q^2/4)
 #                           [e(z) sinh(qz - i pi q/h) + sigma sinh(qz)];
 # for |Re qz| >= 1, |f(a)/f(b)| = exp(2 Re qz) keeps the plain difference
-# from cancelling.  a and b use z's grid, so D needs them at least h/8
-# (complex distance) from its nodes, where the correction's poles sit; z's
-# grid keeps Re z h/4 from them, so only q > h/4 can fail that.  Below the
-# axis both are reflected, lambda0(z) = lambda0(-z) + 2i sqrt(pi) z exp(-z^2)
-# and D(z, q) = D(-z, q) plus the Landau block of _add_landau_diff.
+# from cancelling.  D needs a and b at least h/8 (complex distance) from
+# the nodes of z's grid, where the correction's poles sit; z's grid keeps
+# Re z h/4 from them, so only q > h/4 can fail that.  D has no pole at z,
+# so where z's grid refuses, D takes the other grid, whose nodes lie half a
+# step from those of z's, if a and b keep h/4 from them (h/8 there put the
+# Mermin eps cell at 5.2e-15, over its bound); lambda0 stays on z's grid,
+# in the same loop.  Below the axis both are reflected, lambda0(z) =
+# lambda0(-z) + 2i sqrt(pi) z exp(-z^2) and D(z, q) = D(-z, q) plus the
+# Landau block of _add_landau_diff.
 # ----------------------------------------------------------------------------
 
 def _node_loop(z: complex, q: float, with_lambda0: bool):
-    """(D(z, q), lambda0(z)) from one loop over the nodes of z's grid, for
-    finite z with |z| < 12 and, for D, 0 < q < 12.  q = 0 asks for lambda0
-    alone, and without with_lambda0 only D is summed; what is not asked for
-    is None.  Returns None instead where D is asked for but a or b lies
-    nearer than h/8 to a node."""
+    """(D(z, q), lambda0(z)) from one node loop, lambda0's over the nodes of
+    z's grid, for finite z with |z| < 12 and, for D, 0 < q < 12.  q = 0 asks
+    for lambda0 alone, and without with_lambda0 only D is summed; what is
+    not asked for is None.  Where a or b lies nearer than h/8 to a node of
+    z's grid, D is summed on the other grid if both keep h/4 from its nodes,
+    and is None where they do not."""
     lower = z.imag < 0.0
     u = -z if lower else z
     y = u.imag
     xs = u.real / _H
     frac = xs % 1.0
-    on_a = 0.25 <= frac < 0.75
+    on_a = d_on_a = 0.25 <= frac < 0.75
     qs = 0.5 * q / _H
     if qs > 0.125 and y < 0.125 * _H:
-        # Re a and Re b in steps, offset to the nearest node, against the
-        # node rule's bound
+        # Re a and Re b in steps, offset to the nearest node of z's grid,
+        # against the node rule's bound h/8; 1/2 less their sizes are the
+        # offsets to the other grid's nearest node, against h/4
         lim = 1.0 / 64.0 - (y / _H) ** 2
         off = 0.5 if on_a else 0.0
         fa = (xs + off - qs) % 1.0 - 0.5
         fb = (xs + off + qs) % 1.0 - 0.5
         if fa * fa < lim or fb * fb < lim:
-            return None
+            fa, fb, lim = 0.5 - abs(fa), 0.5 - abs(fb), 1.0 / 16.0 - (y / _H) ** 2
+            if fa * fa < lim or fb * fb < lim:
+                if not with_lambda0:
+                    return None, None
+                q = 0.0  # both grids refuse D: lambda0 alone
+            d_on_a = not on_a
     nodes = _NODES_A if on_a else _NODES_B
+    d_nodes = _NODES_A if d_on_a else _NODES_B
     u2 = u * u
     D = lam = None
     if q:
         half = 0.5 * q
         a, b = u - half, u + half
         ab, a2, b2 = a * b, a * a, b * b
-        acc = 1.0 / ab if on_a else 0j
+        acc = 1.0 / ab if d_on_a else 0j
         if with_lambda0:
             acc_l = 0j
-            for t2, wt, wt2 in nodes:
-                acc += wt * (ab + t2) / ((a2 - t2) * (b2 - t2))
-                acc_l += wt2 / (u2 - t2)
+            if d_nodes is nodes:
+                for t2, wt, wt2 in nodes:
+                    acc += wt * (ab + t2) / ((a2 - t2) * (b2 - t2))
+                    acc_l += wt2 / (u2 - t2)
+            else:
+                for (t2, wt, _), (s2, _, wt2) in zip(d_nodes, nodes):
+                    acc += wt * (ab + t2) / ((a2 - t2) * (b2 - t2))
+                    acc_l += wt2 / (u2 - s2)
             lam = _MINUS_H_OVER_SQRT_PI * acc_l
         else:
-            for t2, wt, _ in nodes:
+            for t2, wt, _ in d_nodes:
                 acc += wt * (ab + t2) / ((a2 - t2) * (b2 - t2))
         D = _MINUS_H_OVER_SQRT_PI * acc
     else:
@@ -323,6 +342,7 @@ def _node_loop(z: complex, q: float, with_lambda0: bool):
         if lam is not None:
             lam += k * u * g / (e + sigma)
         if D is not None:
+            sigma, k = _POLES_A if d_on_a else _POLES_B
             ith = _TWO_PI_I * (qs % 1.0)
             rot = cmath.exp(ith)  # e(a)/e(z) = exp(i pi q/h)
             ga, gb = e * rot + sigma, e / rot + sigma
@@ -536,10 +556,10 @@ def t_diff_over_q(z: complex, q: float) -> complex:
     the tail series differenced exactly (:func:`_t_diff_tail`); below it,
     for q < 12, the Maclaurin series differenced exactly on the disk |z| +
     q/2 <= 0.5 (:func:`_t_diff_disk`), and elsewhere the partial fractions
-    (:func:`_node_loop`) where z -+ q/2 keep h/8 from the nodes of z's grid.
-    The direct difference is left where that rule refuses (q > h/4; it
-    cancels at most ~8|z|-fold there) and for q >= 12 > |z| or q > 0.9 |z|,
-    where it cancels nothing.  Below the smallest normal q, D is its limit
+    (:func:`_node_loop`) where z -+ q/2 keep h/8 from the nodes of z's grid,
+    or else h/4 from those of the other grid.  The direct difference is left
+    where both grids refuse (q > h/4; it cancels at most ~8|z|-fold there)
+    and for q >= 12 > |z| or q > 0.9 |z|, where it cancels nothing.  Below the smallest normal q, D is its limit
     2 lambda0(z).  On the imaginary axis D is real.  Raises ValueError
     unless 0 < q < inf, and OverflowError naming z and q where D leaves
     double range, deep below the real axis.  Reads the pair entry (z + 0j
@@ -574,8 +594,9 @@ _pair_last = (None, None, None, None)
 
 def _t_diff(z: complex, q: float, with_lambda0: bool):
     # (D, lambda0) at finite z and q > 0 by t_diff_over_q's region split.
-    # with_lambda0 takes lambda0 from D's node loop where that runs at z != 0
-    # (lambda0(0) is exactly 1), from _lambda0 elsewhere, and stores the pair
+    # with_lambda0 takes lambda0 from the node loop below |z| = 12 off the
+    # disk at z != 0, where both grids refuse D too (lambda0(0) is exactly
+    # 1), from _lambda0 elsewhere, and stores the pair
     # entry after the last raise; without it, nothing is stored and lambda0
     # is None except beside D's q -> 0 limit
     global _pair_last
@@ -592,7 +613,7 @@ def _t_diff(z: complex, q: float, with_lambda0: bool):
     elif az + 0.5 * q <= _DISK_RADIUS:
         D = _t_diff_disk(z, q)
     elif q < ASYMPTOTIC_SWITCH_Z:
-        D, lam = _node_loop(z, q, with_lambda0 and az > 0.0) or (None, None)
+        D, lam = _node_loop(z, q, with_lambda0 and az > 0.0)
     if D is None:
         half = 0.5 * q
         try:
@@ -614,8 +635,9 @@ def _t_diff(z: complex, q: float, with_lambda0: bool):
 def t_diff_and_lambda0(z: complex, q: float) -> tuple[complex, complex]:
     """``(t_diff_over_q(z, q), lambda0(z))``, bit for bit, from one call.
 
-    Where t_diff_over_q sums its partial fractions (:func:`_node_loop`) at
-    z != 0, lambda0's sum over the same nodes runs in the same loop.  Its
+    Where t_diff_over_q takes its partial fractions (:func:`_node_loop`) at
+    z != 0, lambda0's sum over the nodes of z's grid runs in the same call,
+    whichever grid D takes, or alone where both grids refuse D.  Its
     call, ``_t_diff``'s with_lambda0 path, is the quantum model's at y > 0
     too, and alone writes the pair entry (z, q, D, lambda0) that lambda0 and
     t_diff_over_q read; it never reads it, and a raised call stores nothing.

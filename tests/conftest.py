@@ -20,3 +20,33 @@ def assert_cclose(a: complex, b: complex, rtol: float = 1e-12, atol: float = 0.0
     err = abs(complex(a) - complex(b))
     bound = atol + rtol * abs(complex(b))
     assert err <= bound, f"{a!r} != {b!r} (|diff|={err:.3e} > {bound:.3e})"
+
+
+def node_grid(z: complex, q: float) -> str | None:
+    """The grid on which special_functions._node_loop sums D(z, q): "z" for
+    the grid z takes, "other" for the other one, None where both refuse.
+
+    The node tables are swapped for lists that note when they are iterated,
+    so this is the grid the kernel ran on, not a restatement of its rule.
+    """
+    from unittest import mock
+
+    from qplasma import special_functions as sf
+
+    ran = []
+
+    class Table(list):
+        def __iter__(self):
+            ran.append(self.grid)
+            return super().__iter__()
+
+    a, b = Table(sf._NODES_A), Table(sf._NODES_B)
+    a.grid, b.grid = "A", "B"
+    with mock.patch.object(sf, "_NODES_A", a), mock.patch.object(sf, "_NODES_B", b):
+        D = sf._node_loop(z, q, False)[0]
+    if D is None:
+        assert not ran, (z, q)
+        return None
+    (grid,) = ran
+    u = -z if z.imag < 0.0 else z
+    return "z" if grid == ("A" if 0.25 <= (u.real / 0.5) % 1.0 < 0.75 else "B") else "other"

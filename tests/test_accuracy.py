@@ -28,6 +28,7 @@ import mpmath as mp
 import pytest
 
 import mpref
+from conftest import node_grid
 from qplasma import dielectric, special_functions as sf
 from qplasma.dielectric import ModelKind, PlasmaParams, QueryPoint, evaluate
 
@@ -191,8 +192,10 @@ def _lam_lower(rng, n):
 
 # -- D ---------------------------------------------------------------------
 
-def _node_accepts(z: complex, q: float) -> bool:
-    return sf._node_loop(z, q, False) is not None
+def _node_sums(grid: str | None):
+    # off the disk below |z| = 12, where node_grid reads grid
+    return lambda p: (_below(p[0]) and abs(p[0]) + p[1] / 2 > 0.5 and not _in_strip(p[0])
+                      and node_grid(*p) == grid)
 
 
 def _d_disk(rng, n):
@@ -209,31 +212,41 @@ def _d_node(rng, n):
     # from a node, on either side of the axis; and the worst such point
     # found on each side
     return _sample(rng, n, _with_q(UPPER, 1e-8, 2.5), lambda p: (
-        _below(p[0]) and abs(p[0]) + p[1] / 2 > 0.5 and _node_accepts(*p))) + _sample(
+        _below(p[0]) and abs(p[0]) + p[1] / 2 > 0.5 and node_grid(*p) == "z")) + _sample(
         rng, n, [_near_node([1.001])], lambda p: (
-            0.25 < p[1] and not _in_strip(p[0]) and _node_accepts(*p))) + [
+            0.25 < p[1] and not _in_strip(p[0]) and node_grid(*p) == "z")) + [
         (-0.5019858781526931 + 0.001j, 0.37090324369461375),
         (0.9242596729229737 - 0.001j, 0.22339434584594747)]
 
 
-def _near_node(side: float):
-    # (z, q) with a = z - q/2 at side * h/8 from a node of z's grid, 1 to 3
-    # nodes to its left, and |Im z| <= 0.03 on either side of the axis
+def _near_node(side: list, other: bool = False):
+    # (z, q) with a = z - q/2 at side * h/8 from a node of z's grid (of the
+    # other grid with other), 1 to 3 nodes to its left, and |Im z| <= 0.03
+    # on either side of the axis
     def make(rng):
         x = rng.uniform(-11.0, 11.0)
         y = rng.choice((1e-3, rng.uniform(0.0, 0.03))) * rng.choice((1.0, -1.0))
-        off = 0.0 if _grid(x) == "A" else 0.5
+        off = 0.0 if (_grid(x) == "A") != other else 0.5
         node = H * (math.floor(x / H - off) + off - rng.randrange(0, 3))
         return complex(x, y), 2.0 * (x - node - rng.choice(side) * H / 8)
     return make
 
 
-def _d_refusal(rng, n):
-    # where the rule refuses: a within h/8 of a node, just within (0.999
-    # h/8) or deeper
-    return _sample(rng, n, [_near_node([0.999, 0.5, 0.1])], lambda p: (
-        0.25 < p[1] and not _in_strip(p[0]) and not _node_accepts(*p))) + [
+def _d_other(rng, n):
+    # where z's grid refuses and the other grid takes D: a within h/8 of a
+    # node of z's grid, just within (0.999 h/8) or deeper; as many points
+    # with a at h/4 (1 + 1e-3) from a node of the other grid; and the
+    # direct difference's worst point before the other grid took it
+    return _sample(rng, n, [_near_node([0.999, 0.5, 0.1])], _node_sums("other")) + _sample(
+        rng, n, [_near_node([2.002], other=True)], _node_sums("other")) + [
         (-10.207392204665915 + 0.021797898706670205j, 0.37991995166060316)]
+
+
+def _d_refusal(rng, n):
+    # where both grids refuse: a within h/8 of a node of z's grid, just
+    # within (0.999 h/8) or deeper, and b within h/4 of one of the other's
+    return _sample(rng, n, [_near_node([0.999, 0.5, 0.1])], _node_sums(None)) + [
+        (9.919833466364693 + 0.012582179656779805j, 0.2771669327293864)]
 
 
 def _d_tail(rng, n):
@@ -363,6 +376,7 @@ CELLS = [
     ("lambda0 lower", _lam_lower, 24),
     ("D disk", _d_disk, 16),
     ("D node loop", _d_node, 12),
+    ("D other grid", _d_other, 50),
     ("D refusal", _d_refusal, 12),
     ("D tail", _d_tail, 20),
     ("D q >= 12", _d_direct, 12),

@@ -63,6 +63,25 @@ class TestOmegaAsymptotic:
         expected = 6 * kappa ** 4 * (Q ** 2 / 24.0) / (2.0 * base)
         assert shifted - base == pytest.approx(expected, abs=1e-5)
 
+    def test_solver_roots_meet_it_at_order_six(self):
+        # the gap |Re omega/omega_p - omega_asymptotic| of nearly undamped
+        # roots (y = 1e-12) shrinks like kappa^6 only if the kappa^4 term,
+        # Q^2/24 included, is right: local orders read 6.02-6.11 over kappa
+        # = 0.04-0.1.  With Q^2/20 in its place the quantum and Mermin
+        # orders read from -7.9 to 13.7.  omega is in units of k_T v_T, so
+        # omega_p is x_p and k/k_D = q/(sqrt(2) x_p); the classical model
+        # has Q = 0
+        kappas = (0.04, 0.05, 0.06, 0.07, 0.08, 0.1)
+        for model in (ModelKind.QUANTUM, ModelKind.CLASSICAL, ModelKind.MERMIN):
+            for x_p in (0.5, 1.0, 3.0):
+                params = PlasmaParams(x_p, 1e-12)
+                Q = 0.0 if model is ModelKind.CLASSICAL else params.quantum_parameter
+                gaps = [abs(solve_root(params, k * SQRT2 * x_p, model).omega.real / x_p
+                            - omega_asymptotic(k, Q)) for k in kappas]
+                for k0, k1, g0, g1 in zip(kappas, kappas[1:], gaps, gaps[1:]):
+                    order = math.log(g1 / g0) / math.log(k1 / k0)
+                    assert 5.9 <= order <= 6.2, (model, x_p, k0, k1, order)
+
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             omega_asymptotic(-0.1, 0.0)

@@ -33,7 +33,7 @@ from qplasma.special_functions import (
 
 import mpref
 import oracle
-from conftest import assert_cclose
+from conftest import assert_cclose, node_grid
 
 # frozen mpmath references (30 digits at derivation time)
 W_AT_I = 0.42758357615580700441          # e * erfc(1)
@@ -618,9 +618,10 @@ class TestFlatKernels:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_direct_difference_is_the_difference_of_t(self, seed):
         # the direct branch: above 0.9 |z| from |z| = 12 on, for q >= 12,
-        # and where z -+ q/2 fall within h/8 of a node of z's grid (q > h/4,
-        # |Im z| < h/8).  Everywhere else below |z| = 12 the node loop or
-        # the disk takes over, held to mpmath by TestNodeLoop
+        # and where both grids refuse D: z -+ q/2 within h/8 of a node of
+        # z's grid (q > h/4, |Im z| < h/8) and within h/4 of a node of the
+        # other.  Everywhere else below |z| = 12 the node loop or the disk
+        # takes over, held to mpmath by TestNodeLoop
         rng = random.Random(seed)
         h = 0.5
         n_rule = 0
@@ -633,13 +634,18 @@ class TestFlatKernels:
             elif rng.random() < 0.5 or z.real == 0.0:
                 q = rng.uniform(12.0, 15.0)
             else:
-                # Re a within h/32 of a node of z's grid, |Im z| <= 0.03:
-                # z keeps h/4 from its nodes
-                z = complex(z.real, math.copysign(min(abs(z.imag) * 0.01, 0.03), z.imag))
+                # Re a within h/32 of a node of z's grid, |Im z| <= 0.03,
+                # and Re z moved to h/4 to 5h/16 from a node of its grid, so
+                # that Re b falls within 5h/32 of a node of the other grid
                 off = 0.0 if 0.25 <= (z.real / h) % 1.0 < 0.75 else 0.5
-                node = h * (math.floor(z.real / h - off) + off) - h * rng.randrange(1, 4)
+                k, g = divmod(z.real / h - off, 1.0)
+                z = complex(h * (k + off + 0.25 + (g - 0.25) / 8),
+                            math.copysign(min(abs(z.imag) * 0.01, 0.03), z.imag))
+                if abs(z) >= ASYMPTOTIC_SWITCH_Z:
+                    continue
+                node = h * (k + off - rng.randrange(1, 4))
                 q = 2.0 * (z.real - node) + rng.uniform(-1.0, 1.0) * h / 16
-                assert special_functions._node_loop(z, q, False) is None, (z, q)
+                assert node_grid(z, q) is None, (z, q)
                 n_rule += 1
             lit = (plasma_t(z - q / 2) - plasma_t(z + q / 2)) / q
             assert repr(t_diff_over_q(z, q)) == repr(lit), (z, q)
@@ -699,7 +705,7 @@ class TestNodeLoop:
         rng = random.Random(f"node loop {grid} {lower}")
         for _ in range(100):
             z, q = self._draw(rng, grid, lower)
-            kernel = special_functions._node_loop(z, q, False) is not None
+            kernel = node_grid(z, q) == "z"
             rtol = 6e-15 if kernel else 2e-15
             ref = mpref.t_diff(z, q)
             err = abs(t_diff_over_q(z, q) - ref)
@@ -727,15 +733,17 @@ class TestNodeLoop:
     @pytest.mark.parametrize("lower", [False, True])
     def test_node_rule_each_side(self, lower):
         # Re a at h/8 (1 -+ 1e-3) from a node of z's grid, Im z = +-1e-3, b
-        # clear of the nodes: the node loop just inside the rule, the direct
-        # difference just outside it, both against mpmath.  Inside, a^2 -
-        # t_k^2 cancels ~4|a|/h-fold and the node term, ~6|D|, cancels
-        # against the pole correction: 8.7e-15 at z = 0.924 - 0.001i,
-        # q = 0.2234 (5.1e-15 over these draws).  The direct difference is
-        # held on the scale of the t values it subtracts
+        # clear of its nodes: z's grid just inside the rule; just outside
+        # it, the other grid where b keeps h/4 from that grid's nodes, else
+        # the direct difference; each against mpmath.  Inside, a^2 - t_k^2
+        # cancels ~4|a|/h-fold and the node term, ~6|D|, cancels against the
+        # pole correction: 8.7e-15 at z = 0.924 - 0.001i, q = 0.2234 (5.1e-15
+        # over these draws).  The direct difference is held on the scale of
+        # the t values it subtracts
         h = 0.5
         rng = random.Random(f"node rule {lower}")
         n = 0
+        seen = set()
         while n < 30:
             grid_a = rng.random() < 0.5
             k = rng.randrange(-20, 20)
@@ -748,15 +756,20 @@ class TestNodeLoop:
             n += 1
             for side, inside in ((1.001, True), (0.999, False)):
                 q = 2.0 * (x - node - side * h / 8)
-                assert (special_functions._node_loop(z, q, False) is not None) is inside
+                # Re b in steps from the nearest node of the other grid
+                d = ((x + q / 2) / h + (0.0 if grid_a else 0.5)) % 1.0 - 0.5
+                grid = "z" if inside else "other" if d * d + (1e-3 / h) ** 2 >= 1 / 16 else None
+                assert node_grid(z, q) == grid, (z, q)
+                seen.add(grid)
                 ref = mpref.t_diff(z, q)
-                if inside:
-                    bound = 1e-14 * max(abs(ref), mpref.lower_scale(z, q))
-                else:
+                if grid is None:
                     bound = 2e-15 * (abs(plasma_t(z - q / 2)) + abs(plasma_t(z + q / 2))) / q
+                else:
+                    bound = (1e-14 if inside else 9e-16) * max(abs(ref), mpref.lower_scale(z, q))
                 assert abs(t_diff_over_q(z, q) - ref) <= bound, (z, q)
+        assert seen == {"z", "other", None}
         z, q = 0.9242596729229737 - 0.001j, 0.22339434584594747
-        assert special_functions._node_loop(z, q, False) is not None
+        assert node_grid(z, q) == "z"
         assert_cclose(t_diff_over_q(z, q), mpref.t_diff(z, q), rtol=1e-14)
 
     @staticmethod
@@ -805,8 +818,8 @@ class TestNodeLoop:
         summed = 0
         for (z, q), (pair, w), (pair_full, w_full) in zip(points, trimmed, full):
             assert w is None or abs(w - w_full) <= 5e-17 * abs(w_full), z
-            if pair is None:  # the node rule refuses D here, on both tables
-                assert pair_full is None
+            if pair[0] is None:  # both grids refuse D here, on both tables
+                assert pair_full[0] is None
                 continue
             summed += 1
             for got, ref in zip(pair, pair_full):
@@ -837,17 +850,40 @@ class TestNodeLoop:
         assert_cclose(lambda0(z), mpref.lambda0(z), rtol=1e-15)
         q = 0.0884
         z = complex(1.0, 0.1) / q
-        assert special_functions._node_loop(z, q, False) is not None
+        assert node_grid(z, q) == "z"
         assert_cclose(t_diff_over_q(z, q), mpref.t_diff(z, q), rtol=1e-15)
         # the strip just above the old Taylor switch: the direct difference
         # of two series values was 1.7e-12 off
         z, q = 0.0265 + 1.683j, 0.004
         assert_cclose(t_diff_over_q(z, q), mpref.t_diff(z, q), rtol=1e-15)
-        # where the node rule refuses, the direct difference cancels
-        # ~|z|/q-fold: 2.24e-14 off here, the worst such point seen
+        # where z's grid refuses, the direct difference cancelled ~|z|/q-fold:
+        # 2.24e-14 off here, the worst such point seen.  The other grid takes
+        # it
         z, q = -10.207392204665915 + 0.021797898706670205j, 0.37991995166060316
-        assert special_functions._node_loop(z, q, False) is None
+        assert node_grid(z, q) == "other"
+        assert_cclose(t_diff_over_q(z, q), mpref.t_diff(z, q), rtol=9e-16)
+        # where both grids refuse, the direct difference is left: 1.56e-14
+        # off here
+        z, q = 9.919833466364693 + 0.012582179656779805j, 0.2771669327293864
+        assert node_grid(z, q) is None
         assert_cclose(t_diff_over_q(z, q), mpref.t_diff(z, q), rtol=3e-14)
+
+    def test_refused_fused_call_sums_lambda0_in_its_node_loop(self, monkeypatch):
+        # where z's grid refuses D, the fused call sums lambda0 on z's grid
+        # in its one _node_loop call, whether the other grid takes D or
+        # neither does, and calls no _lambda0; the pair is lambda0's bits
+        raw = special_functions._lambda0
+        calls = []
+        monkeypatch.setattr(special_functions, "_lambda0", lambda z: calls.append(z) or raw(z))
+        for z, q, grid in ((-10.207392204665915 + 0.021797898706670205j, 0.37991995166060316,
+                            "other"),
+                           (9.919833466364693 + 0.012582179656779805j, 0.2771669327293864, None)):
+            for w in (z, z.conjugate()):
+                assert node_grid(w, q) == grid
+                D, lam = special_functions._t_diff(w, q, True)
+                assert not calls, (w, q)
+                ref = special_functions._t_diff(w, q, False)[0], raw(w)
+                assert (repr(D), repr(lam)) == tuple(map(repr, ref)), (w, q)
 
     @staticmethod
     def _property_points(seed: int):
