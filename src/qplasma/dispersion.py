@@ -43,7 +43,7 @@ _SOLVES_PER_STEP = 25
 _SEED_SPREAD = 1e-3
 #: trace_branch extrapolates the seed through at most this many roots on its
 #: grid, and the slope through at most _SLOPE_ORDER of their slopes
-_SEED_ORDER = 6
+_SEED_ORDER = 12
 _SLOPE_ORDER = 4
 
 
@@ -227,26 +227,27 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
                slope: complex | None = None) -> DispersionRoot:
     """Solve eps(omega, q) = 0 for complex omega at fixed q.
 
-    Derivative-free, one eps evaluation per step, all through the model's
-    eps core, picked once per solve from the module's eps_*_omega names.
-    Without a slope the start is eps at seed + _SEED_SPREAD * max(|seed|, 1)
-    and at the seed, and the first step is a secant step; with a slope
-    (d eps/d omega near the root, as trace_branch extrapolates it from the
-    slopes of the roots before) the start is eps at the seed alone and the
-    first step is omega - eps/slope.  Muller steps follow from three
-    points on; the slope step counts as an iteration.  Converges when
-    |eps| <= _RESIDUAL_TOL within _MAX_ITER steps; a root whose |eps| is
-    still above _ROUNDING_FLOOR then takes one more step by the same rule,
-    kept only if its eps is finite and no larger.  The returned residual is
-    |eps| at the returned omega.  Raises ValueError unless 0 < q < inf, for
-    a guess or slope that is not finite and for a zero slope,
-    ConvergenceError without convergence or where eps raises, naming the
-    last evaluated iterate, and NonPhysicalRootError if the root has
-    Re omega <= 0.
+    Derivative-free, one eps evaluation per step.  solve_root checks its
+    arguments, then runs a private solve loop with every evaluation through
+    the model's eps core, read from the module's eps_*_omega names at call
+    time; trace_branch checks its branch once and sends each grid solve
+    straight to that loop.  Without a slope the start is eps at
+    seed + _SEED_SPREAD * max(|seed|, 1) and at the seed, and the first
+    step is a secant step; with a slope (d eps/d omega near the root, as
+    trace_branch extrapolates it from the slopes of the roots before) the
+    start is eps at the seed alone and the first step is omega - eps/slope.
+    Muller steps follow from three points on; the slope step counts as an
+    iteration.  Converges when |eps| <= _RESIDUAL_TOL within _MAX_ITER
+    steps; a root whose |eps| is still above _ROUNDING_FLOOR then takes one
+    more step by the same rule, kept only if its eps is finite and no
+    larger.  The returned residual is |eps| at the returned omega.  Raises
+    ValueError unless 0 < q < inf, for a guess or slope that is not finite
+    and for a zero slope, ConvergenceError without convergence or where eps
+    raises, naming the last evaluated iterate, and NonPhysicalRootError if
+    the root has Re omega <= 0.
     """
     q = _check_q(q)
-    if model is not _QUANTUM and model is not _CLASSICAL and model is not _MERMIN:
-        model = _solvable(model)
+    model = _solvable(model)
     if guess is not None:
         _finite("guess", guess)
     if slope is not None:
@@ -254,7 +255,14 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
         if slope == 0:
             raise ValueError("slope must be nonzero")
     seed = complex(guess) if guess is not None else default_guess(params, q, model)
-    eps, x_p, y = _eps_core(model), params.x_p, params.y
+    return _solve(params, q, model, seed, slope, _eps_core(model))
+
+
+def _solve(params: PlasmaParams, q: float, model: ModelKind, seed: complex,
+           slope: complex | None, eps) -> DispersionRoot:
+    # solve_root's loop from a checked q, model, seed and slope, with every
+    # eps evaluation through eps: trace_branch's grid solves enter here
+    x_p, y = params.x_p, params.y
     points: list[tuple[complex, complex]] = []  # (omega, eps), newest last
     omega = seed + _SEED_SPREAD * max(abs(seed), 1.0) if slope is None else seed
     try:
@@ -364,8 +372,14 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
     grid of ScanSpec's linear sweep over (q_start, q_end), from the same
     function, q_start and q_end exact.
 
+    The branch is checked once: the model, refused before any eps
+    evaluation unless solve_root solves it, the q grid, and the model's eps
+    core, read once from the module's eps_*_omega names.  The first root is
+    solve_root's cold start from default_guess; every later solve goes
+    straight to solve_root's private loop through that eps core.
+
     Each grid point is seeded by polynomial extrapolation through the last
-    m = min(6, accepted) roots on the uniform grid, sum_{j=1..m} (-1)^(j+1)
+    m = min(12, accepted) roots on the uniform grid, sum_{j=1..m} (-1)^(j+1)
     C(m, j) w_-j (the previous root after one, 2 w_-1 - w_-2 after two),
     and solved from one eps evaluation with a slope extrapolated the same
     way through the slopes of the last min(4, accepted) roots; the previous
@@ -384,7 +398,8 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
     if not (0.0 < q_start < q_end):
         raise ValueError(f"need 0 < q_start < q_end, got {q_start!r}, {q_end!r}")
     qs = _sweep_grid(q_start, q_end, n_points, "linear", "n_points", "q range")
-    model = ModelKind(model)
+    model = _solvable(model)
+    eps = _eps_core(model)
     prev = solve_root(params, qs[0], model)
     roots = [prev]
     budget = _SOLVES_PER_STEP * (n_points - 1)
@@ -404,7 +419,7 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
             else:
                 seed, slope = _extrapolate(roots)
             try:
-                root = solve_root(params, q, model, guess=seed, slope=slope)
+                root = _solve(params, q, model, seed, slope, eps)
                 jump = abs(root.omega - prev.omega) / max(abs(prev.omega), 1e-300)
             except (ConvergenceError, NonPhysicalRootError):
                 jump = math.inf

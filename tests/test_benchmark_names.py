@@ -69,9 +69,10 @@ FIGURE_1 = ["--figure", "1", "--n", "5"]  # three curves of five points
                  10, id="qplasma.scan-evaluate-y-sweep"),
     pytest.param("qplasma.scan", "evaluate", lambda d: run_scan(figure_preset(13, n=5)[0]),
                  10, id="qplasma.scan-evaluate-q-sweep"),
+    # trace_branch's cold start only: its grid solves enter the private loop
     ("qplasma.dispersion", "solve_root",
      lambda d: trace_branch(PlasmaParams(1.0, 1e-6), 0.2, 0.3, 3, ModelKind.CLASSICAL),
-     3),
+     1),
 ])
 def test_wrapped_names_are_called_through_their_globals(module, attr, run, expected,
                                                         monkeypatch, tmp_path):

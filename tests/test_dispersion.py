@@ -404,13 +404,14 @@ class TestTraceBranch:
 
     def test_solve_failure_raises_branch_loss_with_its_q(self, monkeypatch):
         q_fail = 0.33 * SQRT2  # between the grid points 0.3 and 0.35 (x SQRT2)
+        solve = dispersion._solve
 
-        def failing_above(params, q, model, **kwargs):
+        def failing_above(params, q, model, *args):
             if q > q_fail:
                 raise ConvergenceError("forced failure", 0j, 1.0)
-            return solve_root(params, q, model, **kwargs)
+            return solve(params, q, model, *args)
 
-        monkeypatch.setattr("qplasma.dispersion.solve_root", failing_above)
+        monkeypatch.setattr("qplasma.dispersion._solve", failing_above)
         params = PlasmaParams(x_p=1.0, y=0.01)
         with pytest.raises(BranchLossError) as err:
             trace_branch(params, 0.2 * SQRT2, 0.5 * SQRT2, 7, ModelKind.CLASSICAL)
@@ -418,30 +419,34 @@ class TestTraceBranch:
 
     def test_runaway_root_stops_within_the_solve_budget(self, monkeypatch):
         # the root moves as exp(1900 (q - 0.1)): a tame step is 5e-5 wide,
-        # so q = 0.1..0.2 would need about 2000 solves
+        # so q = 0.1..0.2 would need about 2000 solves; solve_root's cold
+        # start enters the private loop too
         solved = []
 
-        def runaway(params, q, model, guess=None, **kwargs):
+        def runaway(params, q, model, *args):
             solved.append(q)
             return DispersionRoot(q, cmath.exp(1900.0 * (q - 0.1)), 0.0, 0)
 
-        monkeypatch.setattr("qplasma.dispersion.solve_root", runaway)
+        monkeypatch.setattr("qplasma.dispersion._solve", runaway)
         with pytest.raises(BranchLossError) as err:
             trace_branch(PlasmaParams(1.0, 0.0), 0.1, 0.2, 2, ModelKind.CLASSICAL)
         assert len(solved) <= 1 + dispersion._SOLVES_PER_STEP
         assert 0.1 < err.value.q <= 0.2
 
     def test_halving_solves_in_depth_first_order(self, monkeypatch):
-        # a solver that converges only from a seed within 18% of q
+        # a solver that converges only from a seed within 18% of q, standing
+        # in for solve_root's cold start (no guess) and the private loop's
+        # grid and halved steps (a seed)
         solved = []
 
-        def near_seed_only(params, q, model, guess=None, **kwargs):
+        def near_seed_only(params, q, model, guess=None, *args):
             solved.append(q)
             if guess is not None and q - (-guess.imag) > 0.18 * -guess.imag:
                 raise ConvergenceError("seed too far", guess, 1.0)
             return DispersionRoot(q, complex(1.0, -q), 0.0, 0)
 
         monkeypatch.setattr("qplasma.dispersion.solve_root", near_seed_only)
+        monkeypatch.setattr("qplasma.dispersion._solve", near_seed_only)
         roots = trace_branch(PlasmaParams(1.0, 0.0), 0.1, 0.2, 2, ModelKind.CLASSICAL)
         assert [r.q for r in roots] == [0.1, 0.2]
         assert solved == [0.1, 0.2, 0.15000000000000002, 0.125, 0.1125, 0.125,
@@ -455,10 +460,11 @@ class TestTraceBranch:
         params = PlasmaParams(x_p=1.0, y=1e-8)
         roots = trace_branch(params, 0.1 * SQRT2, 0.5 * SQRT2, 9, model)
         assert calls[0] <= 8 * len(roots)
-        # sixth-order seeds and the carried slope: 4.9 evaluations per root
-        # on these 9 points, extrapolated slope or not, against 5.3-5.4 from
-        # third-order seeds and two start points, and 6.7 with the previous
-        # root as the seed and three start points
+        # seeds through every root before (at most eight here; sixth-order
+        # seeds read the same) and the carried slope: 4.9 evaluations per
+        # root on these 9 points, extrapolated slope or not, against 5.3-5.4
+        # from third-order seeds and two start points, and 6.7 with the
+        # previous root as the seed and three start points
         assert calls[0] <= 6 * len(roots)
         assert calls[0] == sum(r.evaluations for r in roots)
 
@@ -466,15 +472,55 @@ class TestTraceBranch:
                                        ModelKind.MERMIN])
     def test_long_branch_costs_at_most_four_evaluations_per_root(self, model,
                                                                  monkeypatch):
-        # 3.37-3.46 per root with the slope extrapolated through the last
-        # four roots' slopes, 3.68-3.73 with the previous root's slope
-        # carried unchanged, 4.51 from third-order seeds and two start points
+        # 3.20-3.32 per root (quantum 3.32, classical 3.20, Mermin 3.29)
+        # from twelfth-order seeds and the slope extrapolated through the
+        # last four roots' slopes, 3.37-3.46 from sixth-order seeds,
+        # 3.68-3.73 with the previous root's slope carried unchanged, 4.51
+        # from third-order seeds and two start points
         calls = count_eps_calls(monkeypatch)
         params = PlasmaParams(x_p=1.0, y=1e-3)
         kD = params.debye_wavenumber
         roots = trace_branch(params, 0.1 * kD, 0.5 * kD, 41, model)
         assert len(roots) == 41
-        assert calls[0] <= 3.55 * len(roots)
+        assert calls[0] <= 3.32 * len(roots)
+
+    def test_workload_domain_solves_once_per_grid_point(self, monkeypatch):
+        # 90 branches drawn as the benchmark's branches workload draws them
+        # (x_p 0.3-10, y 1e-8-0.1, windows in k/k_D from 0.05 to 0.7, 41
+        # points): one private-loop solve per grid point, the cold start
+        # included, so no step was halved, and no solve failed; the traced
+        # solve_root spans see the cold starts only
+        solve, solves, failures = dispersion._solve, [0], []
+
+        def counted(*args):
+            solves[0] += 1
+            try:
+                return solve(*args)
+            except (ConvergenceError, NonPhysicalRootError) as exc:
+                failures.append((args[1], args[2], exc))
+                raise
+
+        monkeypatch.setattr(dispersion, "_solve", counted)
+        rng = random.Random("trace_branch workload domain")
+        models = (ModelKind.QUANTUM, ModelKind.CLASSICAL, ModelKind.MERMIN)
+        for i in range(90):
+            params = PlasmaParams(10.0 ** rng.uniform(math.log10(0.3), 1.0),
+                                  10.0 ** rng.uniform(-8.0, -1.0))
+            kD = params.debye_wavenumber
+            lo = rng.uniform(0.05, 0.2)
+            hi = lo + rng.uniform(0.2, 0.5)
+            solves[0] = 0
+            roots = trace_branch(params, lo * kD, hi * kD, 41, models[i % 3])
+            assert len(roots) == solves[0] == 41, (params, lo, hi, models[i % 3])
+        assert failures == []
+
+    @pytest.mark.parametrize("model", [ModelKind.LINDHARD, ModelKind.STATIC,
+                                       ModelKind.DRUDE, "drude"])
+    def test_unsolvable_model_refused_before_any_eps(self, model, monkeypatch):
+        calls = count_eps_calls(monkeypatch)
+        with pytest.raises(ValueError, match="^solve_root supports"):
+            trace_branch(PlasmaParams(1.0, 0.01), 0.2, 0.5, 5, model)
+        assert calls[0] == 0
 
     @pytest.mark.parametrize("model", [ModelKind.QUANTUM, ModelKind.CLASSICAL,
                                        ModelKind.MERMIN])
@@ -552,7 +598,7 @@ class TestTraceBranch:
             return True
 
         # every solve converges at once on the grid point it is given
-        monkeypatch.setattr(dispersion, "solve_root", lambda params, q, model, **kwargs:
+        monkeypatch.setattr(dispersion, "_solve", lambda params, q, model, *args:
                             DispersionRoot(q, 1.0 + 0j, 0.0, 0, 1, 1.0 + 0j))
         rng = random.Random("trace_branch grid")
         cases = []
@@ -581,6 +627,48 @@ class TestTraceBranch:
             roots = trace_branch(PlasmaParams(1.0, 0.01), q_start, q_end, n, ModelKind.QUANTUM)
             assert [r.q for r in roots] == grid
         assert 40 <= refused <= len(cases) - 100
+
+
+class TestPrivateLoop:
+    # trace_branch's grid solves skip solve_root's checks; from the same
+    # seed and slope they must give solve_root's root, field for field
+
+    @staticmethod
+    def _outcome(solve, *args):
+        try:
+            root = solve(*args)
+        except (ConvergenceError, NonPhysicalRootError) as exc:
+            return type(exc), str(exc)
+        return tuple(getattr(root, name) for name in DispersionRoot.__slots__)
+
+    @pytest.mark.parametrize("model", [ModelKind.QUANTUM, ModelKind.CLASSICAL,
+                                       ModelKind.MERMIN])
+    def test_equals_solve_root_from_the_same_seed_and_slope(self, model):
+        # seeded branch states: the roots found so far on a drawn branch,
+        # the extrapolated seed and slope of the next grid point and the
+        # halved steps' start (the previous root, no slope), each seed also
+        # mirrored above the real axis
+        rng = random.Random(f"private loop {model.value}")
+        eps = dispersion._eps_core(model)
+        converged = {True: 0, False: 0}
+        for _ in range(6):
+            params = PlasmaParams(10.0 ** rng.uniform(math.log10(0.3), 1.0),
+                                  10.0 ** rng.uniform(-8.0, -1.0))
+            kD = params.debye_wavenumber
+            lo = rng.uniform(0.05, 0.2)
+            roots = trace_branch(params, lo * kD, (lo + rng.uniform(0.2, 0.5)) * kD, 21, model)
+            for k in rng.sample(range(1, len(roots)), 4):
+                seed, slope = dispersion._extrapolate(roots[:k])
+                prev = roots[k - 1].omega
+                for guess, given in ((seed, slope), (prev, None)):
+                    for guess in (guess, guess.conjugate()):
+                        q = roots[k].q
+                        loop = self._outcome(dispersion._solve, params, q, model, guess,
+                                             given, eps)
+                        assert loop == self._outcome(solve_root, params, q, model,
+                                                     guess, given)
+                        converged[guess.imag < 0] += not isinstance(loop[0], type)
+        assert converged[True] and converged[False]
 
 
 class TestExtrapolate:
@@ -629,11 +717,12 @@ class TestExtrapolate:
     @pytest.mark.parametrize("slopes, expected", SLOPE_CASES)
     def test_trace_branch_gives_solve_root_only_valid_slopes(self, slopes, expected,
                                                             monkeypatch):
-        # a stand-in whose roots carry the scripted slope fields, checking
-        # each slope it is given as solve_root does
+        # a stand-in for solve_root's cold start and the private loop's grid
+        # solves whose roots carry the scripted slope fields, checking each
+        # slope it is given as solve_root does
         given = []
 
-        def scripted(params, q, model, guess=None, slope=None):
+        def scripted(params, q, model, guess=None, slope=None, eps=None):
             if slope is not None:
                 dispersion._finite("slope", slope)
                 if slope == 0:
@@ -644,6 +733,7 @@ class TestExtrapolate:
                                   slopes[i] if i < len(slopes) else None)
 
         monkeypatch.setattr("qplasma.dispersion.solve_root", scripted)
+        monkeypatch.setattr("qplasma.dispersion._solve", scripted)
         n = len(slopes) + 1
         trace_branch(PlasmaParams(1.0, 0.0), 0.1, 0.1 * n, n, ModelKind.CLASSICAL)
         assert len(given) == n

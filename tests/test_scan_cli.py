@@ -12,7 +12,8 @@ from hypothesis import example, given, strategies as st
 
 from qplasma.cli import main
 from qplasma.dielectric import ModelKind, PlasmaParams, QueryPoint, evaluate
-from qplasma.dispersion import ConvergenceError, solve_root, trace_branch
+import qplasma.dispersion as dispersion
+from qplasma.dispersion import ConvergenceError, trace_branch
 from qplasma.scan import (
     ScanError,
     ScanSpec,
@@ -715,15 +716,17 @@ class TestCli:
         assert err.value.code != 0
 
     def test_roots_branch_loss_exits_with_its_q(self, tmp_path, capsys, monkeypatch):
-        failed = []
+        # the cold start at ROOTS' first q, which solve_root sends to the
+        # private loop too, converges; every solve after it fails
+        solve, failed = dispersion._solve, []
 
-        def no_continuation(params, q, model, guess=None, **kwargs):
-            if guess is None:
-                return solve_root(params, q, model)
+        def no_continuation(params, q, model, guess, *args):
+            if q == 0.14142135623730953:
+                return solve(params, q, model, guess, *args)
             failed.append(q)
             raise ConvergenceError("forced failure", guess, 1.0)
 
-        monkeypatch.setattr("qplasma.dispersion.solve_root", no_continuation)
+        monkeypatch.setattr("qplasma.dispersion._solve", no_continuation)
         assert main(ROOTS + ["--out", str(tmp_path / "b.csv")]) == 1
         err = capsys.readouterr().err
         assert "branch lost" in err and f"at q={failed[-1]!r}" in err
