@@ -650,7 +650,7 @@ class TestPrivateLoop:
         # mirrored above the real axis
         rng = random.Random(f"private loop {model.value}")
         eps = dispersion._eps_core(model)
-        converged = {True: 0, False: 0}
+        converged_below = set()  # Im seed < 0 of the starts that converged
         for _ in range(6):
             params = PlasmaParams(10.0 ** rng.uniform(math.log10(0.3), 1.0),
                                   10.0 ** rng.uniform(-8.0, -1.0))
@@ -659,16 +659,14 @@ class TestPrivateLoop:
             roots = trace_branch(params, lo * kD, (lo + rng.uniform(0.2, 0.5)) * kD, 21, model)
             for k in rng.sample(range(1, len(roots)), 4):
                 seed, slope = dispersion._extrapolate(roots[:k])
-                prev = roots[k - 1].omega
-                for guess, given in ((seed, slope), (prev, None)):
-                    for guess in (guess, guess.conjugate()):
-                        q = roots[k].q
-                        loop = self._outcome(dispersion._solve, params, q, model, guess,
-                                             given, eps)
-                        assert loop == self._outcome(solve_root, params, q, model,
-                                                     guess, given)
-                        converged[guess.imag < 0] += not isinstance(loop[0], type)
-        assert converged[True] and converged[False]
+                prev, q = roots[k - 1].omega, roots[k].q
+                for guess, given in ((seed, slope), (seed.conjugate(), slope),
+                                     (prev, None), (prev.conjugate(), None)):
+                    loop = self._outcome(dispersion._solve, params, q, model, guess, given, eps)
+                    assert loop == self._outcome(solve_root, params, q, model, guess, given)
+                    if not isinstance(loop[0], type):
+                        converged_below.add(guess.imag < 0)
+        assert converged_below == {True, False}
 
 
 class TestExtrapolate:
