@@ -13,8 +13,9 @@ and what that leaves out is below 1e-23 of D; on the imaginary axis the two
 t values are mirror images, and D is -2 Re t(z + q/2)/q.  ``eps`` is a
 model's permittivity in mpmath numbers, at the caller's precision, for
 ``mpmath.findroot``: the quantum, classical, Mermin, static, collisionless
-and Drude models.  ``lower_scale`` is the scale on which values below the
-real axis are compared.  Nothing here imports qplasma.
+and Drude models; ``root`` is the dispersion root that findroot finds on
+it from a double root.  ``lower_scale`` is the scale on which values below
+the real axis are compared.  Nothing here imports qplasma.
 """
 
 from __future__ import annotations
@@ -103,6 +104,24 @@ def eps(model: str, x_p, y, omega, q):
         D0 = 2 * mp.sqrt(mp.pi) * mp.exp(-q * q / 4) * mp.erfi(q / 2) / q
         return 1 + pre * xy * D / (omega + 1j * y * D / D0)
     raise ValueError(f"no mpmath form for model {model!r}")
+
+
+def root(model: str, x_p: float, y: float, q: float, omega: complex) -> complex:
+    """The root of eps(omega) = 0 by mpmath.findroot from the double root
+    omega: at GUARD digits, then from each solve's root at 10 digits more,
+    until two solves round to the same double.  Each solve is a secant from
+    r and r (1 + 1e-14), stopped once a step falls below 10^(6 - digits):
+    its superlinear last step carries the rest."""
+    r, prev = _mpc(omega), None
+    for dps in range(GUARD, 200, 10):
+        with mp.workdps(dps):
+            r = mp.findroot(lambda w: eps(model, x_p, y, w, q),
+                            (r, r * (1 + mp.mpf(10) ** -14)), tol=mp.mpf(10) ** (6 - dps))
+        got = complex(r)
+        if got == prev:
+            return got
+        prev = got
+    raise ValueError(f"no two solves agree for the {model} root near {omega!r}")
 
 
 def lower_scale(z: complex, q: float = 0.0) -> float:

@@ -1,16 +1,17 @@
 """The one accuracy table, enforced: the tables in the docstrings of
-qplasma.special_functions and qplasma.dielectric.
+qplasma.special_functions, qplasma.dielectric and qplasma.dispersion.
 
-One cell per (function, regime) of the special_functions table and per
-model of the dielectric one.  Each cell draws a fixed seeded sample of its
-regime, points just past each switch into it and pinned edge points
-included, evaluates the public function (a model through ``evaluate``) and
+One cell per (function, regime) of the special_functions table, per model
+of the dielectric one and per part of a root of the dispersion one.  Each
+cell draws a fixed seeded sample of its regime, points just past each
+switch into it and pinned edge points included, evaluates the public
+function (a model through ``evaluate``, a root by ``trace_branch``) and
 the mpmath reference (tests/mpref.py), and asserts that the worst error is
-at most the cell's bound.  The error is |got - ref|/|ref|; below the real
-axis, for w, lambda0 and D, it is taken on max(|ref|, mpref.lower_scale),
-the size of the rounding that the Landau terms carry, and for eps on
-max(|ref|, |ref - 1|), with ref at 40 digits beyond those its closed form
-cancels.
+at most the cell's bound.  The error is |got - ref|/|ref|, for a root on
+its Re or Im part; below the real axis, for w, lambda0 and D, it is taken
+on max(|ref|, mpref.lower_scale), the size of the rounding that the Landau
+terms carry, and for eps on max(|ref|, |ref - 1|), with ref at 40 digits
+beyond those its closed form cancels.
 
     python tools/accuracy.py    # prints every cell: points, worst, bound
 """
@@ -18,6 +19,7 @@ cancels.
 from __future__ import annotations
 
 import cmath
+import functools
 import importlib.util
 import math
 import pathlib
@@ -29,7 +31,7 @@ import pytest
 
 import mpref
 from conftest import node_grid
-from qplasma import dielectric, special_functions as sf
+from qplasma import dielectric, dispersion, special_functions as sf
 from qplasma.dielectric import ModelKind, PlasmaParams, QueryPoint, evaluate
 
 H = 0.5  # the trapezoid step: nodes at t = k h (grid A) and (k + 1/2) h (grid B)
@@ -143,8 +145,19 @@ def _w_strip(rng, n):
     return _sample(rng, n, [_strip_z], _in_strip) + edges
 
 
+#: Re z of either sign at a node of either grid, at the switch into grid A
+#: (k + 1/4) or B (k + 3/4) and 1e-12 before it, at Im z = 0, 1e-8, 1e-3 and
+#: pi/h -+ 1e-9, and mirrored below the axis for Re z > 0
+W_SWITCHES = [z for k in (4, 9, 15, 22)
+              for dx in (0.0, H / 4 - 1e-12, H / 4, H / 2, 3 * H / 4 - 1e-12, 3 * H / 4)
+              for y in (0.0, 1e-8, 1e-3, POLE_Y - 1e-9, POLE_Y + 1e-9)
+              for z in (complex(k * H + dx, y), complex(-(k * H + dx), y), complex(k * H + dx, -y))
+              if 1.8 < abs(z) < SWITCH]
+
+
 def _w_grid(grid):
-    return lambda rng, n: _sample(rng, n, UPPER, _on_grid(grid)) + _grid_edges(grid)
+    return lambda rng, n: _sample(rng, n, UPPER, _on_grid(grid)) + [
+        z for z in _grid_edges(grid) + W_SWITCHES if z.imag >= 0.0 and _on_grid(grid)(z)]
 
 
 def _w_tail(rng, n):
@@ -160,7 +173,7 @@ def _w_lower(rng, n):
     # and the grids down to Im z = -6.5, and below the tail
     return _sample(rng, n, LOWER + [_deep_z, _tail(1e4, lower=True)],
                    lambda z: _below(z) or _shallow(z)) + [
-        z for z in RING_IN + RING_OUT if z.imag < 0.0]
+        z for z in RING_IN + RING_OUT + W_SWITCHES if z.imag < 0.0]
 
 
 # -- lambda0 ---------------------------------------------------------------
@@ -363,6 +376,55 @@ def _eps_fns(model: ModelKind):
     return lambda x_p, y, x, q: evaluate(model, PlasmaParams(x_p, y), QueryPoint(x, q)), ref
 
 
+# -- roots -----------------------------------------------------------------
+
+#: (model, x_p, y, lo, hi, i): cold starts (i = 0) where both of D's node grids
+#: refuse (quantum, x_p = 1, k/k_D = 0.15), next to z's h/8 bound (x_p = 3,
+#: 0.2) and at k/k_D = 0.1, y = 0, where Im omega ~ -3e-20; and a classical
+#: grid root whose solve stops at |eps| ~ 1e-15 with Im omega 7.3e-10 off
+ROOT_PINS = (("quantum", 1.0, 1e-12, 0.15, 0.5, 0), ("quantum", 3.0, 1e-12, 0.2, 0.5, 0),
+             ("classical", 1.0, 0.0, 0.1, 0.5, 0), ("quantum", 1.0, 0.0, 0.1, 0.5, 0),
+             ("classical", 3.224810466938584, 1.3663198854492992e-10, 0.1175307662873778,
+              0.5467140016056673, 4))
+
+
+@functools.cache
+def _root_points(n, pins):
+    # (model, x_p, y, q, omega) of root i of trace_branch's 41 roots from
+    # k/k_D = lo to hi, for n seeded branches over the branches workload's
+    # domain and the pins: the three models in turn, x_p from 0.3 to 10, y
+    # log-uniform from 1e-12 to 0.1 or (one in four) 0, lo from 0.1 to 0.2
+    # and hi - lo from 0.2 to 0.5
+    rng, specs = random.Random("roots"), []
+    for i in range(n):
+        x_p = _log_uniform(rng, 0.3, 10.0)
+        y = 0.0 if rng.random() < 0.25 else _log_uniform(rng, 1e-12, 0.1)
+        lo = rng.uniform(0.1, 0.2)
+        specs.append((("quantum", "classical", "mermin")[i % 3], x_p, y, lo,
+                      lo + rng.uniform(0.2, 0.5), rng.randrange(41)))
+    points = []
+    for model, x_p, y, lo, hi, i in specs + list(pins):
+        k_d = math.sqrt(2.0) * x_p
+        root = dispersion.trace_branch(PlasmaParams(x_p, y), lo * k_d, hi * k_d, 41,
+                                       ModelKind(model))[i]
+        points.append((model, x_p, y, root.q, root.omega))
+    return tuple(points)
+
+
+def _roots(_, n):
+    # both root cells draw this one sample, and read one reference per root
+    return _root_points(n, ROOT_PINS)
+
+
+_root_ref = functools.cache(mpref.root)
+
+
+def _root_fns(part: str):
+    # Re or Im of the double root and of mpref's
+    attr = "real" if part == "Re" else "imag"
+    return lambda *p: getattr(p[-1], attr), lambda *p: getattr(_root_ref(*p), attr)
+
+
 #: (cell, draw, random points); each cell's fixed edge points come on top
 CELLS = [
     ("w strip", _w_strip, 60),
@@ -396,6 +458,8 @@ CELLS = [
     ("eps Lindhard", _eps("lindhard mpmath", v_range=None), 150),
     ("eps static", _eps("static mpmath", False, (-3.0, 2.0), EPS_IMAGINARY_TAIL), 150),
     ("eps Drude", _eps("drude"), 150),
+    ("root Re", _roots, 45),
+    ("root Im", _roots, 45),
 ]
 
 _FUNCTIONS = {
@@ -409,7 +473,8 @@ _FUNCTIONS = {
 def measure(name: str, draw, n: int) -> tuple[int, float, tuple]:
     """(points, worst error, its arguments) over a cell's sample."""
     kind, model = name.split()[:2]
-    fn, ref_fn = _eps_fns(ModelKind[model.upper()]) if kind == "eps" else _FUNCTIONS[kind]
+    fn, ref_fn = (_eps_fns(ModelKind[model.upper()]) if kind == "eps" else
+                  _root_fns(model) if kind == "root" else _FUNCTIONS[kind])
     worst, at = 0.0, ()
     points = _args(draw(random.Random(name), n))
     for args in points:
@@ -427,9 +492,10 @@ def measure(name: str, draw, n: int) -> tuple[int, float, tuple]:
 
 def table(*modules) -> dict[str, float]:
     """{cell: bound} from the tables in the docstrings of modules, by
-    default special_functions' and then dielectric's."""
+    default special_functions', dielectric's and then dispersion's."""
     rows = (re.fullmatch(r"    (\S+ .+?)  +.+  +(\de-\d\d)", line)
-            for module in modules or (sf, dielectric) for line in module.__doc__.splitlines())
+            for module in modules or (sf, dielectric, dispersion)
+            for line in module.__doc__.splitlines())
     return {m[1]: float(m[2]) for m in rows if m}
 
 
@@ -437,6 +503,7 @@ def test_one_cell_per_table_row():
     names = [name for name, _, _ in CELLS]
     assert list(table()) == names
     assert list(table(dielectric)) == [name for name in names if name.startswith("eps ")]
+    assert list(table(dispersion)) == [name for name in names if name.startswith("root ")]
 
 
 @pytest.mark.parametrize("name, draw, n", CELLS, ids=[name for name, _, _ in CELLS])
@@ -453,10 +520,12 @@ def test_tool_prints_the_cells(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("accuracy_tool", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    monkeypatch.setattr(tool.test_accuracy, "CELLS",
-                        [("D disk", _d_disk, 3), ("eps Drude", _eps("drude"), 3)])
+    monkeypatch.setattr(tool.test_accuracy, "CELLS", [
+        ("D disk", _d_disk, 3), ("eps Drude", _eps("drude"), 3),
+        ("root Im", lambda _, n: _root_points(n, ()), 1)])
     tool.main()
-    header, disk, drude = capsys.readouterr().out.splitlines()
+    header, disk, drude, root = capsys.readouterr().out.splitlines()
     assert header.split()[:4] == ["cell", "points", "worst", "bound"]
     assert disk.startswith("D disk") and disk.split()[2:5:2] == ["3", "4e-16"]
     assert drude.startswith("eps Drude") and drude.split()[2:5:2] == ["3", "3e-16"]
+    assert root.startswith("root Im") and root.split()[2:5:2] == ["1", "8e-10"]

@@ -1,15 +1,15 @@
-"""The measured accuracy table: the special functions' cells and the
-permittivity models' cells.
+"""The measured accuracy table: the special functions' cells, the
+permittivity models' cells and the dispersion roots' cells.
 
     python tools/accuracy.py
 
 Runs every cell of tests/test_accuracy.py, from that test's own cell list,
 seeded samples and mpmath reference (tests/mpref.py), against this
 checkout's src/, and prints per cell the points drawn, the worst error,
-the bound that the table in the special_functions or the dielectric
-docstring sets, and the arguments of the worst point.  The exit status is
-0 whatever the cells measure: the test suite is what holds each cell to
-its bound.
+the bound that the table in the special_functions, the dielectric or the
+dispersion docstring sets, and the arguments of the worst point.  The
+exit status is 0 whatever the cells measure: the test suite is what holds
+each cell to its bound.
 """
 
 import pathlib
