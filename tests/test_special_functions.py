@@ -84,6 +84,20 @@ class TestFaddeeva:
         for (x, y), ref in W_FROZEN.items():
             assert_cclose(faddeeva_w(complex(x, y)), ref, rtol=2e-13)
 
+    @pytest.mark.parametrize("k", [4, 9, 15, 22])
+    def test_trapezoid_grid_switch_points(self, k):
+        # nodes of both trapezoid grids (k*h, (k + 1/2)*h, h = 0.5), the grid
+        # switch at Re z/h = k + 1/4, k + 3/4 approached from below and hit
+        # exactly, and Im z on both sides of pi/h, where the pole correction
+        # stops; mirrored into the shallow lower band
+        h = 0.5
+        for dx in (0.0, h / 4 - 1e-12, h / 4, h / 2, 3 * h / 4 - 1e-12, 3 * h / 4):
+            for y in (0.0, 1e-8, 1e-3, math.pi / h - 1e-9, math.pi / h + 1e-9):
+                for z in (complex(k * h + dx, y), complex(-(k * h + dx), y),
+                          complex(k * h + dx, -y)):
+                    if 1.8 < abs(z) < 12.0:
+                        assert_cclose(faddeeva_w(z), mpref.w(z), rtol=5e-13)
+
     def test_imaginary_part_near_imaginary_axis(self):
         # the static model reads Im w here through Re t(q/2 + iv); Im w is
         # small against Re w, ~Re z |w|, so the Maclaurin strip |Re z| < 0.1
@@ -382,6 +396,18 @@ class TestTDiffOverQ:
             return
         lit = (plasma_t(z - q / 2) - plasma_t(z + q / 2)) / q
         assert abs(t_diff_over_q(z, q) - lit) <= 1e-11 * max(1.0, abs(lit))
+
+    @pytest.mark.parametrize("radius", [12.0 * (1 + 1e-12), 20.0, 100.0, 1e3,
+                                        1e4, 1e5, 1e6])
+    def test_tail_band_against_live_mpmath(self, radius):
+        # the tail difference from |z| = 12 on, up to the old Taylor switch
+        # q = 1e-3 (1 + |z|); the recurrence of t_derivatives lost ~eps
+        # |z|^4/120 there, the leading digit near |z| ~ 7e4
+        q_star = 1e-3 * (1 + radius)
+        for deg in range(-30, 181, 15):
+            z = cmath.rect(radius, math.radians(deg))
+            for q in (1e-6 * q_star, 1e-2 * q_star, (1 - 1e-9) * q_star):
+                assert_cclose(t_diff_over_q(z, q), mpref.t_diff(z, q), rtol=1e-14)
 
     @pytest.mark.parametrize("x", [13.0, -13.0, 60.0, -150.0])
     def test_tail_landau_term_against_live_mpmath(self, x):
