@@ -55,8 +55,8 @@ _ROUNDING_FLOOR = 3e-15
 _CONTINUATION_STEP = 0.1
 #: trace_branch's solve budget per grid step, shared along the whole branch
 _SOLVES_PER_STEP = 25
-#: without a slope, solve_root starts from seed + this * max(|seed|, 1) and
-#: the seed
+#: a solve without a slope starts from seed + this * max(|seed|, 1) and the
+#: seed
 _SEED_SPREAD = 1e-3
 #: trace_branch extrapolates the seed through at most this many roots on its
 #: grid, and the slope through at most _SLOPE_ORDER of their slopes
@@ -247,26 +247,22 @@ def _last_slope(points, slope):
 
 
 def solve_root(params: PlasmaParams, q: float, model: ModelKind,
-               guess: complex | None = None,
-               slope: complex | None = None) -> DispersionRoot:
+               guess: complex | None = None) -> DispersionRoot:
     """Solve eps(omega, q) = 0 for complex omega at fixed q.
 
     Derivative-free, one eps evaluation per step.  solve_root checks its
     arguments, then runs a private solve loop with every evaluation through
     the model's eps core, read from the module's eps_*_omega names at call
     time; trace_branch checks its branch once and sends each grid solve
-    straight to that loop.  Without a slope the start is eps at
-    seed + _SEED_SPREAD * max(|seed|, 1) and at the seed, and the first
-    step is a secant step; with a slope (d eps/d omega near the root, as
-    trace_branch extrapolates it from the slopes of the roots before) the
-    start is eps at the seed alone and the first step is omega - eps/slope.
-    Muller steps follow from three points on; the slope step counts as an
-    iteration.  Converges when |eps| <= _RESIDUAL_TOL within _MAX_ITER
-    steps; a root whose |eps| is still above _ROUNDING_FLOOR then takes one
-    more step by the same rule, kept only if its eps is finite and no
-    larger.  The returned residual is |eps| at the returned omega.  Raises
-    ValueError unless 0 < q < inf, for a guess or slope that is not finite
-    and for a zero slope, ConvergenceError without convergence or where eps
+    straight to that loop.  The start is eps at
+    seed + _SEED_SPREAD * max(|seed|, 1) and at the seed (the guess, or
+    default_guess), and the first step is a secant step; Muller steps
+    follow from three points on.  Converges when |eps| <= _RESIDUAL_TOL
+    within _MAX_ITER steps; a root whose |eps| is still above
+    _ROUNDING_FLOOR then takes one more step by the same rule, kept only if
+    its eps is finite and no larger.  The returned residual is |eps| at the
+    returned omega.  Raises ValueError unless 0 < q < inf and for a guess
+    that is not finite, ConvergenceError without convergence or where eps
     raises, naming the last evaluated iterate, and NonPhysicalRootError if
     the root has Re omega <= 0.
     """
@@ -274,18 +270,18 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
     model = _solvable(model)
     if guess is not None:
         _finite("guess", guess)
-    if slope is not None:
-        _finite("slope", slope)
-        if slope == 0:
-            raise ValueError("slope must be nonzero")
     seed = complex(guess) if guess is not None else default_guess(params, q, model)
-    return _solve(params, q, model, seed, slope, _eps_core(model))
+    return _solve(params, q, model, seed, None, _eps_core(model))
 
 
 def _solve(params: PlasmaParams, q: float, model: ModelKind, seed: complex,
            slope: complex | None, eps) -> DispersionRoot:
-    # solve_root's loop from a checked q, model, seed and slope, with every
-    # eps evaluation through eps: trace_branch's grid solves enter here
+    # solve_root's loop from a checked q, model and seed, with every eps
+    # evaluation through eps: trace_branch's grid solves enter here.  Without
+    # a slope the start is two points, as solve_root's; with one (d eps/d
+    # omega near the root, finite and nonzero, as trace_branch extrapolates
+    # it) it is eps at the seed alone, and the first step, omega - eps/slope,
+    # counts as an iteration
     x_p, y = params.x_p, params.y
     points: list[tuple[complex, complex]] = []  # (omega, eps), newest last
     omega = seed + _SEED_SPREAD * max(abs(seed), 1.0) if slope is None else seed

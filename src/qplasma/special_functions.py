@@ -568,11 +568,11 @@ def t_diff_over_q(z: complex, q: float) -> complex:
     (:func:`_node_loop`) where z -+ q/2 keep h/8 from the nodes of z's grid,
     or else h/4 from those of the other grid.  The direct difference is left
     where both grids refuse (q > h/4; it cancels at most ~8|z|-fold there)
-    and for q >= 12 > |z| or q > 0.9 |z|, where it cancels nothing.  Below the smallest normal q, D is its limit
-    2 lambda0(z).  On the imaginary axis D is real.  Raises ValueError
-    unless 0 < q < inf, and OverflowError naming z and q where D leaves
-    double range, deep below the real axis.  Reads the pair entry (z + 0j
-    and z - 0j match) and stores nothing.
+    and for q >= 12 > |z| or q > 0.9 |z|, where it cancels nothing.  Below
+    the smallest normal q, D is its limit 2 lambda0(z).  On the imaginary
+    axis D is real.  Raises ValueError unless 0 < q < inf, and OverflowError
+    naming z and q where D leaves double range, deep below the real axis.
+    Reads the pair entry (z + 0j and z - 0j match) and stores nothing.
     """
     return _t_diff_over_q(_check_finite(z), _check_q(q))
 

@@ -13,9 +13,10 @@ and what that leaves out is below 1e-23 of D; on the imaginary axis the two
 t values are mirror images, and D is -2 Re t(z + q/2)/q.  ``eps`` is a
 model's permittivity in mpmath numbers, at the caller's precision, for
 ``mpmath.findroot``: the quantum, classical, Mermin, static, collisionless
-and Drude models; ``root`` is the dispersion root that findroot finds on
-it from a double root.  ``lower_scale`` is the scale on which values below
-the real axis are compared.  Nothing here imports qplasma.
+and Drude models; ``epsilon`` is the same at doubles, at its own working
+precision, and ``root`` is the dispersion root that findroot finds on
+``eps`` from a double root.  ``lower_scale`` is the scale on which values
+below the real axis are compared.  Nothing here imports qplasma.
 """
 
 from __future__ import annotations
@@ -104,6 +105,15 @@ def eps(model: str, x_p, y, omega, q):
         D0 = 2 * mp.sqrt(mp.pi) * mp.exp(-q * q / 4) * mp.erfi(q / 2) / q
         return 1 + pre * xy * D / (omega + 1j * y * D / D0)
     raise ValueError(f"no mpmath form for model {model!r}")
+
+
+def epsilon(model: str, x_p: float, y: float, x: float, q: float) -> complex:
+    """eps of a model at real frequency x, as a double: at 40 digits beyond
+    those that lambda0 = 1 + z t, the phase of exp(-z^2) and the difference
+    of two t values cancel, counted as t_diff counts them."""
+    r = abs(complex(x, y)) / q
+    with mp.workdps(40 + 3 * _digits(r + q) + _digits((1.0 + r) / q)):
+        return complex(eps(model, x_p, y, x, q))
 
 
 def root(model: str, x_p: float, y: float, q: float, omega: complex) -> complex:

@@ -26,7 +26,6 @@ import pathlib
 import random
 import re
 
-import mpmath as mp
 import pytest
 
 import mpref
@@ -366,14 +365,9 @@ EPS_LONG_WAVE = [(1.3, r * q * math.sin(th), r * q * math.cos(th), q)
 
 
 def _eps_fns(model: ModelKind):
-    # eps at a state (x_p, y, x, q), and mpref's at 40 digits beyond those
-    # that lambda0 = 1 + z t, the phase of exp(-z^2) and the difference of
-    # two t values cancel, counted as mpref.t_diff counts them
-    def ref(x_p, y, x, q):
-        r = abs(complex(x, y)) / q
-        with mp.workdps(40 + 3 * mpref._digits(r + q) + mpref._digits((1.0 + r) / q)):
-            return complex(mpref.eps(model, x_p, y, x, q))
-    return lambda x_p, y, x, q: evaluate(model, PlasmaParams(x_p, y), QueryPoint(x, q)), ref
+    # eps at a state (x_p, y, x, q), and mpref's
+    return (lambda x_p, y, x, q: evaluate(model, PlasmaParams(x_p, y), QueryPoint(x, q)),
+            functools.partial(mpref.epsilon, model))
 
 
 # -- roots -----------------------------------------------------------------

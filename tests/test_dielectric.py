@@ -168,8 +168,6 @@ _STR_CASES = {
     "solve_root q": lambda s: solve_root(PlasmaParams(1.0, 0.01), s, ModelKind.QUANTUM),
     "solve_root guess": lambda s: solve_root(PlasmaParams(1.0, 0.01), 0.3, ModelKind.QUANTUM,
                                              guess=s),
-    "solve_root slope": lambda s: solve_root(PlasmaParams(1.0, 0.01), 0.3, ModelKind.QUANTUM,
-                                             slope=s),
     "trace_branch q_start": lambda s: trace_branch(PlasmaParams(1.0, 0.01), s, 0.5, 3,
                                                    ModelKind.QUANTUM),
     "trace_branch q_end": lambda s: trace_branch(PlasmaParams(1.0, 0.01), 0.3, s, 3,
@@ -386,10 +384,9 @@ class TestOneCheck:
     @pytest.mark.parametrize("model", [ModelKind.QUANTUM, ModelKind.CLASSICAL,
                                        ModelKind.MERMIN])
     def test_one_solve_checks_q_once(self, model, monkeypatch):
-        # trace_branch's call: a guess and a slope, several evaluations
+        # a guess, several evaluations
         counts = self._counters(monkeypatch)
-        root = solve_root(PlasmaParams(1.0, 0.01), 0.3, model, guess=1.2 - 0.01j,
-                          slope=2.0 + 0j)
+        root = solve_root(PlasmaParams(1.0, 0.01), 0.3, model, guess=1.2 - 0.01j)
         assert root.evaluations >= 2
         q_checks = {key: n for key, n in counts.items() if key[1] == "_check_q"}
         assert q_checks == {("qplasma.dispersion", "_check_q"): 1}

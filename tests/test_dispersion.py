@@ -288,7 +288,7 @@ class TestSolveRoot:
     def test_slope_start_counts_every_eps_call(self, model, q, guess, slope, monkeypatch):
         calls = count_eps_calls(monkeypatch)
         params = PlasmaParams(x_p=1.0, y=0.01)
-        root = solve_root(params, q, model, guess=guess, slope=slope)
+        root = dispersion._solve(params, q, model, guess, slope, dispersion._eps_core(model))
         assert root.evaluations == calls[0]
         # one start point, one evaluation per step, at most one polish
         assert 1 + root.iterations <= root.evaluations <= 2 + root.iterations
@@ -307,7 +307,8 @@ class TestSolveRoot:
         if polish:
             monkeypatch.setattr("qplasma.dispersion._ROUNDING_FLOOR", 0.0)
         calls = count_eps_calls(monkeypatch)
-        root = solve_root(params, q, model, guess=found.omega, slope=found.slope)
+        root = dispersion._solve(params, q, model, found.omega, found.slope,
+                                 dispersion._eps_core(model))
         assert root.iterations == 0
         assert root.evaluations == calls[0] == 1 + polish
         assert root.residual <= at_seed
@@ -320,9 +321,6 @@ class TestSolveRoot:
         (math.nan, {}, "q must be finite"),
         (0.3, {"guess": complex(math.nan, 0.0)}, "guess must be finite"),
         (0.3, {"guess": math.inf}, "guess must be finite"),
-        (0.3, {"slope": complex(1.0, math.inf)}, "slope must be finite"),
-        (0.3, {"slope": math.nan}, "slope must be finite"),
-        (0.3, {"slope": 0j}, "slope must be nonzero"),
     ])
     def test_bad_input_names_its_argument(self, q, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -626,7 +624,7 @@ class TestTraceBranch:
 
 class TestPrivateLoop:
     # trace_branch's grid solves skip solve_root's checks; from the same
-    # seed and slope they must give solve_root's root, field for field
+    # seed they must give solve_root's root, field for field
 
     @staticmethod
     def _outcome(solve, *args):
@@ -640,9 +638,9 @@ class TestPrivateLoop:
                                        ModelKind.MERMIN])
     def test_equals_solve_root_from_the_same_seed_and_slope(self, model):
         # seeded branch states: the roots found so far on a drawn branch,
-        # the extrapolated seed and slope of the next grid point and the
-        # halved steps' start (the previous root, no slope), each seed also
-        # mirrored above the real axis
+        # the extrapolated seed of the next grid point and the halved steps'
+        # seed (the previous root), each also mirrored above the real axis,
+        # each a two-point start, as solve_root's
         rng = random.Random(f"private loop {model.value}")
         eps = dispersion._eps_core(model)
         converged_below = set()  # Im seed < 0 of the starts that converged
@@ -653,12 +651,11 @@ class TestPrivateLoop:
             lo = rng.uniform(0.05, 0.2)
             roots = trace_branch(params, lo * kD, (lo + rng.uniform(0.2, 0.5)) * kD, 21, model)
             for k in rng.sample(range(1, len(roots)), 4):
-                seed, slope = dispersion._extrapolate(roots[:k])
+                seed = dispersion._extrapolate(roots[:k])[0]
                 prev, q = roots[k - 1].omega, roots[k].q
-                for guess, given in ((seed, slope), (seed.conjugate(), slope),
-                                     (prev, None), (prev.conjugate(), None)):
-                    loop = self._outcome(dispersion._solve, params, q, model, guess, given, eps)
-                    assert loop == self._outcome(solve_root, params, q, model, guess, given)
+                for guess in (seed, seed.conjugate(), prev, prev.conjugate()):
+                    loop = self._outcome(dispersion._solve, params, q, model, guess, None, eps)
+                    assert loop == self._outcome(solve_root, params, q, model, guess)
                     if not isinstance(loop[0], type):
                         converged_below.add(guess.imag < 0)
         assert converged_below == {True, False}
@@ -712,15 +709,12 @@ class TestExtrapolate:
     def test_trace_branch_gives_solve_root_only_valid_slopes(self, slopes, expected,
                                                             monkeypatch):
         # a stand-in for solve_root's cold start and the private loop's grid
-        # solves whose roots carry the scripted slope fields, checking each
-        # slope it is given as solve_root does
+        # solves whose roots carry the scripted slope fields; each slope it
+        # is given must be None or finite and nonzero
         given = []
 
         def scripted(params, q, model, guess=None, slope=None, eps=None):
-            if slope is not None:
-                dispersion._finite("slope", slope)
-                if slope == 0:
-                    raise ValueError("slope must be nonzero")
+            assert slope is None or (slope != 0 and cmath.isfinite(slope))
             given.append(slope)
             i = len(given) - 1
             return DispersionRoot(q, complex(1.0 + 0.01 * i, -0.01), 0.0, 0, 1,
@@ -759,7 +753,7 @@ class TestDegenerateSteps:
         assert dispersion._last_slope([(1.0 + 0j, 1j), (1.0 + 0j, 2j)], 3.0) is None
         assert dispersion._last_slope([(1.0 + 0j, 1j)], 3.0) == 3.0
 
-    def test_polish_that_raises_keeps_the_converged_root(self, monkeypatch):
+    def test_polish_that_raises_keeps_the_converged_root(self):
         # |eps| = 1e-13 at the seed: converged, and above the rounding floor,
         # so one polish step follows; eps raises there, and the root stays
         # at the seed
@@ -770,9 +764,8 @@ class TestDegenerateSteps:
                 return 1e-13 + 0j
             raise OverflowError("stand-in leaves range")
 
-        monkeypatch.setattr(dispersion, "eps_quantum_omega", stand_in)
-        root = solve_root(PlasmaParams(1.0, 0.01), 0.3, ModelKind.QUANTUM,
-                          guess=seed, slope=1.0 + 0j)
+        root = dispersion._solve(PlasmaParams(1.0, 0.01), 0.3, ModelKind.QUANTUM, seed,
+                                 1.0 + 0j, stand_in)
         assert (root.omega, root.residual, root.iterations, root.evaluations) == (
             seed, 1e-13, 0, 2)
 
@@ -784,7 +777,7 @@ class TestEpsRaises:
 
     SEED = 1.2 - 0.01j
 
-    def _solve(self, monkeypatch, raise_at: int, slope=None):
+    def _solve(self, raise_at: int, slope=None):
         omegas = []
 
         def stand_in(x_p, y, omega, q):
@@ -793,10 +786,9 @@ class TestEpsRaises:
                 raise OverflowError("stand-in leaves range")
             return (omega - 1.1) * (omega + 3.0)
 
-        monkeypatch.setattr(dispersion, "eps_quantum_omega", stand_in)
         with pytest.raises(ConvergenceError) as raised:
-            solve_root(PlasmaParams(1.0, 0.01), 0.3, ModelKind.QUANTUM,
-                       guess=self.SEED, slope=slope)
+            dispersion._solve(PlasmaParams(1.0, 0.01), 0.3, ModelKind.QUANTUM, self.SEED,
+                              slope, stand_in)
         return raised.value, omegas
 
     @staticmethod
@@ -804,30 +796,30 @@ class TestEpsRaises:
         return (f"eps of quantum model raised OverflowError: stand-in leaves range "
                 f"at omega={at!r} (last omega={last_omega!r}, |eps|={residual:.3e})")
 
-    def test_at_the_spread_start(self, monkeypatch):
-        err, omegas = self._solve(monkeypatch, 1)
+    def test_at_the_spread_start(self):
+        err, omegas = self._solve(1)
         assert omegas == [self.SEED + 1e-3 * abs(self.SEED)]
         assert (err.last_omega, err.residual) == (self.SEED, math.inf)
         assert str(err) == self._expected(omegas[0], self.SEED, math.inf)
 
-    def test_at_the_seed(self, monkeypatch):
-        err, omegas = self._solve(monkeypatch, 2)
+    def test_at_the_seed(self):
+        err, omegas = self._solve(2)
         start = omegas[0]
         residual = abs((start - 1.1) * (start + 3.0))
         assert omegas[1] == self.SEED
         assert (err.last_omega, err.residual) == (start, residual)
         assert str(err) == self._expected(self.SEED, start, residual)
 
-    def test_at_the_seed_of_a_slope_start(self, monkeypatch):
-        err, omegas = self._solve(monkeypatch, 1, slope=4.0 + 0j)
+    def test_at_the_seed_of_a_slope_start(self):
+        err, omegas = self._solve(1, slope=4.0 + 0j)
         assert omegas == [self.SEED]
         assert (err.last_omega, err.residual) == (self.SEED, math.inf)
         assert str(err) == self._expected(self.SEED, self.SEED, math.inf)
 
     @pytest.mark.parametrize("raise_at", [3, 4])
-    def test_at_a_loop_step(self, monkeypatch, raise_at):
+    def test_at_a_loop_step(self, raise_at):
         # the secant step, then the first Muller step
-        err, omegas = self._solve(monkeypatch, raise_at)
+        err, omegas = self._solve(raise_at)
         last = omegas[-2]
         residual = abs((last - 1.1) * (last + 3.0))
         assert (err.last_omega, err.residual) == (last, residual)

@@ -48,7 +48,7 @@ def test_one_planted_moved_cell_is_counted_and_farther():
         base[f"cell {i}"] = ["figures", "quantum", at, eps.real, eps.imag]
     head = {key: list(value) for key, value in base.items()}
     head["cell 1"][3] *= 1.0 + 1e-10  # planted: Re eps moved by 1e-10 relative
-    stats = drift.compare(base, head, drift.load_reference())
+    stats = drift.compare(base, head)
     s = stats["figures", "quantum"]
     assert (s["identical"], s["moved"], s["nearer"], s["farther"]) == (2, 1, 0, 1)
     eps = complex(*base["cell 1"][3:])
@@ -56,3 +56,16 @@ def test_one_planted_moved_cell_is_counted_and_farther():
                                        rel=1e-5)
     assert drift.compare(base, base) == {("figures", "quantum"): dict(
         identical=3, moved=0, nearer=0, farther=0, worst=0.0)}
+
+
+def test_planted_moved_root_is_counted_farther():
+    # a Mermin root of the branches workload (seed 5, request 41) that lies
+    # 2.8e-16 from mpref.root, where a 30-digit findroot seeded by it finds
+    # no root, and the solver's root there, 7.8e-16 off, as the moved value
+    inputs = [1.2016589350090334, 0.0020470118278701752, None, 0.7543326297584885]
+    base = {"root": ["roots", "mermin", inputs, 1.6457020683130397, -0.14341000823740163]}
+    head = {"root": ["roots", "mermin", inputs, 1.6457020683130381, -0.14341000823740113]}
+    s = drift.compare(base, head)["roots", "mermin"]
+    assert (s["identical"], s["moved"], s["nearer"], s["farther"]) == (0, 1, 0, 1)
+    s = drift.compare(head, base)["roots", "mermin"]
+    assert (s["moved"], s["nearer"], s["farther"]) == (1, 1, 0)

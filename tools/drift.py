@@ -16,13 +16,14 @@ q = 0.1414:0.7071:41), and hands every value back.
 Per section and model the report counts identical and moved values and
 gives the worst move: |delta eps|/max(|eps|, |eps - 1|) for eps and
 |delta omega|/|omega| for roots.  Each moved value is compared against
-bench/reference.py (mpmath, imported read-only): nearer or farther says
-whether HEAD's value lies nearer to the reference than BASE's.  The exit
-status is 0 whatever moved.
+the test suite's mpmath reference, tests/mpref.py: eps with its
+``epsilon``, a root with its ``root`` seeded by BASE's root.  Nearer or
+farther says whether HEAD's value lies nearer to the reference than
+BASE's, on the same scale; a value with no reference is neither.  The
+exit status is 0 whatever moved.
 """
 
 import argparse
-import importlib.util
 import io
 import json
 import os
@@ -33,6 +34,8 @@ import tarfile
 import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "tests"))
+import mpref  # noqa: E402
 
 #: the child: argv = (src directory, n); prints {key: [section, model,
 #: [x_p, y, x, q], re, im]} as JSON, whose floats round-trip exactly
@@ -102,14 +105,6 @@ def evaluate(trees: list[str], n: int) -> list[dict]:
     return values
 
 
-def load_reference():
-    """bench/reference.py as a module, without bench/ on sys.path."""
-    spec = importlib.util.spec_from_file_location("reference", REPO / "bench" / "reference.py")
-    reference = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(reference)
-    return reference
-
-
 def _identical(b: list, h: list) -> bool:
     # the same floats bit for bit: 0.0 and -0.0 differ, nan matches nan
     return repr(b[3:]) == repr(h[3:])
@@ -119,19 +114,11 @@ def _move(section: str, b: complex, h: complex) -> float:
     return abs(h - b) / (abs(b) if section == "roots" else max(abs(b), abs(b - 1.0)))
 
 
-def _error(reference, section: str, model: str, inputs, value: complex, start: complex) -> float:
-    # distance of value from the mpmath reference, on _move's scale
-    x_p, y, x, q = inputs
-    if section == "roots":
-        return reference.root_error(value, reference.root_reference(model, x_p, y, q, start))
-    return reference.eps_error(value, reference.eps_reference(model, x_p, y, x, q))
-
-
-def compare(base: dict, head: dict, reference=None) -> dict:
+def compare(base: dict, head: dict) -> dict:
     """(section, model) -> counts of identical, moved, nearer and farther
-    values and the worst move, over the keys both trees have; nearer and
-    farther stay 0 without a reference module.  Values are identical when
-    their real and imaginary parts are the same floats, bit for bit."""
+    values and the worst move, over the keys both trees have.  Values are
+    identical when their real and imaginary parts are the same floats, bit
+    for bit."""
     stats = {}
     for key in sorted(base.keys() & head.keys()):
         section, model, inputs, b_re, b_im = base[key]
@@ -143,13 +130,15 @@ def compare(base: dict, head: dict, reference=None) -> dict:
         b, h = complex(b_re, b_im), complex(*head[key][3:])
         s["moved"] += 1
         s["worst"] = max(s["worst"], _move(section, b, h))
-        if reference is not None:
-            try:
-                eb, eh = (_error(reference, section, model, inputs, v, b) for v in (b, h))
-            except (ArithmeticError, ValueError):
-                continue  # no reference value: neither nearer nor farther
-            s["nearer"] += eh < eb
-            s["farther"] += eh > eb
+        x_p, y, x, q = inputs
+        try:
+            ref = (mpref.root(model, x_p, y, q, b) if section == "roots"
+                   else mpref.epsilon(model, x_p, y, x, q))
+        except (ArithmeticError, ValueError):
+            continue  # no reference value: neither nearer nor farther
+        eb, eh = _move(section, ref, b), _move(section, ref, h)
+        s["nearer"] += eh < eb
+        s["farther"] += eh > eb
     return stats
 
 
@@ -175,11 +164,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         base, head = evaluate([_tree(args.base, tmp), _tree(args.head, tmp)], args.n)
-    moved = any(not _identical(base[k], head[k]) for k in base.keys() & head.keys())
-    reference = load_reference() if moved else None
     print(f"drift {args.base} -> {args.head}: 14 figure presets at n={args.n}, "
           "six models on a fixed grid, 41-point roots table")
-    print("\n".join(report(compare(base, head, reference), len(base.keys() ^ head.keys()))))
+    print("\n".join(report(compare(base, head), len(base.keys() ^ head.keys()))))
     return 0
 
 
