@@ -26,6 +26,7 @@ import pathlib
 import random
 import re
 
+import mpmath as mp
 import pytest
 
 import mpref
@@ -505,6 +506,19 @@ def test_cell(name, draw, n):
     points, worst, at = measure(name, draw, n)
     bound = table()[name]
     assert worst <= bound, f"{name}: worst {worst:.3g} > {bound:g} at {at} ({points} points)"
+
+
+@pytest.mark.parametrize("model, state", [
+    ("quantum", EPS_IMAGINARY_TAIL[1]),
+    ("mermin", EPS_LONG_WAVE[17]),
+    ("classical", (2.0, 0.05, 1.1, 0.5)),
+], ids=["imaginary tail", "long wave", "plasmon"])
+def test_eps_reference_holds_at_150_digits(model, state):
+    # mpref.epsilon's working precision, the eps cells' and tools/drift.py's
+    # reference, already gives the double that 150 digits give: at the
+    # largest |z| and smallest q of the cells' edges, and at a plasmon state
+    with mp.workdps(150):
+        assert mpref.epsilon(model, *state) == complex(mpref.eps(model, *state))
 
 
 def test_tool_prints_the_cells(monkeypatch, capsys):

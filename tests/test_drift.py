@@ -69,3 +69,22 @@ def test_planted_moved_root_is_counted_farther():
     assert (s["identical"], s["moved"], s["nearer"], s["farther"]) == (0, 1, 0, 1)
     s = drift.compare(head, base)["roots", "mermin"]
     assert (s["moved"], s["nearer"], s["farther"]) == (1, 1, 0)
+
+
+def test_moved_value_without_a_reference_is_neither(monkeypatch):
+    # a root whose findroot fails and an eps whose reference overflows:
+    # each counted moved, but neither nearer nor farther
+    def fails(*args):
+        raise ValueError("findroot found no root")
+
+    def overflows(*args):
+        raise OverflowError("reference leaves range")
+
+    monkeypatch.setattr(drift.mpref, "root", fails)
+    monkeypatch.setattr(drift.mpref, "epsilon", overflows)
+    base = {"root": ["roots", "quantum", [1.0, 0.01, None, 0.3], 1.2, -0.01],
+            "cell": ["figures", "quantum", [1.0, 0.1, 1.0, 0.5], 0.5, -0.2]}
+    head = {"root": ["roots", "quantum", [1.0, 0.01, None, 0.3], 1.2 + 1e-12, -0.01],
+            "cell": ["figures", "quantum", [1.0, 0.1, 1.0, 0.5], 0.5, -0.2 + 1e-12]}
+    for s in drift.compare(base, head).values():
+        assert (s["identical"], s["moved"], s["nearer"], s["farther"]) == (0, 1, 0, 0)
