@@ -5,12 +5,7 @@ where frequencies are in units of k_T v_T and wave numbers in units of the
 thermal wave number k_T.  The internal evaluators accept a complex frequency
 so the dispersion solver can continue them off the real axis; the public
 operations expose the physical real-frequency surface.  Each returns a
-finite eps or raises OverflowError naming its arguments: one
-cmath.isfinite per call, and where the plain form is not finite, the O(1)
-ratio formed before the prefactor multiplies it.  The BGK evaluator
-checks its arguments once, in one range test: 0 < q < inf, x_p >= 0 and
-finite, x + iy finite.  What fails it raises ValueError naming the
-argument, or OverflowError where only the range is at fault.
+finite eps or raises OverflowError naming its arguments.
 
 Normalization note (re-derivation of the classical form): with
 omega -> x, nu -> y, omega_p -> x_p in units of k_T v_T and k -> q in units
@@ -31,20 +26,13 @@ limit (classical) and Mermin's are one BGK form,
     mermin      x_p^2/q^2    D(z,q)     D(z,q)/D0(q)
     static      x_p^2/q^2    D(z,q)     lambda0(z)    x = 0 (real part)
 
-evaluated by one function, _eps_bgk(model, x_p, y, omega, q): one range
-test, z formed once, the model's kernels for pre, K and M, then at y = 0
-eps = 1 + pre K and at omega = 0 eps = 1 + pre K/M, where the BGK factor
-xy/(omega + iy M) is exactly 1 and 1/M.  The three eps_*_omega cores, the
-public functions (static as the quantum model at x = 0) and evaluate's
-table all call it.
+evaluated by one function, _eps_bgk(model, x_p, y, omega, q), which the
+three eps_*_omega cores, the public functions (static as the quantum model
+at x = 0) and evaluate's table all call.
 
-Accuracy: one cell per model, against its closed form in mpmath at 40
-digits beyond those the form cancels, with the error taken on max(|eps|,
-|eps - 1|).  Each cell draws 150 seeded states, x_p from 0.1 to 10 and q
-from 1e-3 to 5, and pinned edge points on top.  A bound is the worst
-error over the cell's sample, rounded up once.  tests/test_accuracy.py
-holds each cell to its bound, in one table with the special functions'
-cells, and ``python tools/accuracy.py`` prints the measured worst.
+Accuracy cells (method: tests/test_accuracy.py), one per model, each on 150
+seeded states, x_p from 0.1 to 10 and q from 1e-3 to 5, and pinned edge
+points; the error is taken on max(|eps|, |eps - 1|).
 
     cell              states                                          bound
     eps quantum       |x|/q from 1e-2 to 30, y/q from 1e-3 to 10;     6e-15
@@ -221,7 +209,7 @@ def _eps_bgk(model: ModelKind, x_p: float, y: float, omega: complex, q: float) -
         _check_q(q)
         return 1.0 + 0j
     xy = omega + 1j * y
-    # the one check of q, x_p and x + iy.  Below q = 1e-154 q^2 is
+    # the one range test, of q, x_p and x + iy.  Below q = 1e-154 q^2 is
     # subnormal, and where x_p/q or |z| = |x + iy|/q passes 1e154, x_p^2/q^2
     # or z^2 in lambda0's tail overflows: fail loudly there rather than
     # return nan or lost digits.  A q outside 0 < q < inf, an x + iy or x_p
@@ -245,8 +233,7 @@ def _eps_bgk(model: ModelKind, x_p: float, y: float, omega: complex, q: float) -
         K, M = _t_diff(z, q, True) if y else (t_diff_over_q(z, q), None)
     elif model is _CLASSICAL:
         pre = 2.0 * pre
-        # the checked, memoised lambda0: bench/spans.py traces that name, and
-        # a quantum/classical overlay finds the quantum model's lambda0 there
+        # lambda0 by the name bench/spans.py traces; it reads the pair entry
         K = M = lambda0(z)
     else:
         K = _t_diff_over_q(z, q)
@@ -279,14 +266,12 @@ def _eps_bgk(model: ModelKind, x_p: float, y: float, omega: complex, q: float) -
 # ---------------------------------------------------------------------------
 
 def eps_quantum_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
-    """Quantum-model permittivity at (possibly complex) frequency omega;
-    takes numbers and checks no type."""
+    """Quantum-model permittivity at (possibly complex) frequency omega."""
     return _eps_bgk(_QUANTUM, x_p, y, omega, q)
 
 
 def eps_classical_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
-    """Classical-model permittivity at (possibly complex) frequency omega;
-    takes numbers and checks no type."""
+    """Classical-model permittivity at (possibly complex) frequency omega."""
     return _eps_bgk(_CLASSICAL, x_p, y, omega, q)
 
 
@@ -308,8 +293,7 @@ def _mermin_static_denominator(q: float) -> float:
 
 
 def eps_mermin_omega(x_p: float, y: float, omega: complex, q: float) -> complex:
-    """Mermin-model permittivity at (possibly complex) frequency omega;
-    takes numbers and checks no type."""
+    """Mermin-model permittivity at (possibly complex) frequency omega."""
     return _eps_bgk(_MERMIN, x_p, y, omega, q)
 
 

@@ -4,15 +4,10 @@ Closed-form long-wave asymptotics for the oscillation frequency and damping
 decrement, a derivative-free secant/Muller root solver, and wave-number
 continuation along a branch from extrapolated seeds and slopes.
 
-Accuracy: one cell per part of a root omega that trace_branch returns,
-against mpmath.findroot on the model's closed form, seeded by the double
-root at a precision raised until two solves agree; the error is relative
-to that part of the reference, Im omega on |Im omega|.  Each cell draws
-45 seeded branches, a root of each, and pinned roots on top.  A bound is
-the worst error over the cell's sample, rounded up once.
-tests/test_accuracy.py holds each cell to its bound, in one table with
-the special functions' and the models' cells, and ``python
-tools/accuracy.py`` prints the measured worst.
+Accuracy cells (method: tests/test_accuracy.py), one per part of a root
+omega that trace_branch returns, each on 45 seeded branches, a root of
+each, and pinned roots; the error is relative to that part of the
+reference, Im omega on |Im omega|.
 
     cell              roots                                           bound
     root Re           quantum, classical and Mermin branches: x_p     5e-15
@@ -55,11 +50,9 @@ _ROUNDING_FLOOR = 3e-15
 _CONTINUATION_STEP = 0.1
 #: trace_branch's solve budget per grid step, shared along the whole branch
 _SOLVES_PER_STEP = 25
-#: a solve without a slope starts from seed + this * max(|seed|, 1) and the
-#: seed
+#: the start point beside the seed lies this * max(|seed|, 1) from it
 _SEED_SPREAD = 1e-3
-#: trace_branch extrapolates the seed through at most this many roots on its
-#: grid, and the slope through at most _SLOPE_ORDER of their slopes
+#: the most roots and slopes, in turn, that _extrapolate reads
 _SEED_ORDER = 12
 _SLOPE_ORDER = 4
 
@@ -250,14 +243,9 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
                guess: complex | None = None) -> DispersionRoot:
     """Solve eps(omega, q) = 0 for complex omega at fixed q.
 
-    Derivative-free, one eps evaluation per step.  solve_root checks its
-    arguments, then runs a private solve loop with every evaluation through
-    the model's eps core, read from the module's eps_*_omega names at call
-    time; trace_branch checks its branch once and sends each grid solve
-    straight to that loop.  The start is eps at
-    seed + _SEED_SPREAD * max(|seed|, 1) and at the seed (the guess, or
-    default_guess), and the first step is a secant step; Muller steps
-    follow from three points on.  Converges when |eps| <= _RESIDUAL_TOL
+    Derivative-free, one eps evaluation per step: from the seed (the guess,
+    or default_guess) and a point beside it, a secant step, then Muller
+    steps (:func:`_solve`).  Converges when |eps| <= _RESIDUAL_TOL
     within _MAX_ITER steps; a root whose |eps| is still above
     _ROUNDING_FLOOR then takes one more step by the same rule, kept only if
     its eps is finite and no larger.  The returned residual is |eps| at the
@@ -276,12 +264,12 @@ def solve_root(params: PlasmaParams, q: float, model: ModelKind,
 
 def _solve(params: PlasmaParams, q: float, model: ModelKind, seed: complex,
            slope: complex | None, eps) -> DispersionRoot:
-    # solve_root's loop from a checked q, model and seed, with every eps
-    # evaluation through eps: trace_branch's grid solves enter here.  Without
-    # a slope the start is two points, as solve_root's; with one (d eps/d
-    # omega near the root, finite and nonzero, as trace_branch extrapolates
-    # it) it is eps at the seed alone, and the first step, omega - eps/slope,
-    # counts as an iteration
+    # solve_root's loop from a checked q, model and seed, every eps
+    # evaluation through eps: trace_branch's grid solves enter here.  The
+    # start is eps at the point _SEED_SPREAD beside the seed, then at the
+    # seed; a slope (d eps/d omega near the root, finite and nonzero) drops
+    # the point beside it, and the first step, omega - eps/slope, counts as
+    # an iteration
     x_p, y = params.x_p, params.y
     points: list[tuple[complex, complex]] = []  # (omega, eps), newest last
     omega = seed + _SEED_SPREAD * max(abs(seed), 1.0) if slope is None else seed
@@ -341,9 +329,9 @@ _EXTRAPOLATION_WEIGHTS = [
 def _extrapolate(roots: list[DispersionRoot]) -> tuple[complex, complex | None]:
     # the next root and slope on a uniform q grid, by the polynomials through
     # the last min(_SEED_ORDER, len(roots)) roots and the last
-    # min(_SLOPE_ORDER, len(roots)) slopes; the slope is the last root's
-    # where a slope in its window is None or the polynomial gives 0 or a
-    # value that is not finite
+    # min(_SLOPE_ORDER, len(roots)) slopes (the previous root after one, 2
+    # w_-1 - w_-2 after two); the slope is the last root's where a slope in
+    # its window is None or the polynomial gives 0 or a value not finite
     n = len(roots)
     seed = slope = 0j
     for w, r in zip(_EXTRAPOLATION_WEIGHTS[n if n < _SEED_ORDER else _SEED_ORDER],
@@ -392,26 +380,17 @@ def trace_branch(params: PlasmaParams, q_start: float, q_end: float,
     grid of ScanSpec's linear sweep over (q_start, q_end), from the same
     function, q_start and q_end exact.
 
-    The branch is checked once: the model, refused before any eps
-    evaluation unless solve_root solves it, the q grid, and the model's eps
-    core, read once from the module's eps_*_omega names.  The first root is
-    solve_root's cold start from default_guess; every later solve goes
-    straight to solve_root's private loop through that eps core.
-
-    Each grid point is seeded by polynomial extrapolation through the last
-    m = min(12, accepted) roots on the uniform grid, sum_{j=1..m} (-1)^(j+1)
-    C(m, j) w_-j (the previous root after one, 2 w_-1 - w_-2 after two),
-    and solved from one eps evaluation with a slope extrapolated the same
-    way through the slopes of the last min(4, accepted) roots; the previous
-    root's slope stands in where one of those is None or the extrapolation
-    is 0 or not finite.  If the root moves by more than _CONTINUATION_STEP
-    (fractionally) from the previous root or the solve fails, the q step is
-    halved until the motion is tame; the solves inside a halved step are
-    seeded with the previous root and start from two points.  The whole
-    branch may spend _SOLVES_PER_STEP solves per grid step; when they run
-    out, BranchLossError names the q of the last failed solve.  Raises
-    ValueError unless n_points is an integer >= 2, 0 < q_start < q_end < inf
-    and the grid's n_points q values are distinct.
+    The model is refused before any eps evaluation unless solve_root solves
+    it, and its eps core is read once.  The first root is solve_root's from
+    default_guess; each later grid point is solved from the seed and slope
+    that :func:`_extrapolate` gives from the roots found.  If the root moves
+    by more than _CONTINUATION_STEP (fractionally) from the previous root or
+    the solve fails, the q step is halved until the motion is tame; the
+    solves inside a halved step are seeded with the previous root, without
+    a slope.  The whole branch may spend _SOLVES_PER_STEP solves per grid
+    step; when they run out, BranchLossError names the q of the last failed
+    solve.  Raises ValueError unless n_points is an integer >= 2, 0 <
+    q_start < q_end < inf and the grid's n_points q values are distinct.
     """
     _finite("q_start", q_start)
     _finite("q_end", q_end)

@@ -4,27 +4,23 @@ The workhorse is the Faddeeva function ``w(z) = exp(-z^2) erfc(-iz)``; the
 plasma dispersion function is its rescaling ``t(z) = i sqrt(pi) w(z)``, which
 for Im z > 0 equals the Hilbert-type integral of the Gaussian and elsewhere is
 the analytic (Landau) continuation from the upper half-plane.  All evaluators
-here are scalar, and pure but for the pair entry below.  The slow quadrature
-cross-checks live in the test suite's ``tests/oracle.py``.
+here are scalar, and pure but for t_diff_and_lambda0's pair entry.  The slow
+quadrature cross-checks live in the test suite's ``tests/oracle.py``.
 
 Each public function checks its argument once (a wave number q by
 ``_check_q``, the package's one rule 0 < q < inf) and calls private
 kernels that take it as checked: ``_w`` is w at finite z, ``_node_loop``
 sums w's trapezoid rule as partial fractions (D and lambda0 at one z from
 one loop over its nodes), and from |z| = 12 one tail series is summed by
-Horner.  The models call the kernels too, after their own one check.
-``_t_diff``'s with_lambda0 path keeps its last (z, q, D, lambda0), the pair
-entry, which lambda0 and t_diff_over_q read, so models evaluated one after
-the other at one point share it.  Deep below the real axis, where a value
-leaves double range, the functions raise OverflowError naming z (and q).
+Horner.  The models call the kernels too, after their own one check.  Deep
+below the real axis, where a value leaves double range, the functions raise
+OverflowError naming z (and q).
 
-Accuracy: one cell per function and regime, for w, lambda0 = 1 + z t, the
-kernel D = [t(a) - t(b)]/q with a, b = z -+ q/2, and Dawson's F.  A bound is
-the worst relative error against mpmath over the cell's seeded sample,
-rounded up once; below the real axis the error is taken on max(|value|,
-(1 + |z| + q)^2 max |exp(-a^2)|, |exp(-b^2)|), the rounding that the
-Landau terms carry.  tests/test_accuracy.py holds each cell to its bound,
-and ``python tools/accuracy.py`` prints the measured worst.
+Accuracy cells (method: tests/test_accuracy.py), one per function and
+regime, for w, lambda0 = 1 + z t, the kernel D = [t(a) - t(b)]/q with a, b
+= z -+ q/2, and Dawson's F.  Below the real axis the error is taken on
+max(|value|, (1 + |z| + q)^2 max(|exp(-a^2)|, |exp(-b^2)|)), the rounding
+that the Landau terms carry.
 
     cell              region                                          bound
     w strip           Maclaurin series: |Re z| < 0.1, |z| <= 1.8      9e-15
@@ -86,10 +82,10 @@ _MIN_NORMAL = sys.float_info.min
 ASYMPTOTIC_SWITCH_Z = 12.0
 
 
-def _check_finite(z: complex, name: str = "z") -> complex:
+def _check_finite(z: complex) -> complex:
     # z is tested before it is converted: complex() would parse a str
     if not cmath.isfinite(z):
-        raise ValueError(f"{name} must be finite, got {complex(z)!r}")
+        raise ValueError(f"z must be finite, got {complex(z)!r}")
     return complex(z)
 
 
@@ -288,9 +284,8 @@ def _node_loop(z: complex, q: float, with_lambda0: bool):
     """(D(z, q), lambda0(z)) from one node loop, lambda0's over the nodes of
     z's grid, for finite z with |z| < 12 and, for D, 0 < q < 12.  q = 0 asks
     for lambda0 alone, and without with_lambda0 only D is summed; what is
-    not asked for is None.  Where a or b lies nearer than h/8 to a node of
-    z's grid, D is summed on the other grid if both keep h/4 from its nodes,
-    and is None where they do not."""
+    not asked for, and D where both grids refuse it (the block above), is
+    None."""
     lower = z.imag < 0.0
     u = -z if lower else z
     y = u.imag
@@ -392,11 +387,10 @@ def lambda0(z: complex) -> complex:
     From |z| = ASYMPTOTIC_SWITCH_Z the tail series gives ``-1/(2 z^2) -
     3/(4 z^4) - ...`` directly, where the literal ``1 + z t`` cancels
     ~2|z|^2-fold; below it the trapezoid rule is summed as partial fractions
-    in which the leading 1 cancels exactly (:func:`_node_loop`), and
-    lambda0(0) is exactly 1.  For Im z < 0 these stand for lambda0(-z), and
-    the Landau term ``2i sqrt(pi) z exp(-z^2)`` is added; where it leaves
-    double range, OverflowError names z.  Reads the pair entry (z + 0j and
-    z - 0j match) and stores nothing.
+    (:func:`_node_loop`), and lambda0(0) is exactly 1.  For Im z < 0 these
+    stand for lambda0(-z), and the Landau term ``2i sqrt(pi) z exp(-z^2)``
+    is added; where it leaves double range, OverflowError names z.  Reads
+    the pair entry of :func:`t_diff_and_lambda0`.
     """
     last_z, _, _, last = _pair_last
     if z == last_z:
@@ -558,21 +552,13 @@ def _t_diff_out_of_range(z: complex, q: float) -> OverflowError:
 
 
 def t_diff_over_q(z: complex, q: float) -> complex:
-    """[t(z - q/2) - t(z + q/2)] / q.
+    """[t(z - q/2) - t(z + q/2)] / q, the kernel D, formed exact in q by
+    region (:func:`_t_diff`).
 
-    The direct difference cancels ~|z|/q-fold, so D is formed exact in q,
-    with no switch on q: from |z| = ASYMPTOTIC_SWITCH_Z, for q <= 0.9 |z|,
-    the tail series differenced exactly (:func:`_t_diff_tail`); below it,
-    for q < 12, the Maclaurin series differenced exactly on the disk |z| +
-    q/2 <= 0.5 (:func:`_t_diff_disk`), and elsewhere the partial fractions
-    (:func:`_node_loop`) where z -+ q/2 keep h/8 from the nodes of z's grid,
-    or else h/4 from those of the other grid.  The direct difference is left
-    where both grids refuse (q > h/4; it cancels at most ~8|z|-fold there)
-    and for q >= 12 > |z| or q > 0.9 |z|, where it cancels nothing.  Below
-    the smallest normal q, D is its limit 2 lambda0(z).  On the imaginary
-    axis D is real.  Raises ValueError unless 0 < q < inf, and OverflowError
-    naming z and q where D leaves double range, deep below the real axis.
-    Reads the pair entry (z + 0j and z - 0j match) and stores nothing.
+    Below the smallest normal q, D is its limit 2 lambda0(z).  On the
+    imaginary axis D is real.  Raises ValueError unless 0 < q < inf, and
+    OverflowError naming z and q where D leaves double range, deep below the
+    real axis.  Reads the pair entry of :func:`t_diff_and_lambda0`.
     """
     return _t_diff_over_q(_check_finite(z), _check_q(q))
 
@@ -597,17 +583,20 @@ def _t_diff_disk(z: complex, q: float) -> complex:
     return SQRT_PI * dd
 
 
-#: (z, q, D(z, q), lambda0(z)) of the last _t_diff call with with_lambda0
+#: the pair entry (z, q, D, lambda0): see t_diff_and_lambda0
 _pair_last = (None, None, None, None)
 
 
 def _t_diff(z: complex, q: float, with_lambda0: bool):
-    # (D, lambda0) at finite z and q > 0 by t_diff_over_q's region split.
-    # with_lambda0 takes lambda0 from the node loop below |z| = 12 off the
-    # disk at z != 0, where both grids refuse D too (lambda0(0) is exactly
-    # 1), from _lambda0 elsewhere, and stores the pair
-    # entry after the last raise; without it, nothing is stored and lambda0
-    # is None except beside D's q -> 0 limit
+    # (D, lambda0) at finite z and 0 < q < inf.  The direct difference
+    # cancels ~|z|/q-fold, so D is formed exact in q: the tail series
+    # differenced from |z| = 12 for q <= 0.9 |z|, the Maclaurin series
+    # differenced on the disk |z| + q/2 <= 0.5, the node loop elsewhere for
+    # q < 12.  The direct difference is left where both node grids refuse (q
+    # > h/4; it cancels at most ~8|z|-fold there) and for q >= 12 > |z| or q
+    # > 0.9 |z|, where it cancels nothing.  with_lambda0 also returns lambda0,
+    # from D's node loop at z != 0 (lambda0(0) is exactly 1), and writes the
+    # pair entry; without it lambda0 is None except beside D's q -> 0 limit
     global _pair_last
     az = abs(z)
     D = lam = None
@@ -642,13 +631,14 @@ def _t_diff(z: complex, q: float, with_lambda0: bool):
 
 
 def t_diff_and_lambda0(z: complex, q: float) -> tuple[complex, complex]:
-    """``(t_diff_over_q(z, q), lambda0(z))``, bit for bit, from one call.
+    """``(t_diff_over_q(z, q), lambda0(z))``, bit for bit, from one call,
+    which sums lambda0 in the node loop where that is D's region.
 
-    Where t_diff_over_q takes its partial fractions (:func:`_node_loop`) at
-    z != 0, lambda0's sum over the nodes of z's grid runs in the same call,
-    whichever grid D takes, or alone where both grids refuse D.  Its
-    call, ``_t_diff``'s with_lambda0 path, is the quantum model's at y > 0
-    too, and alone writes the pair entry (z, q, D, lambda0) that lambda0 and
-    t_diff_over_q read; it never reads it, and a raised call stores nothing.
+    The pair entry: this call, the quantum model's at y > 0 too, keeps its
+    last (z, q, D, lambda0), stored whole after its last check, so a call
+    that raises stores nothing; it never reads it.  lambda0 and
+    t_diff_over_q read it and store nothing, matching z by == (z + 0j and
+    z - 0j match), so that models evaluated one after the other at one
+    point share the kernels.  A read that misses computes the same bits.
     """
     return _t_diff(_check_finite(z), _check_q(q), True)

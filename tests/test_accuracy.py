@@ -7,11 +7,14 @@ cell draws a fixed seeded sample of its regime, points just past each
 switch into it and pinned edge points included, evaluates the public
 function (a model through ``evaluate``, a root by ``trace_branch``) and
 the mpmath reference (tests/mpref.py), and asserts that the worst error is
-at most the cell's bound.  The error is |got - ref|/|ref|, for a root on
-its Re or Im part; below the real axis, for w, lambda0 and D, it is taken
-on max(|ref|, mpref.lower_scale), the size of the rounding that the Landau
-terms carry, and for eps on max(|ref|, |ref - 1|), with ref at 40 digits
-beyond those its closed form cancels.
+at most the cell's bound.  A bound is the worst error measured over the
+cell's sample, rounded up once.  The error is |got - ref|/|ref|, for a
+root on its Re or Im part, with ref from mpmath.findroot seeded by the
+double root at a precision raised until two solves agree; below the real
+axis, for w, lambda0 and D, it is taken on max(|ref|, mpref.lower_scale),
+the size of the rounding that the Landau terms carry, and for eps on
+max(|ref|, |ref - 1|), with ref at 40 digits beyond those its closed form
+cancels.
 
     python tools/accuracy.py    # prints every cell: points, worst, bound
 """

@@ -1,15 +1,12 @@
-"""The measured accuracy table: the special functions' cells, the
-permittivity models' cells and the dispersion roots' cells.
+"""The measured accuracy table: the special functions', the permittivity
+models' and the dispersion roots' cells.
 
     python tools/accuracy.py
 
-Runs every cell of tests/test_accuracy.py, from that test's own cell list,
-seeded samples and mpmath reference (tests/mpref.py), against this
-checkout's src/, and prints per cell the points drawn, the worst error,
-the bound that the table in the special_functions, the dielectric or the
-dispersion docstring sets, and the arguments of the worst point.  The
-exit status is 0 whatever the cells measure: the test suite is what holds
-each cell to its bound.
+Prints per cell of tests/test_accuracy.py (whose docstring gives the
+method) the points drawn, the worst error against this checkout's src/,
+the bound and the arguments of the worst point.  It exits 0 whatever the
+cells measure; the test suite holds each cell to its bound.
 """
 
 import pathlib
