@@ -2,8 +2,6 @@
 presets.  Figures and sweeps share one write path: run_scan, write_output
 per CSV, then write_plot_script under --plot-script."""
 
-from __future__ import annotations
-
 import argparse
 import functools
 import os

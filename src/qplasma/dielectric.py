@@ -31,8 +31,9 @@ three eps_*_omega cores, the public functions (static as the quantum model
 at x = 0) and evaluate's table all call.
 
 Accuracy cells (method: tests/test_accuracy.py), one per model, each on 150
-seeded states, x_p from 0.1 to 10 and q from 1e-3 to 5, and pinned edge
-points; the error is taken on max(|eps|, |eps - 1|).
+seeded states and pinned edge points, and one per edge of double range,
+on the quantum, classical and Mermin models in turn; x_p from 0.1 to 10
+and q from 1e-3 to 5, the error taken on max(|eps|, |eps - 1|).
 
     cell              states                                          bound
     eps quantum       |x|/q from 1e-2 to 30, y/q from 1e-3 to 10;     6e-15
@@ -43,9 +44,8 @@ points; the error is taken on max(|eps|, |eps - 1|).
     eps Lindhard      |x|/q from 1e-2 to 30, y = 0                    6e-15
     eps static        x = 0, y/q from 1e-3 to 100, 1e3 and 5e8        5e-15
     eps Drude         as classical: x and y from the same draws       3e-16
+    eps subnormal     x and y log-uniform from 5e-324 to 1e-300       7e-16
 """
-
-from __future__ import annotations
 
 import cmath
 import functools

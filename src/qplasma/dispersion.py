@@ -17,8 +17,6 @@ reference, Im omega on |Im omega|.
                       leaves Im omega up to ~1 ulp of Re omega off
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 import operator

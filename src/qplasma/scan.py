@@ -8,8 +8,6 @@ Output is plain CSV with a commented header plus an optional gnuplot script,
 both byte-deterministic for identical specs.
 """
 
-from __future__ import annotations
-
 import math
 
 from . import __version__

@@ -12,9 +12,11 @@ Each public function checks its argument once (a wave number q by
 kernels that take it as checked: ``_w`` is w at finite z, ``_node_loop``
 sums w's trapezoid rule as partial fractions (D and lambda0 at one z from
 one loop over its nodes), and from |z| = 12 one tail series is summed by
-Horner.  The models call the kernels too, after their own one check.  Deep
-below the real axis, where a value leaves double range, the functions raise
-OverflowError naming z (and q).
+Horner.  The models call the kernels too, after their own one check.  The
+node loop sums at Im z >= 0; below the real axis _w, _lambda0 and _t_diff,
+which choose the region, add the Landau terms.  Deep below the axis, where
+a value leaves double range, the functions raise OverflowError naming z
+(and q).
 
 Accuracy cells (method: tests/test_accuracy.py), one per function and
 regime, for w, lambda0 = 1 + z t, the kernel D = [t(a) - t(b)]/q with a, b
@@ -62,8 +64,6 @@ it is 1: Im eps of the collisionless models (Lindhard, and quantum at
 y = 0) reads 0 at real x/q >= 12.  At Im z = +-1e-19 all three are right
 to 1e-16.
 """
-
-from __future__ import annotations
 
 import cmath
 import math
@@ -275,19 +275,16 @@ def faddeeva_w(z: complex) -> complex:
 # so where z's grid refuses, D takes the other grid, whose nodes lie half a
 # step from those of z's, if a and b keep h/4 from them (h/8 there put the
 # Mermin eps cell at 5.2e-15, over its bound); lambda0 stays on z's grid,
-# in the same loop.  Below the axis both are reflected, lambda0(z) =
-# lambda0(-z) + 2i sqrt(pi) z exp(-z^2) and D(z, q) = D(-z, q) plus the
-# Landau block of _add_landau_diff.
+# in the same loop.  The loop sums at the upper-half point u: below the
+# axis its callers pass u = -z.
 # ----------------------------------------------------------------------------
 
-def _node_loop(z: complex, q: float, with_lambda0: bool):
-    """(D(z, q), lambda0(z)) from one node loop, lambda0's over the nodes of
-    z's grid, for finite z with |z| < 12 and, for D, 0 < q < 12.  q = 0 asks
-    for lambda0 alone, and without with_lambda0 only D is summed; what is
-    not asked for, and D where both grids refuse it (the block above), is
-    None."""
-    lower = z.imag < 0.0
-    u = -z if lower else z
+def _node_loop(u: complex, q: float, with_lambda0: bool):
+    """(D(u, q), lambda0(u)) from one node loop, lambda0's over the nodes of
+    u's grid, for finite u with Im u >= 0, |u| < 12 and, for D, 0 < q < 12.
+    q = 0 asks for lambda0 alone, and without with_lambda0 only D is summed;
+    what is not asked for, and D where both grids refuse it (the block
+    above), is None."""
     y = u.imag
     xs = u.real / _H
     frac = xs % 1.0
@@ -357,13 +354,6 @@ def _node_loop(z: complex, q: float, with_lambda0: bool):
             else:
                 diff = cmath.exp(-a2) / ga - cmath.exp(-b2) / gb
             D += k * diff / q
-    if lower:
-        e = None
-        if lam is not None:
-            e = _exp_minus_z2(z)
-            lam += z * (_TWO_I_SQRT_PI * e)
-        if D is not None:
-            D = _add_landau_diff(D, z, q, e)
     return D, lam
 
 
@@ -403,14 +393,15 @@ def _lambda0(z: complex) -> complex:
     az = abs(z)
     if az >= ASYMPTOTIC_SWITCH_Z:
         val = -_tail(z * z)
-        if z.imag < 0.0:
-            val += z * (_TWO_I_SQRT_PI * _exp_minus_z2(z))
-            if not cmath.isfinite(val):
-                raise _out_of_range("lambda0", f"z={z!r}")
-        return val
-    if az == 0.0:
+    elif az == 0.0:
         return 1.0 + 0j  # the node loop gives 1.0000000000000002
-    return _node_loop(z, 0.0, True)[1]
+    else:
+        val = _node_loop(-z if z.imag < 0.0 else z, 0.0, True)[1]
+    if z.imag < 0.0:
+        val += z * (_TWO_I_SQRT_PI * _exp_minus_z2(z))
+        if not cmath.isfinite(val):
+            raise _out_of_range("lambda0", f"z={z!r}")
+    return val
 
 
 # ----------------------------------------------------------------------------
@@ -508,34 +499,29 @@ def _t_diff_tail(z: complex, q: float) -> complex:
     z += 0j  # x - 0j as x + 0j: on the axis D's imaginary part is a signed 0
     a, b = z - 0.5 * q, z + 0.5 * q
     a2, b2 = a * a, b * b
-    val = 0j
     # where a^2 or b^2 is inf, |ab| >= 0.38 max(|a|, |b|)^2 and the series,
     # ~ -1/(ab), underflows to 0 as in _tail
-    if not (cmath.isinf(a2) or cmath.isinf(b2)):
-        wa, wb = 1.0 / a2, 1.0 / b2
-        acc = dd = 0j
-        for c in _TAIL_HORNER[bisect_left(_D_W, abs(wa if z.real >= 0.0 else wb))]:
-            dd = dd * wb + acc
-            acc = acc * wa + c
+    if cmath.isinf(a2) or cmath.isinf(b2):
+        return 0j
+    wa, wb = 1.0 / a2, 1.0 / b2
+    acc = dd = 0j
+    for c in _TAIL_HORNER[bisect_left(_D_W, abs(wa if z.real >= 0.0 else wb))]:
         dd = dd * wb + acc
-        acc = acc * wa + 1.0  # (1/2)_0
-        val = -(acc + 2.0 * dd * (z / a) * wb) / (a * b)
-    if z.imag < 0.0:
-        val = _add_landau_diff(val, z, q)
-    return val
+        acc = acc * wa + c
+    dd = dd * wb + acc
+    acc = acc * wa + 1.0  # (1/2)_0
+    return -(acc + 2.0 * dd * (z / a) * wb) / (a * b)
 
 
-def _add_landau_diff(val: complex, z: complex, q: float, e: complex | None = None) -> complex:
+def _add_landau_diff(val: complex, z: complex, q: float) -> complex:
     # val plus the exact difference of the Landau terms 2i sqrt(pi) exp(-s^2)
     # at s = z -+ q/2, over q: as 2 exp(-z^2 - q^2/4) sinh(qz) where it
-    # would cancel, term by term otherwise; e is exp(-z^2) where the caller
-    # has formed it
+    # would cancel, term by term otherwise
     qz = q * z
     if abs(qz.real) < 1.0:
-        if e is None:
-            # exp(-z^2) first: where q Im z overflows, so does |z|^2, and its
-            # OverflowError names z before sinh(qz) meets an infinite argument
-            e = _exp_minus_z2(z)
+        # exp(-z^2) first: where q Im z overflows, so does |z|^2, and its
+        # OverflowError names z before sinh(qz) meets an infinite argument
+        e = _exp_minus_z2(z)
         f = 2.0 * math.exp(-0.25 * q * q) * cmath.sinh(qz)
         return val + f * _TWO_I_SQRT_PI * e / q
     try:
@@ -594,9 +580,12 @@ def _t_diff(z: complex, q: float, with_lambda0: bool):
     # differenced on the disk |z| + q/2 <= 0.5, the node loop elsewhere for
     # q < 12.  The direct difference is left where both node grids refuse (q
     # > h/4; it cancels at most ~8|z|-fold there) and for q >= 12 > |z| or q
-    # > 0.9 |z|, where it cancels nothing.  with_lambda0 also returns lambda0,
-    # from D's node loop at z != 0 (lambda0(0) is exactly 1), and writes the
-    # pair entry; without it lambda0 is None except beside D's q -> 0 limit
+    # > 0.9 |z|, where it cancels nothing.  Below the axis the tail's and
+    # the node loop's values gain their Landau terms here; the disk series is
+    # entire, and the direct difference has them from _w.  with_lambda0 also
+    # returns lambda0, from D's node loop at z != 0 (lambda0(0) is exactly
+    # 1), and writes the pair entry; without it lambda0 is None except
+    # beside D's q -> 0 limit
     global _pair_last
     az = abs(z)
     D = lam = None
@@ -605,13 +594,19 @@ def _t_diff(z: complex, q: float, with_lambda0: bool):
         # q; D is its limit -t'(z) = 2 lambda0(z) to rounding
         lam = _lambda0(z)
         D = 2.0 * lam
-    elif az >= ASYMPTOTIC_SWITCH_Z:
-        if q <= 0.9 * az:
-            D = _t_diff_tail(z, q)
     elif az + 0.5 * q <= _DISK_RADIUS:
         D = _t_diff_disk(z, q)
-    elif q < ASYMPTOTIC_SWITCH_Z:
-        D, lam = _node_loop(z, q, with_lambda0 and az > 0.0)
+    else:
+        if az >= ASYMPTOTIC_SWITCH_Z:
+            if q <= 0.9 * az:
+                D = _t_diff_tail(z, q)
+        elif q < ASYMPTOTIC_SWITCH_Z:
+            D, lam = _node_loop(-z if z.imag < 0.0 else z, q, with_lambda0 and az > 0.0)
+        if z.imag < 0.0:
+            if lam is not None:
+                lam += z * (_TWO_I_SQRT_PI * _exp_minus_z2(z))
+            if D is not None:
+                D = _add_landau_diff(D, z, q)
     if D is None:
         half = 0.5 * q
         try:

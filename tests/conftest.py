@@ -42,11 +42,11 @@ def node_grid(z: complex, q: float) -> str | None:
 
     a, b = Table(sf._NODES_A), Table(sf._NODES_B)
     a.grid, b.grid = "A", "B"
+    u = -z if z.imag < 0.0 else z  # the kernel sums at the upper-half point
     with mock.patch.object(sf, "_NODES_A", a), mock.patch.object(sf, "_NODES_B", b):
-        D = sf._node_loop(z, q, False)[0]
+        D = sf._node_loop(u, q, False)[0]
     if D is None:
         assert not ran, (z, q)
         return None
     (grid,) = ran
-    u = -z if z.imag < 0.0 else z
     return "z" if grid == ("A" if 0.25 <= (u.real / 0.5) % 1.0 < 0.75 else "B") else "other"

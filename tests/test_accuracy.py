@@ -2,19 +2,19 @@
 qplasma.special_functions, qplasma.dielectric and qplasma.dispersion.
 
 One cell per (function, regime) of the special_functions table, per model
-of the dielectric one and per part of a root of the dispersion one.  Each
-cell draws a fixed seeded sample of its regime, points just past each
-switch into it and pinned edge points included, evaluates the public
-function (a model through ``evaluate``, a root by ``trace_branch``) and
-the mpmath reference (tests/mpref.py), and asserts that the worst error is
-at most the cell's bound.  A bound is the worst error measured over the
-cell's sample, rounded up once.  The error is |got - ref|/|ref|, for a
-root on its Re or Im part, with ref from mpmath.findroot seeded by the
-double root at a precision raised until two solves agree; below the real
-axis, for w, lambda0 and D, it is taken on max(|ref|, mpref.lower_scale),
-the size of the rounding that the Landau terms carry, and for eps on
-max(|ref|, |ref - 1|), with ref at 40 digits beyond those its closed form
-cancels.
+and per edge of double range of the dielectric one and per part of a root
+of the dispersion one.  Each cell draws a fixed seeded sample of its
+regime, points just past each switch into it and pinned edge points
+included, evaluates the public function (a model through ``evaluate``, a
+root by ``trace_branch``) and the mpmath reference (tests/mpref.py), and
+asserts that the worst error is at most the cell's bound.  A bound is the
+worst error measured over the cell's sample, rounded up once.  The error is
+|got - ref|/|ref|, for a root on its Re or Im part, with ref from
+mpmath.findroot seeded by the double root at a precision raised until two
+solves agree; below the real axis, for w, lambda0 and D, it is taken on
+max(|ref|, mpref.lower_scale), the size of the rounding that the Landau
+terms carry, and for eps on max(|ref|, |ref - 1|), with ref at 40 digits
+beyond those its closed form cancels.
 
     python tools/accuracy.py    # prints every cell: points, worst, bound
 """
@@ -368,10 +368,27 @@ EPS_LONG_WAVE = [(1.3, r * q * math.sin(th), r * q * math.cos(th), q)
                  for th in map(math.radians, (0, 10, 45, 80, 135))]
 
 
-def _eps_fns(model: ModelKind):
-    # eps at a state (x_p, y, x, q), and mpref's
-    return (lambda x_p, y, x, q: evaluate(model, PlasmaParams(x_p, y), QueryPoint(x, q)),
-            functools.partial(mpref.epsilon, model))
+def _eps_edge(lo, hi):
+    # n states (model, x_p, y, x, q), the quantum, classical and Mermin
+    # models in turn: x_p from 0.1 to 10, x and y log-uniform from lo to hi,
+    # q from 1e-3 to 5
+    return lambda rng, n: [(("quantum", "classical", "mermin")[i % 3],
+                            10.0 ** rng.uniform(-1.0, 1.0), _log_uniform(rng, lo, hi),
+                            _log_uniform(rng, lo, hi), 10.0 ** rng.uniform(-3.0, 0.7))
+                           for i in range(n)]
+
+
+def _eps_at(model, x_p, y, x, q):
+    return evaluate(ModelKind(model), PlasmaParams(x_p, y), QueryPoint(x, q))
+
+
+def _eps_fns(cell: str):
+    # eps at a model cell's state (x_p, y, x, q), and mpref's; an edge
+    # cell's states lead with their model
+    if cell.upper() not in ModelKind.__members__:
+        return _eps_at, mpref.epsilon
+    model = ModelKind[cell.upper()]
+    return functools.partial(_eps_at, model), functools.partial(mpref.epsilon, model)
 
 
 # -- roots -----------------------------------------------------------------
@@ -456,6 +473,7 @@ CELLS = [
     ("eps Lindhard", _eps("lindhard mpmath", v_range=None), 150),
     ("eps static", _eps("static mpmath", False, (-3.0, 2.0), EPS_IMAGINARY_TAIL), 150),
     ("eps Drude", _eps("drude"), 150),
+    ("eps subnormal", _eps_edge(5e-324, 1e-300), 180),
     ("root Re", _roots, 45),
     ("root Im", _roots, 45),
 ]
@@ -471,7 +489,7 @@ _FUNCTIONS = {
 def measure(name: str, draw, n: int) -> tuple[int, float, tuple]:
     """(points, worst error, its arguments) over a cell's sample."""
     kind, model = name.split()[:2]
-    fn, ref_fn = (_eps_fns(ModelKind[model.upper()]) if kind == "eps" else
+    fn, ref_fn = (_eps_fns(model) if kind == "eps" else
                   _root_fns(model) if kind == "root" else _FUNCTIONS[kind])
     worst, at = 0.0, ()
     points = _args(draw(random.Random(name), n))

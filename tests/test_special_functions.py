@@ -799,7 +799,8 @@ class TestNodeLoop:
         assert special_functions._NODES_B == full_b[:13]
 
         def sums():
-            return [(special_functions._node_loop(z, q, True),
+            # the node loop at the upper-half point, as its callers pass it
+            return [(special_functions._node_loop(-z if z.imag < 0.0 else z, q, True),
                      special_functions._w_trapezoid(z) if z.imag >= 0.0 else None)
                     for z, q in points]
 
@@ -877,6 +878,31 @@ class TestNodeLoop:
                 assert not calls, (w, q)
                 ref = special_functions._t_diff(w, q, False)[0], raw(w)
                 assert (repr(D), repr(lam)) == tuple(map(repr, ref)), (w, q)
+
+    def test_kernel_sums_at_the_upper_half_point(self, monkeypatch):
+        # below the axis the node loop is called at u = -z, Im u >= 0, and
+        # the functions that choose its region add the Landau terms: for
+        # lambda0, for D on either grid, and for lambda0 beside the direct
+        # difference where both grids refuse D
+        rng = random.Random("upper-half point")
+        points, seen = [], {"z": 0, "other": 0, None: 0}
+        while len(points) < 150:
+            im = rng.uniform(0.0, 0.03) if rng.random() < 0.5 else rng.uniform(0.0, 3.0)
+            z, q = complex(rng.uniform(-11.5, 11.5), -im), rng.uniform(0.01, 2.5)
+            if abs(z) < ASYMPTOTIC_SWITCH_Z:
+                seen[node_grid(z, q)] += 1
+                points.append((z, q))
+        assert min(seen.values()) > 10, seen
+        raw, calls = special_functions._node_loop, []
+        monkeypatch.setattr(special_functions, "_node_loop",
+                            lambda u, *args: calls.append(u) or raw(u, *args))
+        for z, q in points:
+            for call, args in ((t_diff_and_lambda0, (z, q)), (t_diff_over_q, (z, q)),
+                               (lambda0, (z,))):
+                monkeypatch.setattr(special_functions, "_pair_last", (None, None, None, None))
+                call(*args)
+        assert len(calls) > 100
+        assert all(u.imag >= 0.0 for u in calls), [u for u in calls if u.imag < 0.0][:3]
 
     @staticmethod
     def _property_points(seed: int):
@@ -1095,21 +1121,6 @@ class TestUncheckedKernels:
             assert repr(t_diff_over_q(z, q)) == repr(D), (z, q)
             D = t_diff_and_lambda0(z, q)[0]
             assert unchecked(z, q) is D and t_diff_over_q(z, q) is D  # the entry's own
-
-    def test_landau_difference_with_a_given_exp_is_the_same(self):
-        # the node loop hands lambda0's exp(-z^2) to D's Landau block below
-        # the axis; on both sides of |Re qz| = 1 the value is the same
-        add = special_functions._add_landau_diff
-        rng = random.Random(29)
-        sides = [0, 0]
-        for _ in range(400):
-            z = complex(rng.uniform(-12.0, 12.0), -rng.uniform(0.0, 6.0))
-            q = rng.choice((1e-3, 0.1, 0.5, 2.0, 8.0))
-            v = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-            e = special_functions._exp_minus_z2(z)
-            assert repr(add(v, z, q, e)) == repr(add(v, z, q)), (v, z, q)
-            sides[abs((q * z).real) < 1.0] += 1
-        assert min(sides) > 50
 
 
 class TestNoSilentInfinities:
