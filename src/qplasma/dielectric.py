@@ -33,7 +33,7 @@ at x = 0) and evaluate's table all call.
 Accuracy cells (method: tests/test_accuracy.py), one per model, each on 150
 seeded states and pinned edge points, and one per edge of double range,
 on the quantum, classical and Mermin models in turn; x_p from 0.1 to 10
-and q from 1e-3 to 5, the error taken on max(|eps|, |eps - 1|).
+and q from 1e-3 to 5 unless a row says, the error on max(|eps|, |eps - 1|).
 
     cell              states                                          bound
     eps quantum       |x|/q from 1e-2 to 30, y/q from 1e-3 to 10;     6e-15
@@ -45,6 +45,8 @@ and q from 1e-3 to 5, the error taken on max(|eps|, |eps - 1|).
     eps static        x = 0, y/q from 1e-3 to 100, 1e3 and 5e8        5e-15
     eps Drude         as classical: x and y from the same draws       3e-16
     eps subnormal     x and y log-uniform from 5e-324 to 1e-300       7e-16
+    eps small q       q log-uniform from 1e-150 to 1e-3, |x|/q from   1e-14
+                      1e-2 to 30, y/q from 1e-3 to 10
 """
 
 import cmath

@@ -519,21 +519,17 @@ def _add_landau_diff(val: complex, z: complex, q: float) -> complex:
     # would cancel, term by term otherwise
     qz = q * z
     if abs(qz.real) < 1.0:
-        # exp(-z^2) first: where q Im z overflows, so does |z|^2, and its
-        # OverflowError names z before sinh(qz) meets an infinite argument
+        # exp(-z^2) first, to raise before sinh(qz) meets an infinite argument
         e = _exp_minus_z2(z)
         f = 2.0 * math.exp(-0.25 * q * q) * cmath.sinh(qz)
         return val + f * _TWO_I_SQRT_PI * e / q
-    try:
-        ea, eb = _exp_minus_z2(z - 0.5 * q), _exp_minus_z2(z + 0.5 * q)
-    except OverflowError as exc:
-        raise _t_diff_out_of_range(z, q) from exc
+    ea, eb = _exp_minus_z2(z - 0.5 * q), _exp_minus_z2(z + 0.5 * q)
     return val + _TWO_I_SQRT_PI * ea / q + -_TWO_I_SQRT_PI * eb / q
 
 
 def _t_diff_out_of_range(z: complex, q: float) -> OverflowError:
-    # D's error names the caller's z and q, not the shifted point z -+ q/2
-    # whose exp(-s^2) left range
+    # D's error names the caller's z and q, whichever of exp(-s^2) at s = z,
+    # z -+ q/2 or lambda0(z) left range
     return _out_of_range("[t(z - q/2) - t(z + q/2)]/q", f"z={z!r}, q={q!r}")
 
 
@@ -582,37 +578,38 @@ def _t_diff(z: complex, q: float, with_lambda0: bool):
     # > h/4; it cancels at most ~8|z|-fold there) and for q >= 12 > |z| or q
     # > 0.9 |z|, where it cancels nothing.  Below the axis the tail's and
     # the node loop's values gain their Landau terms here; the disk series is
-    # entire, and the direct difference has them from _w.  with_lambda0 also
+    # entire, and the direct difference has them from _w.  An OverflowError
+    # raised in any region becomes D's, naming z and q.  with_lambda0 also
     # returns lambda0, from D's node loop at z != 0 (lambda0(0) is exactly
     # 1), and writes the pair entry; without it lambda0 is None except
     # beside D's q -> 0 limit
     global _pair_last
     az = abs(z)
     D = lam = None
-    if q < _MIN_NORMAL:
-        # q^2 underflows, and the forms below divide subnormal products by
-        # q; D is its limit -t'(z) = 2 lambda0(z) to rounding
-        lam = _lambda0(z)
-        D = 2.0 * lam
-    elif az + 0.5 * q <= _DISK_RADIUS:
-        D = _t_diff_disk(z, q)
-    else:
-        if az >= ASYMPTOTIC_SWITCH_Z:
-            if q <= 0.9 * az:
-                D = _t_diff_tail(z, q)
-        elif q < ASYMPTOTIC_SWITCH_Z:
-            D, lam = _node_loop(-z if z.imag < 0.0 else z, q, with_lambda0 and az > 0.0)
-        if z.imag < 0.0:
-            if lam is not None:
-                lam += z * (_TWO_I_SQRT_PI * _exp_minus_z2(z))
-            if D is not None:
-                D = _add_landau_diff(D, z, q)
-    if D is None:
-        half = 0.5 * q
-        try:
+    try:
+        if q < _MIN_NORMAL:
+            # q^2 underflows, and the forms below divide subnormal products by
+            # q; D is its limit -t'(z) = 2 lambda0(z) to rounding
+            lam = _lambda0(z)
+            D = 2.0 * lam
+        elif az + 0.5 * q <= _DISK_RADIUS:
+            D = _t_diff_disk(z, q)
+        else:
+            if az >= ASYMPTOTIC_SWITCH_Z:
+                if q <= 0.9 * az:
+                    D = _t_diff_tail(z, q)
+            elif q < ASYMPTOTIC_SWITCH_Z:
+                D, lam = _node_loop(-z if z.imag < 0.0 else z, q, with_lambda0 and az > 0.0)
+            if z.imag < 0.0:
+                if lam is not None:
+                    lam += z * (_TWO_I_SQRT_PI * _exp_minus_z2(z))
+                if D is not None:
+                    D = _add_landau_diff(D, z, q)
+        if D is None:
+            half = 0.5 * q
             D = (_I_SQRT_PI * _w(z - half) - _I_SQRT_PI * _w(z + half)) / q
-        except OverflowError as exc:
-            raise _t_diff_out_of_range(z, q) from exc
+    except OverflowError as exc:
+        raise _t_diff_out_of_range(z, q) from exc
     if z.imag < 0.0 and not cmath.isfinite(D):
         # the Landau terms below the axis, or their difference over q
         raise _t_diff_out_of_range(z, q)

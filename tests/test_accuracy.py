@@ -378,6 +378,19 @@ def _eps_edge(lo, hi):
                            for i in range(n)]
 
 
+def _eps_small_q(rng, n):
+    # n states (model, x_p, y, x, q), the quantum, classical and Mermin
+    # models in turn: x_p from 0.1 to 10, q log-uniform from 1e-150 to 1e-3
+    # (x_p/q stays within eps's range test), x/q and y/q as _eps_states
+    states = []
+    for i in range(n):
+        x_p, q = 10.0 ** rng.uniform(-1.0, 1.0), _log_uniform(rng, 1e-150, 1e-3)
+        x = rng.choice((-1.0, 1.0)) * q * 10.0 ** rng.uniform(-2.0, 1.5)
+        states.append((("quantum", "classical", "mermin")[i % 3], x_p,
+                       q * 10.0 ** rng.uniform(-3.0, 1.0), x, q))
+    return states
+
+
 def _eps_at(model, x_p, y, x, q):
     return evaluate(ModelKind(model), PlasmaParams(x_p, y), QueryPoint(x, q))
 
@@ -474,6 +487,7 @@ CELLS = [
     ("eps static", _eps("static mpmath", False, (-3.0, 2.0), EPS_IMAGINARY_TAIL), 150),
     ("eps Drude", _eps("drude"), 150),
     ("eps subnormal", _eps_edge(5e-324, 1e-300), 180),
+    ("eps small q", _eps_small_q, 60),
     ("root Re", _roots, 45),
     ("root Im", _roots, 45),
 ]

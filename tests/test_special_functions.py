@@ -861,6 +861,11 @@ class TestNodeLoop:
         z, q = 9.919833466364693 + 0.012582179656779805j, 0.2771669327293864
         assert node_grid(z, q) is None
         assert_cclose(t_diff_over_q(z, q), mpref.t_diff(z, q), rtol=3e-14)
+        # Re z just short of z's grid switch (Re z/h % 1 = 0.7485), near the
+        # axis: D is 9.4e-15 off even as q -> 0, where lambda0 is 6e-16 off
+        z, q = -0.6257457450046597 + 0.029001916019020812j, 1e-8
+        assert node_grid(z, q) == "z"
+        assert_cclose(t_diff_over_q(z, q), mpref.t_diff(z, q), rtol=1e-14)
 
     def test_refused_fused_call_sums_lambda0_in_its_node_loop(self, monkeypatch):
         # where z's grid refuses D, the fused call sums lambda0 on z's grid
@@ -1137,6 +1142,11 @@ class TestNoSilentInfinities:
     # raised naming z + q/2 in place of z and q
     SHIFTED_REPROS = [(-4.529907864737164 - 27.063189670938268j, 2.431947686590233),
                       (-14.0 - 27.2j, 28.0)]
+    # D out of range where exp(-z^2) overflows in the tail's Landau terms at
+    # |Re qz| < 1, or lambda0 in the subnormal-q limit 2 lambda0(z); these
+    # raised naming z alone
+    UNSHIFTED_REPROS = [(5 - 102.7j, 1e-3), (-102.69288742859769j, 0.5),
+                        (-2.2612872579819108 - 26.69525566056445j, 5e-324)]
 
     @staticmethod
     def _points(seed: int, n: int):
@@ -1151,7 +1161,7 @@ class TestNoSilentInfinities:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_finite_or_overflow_error(self, seed):
         points = ([(self.LAMBDA0_REPRO, 1e-3)] + self.D_REPROS + self.SHIFTED_REPROS
-                  + list(self._points(seed, 400)))
+                  + self.UNSHIFTED_REPROS + list(self._points(seed, 400)))
         raised = 0
         for z, q in points:
             for fn in (faddeeva_w, plasma_t, lambda0, lambda z: t_derivatives(z, 1),
@@ -1173,7 +1183,7 @@ class TestNoSilentInfinities:
         for fn in (lambda0, lambda z: t_derivatives(z, 1)):
             with pytest.raises(OverflowError, match=re.escape(f"at z={z!r};")):
                 fn(z)
-        for z, q in self.D_REPROS + self.SHIFTED_REPROS:
+        for z, q in self.D_REPROS + self.SHIFTED_REPROS + self.UNSHIFTED_REPROS:
             for fn in (t_diff_over_q, t_diff_and_lambda0):
                 with pytest.raises(OverflowError, match=re.escape(f"at z={z!r}, q={q!r};")):
                     fn(z, q)
